@@ -16,6 +16,7 @@ from .errors import ConfigError
 
 STRATEGIES = ("gapsl", "psl", "sfl", "vanilla_sl")
 TRANSPORTS = ("inproc", "tcp")
+MAX_TCP_CLIENTS = 0xFFFF  # HELLO and the matrix headers carry the client id as u16
 GDA_MODES = ("gradient", "loss_only")
 
 
@@ -76,6 +77,15 @@ class ExperimentConfig:
     @property
     def input_dim(self) -> int:
         return self.model_dims[0]
+
+
+def is_eval_round(cfg: ExperimentConfig, t: int) -> bool:
+    """Whether round ``t`` ends with an evaluation.
+
+    The coordinator and every TCP client follow this one schedule; if they
+    disagreed, a client would block on an EVAL_REQUEST that never comes.
+    """
+    return t % cfg.eval_interval == 0 or t == cfg.rounds
 
 
 # key -> (parser, formatter); keys not listed here are unknown
@@ -317,4 +327,7 @@ def validate(cfg: ExperimentConfig) -> list[str]:
         v.append(f"transport must be one of {TRANSPORTS}, got {cfg.transport!r}")
     if cfg.transport == "tcp" and cfg.strategy not in ("gapsl", "psl"):
         v.append("tcp transport supports only gapsl and psl (no client-model shipping)")
+    if cfg.transport == "tcp" and cfg.clients > MAX_TCP_CLIENTS:
+        v.append(f"tcp transport carries client ids as u16: clients must be <= {MAX_TCP_CLIENTS}, "
+                 f"got {cfg.clients}")
     return v

@@ -28,7 +28,7 @@ import numpy as np
 
 from . import gda as gda_mod
 from . import lgi as lgi_mod
-from .config import ExperimentConfig
+from .config import ExperimentConfig, is_eval_round
 from .data import Dataset, Partition, dirichlet_partition, iid_partition, load_idx_dataset, synth_gaussian_mixture
 from .errors import ConfigError, CoordinationSkipped, ProtocolError
 from .geometry import GradientVector, flatten, pairwise_mean_deviation, unflatten
@@ -376,14 +376,12 @@ class TrainingEngine:
             accs.append(float((pred == self.test.labels).sum()) / len(self.test.labels))
         return float(np.mean(accs))
 
-    def _is_eval_round(self, t: int) -> bool:
-        return t % self.cfg.eval_interval == 0 or t == self.cfg.rounds
-
     # ---- rounds ----------------------------------------------------------
 
     def _round_parallel(self, t: int) -> RoundReport:
         cfg = self.cfg
         ids = list(range(cfg.clients))
+        fan_in = self.server[0].w.shape[0]
         acts: dict[int, np.ndarray] = {}
         labels: dict[int, np.ndarray] = {}
         for i in ids:
@@ -393,9 +391,11 @@ class TrainingEngine:
                 acts[i] = self.proxies[i].forward_round(t)
             except ProtocolError as e:
                 raise ProtocolError(f"round {t} client {i} (forward): {e}") from e
-            if acts[i].shape[0] != len(idx):
+            # checked here so a lying peer is a protocol error, not a model error
+            if acts[i].shape != (len(idx), fan_in):
                 raise ProtocolError(
-                    f"round {t} client {i}: expected {len(idx)} activation rows, got {acts[i].shape[0]}"
+                    f"round {t} client {i}: expected activations of shape {(len(idx), fan_in)}, "
+                    f"got {acts[i].shape}"
                 )
             self.samples_consumed += len(idx)
 
@@ -479,7 +479,7 @@ class TrainingEngine:
             report = self._round_vanilla(t)
         else:
             report = self._round_parallel(t)
-        if self._is_eval_round(t):
+        if is_eval_round(self.cfg, t):
             report.accuracy = self._evaluate(t)
         report.wall_ms = (time.perf_counter() - started) * 1000.0
         return report

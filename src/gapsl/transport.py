@@ -17,6 +17,12 @@ in-process runs produce identical results.
 Handshake: a client opens with HELLO carrying its id; the server answers
 with CONFIG (the canonical key=value config text) or closes the
 connection to reject it.
+
+TCP channels set ``TCP_NODELAY``: in an eval round the coordinator sends
+ACT_GRADS and then EVAL_REQUEST back to back, and under Nagle's algorithm
+the second frame would wait for the client's delayed ACK (about 40 ms).
+Every frame leaves in a single ``sendall``, so no frame is split into
+small segments.
 """
 
 from __future__ import annotations
@@ -24,12 +30,11 @@ from __future__ import annotations
 import json
 import socket
 import struct
-import threading
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import ExperimentConfig, parse_config_text
+from .config import is_eval_round, parse_config_text
 from .errors import ConfigError, ProtocolError
 
 MAGIC = b"GPSL"
@@ -222,6 +227,8 @@ class FrameChannel:
     def __init__(self, sock: socket.socket):
         self.sock = sock
         self._buf = bytearray()
+        if sock.family in (socket.AF_INET, socket.AF_INET6):
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
 
     def send(self, msg: WireMessage) -> None:
         try:
@@ -264,44 +271,6 @@ def connect(address: str, timeout: float = 10.0) -> FrameChannel:
         raise ProtocolError(f"cannot connect to {address}: {e}") from e
     sock.settimeout(None)
     return FrameChannel(sock)
-
-
-class Server:
-    """Listening socket that hands each connection's channel to ``handler``."""
-
-    def __init__(self, bind_address: str, handler):
-        host, port = parse_address(bind_address)
-        self._sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        self._sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        self._sock.bind((host, port))
-        self._sock.listen()
-        self._handler = handler
-        self._threads: list[threading.Thread] = []
-        self._accept_thread = threading.Thread(target=self._accept_loop, daemon=True)
-        self._accept_thread.start()
-
-    @property
-    def address(self) -> str:
-        host, port = self._sock.getsockname()[:2]
-        return f"{host}:{port}"
-
-    def _accept_loop(self) -> None:
-        while True:
-            try:
-                conn, addr = self._sock.accept()
-            except OSError:
-                return
-            t = threading.Thread(target=self._handler, args=(FrameChannel(conn), addr), daemon=True)
-            t.start()
-            self._threads.append(t)
-
-    def close(self) -> None:
-        self._sock.close()
-
-
-def serve(bind_address: str, handler) -> Server:
-    """Start a background server; ``handler(channel, addr)`` runs per connection."""
-    return Server(bind_address, handler)
 
 
 class Listener:
@@ -393,10 +362,6 @@ class RemoteClientProxy:
         self.channel.send(Metrics(metrics))
         self.channel.send(Bye())
         self.channel.close()
-
-
-def is_eval_round(cfg: ExperimentConfig, t: int) -> bool:
-    return t % cfg.eval_interval == 0 or t == cfg.rounds
 
 
 def client_loop(channel: FrameChannel, client_id: int, handshake_timeout: float = 10.0) -> dict:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from gapsl.cli import main
-from gapsl.config import ExperimentConfig, config_to_text, parse_config, parse_config_text
+from gapsl.config import ExperimentConfig, config_to_text, parse_config, parse_config_text, validate
 from gapsl.errors import ConfigError, DataError
 from gapsl.reporting import CSV_COLUMNS, compare_table, read_metrics_csv
 
@@ -75,6 +75,13 @@ class TestParseConfig:
     def test_tcp_limited_to_parallel_strategies(self):
         with pytest.raises(ConfigError, match="tcp"):
             parse_config_text("strategy = sfl\ntransport = tcp\n")
+
+    def test_tcp_client_ids_must_fit_u16(self):
+        # HELLO and the matrix headers carry the client id as u16
+        with pytest.raises(ConfigError, match="u16"):
+            parse_config_text("transport = tcp\nclients = 65536\n")
+        assert validate(ExperimentConfig(transport="tcp", clients=65535)) == []
+        assert validate(ExperimentConfig(transport="inproc", clients=65536)) == []
 
 
 FAST = (

@@ -9,7 +9,7 @@ import pytest
 from gapsl.cli import main
 from gapsl.config import ExperimentConfig, config_to_text
 from gapsl.errors import ProtocolError
-from gapsl.orchestrator import TrainingEngine, run_experiment
+from gapsl.orchestrator import LocalClientProxy, TrainingEngine, run_experiment
 from gapsl.transport import Activations, Bye, ConfigMsg, Hello, Listener, RemoteClientProxy, connect
 
 
@@ -109,6 +109,22 @@ class TestTransportFailures:
         for t in threads:
             t.join(timeout=5)
         listener.close()
+
+    def test_wrong_width_activations_are_a_protocol_error(self):
+        cfg = ExperimentConfig(
+            strategy="psl", clients=2, rounds=3, batch_size=8, samples_per_class=20,
+            model_dims=(4, 6, 2), cut=1, eval_interval=10, seeds=(1,), alpha=None,
+        )
+
+        class WideProxy(LocalClientProxy):
+            def forward_round(self, round_t):
+                acts = super().forward_round(round_t)
+                return np.hstack([acts, acts]) if round_t == 2 else acts
+
+        engine = TrainingEngine(cfg, 1)
+        engine.proxies[1] = WideProxy(engine.proxies[1].worker)
+        with pytest.raises(ProtocolError, match=r"round 2 client 1: expected activations of shape \(8, 6\)"):
+            engine.run()
 
 
 class TestExitCodes:

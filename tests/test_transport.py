@@ -1,5 +1,6 @@
 """Wire format and the TCP message layer."""
 
+import socket
 import threading
 
 import numpy as np
@@ -16,6 +17,7 @@ from gapsl.transport import (
     ConfigMsg,
     EvalRequest,
     EvalResult,
+    FrameChannel,
     Hello,
     Listener,
     Metrics,
@@ -24,7 +26,6 @@ from gapsl.transport import (
     connect,
     decode,
     encode,
-    serve,
 )
 
 
@@ -166,18 +167,27 @@ class TestParserRobustness:
 
 class TestTcpChannels:
     def test_loopback_echo_of_fuzzed_frames(self):
-        def echo(channel, addr):
+        lsock = socket.create_server(("127.0.0.1", 0))
+        lsock.settimeout(10)
+
+        def echo():
+            conn, _ = lsock.accept()
+            channel = FrameChannel(conn)
             try:
                 while True:
-                    msg = channel.recv()
+                    msg = channel.recv(timeout=10)
                     channel.send(msg)
                     if isinstance(msg, Bye):
                         return
             except ProtocolError:
                 pass
+            finally:
+                channel.close()
 
-        server = serve("127.0.0.1:0", echo)
-        ch = connect(server.address)
+        echoer = threading.Thread(target=echo)
+        echoer.start()
+        host, port = lsock.getsockname()[:2]
+        ch = connect(f"{host}:{port}")
         rng = np.random.default_rng(3)
         try:
             for _ in range(1000):
@@ -190,7 +200,39 @@ class TestTcpChannels:
             assert_messages_equal(ch.recv(timeout=10), Bye())
         finally:
             ch.close()
-            server.close()
+            echoer.join(timeout=10)
+            lsock.close()
+        assert not echoer.is_alive()
+
+    def test_channels_disable_nagle(self):
+        # an eval round sends ACT_GRADS then EVAL_REQUEST back to back; with
+        # Nagle on, the second frame waits for the peer's delayed ACK
+        listener = Listener("127.0.0.1:0")
+        cfg_text = config_to_text(ExperimentConfig())
+        clients = []
+
+        def check_in(cid):
+            ch = connect(listener.address)
+            clients.append(ch)
+            ch.send(Hello(cid))
+            ch.recv(timeout=10)
+
+        threads = [threading.Thread(target=check_in, args=(i,)) for i in range(2)]
+        for t in threads:
+            t.start()
+        try:
+            accepted = listener.accept_clients(2, cfg_text, timeout=10)
+        finally:
+            for t in threads:
+                t.join(timeout=10)
+            listener.close()
+        try:
+            assert len(accepted) == 2 and len(clients) == 2
+            for ch in [*clients, *accepted.values()]:
+                assert ch.sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY) != 0
+        finally:
+            for ch in [*clients, *accepted.values()]:
+                ch.close()
 
     def test_handshake_and_duplicate_client_id_rejected(self):
         listener = Listener("127.0.0.1:0")
