@@ -9,8 +9,11 @@ first-order correction
 
     g~ = g + (lambda_g / ||g||) * (u_leader - cos(theta) * u_g)
 
-which vanishes exactly at alignment and strictly increases the cosine to
-the leader for theta in (0, pi/2]. The penalty can also run as a
+which vanishes exactly at alignment. The shift is orthogonal to g, so it
+turns g toward the leader by atan(lambda_g * sin(theta) / ||g||^2); the
+cosine to the leader rises iff that turn is below 2*theta, always for
+theta >= pi/4, and a strong shift on a short g overshoots the leader and
+lowers it (see :func:`alignment_correction`). The penalty can also run as a
 loss-value-only variant (no gradient shift) for ablations; the scalar
 penalty and summed global loss are reported either way.
 """
@@ -65,7 +68,7 @@ def deviations_to_leader(
     if leader.is_degenerate():
         raise CoordinationSkipped("leader gradient is degenerate")
     return {
-        g.client_id: angular_deviation(g.values, leader.values)
+        g.client_id: angular_deviation(g.v64, leader.v64, g.sq, leader.sq)
         for g in cohort
         if not g.is_degenerate()
     }
@@ -91,6 +94,13 @@ def alignment_correction(
     g: np.ndarray, leader: np.ndarray, lambda_g: float
 ) -> np.ndarray:
     """Shift ``g`` toward the leader direction; identity when already aligned.
+
+    With w the unit vector orthogonal to g in the plane of g and the
+    leader, the result is ||g|| * u_g + (lambda_g / ||g||) * sin(theta) * w:
+    g turned toward the leader by phi = atan(lambda_g * sin(theta) / ||g||^2).
+    The angle to the leader becomes |theta - phi|, so for theta in (0, pi)
+    the cosine rises iff phi < 2 * theta, and falls when the turn
+    overshoots the leader by more than theta.
 
     Degenerate inputs pass through unchanged with a warning. The result
     keeps the dtype of ``g``; the math runs in float64.
@@ -127,7 +137,10 @@ def run_gda(
     ``survivor_mode`` "random" replaces the threshold-filtered set with a
     uniformly random subset of the same size (ablation); the threshold is
     still computed and reported. The per-client correction strength is
-    lambda * ||g||, so the gradient shift has magnitude lambda * sin(theta).
+    lambda_g = lambda * ||g||, so the gradient shift has magnitude
+    lambda * sin(theta) whatever ||g|| is, and it raises the cosine to the
+    leader iff atan(lambda * sin(theta) / ||g||) < 2 * theta. On a short g
+    with a large lambda it can lower it.
     """
     deviations = deviations_to_leader(cohort, leader)
     if config.threshold_override is not None:
@@ -152,7 +165,7 @@ def run_gda(
         regularized[cid] = regularized_loss(losses[cid], deviations[cid], config.lam)
         g = by_id[cid].values
         if config.apply_correction:
-            lambda_g = config.lam * float(np.linalg.norm(g.astype(np.float64, copy=False)))
+            lambda_g = config.lam * by_id[cid].norm()
             corrected[cid] = alignment_correction(g, leader.values, lambda_g)
         else:
             corrected[cid] = g

@@ -5,11 +5,16 @@ layer's weights row-major followed by its biases) and compared by angle.
 All angle math runs in float64 regardless of the vectors' storage dtype;
 cosines are clamped to [-1, 1] before arccos so near-parallel vectors
 never produce NaN.
+
+A round compares every gradient with every other, so each vector is cast
+to float64 and its squared norm taken once (:class:`GradientVector`);
+each angle then costs one cross dot product.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -23,14 +28,25 @@ EPS_NORM = 1e-12
 
 @dataclass
 class GradientVector:
-    """One client's flattened server-side parameter gradient for a round."""
+    """One client's flattened server-side parameter gradient for a round.
+
+    ``v64`` is ``values`` in float64 and ``sq`` its squared norm <v64, v64>,
+    both taken once at construction; ``values`` must not change afterwards.
+    """
 
     client_id: int
     round: int
     values: np.ndarray
+    v64: np.ndarray = field(init=False, repr=False)
+    sq: float = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.v64 = self.values.astype(np.float64, copy=False)
+        self.sq = float(self.v64.dot(self.v64))
 
     def norm(self) -> float:
-        return float(np.linalg.norm(self.values.astype(np.float64, copy=False)))
+        # np.linalg.norm of a real 1-D vector is sqrt(x.dot(x)): same bits
+        return math.sqrt(self.sq)
 
     def is_degenerate(self) -> bool:
         return self.norm() <= EPS_NORM
@@ -56,27 +72,35 @@ def unflatten(vector: np.ndarray, shapes: Sequence[tuple[int, ...]]) -> list[np.
     return out
 
 
-def cosine(a: np.ndarray, b: np.ndarray) -> float:
+def cosine(a: np.ndarray, b: np.ndarray, aa: float | None = None, bb: float | None = None) -> float:
     """Cosine of the angle between two vectors, clamped into [-1, 1].
 
     The norm product is taken as sqrt(<a,a> * <b,b>) so identical vectors
-    land on exactly 1.0 before the clamp.
+    land on exactly 1.0 before the clamp. A caller that holds a vector's
+    squared norm passes it as ``aa`` / ``bb``; that vector must then already
+    be float64 (``GradientVector.v64`` and ``.sq``).
     """
-    a64 = a.astype(np.float64, copy=False)
-    b64 = b.astype(np.float64, copy=False)
-    naa = float(np.dot(a64, a64))
-    nbb = float(np.dot(b64, b64))
-    if naa <= EPS_NORM * EPS_NORM or nbb <= EPS_NORM * EPS_NORM:
+    if aa is None:
+        a = a.astype(np.float64, copy=False)
+        aa = float(a.dot(a))
+    if bb is None:
+        b = b.astype(np.float64, copy=False)
+        bb = float(b.dot(b))
+    if aa <= EPS_NORM * EPS_NORM or bb <= EPS_NORM * EPS_NORM:
         raise DegenerateGradientError(
-            f"cosine undefined for near-zero vector (norms {np.sqrt(naa):.3e}, {np.sqrt(nbb):.3e})"
+            f"cosine undefined for near-zero vector (norms {math.sqrt(aa):.3e}, {math.sqrt(bb):.3e})"
         )
-    c = float(np.dot(a64, b64)) / float(np.sqrt(naa * nbb))
-    return min(1.0, max(-1.0, c))
+    c = float(a.dot(b)) / math.sqrt(aa * bb)
+    # min(1.0, max(-1.0, c)) without the builtin calls; NaN still maps to -1.0
+    c = c if c > -1.0 else -1.0
+    return c if c < 1.0 else 1.0
 
 
-def angular_deviation(a: np.ndarray, b: np.ndarray) -> float:
-    """Angle in [0, pi] between two gradient vectors."""
-    return float(np.arccos(cosine(a, b)))
+def angular_deviation(
+    a: np.ndarray, b: np.ndarray, aa: float | None = None, bb: float | None = None
+) -> float:
+    """Angle in [0, pi] between two gradient vectors (``aa``/``bb`` as in :func:`cosine`)."""
+    return float(np.arccos(cosine(a, b, aa, bb)))
 
 
 def pairwise_mean_deviation(vectors: Sequence[np.ndarray]) -> float | None:
@@ -84,17 +108,15 @@ def pairwise_mean_deviation(vectors: Sequence[np.ndarray]) -> float | None:
 
     Returns None when fewer than two non-degenerate vectors remain.
     """
-    usable = [
-        v for v in vectors
-        if float(np.linalg.norm(v.astype(np.float64, copy=False))) > EPS_NORM
-    ]
+    prepared = (GradientVector(i, 0, v) for i, v in enumerate(vectors))
+    usable = [(g.v64, g.sq) for g in prepared if not g.is_degenerate()]
     if len(usable) < 2:
         return None
     total = 0.0
     pairs = 0
-    for i in range(len(usable)):
-        for j in range(i + 1, len(usable)):
-            total += angular_deviation(usable[i], usable[j])
+    for i, (a, aa) in enumerate(usable):
+        for b, bb in usable[i + 1 :]:
+            total += angular_deviation(a, b, aa, bb)
             pairs += 1
     return total / pairs
 

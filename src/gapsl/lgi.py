@@ -83,13 +83,14 @@ def consistency_scores(cohort: list[GradientVector], round_t: int = 0) -> ScoreS
         raise CoordinationSkipped(
             f"only {len(usable)} usable gradients in a cohort of {len(cohort)}"
         )
+    rows = [(g.client_id, g.v64, g.sq) for g in usable]
     scores: dict[int, float] = {}
-    for gi in usable:
+    for cid, a, aa in rows:
         total = 0.0
-        for gj in usable:
-            if gj.client_id != gi.client_id:
-                total += angular_deviation(gi.values, gj.values)
-        scores[gi.client_id] = total / (len(usable) - 1)
+        for other, b, bb in rows:
+            if other != cid:
+                total += angular_deviation(a, b, aa, bb)
+        scores[cid] = total / (len(rows) - 1)
     return ScoreSet(round=round_t, scores=scores, excluded=excluded)
 
 
@@ -154,7 +155,7 @@ def select_consistent(
     if count == len(ids):
         return tuple(ids)
     by_id = {g.client_id: g for g in cohort}
-    stack = np.array([by_id[cid].values for cid in ids], dtype=np.float64)
+    stack = np.stack([by_id[cid].v64 for cid in ids])
     trend = stack.sum(axis=0)
     trend_norm = float(np.linalg.norm(trend))
     if trend_norm <= EPS_NORM:

@@ -57,12 +57,6 @@ class DenseLayer:
 
 
 @dataclass
-class Batch:
-    inputs: np.ndarray  # [batch, input_dim]
-    labels: np.ndarray  # [batch] int class indices
-
-
-@dataclass
 class SplitModel:
     spec: ModelSpec
     cut_index: int

@@ -201,17 +201,18 @@ class RoundReport:
     epoch_equiv: float
     train_losses: dict[int, float]
     train_loss: float
-    regularized_losses: dict[int, float] | None
-    global_loss: float | None
-    accuracy: float | None
-    pairwise_deviation: float | None
-    k_percent: float | None
-    theta_threshold: float | None
-    selected_ids: tuple[int, ...] | None
-    survivor_ids: tuple[int, ...] | None
-    coordination_skipped: bool
-    gda_fallback: bool
-    wall_ms: float
+    accuracy: float | None = None
+    pairwise_deviation: float | None = None
+    # coordination stages; the defaults stand where a stage did not run
+    regularized_losses: dict[int, float] | None = None
+    global_loss: float | None = None
+    k_percent: float | None = None
+    theta_threshold: float | None = None
+    selected_ids: tuple[int, ...] | None = None
+    survivor_ids: tuple[int, ...] | None = None
+    coordination_skipped: bool = False
+    gda_fallback: bool = False
+    wall_ms: float = 0.0
 
     @property
     def selected_count(self) -> int | None:
@@ -316,20 +317,10 @@ class TrainingEngine:
         return np.stack([g[i] for i in ids]).mean(axis=0)
 
     def _coordinate(self, g: dict[int, np.ndarray], losses: dict[int, float], round_t: int):
-        """GAPSL coordination; returns (update_vec, report fields)."""
+        """GAPSL coordination; returns (update_vec, the report fields it sets)."""
         cfg = self.cfg
         ids = sorted(g)
         cohort = [GradientVector(i, round_t, g[i]) for i in ids]
-        fields = dict(
-            regularized_losses=None,
-            global_loss=None,
-            k_percent=None,
-            theta_threshold=None,
-            selected_ids=None,
-            survivor_ids=None,
-            coordination_skipped=False,
-            gda_fallback=False,
-        )
         try:
             mode = "all" if cfg.non_lgi else ("random" if cfg.rand_lgi else "consistent")
             lgi_out = lgi_mod.run_lgi(
@@ -341,11 +332,9 @@ class TrainingEngine:
                 rng=self.ablation_rng if cfg.rand_lgi else None,
             )
         except CoordinationSkipped:
-            fields["coordination_skipped"] = True
-            return self._mean_update(g, ids), fields
+            return self._mean_update(g, ids), {"coordination_skipped": True}
 
-        fields["k_percent"] = lgi_out.k_percent
-        fields["selected_ids"] = lgi_out.selected
+        fields = {"k_percent": lgi_out.k_percent, "selected_ids": lgi_out.selected}
         if cfg.non_gda:
             return lgi_out.leader.values, fields
 
@@ -357,12 +346,14 @@ class TrainingEngine:
             survivor_mode="random" if cfg.rand_gda else "threshold",
             rng=self.ablation_rng if cfg.rand_gda else None,
         )
-        fields["theta_threshold"] = gda_out.threshold
-        fields["survivor_ids"] = gda_out.survivors
-        fields["regularized_losses"] = gda_out.regularized_losses
-        fields["global_loss"] = gda_out.global_loss
+        fields.update(
+            theta_threshold=gda_out.threshold,
+            survivor_ids=gda_out.survivors,
+            regularized_losses=gda_out.regularized_losses,
+            global_loss=gda_out.global_loss,
+            gda_fallback=gda_out.fallback,
+        )
         if gda_out.fallback:
-            fields["gda_fallback"] = True
             return lgi_out.leader.values, fields
         update = np.stack([gda_out.corrected[i] for i in sorted(gda_out.survivors)]).mean(axis=0)
         return update, fields
@@ -406,16 +397,7 @@ class TrainingEngine:
             losses[i], g[i], act_grads[i] = self._server_pass(acts[i], labels[i])
 
         pairwise = pairwise_mean_deviation([g[i] for i in ids])
-        fields = dict(
-            regularized_losses=None,
-            global_loss=None,
-            k_percent=None,
-            theta_threshold=None,
-            selected_ids=None,
-            survivor_ids=None,
-            coordination_skipped=False,
-            gda_fallback=False,
-        )
+        fields = {}
         if cfg.strategy == "gapsl":
             update, fields = self._coordinate(g, losses, t)
         else:
@@ -439,9 +421,7 @@ class TrainingEngine:
             epoch_equiv=self.samples_consumed / len(self.train),
             train_losses=losses,
             train_loss=float(np.mean([losses[i] for i in ids])),
-            accuracy=None,
             pairwise_deviation=pairwise,
-            wall_ms=0.0,
             **fields,
         )
 
@@ -460,17 +440,6 @@ class TrainingEngine:
             epoch_equiv=self.samples_consumed / len(self.train),
             train_losses={active: loss},
             train_loss=loss,
-            regularized_losses=None,
-            global_loss=None,
-            accuracy=None,
-            pairwise_deviation=None,
-            k_percent=None,
-            theta_threshold=None,
-            selected_ids=None,
-            survivor_ids=None,
-            coordination_skipped=False,
-            gda_fallback=False,
-            wall_ms=0.0,
         )
 
     def run_round(self, t: int) -> RoundReport:

@@ -164,6 +164,44 @@ class TestAlignmentCorrection:
             assert cos_after > cos_before
             checked += 1
 
+    def test_cosine_rises_iff_turn_below_twice_the_angle(self):
+        # g turns toward the leader by phi = atan(lambda_g sin(theta) / ||g||^2)
+        # and lands at |theta - phi| from it
+        rng = np.random.default_rng(9)
+        rises = falls = 0
+        for _ in range(2000):
+            u, w = np.linalg.qr(rng.normal(size=(5, 2)))[0].T
+            gn = float(np.exp(rng.uniform(math.log(0.01), math.log(4.0))))
+            g = gn * u
+            turn = rng.uniform(0.0, math.pi)
+            lead = math.cos(turn) * u + math.sin(turn) * w
+            theta = angular_deviation(g, lead)
+            lam_g = float(rng.uniform(0.0, 2.0)) * gn
+            phi = math.atan(lam_g * math.sin(theta) / gn**2)
+            if abs(phi - 2 * theta) < 1e-6 or phi < 1e-9:
+                continue
+            out = alignment_correction(g, lead, lam_g)
+            rose = math.cos(angular_deviation(out, lead)) > math.cos(theta)
+            assert rose == (phi < 2 * theta)
+            assert abs(angular_deviation(out, lead) - abs(theta - phi)) <= 1e-9
+            rises += rose
+            falls += not rose
+        assert rises > 100 and falls > 100
+
+    def test_engine_strength_overshoots_a_short_gradient(self):
+        # run_gda's lambda_g = lambda * ||g||: the shift is lambda * sin(theta)
+        # whatever ||g|| is, so on a short g it swings past the leader
+        theta, lam = 0.1, 0.3
+        g = 0.01 * np.array([math.cos(theta), math.sin(theta)])
+        out = run_gda(
+            cohort_of([g]), {0: 1.0}, leader_of([1.0, 0.0]),
+            GdaConfig(lam=lam, threshold_override=math.pi / 2),
+        )
+        corrected = out.corrected[0]
+        assert abs(np.linalg.norm(corrected - g) - lam * math.sin(theta)) <= 1e-12
+        assert math.atan(lam * math.sin(theta) / 0.01) > 2 * theta
+        assert math.cos(angular_deviation(corrected, np.array([1.0, 0.0]))) < math.cos(theta)
+
     def test_degenerate_passthrough(self):
         g = np.zeros(3)
         assert np.array_equal(alignment_correction(g, np.ones(3), 1.0), g)

@@ -7,7 +7,9 @@ import pytest
 
 import oracles
 from gapsl.errors import DegenerateGradientError
+from gapsl.gda import deviations_to_leader
 from gapsl.geometry import (
+    EPS_NORM,
     GradientVector,
     angular_deviation,
     flatten,
@@ -15,7 +17,21 @@ from gapsl.geometry import (
     pairwise_mean_deviation,
     unflatten,
 )
+from gapsl.lgi import consistency_scores
 from gapsl.nn import ModelSpec, param_count, params_arrays, split_model
+
+
+def edge_cohort(rng, dtype, size=6, dim=7):
+    """Random gradients plus a zero one and ones with norm at, just above
+    and just below EPS_NORM, in ``dtype``."""
+    vs = [rng.normal(size=dim) for _ in range(size)]
+    unit = rng.normal(size=dim)
+    unit /= np.linalg.norm(unit)
+    vs.insert(1, np.zeros(dim))
+    vs.insert(3, unit * EPS_NORM * 1.0001)
+    vs.append(unit * EPS_NORM)
+    vs.append(unit * EPS_NORM * 0.9999)
+    return [v.astype(dtype) for v in vs]
 
 
 class TestFlatten:
@@ -106,6 +122,42 @@ class TestPairwiseMeanDeviation:
         assert pairwise_mean_deviation([np.ones(2)]) is None
 
 
+class TestPreparedCohort:
+    """The per-round cast-and-square must not move a single bit of any angle."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_equals_plain_angle_loops_on_raw_arrays(self, dtype):
+        rng = np.random.default_rng(7)
+        for _ in range(20):
+            vs = edge_cohort(rng, dtype)
+            lead = rng.normal(size=vs[0].size).astype(dtype)
+            usable = [
+                (i, v) for i, v in enumerate(vs) if np.linalg.norm(v.astype(np.float64)) > EPS_NORM
+            ]
+
+            total = 0.0
+            for k, (_, a) in enumerate(usable):
+                for _, b in usable[k + 1 :]:
+                    total += angular_deviation(a, b)
+            pairs = len(usable) * (len(usable) - 1) // 2
+            assert pairwise_mean_deviation(vs) == total / pairs
+
+            cohort = [GradientVector(i, 1, v) for i, v in enumerate(vs)]
+            scores = {}
+            for i, a in usable:
+                total = 0.0
+                for j, b in usable:
+                    if j != i:
+                        total += angular_deviation(a, b)
+                scores[i] = total / (len(usable) - 1)
+            assert consistency_scores(cohort).scores == scores
+
+            leader = GradientVector(-1, 1, lead)
+            assert deviations_to_leader(cohort, leader) == {
+                i: angular_deviation(v, lead) for i, v in usable
+            }
+
+
 class TestMeanStd:
     def test_singleton(self):
         assert mean_std([3.5]) == (3.5, 0.0)
@@ -131,3 +183,10 @@ class TestGradientVector:
         assert GradientVector(0, 1, np.zeros(4)).is_degenerate()
         assert GradientVector(0, 1, np.full(4, 1e-13)).is_degenerate()
         assert not GradientVector(0, 1, np.full(4, 1e-3)).is_degenerate()
+        rng = np.random.default_rng(8)
+        for dtype in (np.float32, np.float64):
+            for v in edge_cohort(rng, dtype):
+                g = GradientVector(0, 1, v)
+                norm = float(np.linalg.norm(v.astype(np.float64)))
+                assert g.norm() == norm
+                assert g.is_degenerate() == (norm <= EPS_NORM)

@@ -9,7 +9,7 @@ import pytest
 from gapsl.cli import main
 from gapsl.config import ExperimentConfig, config_to_text
 from gapsl.errors import ProtocolError
-from gapsl.orchestrator import LocalClientProxy, TrainingEngine, run_experiment
+from gapsl.orchestrator import LocalClientProxy, RoundReport, TrainingEngine, run_experiment
 from gapsl.transport import Activations, Bye, ConfigMsg, Hello, Listener, RemoteClientProxy, connect
 
 
@@ -55,8 +55,9 @@ class TestCoordinationSkip:
              2: np.ones(14, np.float32)}
         losses = {0: 1.0, 1: 1.0, 2: 1.0}
         update, fields = engine._coordinate(g, losses, round_t=1)
-        assert fields["coordination_skipped"] is True
-        assert fields["k_percent"] is None and fields["selected_ids"] is None
+        report = RoundReport(round=1, epoch_equiv=0.0, train_losses=losses, train_loss=1.0, **fields)
+        assert report.coordination_skipped is True
+        assert report.k_percent is None and report.selected_ids is None
         expected = np.stack([g[i] for i in (0, 1, 2)]).mean(axis=0)
         assert np.array_equal(update, expected)
 
