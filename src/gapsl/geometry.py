@@ -103,12 +103,15 @@ def angular_deviation(
     return float(np.arccos(cosine(a, b, aa, bb)))
 
 
-def pairwise_mean_deviation(vectors: Sequence[np.ndarray]) -> float | None:
+def pairwise_mean_deviation(vectors: Sequence[np.ndarray | GradientVector]) -> float | None:
     """Mean angle over all distinct pairs, excluding degenerate vectors.
 
-    Returns None when fewer than two non-degenerate vectors remain.
+    Takes plain arrays or an already prepared cohort. Returns None when
+    fewer than two non-degenerate vectors remain.
     """
-    prepared = (GradientVector(i, 0, v) for i, v in enumerate(vectors))
+    prepared = (
+        v if isinstance(v, GradientVector) else GradientVector(i, 0, v) for i, v in enumerate(vectors)
+    )
     usable = [(g.v64, g.sq) for g in prepared if not g.is_degenerate()]
     if len(usable) < 2:
         return None

@@ -67,10 +67,6 @@ class SplitModel:
     def dtype(self) -> np.dtype:
         return self.client[0].w.dtype
 
-    @property
-    def cut_dim(self) -> int:
-        return self.spec.layer_dims[self.cut_index]
-
 
 @dataclass
 class LayerCache:

@@ -113,7 +113,8 @@ class ShardCursor:
 
 
 class ClientWorker:
-    """Client-side model, optimizer and data pipeline for one device."""
+    """Client-side model, optimizer and data pipeline for one device; the
+    in-process :class:`ClientProxy`."""
 
     def __init__(
         self,
@@ -156,41 +157,26 @@ class ClientWorker:
         self._cache = None
         sgd_step(self.layers, grads, self.opt)
 
-    def eval_activations(self) -> np.ndarray:
+    def eval_activations(self, round_t: int) -> np.ndarray:
         acts, _ = forward_client(self.layers, self.test_inputs, self.activation)
         return acts
 
+    def get_params(self) -> list[np.ndarray]:
+        return [a.copy() for a in params_arrays(self.layers)]
+
+    def set_params(self, arrays: list[np.ndarray]) -> None:
+        set_params(self.layers, arrays)
+
 
 class ClientProxy(Protocol):
-    """What the coordinator needs from a client, local or remote."""
+    """What the coordinator needs from a client: a ClientWorker in process,
+    a transport.RemoteClientProxy over TCP."""
 
     def forward_round(self, round_t: int) -> np.ndarray: ...
     def apply_grads(self, round_t: int, act_grads: np.ndarray) -> None: ...
     def eval_activations(self, round_t: int) -> np.ndarray: ...
     def get_params(self) -> list[np.ndarray]: ...
     def set_params(self, arrays: list[np.ndarray]) -> None: ...
-
-
-class LocalClientProxy:
-    """Synchronous in-process client: direct calls into a worker."""
-
-    def __init__(self, worker: ClientWorker):
-        self.worker = worker
-
-    def forward_round(self, round_t: int) -> np.ndarray:
-        return self.worker.forward_round(round_t)
-
-    def apply_grads(self, round_t: int, act_grads: np.ndarray) -> None:
-        self.worker.apply_grads(round_t, act_grads)
-
-    def eval_activations(self, round_t: int) -> np.ndarray:
-        return self.worker.eval_activations()
-
-    def get_params(self) -> list[np.ndarray]:
-        return [a.copy() for a in params_arrays(self.worker.layers)]
-
-    def set_params(self, arrays: list[np.ndarray]) -> None:
-        set_params(self.worker.layers, arrays)
 
 
 @dataclass
@@ -266,6 +252,7 @@ class TrainingEngine:
         model = build_model(cfg, seed, dtype=dtype)
         self.activation = cfg.activation
         self.server = model.server
+        self.fan_in = self.server[0].w.shape[0]
         self.server_opt = sgd_state(self.server, cfg.lr_server, cfg.momentum)
         self.server_shapes = [a.shape for a in params_arrays(self.server)]
         # the coordinator's own batch cursors replay exactly what each client
@@ -281,14 +268,8 @@ class TrainingEngine:
         ]
         if proxies is None:
             shared = (self.train, self.test, self.partition)
-            if cfg.strategy == "vanilla_sl":
-                worker = ClientWorker(cfg, seed, 0, data=shared, dtype=dtype)
-                proxies = {0: LocalClientProxy(worker)}
-            else:
-                proxies = {
-                    i: LocalClientProxy(ClientWorker(cfg, seed, i, data=shared, dtype=dtype))
-                    for i in range(cfg.clients)
-                }
+            count = 1 if cfg.strategy == "vanilla_sl" else cfg.clients
+            proxies = {i: ClientWorker(cfg, seed, i, data=shared, dtype=dtype) for i in range(count)}
         self.proxies = proxies
         self.lgi_state = lgi_mod.LgiState()
         self.lgi_cfg = lgi_mod.LgiConfig(total_rounds=cfg.rounds, k_min=cfg.k_min, k_max=cfg.k_max)
@@ -313,14 +294,25 @@ class TrainingEngine:
         pairs = [(arrays[2 * i], arrays[2 * i + 1]) for i in range(len(self.server))]
         sgd_step(self.server, pairs, self.server_opt)
 
-    def _mean_update(self, g: dict[int, np.ndarray], ids: list[int]) -> np.ndarray:
-        return np.stack([g[i] for i in ids]).mean(axis=0)
+    def _call_client(self, t: int, i: int, phase: str, call, *args, shape=None):
+        """Run one engine call into client ``i``; protocol errors and (when
+        ``shape`` is given) a returned matrix of the wrong shape are raised
+        as a ProtocolError naming the round, the client and the phase."""
+        try:
+            out = call(*args)
+            # checked here so a lying peer is a protocol error, not a model error
+            if shape is not None and out.shape != shape:
+                raise ProtocolError(f"expected activations of shape {shape}, got {out.shape}")
+        except ProtocolError as e:
+            raise ProtocolError(f"round {t} client {i} ({phase}): {e}") from e
+        return out
 
-    def _coordinate(self, g: dict[int, np.ndarray], losses: dict[int, float], round_t: int):
-        """GAPSL coordination; returns (update_vec, the report fields it sets)."""
+    def _coordinate(
+        self, cohort: list[GradientVector], g: np.ndarray, losses: dict[int, float], round_t: int
+    ):
+        """GAPSL coordination of the round's ``g[clients, params]`` (``cohort``
+        holds its rows); returns (update_vec, the report fields it sets)."""
         cfg = self.cfg
-        ids = sorted(g)
-        cohort = [GradientVector(i, round_t, g[i]) for i in ids]
         try:
             mode = "all" if cfg.non_lgi else ("random" if cfg.rand_lgi else "consistent")
             lgi_out = lgi_mod.run_lgi(
@@ -332,7 +324,7 @@ class TrainingEngine:
                 rng=self.ablation_rng if cfg.rand_lgi else None,
             )
         except CoordinationSkipped:
-            return self._mean_update(g, ids), {"coordination_skipped": True}
+            return g.mean(axis=0), {"coordination_skipped": True}
 
         fields = {"k_percent": lgi_out.k_percent, "selected_ids": lgi_out.selected}
         if cfg.non_gda:
@@ -359,9 +351,10 @@ class TrainingEngine:
         return update, fields
 
     def _evaluate(self, round_t: int) -> float:
+        shape = (len(self.test), self.fan_in)
         accs = []
         for i in sorted(self.proxies):
-            acts = self.proxies[i].eval_activations(round_t)
+            acts = self._call_client(round_t, i, "eval", self.proxies[i].eval_activations, round_t, shape=shape)
             logits = logits_from_activations(self.server, acts, self.activation)
             pred = logits.argmax(axis=1)
             accs.append(float((pred == self.test.labels).sum()) / len(self.test.labels))
@@ -371,44 +364,31 @@ class TrainingEngine:
 
     def _round_parallel(self, t: int) -> RoundReport:
         cfg = self.cfg
-        ids = list(range(cfg.clients))
-        fan_in = self.server[0].w.shape[0]
-        acts: dict[int, np.ndarray] = {}
-        labels: dict[int, np.ndarray] = {}
+        ids = range(cfg.clients)
+        acts, labels = [], []
         for i in ids:
             idx = self.label_cursors[i].next()
-            labels[i] = self.train.labels[idx]
-            try:
-                acts[i] = self.proxies[i].forward_round(t)
-            except ProtocolError as e:
-                raise ProtocolError(f"round {t} client {i} (forward): {e}") from e
-            # checked here so a lying peer is a protocol error, not a model error
-            if acts[i].shape != (len(idx), fan_in):
-                raise ProtocolError(
-                    f"round {t} client {i}: expected activations of shape {(len(idx), fan_in)}, "
-                    f"got {acts[i].shape}"
-                )
+            labels.append(self.train.labels[idx])
+            shape = (len(idx), self.fan_in)
+            acts.append(self._call_client(t, i, "forward", self.proxies[i].forward_round, t, shape=shape))
             self.samples_consumed += len(idx)
 
-        g: dict[int, np.ndarray] = {}
-        act_grads: dict[int, np.ndarray] = {}
-        losses: dict[int, float] = {}
-        for i in ids:
-            losses[i], g[i], act_grads[i] = self._server_pass(acts[i], labels[i])
+        # the round's cohort is one g[clients, params] matrix, prepared once
+        losses, rows, act_grads = zip(*map(self._server_pass, acts, labels))
+        g = np.stack(rows)
+        cohort = [GradientVector(i, t, g[i]) for i in ids]
+        train_losses = dict(enumerate(losses))
 
-        pairwise = pairwise_mean_deviation([g[i] for i in ids])
+        pairwise = pairwise_mean_deviation(cohort)
         fields = {}
         if cfg.strategy == "gapsl":
-            update, fields = self._coordinate(g, losses, t)
+            update, fields = self._coordinate(cohort, g, train_losses, t)
         else:
-            update = self._mean_update(g, ids)
+            update = g.mean(axis=0)
         self._apply_server_update(update)
 
         for i in ids:
-            try:
-                self.proxies[i].apply_grads(t, act_grads[i])
-            except ProtocolError as e:
-                raise ProtocolError(f"round {t} client {i} (backward): {e}") from e
+            self._call_client(t, i, "backward", self.proxies[i].apply_grads, t, act_grads[i])
 
         if cfg.strategy == "sfl" and t % cfg.sfl_interval == 0:
             sizes = [float(len(self.partition.client_indices[i])) for i in ids]
@@ -419,8 +399,8 @@ class TrainingEngine:
         return RoundReport(
             round=t,
             epoch_equiv=self.samples_consumed / len(self.train),
-            train_losses=losses,
-            train_loss=float(np.mean([losses[i] for i in ids])),
+            train_losses=train_losses,
+            train_loss=float(np.mean(losses)),
             pairwise_deviation=pairwise,
             **fields,
         )
@@ -429,12 +409,12 @@ class TrainingEngine:
         active = (t - 1) % self.cfg.clients
         idx = self.label_cursors[active].next()
         labels = self.train.labels[idx]
-        worker = self.proxies[0].worker  # type: ignore[union-attr]
-        acts = worker.forward_indices(idx)
+        relay: ClientWorker = self.proxies[0]  # vanilla_sl runs in process only
+        acts = self._call_client(t, active, "forward", relay.forward_indices, idx, shape=(len(idx), self.fan_in))
         self.samples_consumed += len(idx)
         loss, g_vec, act_grads = self._server_pass(acts, labels)
         self._apply_server_update(g_vec)
-        self.proxies[0].apply_grads(t, act_grads)
+        self._call_client(t, active, "backward", relay.apply_grads, t, act_grads)
         return RoundReport(
             round=t,
             epoch_equiv=self.samples_consumed / len(self.train),

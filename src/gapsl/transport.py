@@ -393,7 +393,7 @@ def client_loop(channel: FrameChannel, client_id: int, handshake_timeout: float 
                 req = channel.recv()
                 if not isinstance(req, EvalRequest) or req.round != t:
                     raise ProtocolError(f"round {t}: expected EVAL_REQUEST, got {type(req).__name__}")
-                channel.send(EvalResult(t, client_id, worker.eval_activations()))
+                channel.send(EvalResult(t, client_id, worker.eval_activations(t)))
 
     final: dict = {}
     while True:

@@ -6,10 +6,13 @@ import threading
 import numpy as np
 import pytest
 
+import gapsl.orchestrator as orch
 from gapsl.cli import main
 from gapsl.config import ExperimentConfig, config_to_text
 from gapsl.errors import ProtocolError
-from gapsl.orchestrator import LocalClientProxy, RoundReport, TrainingEngine, run_experiment
+from gapsl.geometry import flatten
+from gapsl.nn import grads_arrays, params_arrays
+from gapsl.orchestrator import ClientWorker, TrainingEngine, run_experiment
 from gapsl.transport import Activations, Bye, ConfigMsg, Hello, Listener, RemoteClientProxy, connect
 
 
@@ -44,22 +47,80 @@ class TestIdxExperiment:
         assert reports[-1].accuracy >= 0.9
 
 
+def record_server_grads(monkeypatch, clients, zeroed=()):
+    """Record each client's flat server gradient as the engine computes it,
+    zeroing those of the ``zeroed`` clients (server passes run in client order)."""
+    rows = []
+    backward = orch.backward_server
+
+    def recording(layers, cache):
+        grads, act_grads = backward(layers, cache)
+        if len(rows) % clients in zeroed:
+            grads = [(np.zeros_like(dw), np.zeros_like(db)) for dw, db in grads]
+        rows.append(flatten(grads_arrays(grads)))
+        return grads, act_grads
+
+    monkeypatch.setattr(orch, "backward_server", recording)
+    return rows
+
+
+def server_step(engine, t):
+    """Run round ``t``; return its report and the step the server took."""
+    before = flatten(params_arrays(engine.server))
+    report = engine.run_round(t)
+    return report, before, flatten(params_arrays(engine.server))
+
+
+def coordination_config(**kw):
+    base = dict(
+        strategy="gapsl", clients=3, rounds=2, batch_size=8, samples_per_class=20,
+        model_dims=(4, 6, 2), cut=1, seeds=(1,), alpha=None, eval_interval=10,
+    )
+    base.update(kw)
+    return ExperimentConfig(**base)
+
+
 class TestCoordinationSkip:
-    def test_degenerate_cohort_falls_back_to_psl_mean(self):
-        cfg = ExperimentConfig(
-            strategy="gapsl", clients=3, rounds=2, batch_size=8, samples_per_class=20,
-            model_dims=(4, 6, 2), cut=1, seeds=(1,), alpha=None,
-        )
-        engine = TrainingEngine(cfg, seed=1)
-        g = {0: np.zeros(14, np.float32), 1: np.zeros(14, np.float32),
-             2: np.ones(14, np.float32)}
-        losses = {0: 1.0, 1: 1.0, 2: 1.0}
-        update, fields = engine._coordinate(g, losses, round_t=1)
-        report = RoundReport(round=1, epoch_equiv=0.0, train_losses=losses, train_loss=1.0, **fields)
+    def test_degenerate_cohort_falls_back_to_psl_mean(self, monkeypatch):
+        # two of three server gradients are zero: fewer than two usable
+        # directions, so the round skips coordination and steps by the mean
+        cfg = coordination_config()
+        rows = record_server_grads(monkeypatch, cfg.clients, zeroed=(0, 1))
+        report, before, after = server_step(TrainingEngine(cfg, seed=1), 1)
         assert report.coordination_skipped is True
-        assert report.k_percent is None and report.selected_ids is None
-        expected = np.stack([g[i] for i in (0, 1, 2)]).mean(axis=0)
-        assert np.array_equal(update, expected)
+        assert report.k_percent is None and report.selected_ids is None and report.survivor_ids is None
+        assert not rows[0].any() and not rows[1].any() and rows[2].any()
+        # first step from zero momentum: p <- p - lr * update
+        assert np.array_equal(after, before - cfg.lr_server * np.stack(rows).mean(axis=0))
+
+    def test_empty_survivor_set_steps_by_the_leader(self, monkeypatch):
+        # a zero threshold admits no client that deviates from the leader at
+        # all, and a leader averaged from two distinct gradients matches neither
+        cfg = coordination_config(clients=4, k_min=50.0, k_max=50.0, theta_th_override=0.0)
+        rows = record_server_grads(monkeypatch, cfg.clients)
+        report, before, after = server_step(TrainingEngine(cfg, seed=1), 1)
+        assert not report.coordination_skipped
+        assert report.gda_fallback is True and report.survivor_ids == ()
+        assert report.selected_count == 2
+        leader = np.stack([rows[i] for i in report.selected_ids]).mean(axis=0)
+        assert np.array_equal(after, before - cfg.lr_server * leader)
+
+    def test_identical_gradients_coordinate_to_their_common_direction(self, monkeypatch):
+        from test_orchestrator import clone_cursor_state
+
+        cfg = coordination_config(clients=2)
+        rows = record_server_grads(monkeypatch, cfg.clients)
+        engine = TrainingEngine(cfg, seed=1)
+        clone_cursor_state(engine, 0, 1, 1)
+        report, before, after = server_step(engine, 1)
+        assert np.array_equal(rows[0], rows[1])
+        assert report.pairwise_deviation == 0.0
+        assert not report.coordination_skipped and not report.gda_fallback
+        # every deviation to the leader is 0: both survive, unpenalized, and
+        # the correction's float64 shift rounds away in the model dtype
+        assert report.survivor_ids == (0, 1)
+        assert report.regularized_losses == report.train_losses
+        assert np.array_equal(after, before - cfg.lr_server * rows[0])
 
 
 class TestTransportFailures:
@@ -83,7 +144,6 @@ class TestTransportFailures:
                 ch.send(Hello(cid))
                 msg = ch.recv(timeout=10)
                 assert isinstance(msg, ConfigMsg)
-                from gapsl.orchestrator import ClientWorker
                 worker = ClientWorker(cfg, 1, cid)
                 for t in range(1, die_after + 1):
                     ch.send(Activations(t, cid, worker.forward_round(t)))
@@ -117,14 +177,36 @@ class TestTransportFailures:
             model_dims=(4, 6, 2), cut=1, eval_interval=10, seeds=(1,), alpha=None,
         )
 
-        class WideProxy(LocalClientProxy):
+        class WideWorker(ClientWorker):
             def forward_round(self, round_t):
                 acts = super().forward_round(round_t)
                 return np.hstack([acts, acts]) if round_t == 2 else acts
 
         engine = TrainingEngine(cfg, 1)
-        engine.proxies[1] = WideProxy(engine.proxies[1].worker)
-        with pytest.raises(ProtocolError, match=r"round 2 client 1: expected activations of shape \(8, 6\)"):
+        engine.proxies[1] = WideWorker(cfg, 1, 1)
+        with pytest.raises(ProtocolError, match=r"round 2 client 1 \(forward\): expected activations of shape \(8, 6\)"):
+            engine.run()
+
+    @pytest.mark.parametrize("reply", ["one_row", "double_width"])
+    def test_wrong_shape_eval_activations_are_a_protocol_error(self, reply):
+        # one row would broadcast one prediction against every label; double
+        # width would fail inside the server model
+        cfg = ExperimentConfig(
+            strategy="psl", clients=2, rounds=5, batch_size=8, samples_per_class=20,
+            model_dims=(4, 6, 2), cut=1, eval_interval=5, seeds=(1,), alpha=None,
+        )
+
+        class LyingWorker(ClientWorker):
+            def eval_activations(self, round_t):
+                acts = super().eval_activations(round_t)
+                return acts[:1] if reply == "one_row" else np.hstack([acts, acts])
+
+        engine = TrainingEngine(cfg, 1)
+        engine.proxies[1] = LyingWorker(cfg, 1, 1)
+        rows = len(engine.test)
+        got = r"\(1, 6\)" if reply == "one_row" else rf"\({rows}, 12\)"
+        with pytest.raises(ProtocolError, match=rf"round 5 client 1 \(eval\): expected activations of shape "
+                                                 rf"\({rows}, 6\), got {got}"):
             engine.run()
 
 

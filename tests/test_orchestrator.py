@@ -1,5 +1,7 @@
 """Training strategies: reduction, symmetry, ablations, determinism."""
 
+import inspect
+
 import numpy as np
 import pytest
 
@@ -7,10 +9,12 @@ import oracles
 from gapsl.config import ExperimentConfig
 from gapsl.data import Partition
 from gapsl.errors import ConfigError
-from gapsl.geometry import flatten
+from gapsl.geometry import GradientVector, flatten
 from gapsl.nn import params_arrays
 from gapsl.orchestrator import (
     STREAM_SHUFFLE,
+    ClientProxy,
+    ClientWorker,
     ShardCursor,
     TrainingEngine,
     build_dataset,
@@ -20,6 +24,7 @@ from gapsl.orchestrator import (
     substream,
 )
 from gapsl.reporting import metrics_rows
+from gapsl.transport import RemoteClientProxy
 
 
 def small_config(**kw):
@@ -43,7 +48,7 @@ def small_config(**kw):
 def all_params(engine):
     arrays = list(params_arrays(engine.server))
     for i in sorted(engine.proxies):
-        arrays.extend(params_arrays(engine.proxies[i].worker.layers))
+        arrays.extend(params_arrays(engine.proxies[i].layers))
     return flatten(arrays)
 
 
@@ -54,8 +59,7 @@ def clone_cursor_state(engine, src_client, dst_client, seed):
     engine.label_cursors[dst_client] = ShardCursor(
         shared_indices, substream(seed, STREAM_SHUFFLE, src_client), engine.cfg.batch_size
     )
-    worker = engine.proxies[dst_client].worker
-    worker.cursor = ShardCursor(
+    engine.proxies[dst_client].cursor = ShardCursor(
         shared_indices, substream(seed, STREAM_SHUFFLE, src_client), engine.cfg.batch_size
     )
 
@@ -206,7 +210,7 @@ class TestPsl:
         server_before = engine.server
         engine.run()
         assert engine.server is server_before
-        assert not hasattr(engine.proxies[0].worker, "server")
+        assert not hasattr(engine.proxies[0], "server")
 
 
 class TestSfl:
@@ -216,18 +220,18 @@ class TestSfl:
         engine = TrainingEngine(cfg, seed)
         clone_cursor_state(engine, 0, 1, seed)
         engine.run_round(1)
-        p0 = flatten(params_arrays(engine.proxies[0].worker.layers))
-        p1 = flatten(params_arrays(engine.proxies[1].worker.layers))
+        p0 = flatten(params_arrays(engine.proxies[0].layers))
+        p1 = flatten(params_arrays(engine.proxies[1].layers))
         assert np.max(np.abs(p0 - p1)) <= 1e-9
 
     def test_aggregation_synchronizes_client_models(self):
         cfg = small_config(strategy="sfl", rounds=4, sfl_interval=2)
         engine = TrainingEngine(cfg, seed=1)
         engine.run_round(1)
-        params = [flatten(params_arrays(engine.proxies[i].worker.layers)) for i in range(4)]
+        params = [flatten(params_arrays(engine.proxies[i].layers)) for i in range(4)]
         assert any(np.max(np.abs(params[0] - p)) > 1e-9 for p in params[1:])  # desynced
         engine.run_round(2)  # aggregation round
-        params = [flatten(params_arrays(engine.proxies[i].worker.layers)) for i in range(4)]
+        params = [flatten(params_arrays(engine.proxies[i].layers)) for i in range(4)]
         assert all(np.max(np.abs(params[0] - p)) <= 1e-9 for p in params[1:])
 
 
@@ -327,3 +331,34 @@ class TestShardCursor:
         cursor = ShardCursor(np.arange(11), np.random.default_rng(1), batch_size=3)
         seen = np.concatenate([cursor.next() for _ in range(4)])
         assert sorted(seen.tolist()) == list(range(11))
+
+
+class TestRoundShape:
+    def test_gapsl_round_prepares_each_gradient_once(self, monkeypatch):
+        # one GradientVector per client plus the leader: the cohort built from
+        # the round's gradient matrix serves the pairwise stat, LGI and GDA
+        made = []
+        prepare = GradientVector.__post_init__
+
+        def counting(self):
+            made.append(self.client_id)
+            prepare(self)
+
+        monkeypatch.setattr(GradientVector, "__post_init__", counting)
+        cfg = small_config(strategy="gapsl", clients=5, rounds=4, eval_interval=2)
+        engine = TrainingEngine(cfg, seed=1)
+        for t in range(1, 5):
+            made.clear()
+            report = engine.run_round(t)
+            assert not report.coordination_skipped
+            assert sorted(made) == [-1, 0, 1, 2, 3, 4]
+
+    def test_client_worker_and_remote_proxy_define_the_protocol(self):
+        # the Protocol is not checked at runtime; both client kinds must
+        # answer every call the engine makes, with the same parameters
+        methods = [n for n, v in vars(ClientProxy).items() if callable(v) and not n.startswith("_")]
+        assert sorted(methods) == ["apply_grads", "eval_activations", "forward_round", "get_params", "set_params"]
+        for cls in (ClientWorker, RemoteClientProxy):
+            for name in methods:
+                want = list(inspect.signature(getattr(ClientProxy, name)).parameters)
+                assert list(inspect.signature(getattr(cls, name)).parameters) == want, (cls.__name__, name)
