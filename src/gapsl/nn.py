@@ -8,11 +8,16 @@ gradients are exact and checkable against finite differences.
 Two precisions are supported through the ``dtype`` argument of
 :func:`split_model`: float32 for experiment runs, float64 for tests that
 need tight finite-difference tolerances.
+
+The client-side functions (:func:`forward_client`, :func:`backward_client`,
+:func:`sgd_step`) also run a whole bank of clients at once: every array
+then carries a leading client axis (weights ``[clients, fan_in, fan_out]``,
+biases ``[clients, 1, fan_out]``, inputs ``[clients, batch, fan_in]``) and
+``np.matmul`` multiplies client by client.
 """
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -52,8 +57,8 @@ class ModelSpec:
 
 @dataclass
 class DenseLayer:
-    w: np.ndarray  # [fan_in, fan_out]
-    b: np.ndarray  # [fan_out]
+    w: np.ndarray  # [fan_in, fan_out]; [clients, fan_in, fan_out] in a bank
+    b: np.ndarray  # [fan_out]; [clients, 1, fan_out] in a bank
 
 
 @dataclass
@@ -151,10 +156,6 @@ def split_model(
     return SplitModel(spec=spec, cut_index=cut_index, client=layers[:cut_index], server=layers[cut_index:])
 
 
-def clone_layers(layers: list[DenseLayer]) -> list[DenseLayer]:
-    return [DenseLayer(l.w.copy(), l.b.copy()) for l in copy.copy(layers)]
-
-
 def params_arrays(layers: list[DenseLayer]) -> list[np.ndarray]:
     """Parameter tensors in canonical flattening order: per layer, weights then bias."""
     out = []
@@ -172,17 +173,6 @@ def grads_arrays(grads: list[tuple[np.ndarray, np.ndarray]]) -> list[np.ndarray]
     return out
 
 
-def set_params(layers: list[DenseLayer], arrays: list[np.ndarray]) -> None:
-    if len(arrays) != 2 * len(layers):
-        raise ConfigError(f"expected {2 * len(layers)} arrays, got {len(arrays)}")
-    for i, l in enumerate(layers):
-        w, b = arrays[2 * i], arrays[2 * i + 1]
-        if w.shape != l.w.shape or b.shape != l.b.shape:
-            raise ConfigError(f"layer {i} shape mismatch: {w.shape}/{b.shape} vs {l.w.shape}/{l.b.shape}")
-        l.w[...] = w
-        l.b[...] = b
-
-
 def param_count(layers: list[DenseLayer]) -> int:
     return sum(a.size for a in params_arrays(layers))
 
@@ -190,11 +180,14 @@ def param_count(layers: list[DenseLayer]) -> int:
 def forward_client(
     layers: list[DenseLayer], inputs: np.ndarray, activation: str = "relu"
 ) -> tuple[np.ndarray, ClientCache]:
-    """Run the client part; returns cut-layer activations and the backward cache."""
-    if inputs.ndim != 2 or inputs.shape[1] != layers[0].w.shape[0]:
-        raise ConfigError(
-            f"input shape {inputs.shape} does not match first layer fan-in {layers[0].w.shape[0]}"
-        )
+    """Run the client part; returns cut-layer activations and the backward cache.
+
+    ``inputs`` is ``[batch, fan_in]`` for one model and
+    ``[clients, batch, fan_in]`` for a bank.
+    """
+    w = layers[0].w
+    if inputs.ndim != w.ndim or inputs.shape[:-2] != w.shape[:-2] or inputs.shape[-1] != w.shape[-2]:
+        raise ConfigError(f"input shape {inputs.shape} does not match first layer weights {w.shape}")
     a = inputs
     caches = []
     for l in layers:
@@ -277,7 +270,7 @@ def backward_client(
     cache: ClientCache,
     activation_grads: np.ndarray,
 ) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Backprop activation gradients through the client part."""
+    """Backprop activation gradients through the client part (one model or a bank)."""
     _check_cache(layers, cache.shapes)
     last = cache.layers[-1]
     if activation_grads.shape != last.preact.shape:
@@ -289,8 +282,9 @@ def backward_client(
     for k in range(len(layers) - 1, -1, -1):
         lc = cache.layers[k]
         delta = delta * _act_grad(lc.preact, cache.activation)
-        grads[k] = (lc.inputs.T @ delta, delta.sum(axis=0))
-        delta = delta @ layers[k].w.T
+        grads[k] = (lc.inputs.swapaxes(-1, -2) @ delta, delta.sum(axis=-2).reshape(layers[k].b.shape))
+        if k:  # the client's inputs take no gradient
+            delta = delta @ layers[k].w.swapaxes(-1, -2)
     return grads
 
 
@@ -308,12 +302,15 @@ def sgd_step(
     grads: list[tuple[np.ndarray, np.ndarray]],
     state: SgdState,
 ) -> None:
-    """In-place momentum SGD update: v <- m*v + g; p <- p - lr*v."""
+    """In-place momentum SGD update: v <- m*v + g; p <- p - lr*v.
+
+    Elementwise, so a bank steps every client's model in one call.
+    """
     if len(grads) != len(layers) or len(state.velocity) != len(layers):
         raise ConfigError("layers, grads and optimizer state have different lengths")
     for i, (l, (dw, db), (vw, vb)) in enumerate(zip(layers, grads, state.velocity)):
         for name, p, g, v in (("w", l.w, dw, vw), ("b", l.b, db, vb)):
-            if not np.all(np.isfinite(g)):
+            if not np.isfinite(g).all():
                 raise NumericError(f"non-finite gradient for tensor layer{i}.{name}")
             v *= state.momentum
             v += g
@@ -328,13 +325,3 @@ def logits_from_activations(
     for l in layers[:-1]:
         a = _act(a @ l.w + l.b, activation)
     return a @ layers[-1].w + layers[-1].b
-
-
-def evaluate(model: SplitModel, inputs: np.ndarray, labels: np.ndarray) -> float:
-    """Classification accuracy of the split model on a test set."""
-    if len(labels) == 0:
-        raise DataError("empty test set")
-    acts, _ = forward_client(model.client, inputs, model.spec.activation)
-    logits = logits_from_activations(model.server, acts, model.spec.activation)
-    pred = logits.argmax(axis=1)
-    return float((pred == labels).sum()) / len(labels)

@@ -13,14 +13,17 @@ Strategies:
   sfl         psl plus periodic FedAvg of the client-side models
   vanilla_sl  sequential: one relayed client model visits clients round-robin
 
-Clients are driven through proxies so the same engine runs both the
-in-process simulation and the TCP deployment. Every random choice comes
-from a seeded substream, so a (config, seed) pair replays bit-identically.
+Clients are driven through one cohort interface, so the same engine runs
+both the in-process simulation (one stacked :class:`ClientBank`) and the
+TCP deployment (a :class:`ProxyCohort` of remote clients). Every random
+choice comes from a seeded substream, so a (config, seed) pair replays
+bit-identically.
 """
 
 from __future__ import annotations
 
 import time
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from typing import Protocol
 
@@ -33,6 +36,7 @@ from .data import Dataset, Partition, dirichlet_partition, iid_partition, load_i
 from .errors import ConfigError, CoordinationSkipped, ProtocolError
 from .geometry import GradientVector, flatten, pairwise_mean_deviation, unflatten
 from .nn import (
+    DenseLayer,
     ModelSpec,
     SplitModel,
     backward_client,
@@ -42,7 +46,6 @@ from .nn import (
     grads_arrays,
     logits_from_activations,
     params_arrays,
-    set_params,
     sgd_state,
     sgd_step,
     split_model,
@@ -112,71 +115,172 @@ class ShardCursor:
         return out
 
 
-class ClientWorker:
-    """Client-side model, optimizer and data pipeline for one device; the
-    in-process :class:`ClientProxy`."""
+class ClientBank:
+    """Client-side models, optimizers and data pipelines of a set of
+    clients, held as stacks with a leading client axis; the in-process
+    :class:`ClientCohort`. A TCP client is a bank of one.
+
+    Every client starts from the same ``build_model(cfg, seed)``. A round
+    pads each client's batch to the longest one with rows whose activation
+    gradients are zero, then runs one stacked forward, backward and
+    momentum-SGD step. A client whose batch is a single row is recomputed
+    as its own stack: numpy multiplies a one-row matrix by gemv, which
+    rounds differently from the padded gemm. So each client's bits do not
+    depend on its bank.
+    """
 
     def __init__(
         self,
         cfg: ExperimentConfig,
         seed: int,
-        client_id: int,
+        client_ids: Iterable[int],
         data: tuple[Dataset, Dataset, Partition] | None = None,
         dtype=np.float32,
     ):
-        self.client_id = client_id
+        self.client_ids = list(client_ids)
         self.activation = cfg.activation
         if data is None:
             train, test = build_dataset(cfg, seed)
             partition = build_partition(cfg, seed, train.labels)
         else:
             train, test, partition = data
+        n = len(self.client_ids)
         model = build_model(cfg, seed, dtype=dtype)
-        self.layers = model.client
+        self.shapes = [a.shape for a in params_arrays(model.client)]  # one client's
+        self.layers = [
+            DenseLayer(np.repeat(l.w[None], n, axis=0), np.repeat(l.b[None, None], n, axis=0))
+            for l in model.client
+        ]
         self.opt = sgd_state(self.layers, cfg.lr_client, cfg.momentum)
         self.train_inputs = train.inputs.astype(dtype, copy=False)
         self.test_inputs = test.inputs.astype(dtype, copy=False)
-        self.cursor = ShardCursor(
-            partition.client_indices[client_id],
-            substream(seed, STREAM_SHUFFLE, client_id),
-            cfg.batch_size,
-        )
-        self._cache = None
+        self.cursors = [
+            ShardCursor(partition.client_indices[i], substream(seed, STREAM_SHUFFLE, i), cfg.batch_size)
+            for i in self.client_ids
+        ]
+        self._round = None  # (batch lengths, stacked cache, one-row clients and their cache)
 
-    def forward_round(self, round_t: int) -> np.ndarray:
-        return self.forward_indices(self.cursor.next())
+    def _models(self, clients) -> list[DenseLayer]:
+        """The layers of ``clients``: views for one index, a copied stack for a list."""
+        return [DenseLayer(l.w[clients], l.b[clients]) for l in self.layers]
 
-    def forward_indices(self, indices: np.ndarray) -> np.ndarray:
-        acts, self._cache = forward_client(self.layers, self.train_inputs[indices], self.activation)
-        return acts
+    def forward(self, round_t: int, indices: list[np.ndarray] | None = None) -> list[np.ndarray]:
+        batches = [c.next() for c in self.cursors] if indices is None else indices
+        lengths = [len(b) for b in batches]
+        rows = np.zeros((len(batches), max(lengths)), dtype=np.intp)  # padding reads sample 0
+        for k, b in enumerate(batches):
+            rows[k, : len(b)] = b
+        acts, cache = forward_client(self.layers, self.train_inputs[rows], self.activation)
+        one_row = [k for k, n in enumerate(lengths) if n == 1] if rows.shape[1] > 1 else []
+        one_row_cache = None
+        if one_row:
+            one_row_acts, one_row_cache = forward_client(
+                self._models(one_row), self.train_inputs[rows[one_row, :1]], self.activation
+            )
+            acts[one_row, :1] = one_row_acts
+        self._round = (lengths, cache, one_row, one_row_cache)
+        return [acts[k, :n] for k, n in enumerate(lengths)]
 
-    def apply_grads(self, round_t: int, act_grads: np.ndarray) -> None:
-        if self._cache is None:
-            raise ProtocolError(f"client {self.client_id}: gradients received before any forward pass")
-        grads = backward_client(self.layers, self._cache, act_grads)
-        self._cache = None
+    def apply_grads(self, round_t: int, act_grads: list[np.ndarray]) -> None:
+        if self._round is None:
+            raise ProtocolError("gradients received before any forward pass")
+        lengths, cache, one_row, one_row_cache = self._round
+        self._round = None
+        padded = np.zeros(cache.layers[-1].preact.shape, dtype=self.layers[0].w.dtype)
+        for k, (g, n) in enumerate(zip(act_grads, lengths)):
+            if g.shape != (n, padded.shape[-1]):
+                raise ProtocolError(
+                    f"client {self.client_ids[k]}: activation grad shape {g.shape} "
+                    f"does not match cut shape {(n, padded.shape[-1])}"
+                )
+            padded[k, :n] = g
+        grads = backward_client(self.layers, cache, padded)
+        if one_row:
+            one_row_grads = backward_client(self._models(one_row), one_row_cache, padded[one_row, :1])
+            for (dw, db), (sw, sb) in zip(grads, one_row_grads):
+                dw[one_row], db[one_row] = sw, sb
         sgd_step(self.layers, grads, self.opt)
 
-    def eval_activations(self, round_t: int) -> np.ndarray:
-        acts, _ = forward_client(self.layers, self.test_inputs, self.activation)
-        return acts
+    def eval_activations(self, round_t: int) -> Iterator[np.ndarray]:
+        # client by client: a stacked pass over the test set would hold
+        # every client's activations at once
+        for k in range(len(self.client_ids)):
+            yield forward_client(self._models(k), self.test_inputs, self.activation)[0]
 
-    def get_params(self) -> list[np.ndarray]:
-        return [a.copy() for a in params_arrays(self.layers)]
+    def get_params(self) -> list[list[np.ndarray]]:
+        """Each client's parameters in canonical order, as copies."""
+        stacks = params_arrays(self.layers)
+        return [[a[k].reshape(shape).copy() for a, shape in zip(stacks, self.shapes)]
+                for k in range(len(self.client_ids))]
 
     def set_params(self, arrays: list[np.ndarray]) -> None:
-        set_params(self.layers, arrays)
+        """Give every client the one model ``arrays``."""
+        if [a.shape for a in arrays] != self.shapes:
+            raise ConfigError(f"parameter shapes {[a.shape for a in arrays]} do not match {self.shapes}")
+        for stack, a in zip(params_arrays(self.layers), arrays):
+            stack[...] = a
+
+
+def client_error(round_t: int, client_id: int, phase: str, problem) -> ProtocolError:
+    """A ProtocolError naming the round, the client and the phase."""
+    return ProtocolError(f"round {round_t} client {client_id} ({phase}): {problem}")
 
 
 class ClientProxy(Protocol):
-    """What the coordinator needs from a client: a ClientWorker in process,
-    a transport.RemoteClientProxy over TCP."""
+    """The coordinator's handle on one remote client (a transport.RemoteClientProxy)."""
 
     def forward_round(self, round_t: int) -> np.ndarray: ...
     def apply_grads(self, round_t: int, act_grads: np.ndarray) -> None: ...
     def eval_activations(self, round_t: int) -> np.ndarray: ...
     def get_params(self) -> list[np.ndarray]: ...
     def set_params(self, arrays: list[np.ndarray]) -> None: ...
+
+
+class ClientCohort(Protocol):
+    """What the coordinator needs from its clients, one call per round step
+    with one entry per client in id order: a :class:`ClientBank` in process,
+    a :class:`ProxyCohort` over TCP."""
+
+    def forward(self, round_t: int, indices: list[np.ndarray] | None = None) -> list[np.ndarray]: ...
+    def apply_grads(self, round_t: int, act_grads: list[np.ndarray]) -> None: ...
+    def eval_activations(self, round_t: int) -> Iterator[np.ndarray]: ...
+    def get_params(self) -> list[list[np.ndarray]]: ...
+    def set_params(self, arrays: list[np.ndarray]) -> None: ...
+
+
+class ProxyCohort:
+    """A :class:`ClientCohort` over per-client proxies, called one client at
+    a time in id order; a ProtocolError names the round, client and phase."""
+
+    def __init__(self, proxies: dict[int, ClientProxy]):
+        self.proxies = proxies
+
+    def _each(self, round_t: int, phase: str, call) -> Iterator:
+        for i in sorted(self.proxies):
+            try:
+                out = call(i, self.proxies[i])
+            except ProtocolError as e:
+                raise client_error(round_t, i, phase, e) from e
+            yield out
+
+    def forward(self, round_t: int, indices: list[np.ndarray] | None = None) -> list[np.ndarray]:
+        if indices is not None:
+            raise ConfigError("remote clients draw their own batches")
+        return list(self._each(round_t, "forward", lambda i, p: p.forward_round(round_t)))
+
+    def apply_grads(self, round_t: int, act_grads: list[np.ndarray]) -> None:
+        for _ in self._each(round_t, "backward", lambda i, p: p.apply_grads(round_t, act_grads[i])):
+            pass
+
+    def eval_activations(self, round_t: int) -> Iterator[np.ndarray]:
+        return self._each(round_t, "eval", lambda i, p: p.eval_activations(round_t))
+
+    def get_params(self) -> list[list[np.ndarray]]:
+        return [self.proxies[i].get_params() for i in sorted(self.proxies)]
+
+    def set_params(self, arrays: list[np.ndarray]) -> None:
+        for i in sorted(self.proxies):
+            self.proxies[i].set_params(arrays)
 
 
 @dataclass
@@ -231,7 +335,11 @@ def fedavg(param_sets: list[list[np.ndarray]], weights: list[float]) -> list[np.
 
 
 class TrainingEngine:
-    """Runs one (config, seed) experiment over a set of client proxies."""
+    """Runs one (config, seed) experiment over its client cohort.
+
+    ``proxies`` are the remote clients of a TCP run; without them the
+    clients are one in-process :class:`ClientBank`.
+    """
 
     def __init__(
         self,
@@ -266,11 +374,13 @@ class TrainingEngine:
             )
             for i in range(cfg.clients)
         ]
+        self.clients: ClientCohort
         if proxies is None:
             shared = (self.train, self.test, self.partition)
-            count = 1 if cfg.strategy == "vanilla_sl" else cfg.clients
-            proxies = {i: ClientWorker(cfg, seed, i, data=shared, dtype=dtype) for i in range(count)}
-        self.proxies = proxies
+            ids = [0] if cfg.strategy == "vanilla_sl" else range(cfg.clients)  # vanilla_sl relays one model
+            self.clients = ClientBank(cfg, seed, ids, data=shared, dtype=dtype)
+        else:
+            self.clients = ProxyCohort(proxies)
         self.lgi_state = lgi_mod.LgiState()
         self.lgi_cfg = lgi_mod.LgiConfig(total_rounds=cfg.rounds, k_min=cfg.k_min, k_max=cfg.k_max)
         self.gda_cfg = gda_mod.GdaConfig(
@@ -294,18 +404,11 @@ class TrainingEngine:
         pairs = [(arrays[2 * i], arrays[2 * i + 1]) for i in range(len(self.server))]
         sgd_step(self.server, pairs, self.server_opt)
 
-    def _call_client(self, t: int, i: int, phase: str, call, *args, shape=None):
-        """Run one engine call into client ``i``; protocol errors and (when
-        ``shape`` is given) a returned matrix of the wrong shape are raised
-        as a ProtocolError naming the round, the client and the phase."""
-        try:
-            out = call(*args)
-            # checked here so a lying peer is a protocol error, not a model error
-            if shape is not None and out.shape != shape:
-                raise ProtocolError(f"expected activations of shape {shape}, got {out.shape}")
-        except ProtocolError as e:
-            raise ProtocolError(f"round {t} client {i} ({phase}): {e}") from e
-        return out
+    def _check_acts(self, t: int, i: int, phase: str, acts: np.ndarray, rows: int) -> None:
+        """Activations from client ``i`` must be ``[rows, fan_in]``: checked
+        here so a lying peer is a protocol error, not a model error."""
+        if acts.shape != (rows, self.fan_in):
+            raise client_error(t, i, phase, f"expected activations of shape {(rows, self.fan_in)}, got {acts.shape}")
 
     def _coordinate(
         self, cohort: list[GradientVector], g: np.ndarray, losses: dict[int, float], round_t: int
@@ -351,10 +454,9 @@ class TrainingEngine:
         return update, fields
 
     def _evaluate(self, round_t: int) -> float:
-        shape = (len(self.test), self.fan_in)
         accs = []
-        for i in sorted(self.proxies):
-            acts = self._call_client(round_t, i, "eval", self.proxies[i].eval_activations, round_t, shape=shape)
+        for i, acts in enumerate(self.clients.eval_activations(round_t)):
+            self._check_acts(round_t, i, "eval", acts, len(self.test))
             logits = logits_from_activations(self.server, acts, self.activation)
             pred = logits.argmax(axis=1)
             accs.append(float((pred == self.test.labels).sum()) / len(self.test.labels))
@@ -365,12 +467,11 @@ class TrainingEngine:
     def _round_parallel(self, t: int) -> RoundReport:
         cfg = self.cfg
         ids = range(cfg.clients)
-        acts, labels = [], []
-        for i in ids:
-            idx = self.label_cursors[i].next()
-            labels.append(self.train.labels[idx])
-            shape = (len(idx), self.fan_in)
-            acts.append(self._call_client(t, i, "forward", self.proxies[i].forward_round, t, shape=shape))
+        batches = [self.label_cursors[i].next() for i in ids]
+        labels = [self.train.labels[idx] for idx in batches]
+        acts = self.clients.forward(t)
+        for i, idx in enumerate(batches):
+            self._check_acts(t, i, "forward", acts[i], len(idx))
             self.samples_consumed += len(idx)
 
         # the round's cohort is one g[clients, params] matrix, prepared once
@@ -387,14 +488,11 @@ class TrainingEngine:
             update = g.mean(axis=0)
         self._apply_server_update(update)
 
-        for i in ids:
-            self._call_client(t, i, "backward", self.proxies[i].apply_grads, t, act_grads[i])
+        self.clients.apply_grads(t, act_grads)
 
         if cfg.strategy == "sfl" and t % cfg.sfl_interval == 0:
             sizes = [float(len(self.partition.client_indices[i])) for i in ids]
-            merged = fedavg([self.proxies[i].get_params() for i in ids], sizes)
-            for i in ids:
-                self.proxies[i].set_params(merged)
+            self.clients.set_params(fedavg(self.clients.get_params(), sizes))
 
         return RoundReport(
             round=t,
@@ -409,12 +507,12 @@ class TrainingEngine:
         active = (t - 1) % self.cfg.clients
         idx = self.label_cursors[active].next()
         labels = self.train.labels[idx]
-        relay: ClientWorker = self.proxies[0]  # vanilla_sl runs in process only
-        acts = self._call_client(t, active, "forward", relay.forward_indices, idx, shape=(len(idx), self.fan_in))
+        (acts,) = self.clients.forward(t, [idx])
+        self._check_acts(t, active, "forward", acts, len(idx))
         self.samples_consumed += len(idx)
         loss, g_vec, act_grads = self._server_pass(acts, labels)
         self._apply_server_update(g_vec)
-        self._call_client(t, active, "backward", relay.apply_grads, t, act_grads)
+        self.clients.apply_grads(t, [act_grads])
         return RoundReport(
             round=t,
             epoch_equiv=self.samples_consumed / len(self.train),

@@ -370,7 +370,7 @@ def client_loop(channel: FrameChannel, client_id: int, handshake_timeout: float 
     The server's CONFIG text is authoritative; it determines the data,
     model, schedule and seed list. Returns the final METRICS payload.
     """
-    from .orchestrator import ClientWorker  # local import keeps module deps one-way
+    from .orchestrator import ClientBank  # local import keeps module deps one-way
 
     channel.send(Hello(client_id))
     msg = channel.recv(timeout=handshake_timeout)
@@ -381,19 +381,20 @@ def client_loop(channel: FrameChannel, client_id: int, handshake_timeout: float 
     cfg = parse_config_text(msg.text, source="<server config>")
 
     for seed in cfg.seeds:
-        worker = ClientWorker(cfg, seed, client_id)
+        bank = ClientBank(cfg, seed, [client_id])
         for t in range(1, cfg.rounds + 1):
-            acts = worker.forward_round(t)
+            (acts,) = bank.forward(t)
             channel.send(Activations(t, client_id, acts))
             reply = channel.recv()
             if not isinstance(reply, ActGrads) or reply.round != t:
                 raise ProtocolError(f"round {t}: expected ACT_GRADS, got {type(reply).__name__}")
-            worker.apply_grads(t, reply.matrix)
+            bank.apply_grads(t, [reply.matrix])
             if is_eval_round(cfg, t):
                 req = channel.recv()
                 if not isinstance(req, EvalRequest) or req.round != t:
                     raise ProtocolError(f"round {t}: expected EVAL_REQUEST, got {type(req).__name__}")
-                channel.send(EvalResult(t, client_id, worker.eval_activations(t)))
+                (eval_acts,) = bank.eval_activations(t)
+                channel.send(EvalResult(t, client_id, eval_acts))
 
     final: dict = {}
     while True:

@@ -3,12 +3,16 @@
 Everything here is deliberately written with plain Python loops and the
 math module only -- no numpy vectorization and no imports from the
 package under test -- so agreement with the real implementations is
-meaningful.
+meaningful. The one exception is the last section: bit-exact per-client
+references, which use numpy on purpose because the stacked client bank
+must reproduce the bits of the one-client-at-a-time products.
 """
 
 from __future__ import annotations
 
 import math
+
+import numpy as np
 
 
 # ---- basic vector ops ------------------------------------------------------
@@ -193,3 +197,51 @@ def weighted_mean(columns, weights):
         for d in range(dim):
             out[d] += (w / total_w) * col[d]
     return out
+
+
+# ---- bit-exact per-client references ---------------------------------------
+#
+# The client-side layer functions for one client: 2-D numpy products on a
+# flat parameter list [w0, b0, w1, b1, ...]. numpy picks the BLAS kernel
+# per product (gemv for a one-row left operand, gemm otherwise), and these
+# are the products whose rounding the client bank must match.
+
+def _act(z, activation):
+    return np.maximum(z, 0) if activation == "relu" else np.tanh(z)
+
+
+def _act_grad(z, activation):
+    if activation == "relu":
+        return (z > 0).astype(z.dtype)
+    t = np.tanh(z)
+    return 1 - t * t
+
+
+def client_forward(params, inputs, activation):
+    """One client's cut activations and the (input, preactivation) per layer."""
+    a, caches = inputs, []
+    for w, b in zip(params[::2], params[1::2]):
+        z = a @ w + b
+        caches.append((a, z))
+        a = _act(z, activation)
+    return a, caches
+
+
+def client_backward(params, caches, act_grads, activation):
+    """One client's parameter gradients, in the order of ``params``."""
+    grads = [None] * len(params)
+    delta = act_grads
+    for k in range(len(caches) - 1, -1, -1):
+        inputs, z = caches[k]
+        delta = delta * _act_grad(z, activation)
+        grads[2 * k], grads[2 * k + 1] = inputs.T @ delta, delta.sum(axis=0)
+        delta = delta @ params[2 * k].T
+    return grads
+
+
+def sgd_step(params, grads, velocity, lr, momentum):
+    """In-place momentum SGD on one client: v <- m*v + g; p <- p - lr*v."""
+    for p, g, v in zip(params, grads, velocity):
+        v *= momentum
+        v += g
+        p -= lr * v

@@ -12,7 +12,7 @@ from gapsl.config import ExperimentConfig, config_to_text
 from gapsl.errors import ProtocolError
 from gapsl.geometry import flatten
 from gapsl.nn import grads_arrays, params_arrays
-from gapsl.orchestrator import ClientWorker, TrainingEngine, run_experiment
+from gapsl.orchestrator import ClientBank, TrainingEngine, run_experiment
 from gapsl.transport import Activations, Bye, ConfigMsg, Hello, Listener, RemoteClientProxy, connect
 
 
@@ -144,11 +144,11 @@ class TestTransportFailures:
                 ch.send(Hello(cid))
                 msg = ch.recv(timeout=10)
                 assert isinstance(msg, ConfigMsg)
-                worker = ClientWorker(cfg, 1, cid)
+                bank = ClientBank(cfg, 1, [cid])
                 for t in range(1, die_after + 1):
-                    ch.send(Activations(t, cid, worker.forward_round(t)))
+                    ch.send(Activations(t, cid, bank.forward(t)[0]))
                     reply = ch.recv()
-                    worker.apply_grads(t, reply.matrix)
+                    bank.apply_grads(t, [reply.matrix])
             except ProtocolError:
                 pass  # the coordinator aborts once its peer vanishes
             finally:
@@ -165,11 +165,15 @@ class TestTransportFailures:
         channels = listener.accept_clients(2, config_to_text(cfg), timeout=10)
         proxies = {i: RemoteClientProxy(ch, i) for i, ch in channels.items()}
         engine = TrainingEngine(cfg, 1, proxies)
-        with pytest.raises(ProtocolError, match="round 3 client 0"):
-            engine.run()
-        for t in threads:
-            t.join(timeout=5)
-        listener.close()
+        try:
+            with pytest.raises(ProtocolError, match="round 3 client 0"):
+                engine.run()
+        finally:
+            for ch in channels.values():
+                ch.close()
+            for t in threads:
+                t.join(timeout=5)
+            listener.close()
 
     def test_wrong_width_activations_are_a_protocol_error(self):
         cfg = ExperimentConfig(
@@ -177,13 +181,15 @@ class TestTransportFailures:
             model_dims=(4, 6, 2), cut=1, eval_interval=10, seeds=(1,), alpha=None,
         )
 
-        class WideWorker(ClientWorker):
-            def forward_round(self, round_t):
-                acts = super().forward_round(round_t)
-                return np.hstack([acts, acts]) if round_t == 2 else acts
+        class WideBank(ClientBank):
+            def forward(self, round_t, indices=None):
+                acts = super().forward(round_t, indices)
+                if round_t == 2:
+                    acts[1] = np.hstack([acts[1], acts[1]])
+                return acts
 
         engine = TrainingEngine(cfg, 1)
-        engine.proxies[1] = WideWorker(cfg, 1, 1)
+        engine.clients = WideBank(cfg, 1, range(cfg.clients))
         with pytest.raises(ProtocolError, match=r"round 2 client 1 \(forward\): expected activations of shape \(8, 6\)"):
             engine.run()
 
@@ -196,13 +202,14 @@ class TestTransportFailures:
             model_dims=(4, 6, 2), cut=1, eval_interval=5, seeds=(1,), alpha=None,
         )
 
-        class LyingWorker(ClientWorker):
+        class LyingBank(ClientBank):
             def eval_activations(self, round_t):
-                acts = super().eval_activations(round_t)
-                return acts[:1] if reply == "one_row" else np.hstack([acts, acts])
+                honest, acts = super().eval_activations(round_t)
+                yield honest
+                yield acts[:1] if reply == "one_row" else np.hstack([acts, acts])
 
         engine = TrainingEngine(cfg, 1)
-        engine.proxies[1] = LyingWorker(cfg, 1, 1)
+        engine.clients = LyingBank(cfg, 1, range(cfg.clients))
         rows = len(engine.test)
         got = r"\(1, 6\)" if reply == "one_row" else rf"\({rows}, 12\)"
         with pytest.raises(ProtocolError, match=rf"round 5 client 1 \(eval\): expected activations of shape "

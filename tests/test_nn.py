@@ -11,11 +11,10 @@ from gapsl.nn import (
     ModelSpec,
     backward_client,
     backward_server,
-    clone_layers,
-    evaluate,
     forward_client,
     forward_server,
     grads_arrays,
+    logits_from_activations,
     param_count,
     params_arrays,
     sgd_state,
@@ -42,6 +41,16 @@ def set_flat_params(model, vec):
     arrays = params_arrays(model.client) + params_arrays(model.server)
     for dst, src in zip(arrays, unflatten(vec, [a.shape for a in arrays])):
         dst[...] = src
+
+
+def evaluate(model, inputs, labels):
+    """Classification accuracy of the split model on a test set."""
+    if len(labels) == 0:
+        raise DataError("empty test set")
+    acts, _ = forward_client(model.client, inputs, model.spec.activation)
+    logits = logits_from_activations(model.server, acts, model.spec.activation)
+    pred = logits.argmax(axis=1)
+    return float((pred == labels).sum()) / len(labels)
 
 
 def analytic_flat_grads(model, inputs, labels):

@@ -8,13 +8,15 @@ import pytest
 import oracles
 from gapsl.config import ExperimentConfig
 from gapsl.data import Partition
-from gapsl.errors import ConfigError
+from gapsl.errors import ConfigError, ProtocolError
 from gapsl.geometry import GradientVector, flatten
 from gapsl.nn import params_arrays
 from gapsl.orchestrator import (
     STREAM_SHUFFLE,
+    ClientBank,
+    ClientCohort,
     ClientProxy,
-    ClientWorker,
+    ProxyCohort,
     ShardCursor,
     TrainingEngine,
     build_dataset,
@@ -47,8 +49,8 @@ def small_config(**kw):
 
 def all_params(engine):
     arrays = list(params_arrays(engine.server))
-    for i in sorted(engine.proxies):
-        arrays.extend(params_arrays(engine.proxies[i].layers))
+    for client in engine.clients.get_params():
+        arrays.extend(client)
     return flatten(arrays)
 
 
@@ -59,7 +61,7 @@ def clone_cursor_state(engine, src_client, dst_client, seed):
     engine.label_cursors[dst_client] = ShardCursor(
         shared_indices, substream(seed, STREAM_SHUFFLE, src_client), engine.cfg.batch_size
     )
-    engine.proxies[dst_client].cursor = ShardCursor(
+    engine.clients.cursors[dst_client] = ShardCursor(
         shared_indices, substream(seed, STREAM_SHUFFLE, src_client), engine.cfg.batch_size
     )
 
@@ -210,7 +212,7 @@ class TestPsl:
         server_before = engine.server
         engine.run()
         assert engine.server is server_before
-        assert not hasattr(engine.proxies[0], "server")
+        assert not hasattr(engine.clients, "server")
 
 
 class TestSfl:
@@ -220,18 +222,17 @@ class TestSfl:
         engine = TrainingEngine(cfg, seed)
         clone_cursor_state(engine, 0, 1, seed)
         engine.run_round(1)
-        p0 = flatten(params_arrays(engine.proxies[0].layers))
-        p1 = flatten(params_arrays(engine.proxies[1].layers))
+        p0, p1 = (flatten(p) for p in engine.clients.get_params())
         assert np.max(np.abs(p0 - p1)) <= 1e-9
 
     def test_aggregation_synchronizes_client_models(self):
         cfg = small_config(strategy="sfl", rounds=4, sfl_interval=2)
         engine = TrainingEngine(cfg, seed=1)
         engine.run_round(1)
-        params = [flatten(params_arrays(engine.proxies[i].layers)) for i in range(4)]
+        params = [flatten(p) for p in engine.clients.get_params()]
         assert any(np.max(np.abs(params[0] - p)) > 1e-9 for p in params[1:])  # desynced
         engine.run_round(2)  # aggregation round
-        params = [flatten(params_arrays(engine.proxies[i].layers)) for i in range(4)]
+        params = [flatten(p) for p in engine.clients.get_params()]
         assert all(np.max(np.abs(params[0] - p)) <= 1e-9 for p in params[1:])
 
 
@@ -276,7 +277,7 @@ class TestVanilla:
     def test_single_relayed_model(self):
         cfg = small_config(strategy="vanilla_sl", rounds=8)
         engine = TrainingEngine(cfg, seed=1)
-        assert list(engine.proxies) == [0]  # one relayed client model
+        assert engine.clients.client_ids == [0]  # one relayed client model
         reports = engine.run()
         # round t trains the shard of client (t-1) mod S
         actives = [list(r.train_losses)[0] for r in reports]
@@ -353,12 +354,79 @@ class TestRoundShape:
             assert not report.coordination_skipped
             assert sorted(made) == [-1, 0, 1, 2, 3, 4]
 
-    def test_client_worker_and_remote_proxy_define_the_protocol(self):
-        # the Protocol is not checked at runtime; both client kinds must
-        # answer every call the engine makes, with the same parameters
-        methods = [n for n, v in vars(ClientProxy).items() if callable(v) and not n.startswith("_")]
-        assert sorted(methods) == ["apply_grads", "eval_activations", "forward_round", "get_params", "set_params"]
-        for cls in (ClientWorker, RemoteClientProxy):
-            for name in methods:
-                want = list(inspect.signature(getattr(ClientProxy, name)).parameters)
-                assert list(inspect.signature(getattr(cls, name)).parameters) == want, (cls.__name__, name)
+    def test_client_bank_and_tcp_cohort_define_the_protocol(self):
+        # the Protocols are not checked at runtime: the bank and the TCP
+        # cohort must answer every call the engine makes, with the same
+        # parameters, and so must the remote proxy the TCP cohort wraps
+        for protocol, classes, names in (
+            (ClientCohort, (ClientBank, ProxyCohort),
+             ["apply_grads", "eval_activations", "forward", "get_params", "set_params"]),
+            (ClientProxy, (RemoteClientProxy,),
+             ["apply_grads", "eval_activations", "forward_round", "get_params", "set_params"]),
+        ):
+            methods = [n for n, v in vars(protocol).items() if callable(v) and not n.startswith("_")]
+            assert sorted(methods) == names
+            for cls in classes:
+                for name in methods:
+                    want = list(inspect.signature(getattr(protocol, name)).parameters)
+                    assert list(inspect.signature(getattr(cls, name)).parameters) == want, (cls.__name__, name)
+        tcp = TrainingEngine(small_config(clients=2), 1, {i: RemoteClientProxy(None, i) for i in range(2)})
+        assert isinstance(TrainingEngine(small_config(), 1).clients, ClientBank)
+        assert isinstance(tcp.clients, ProxyCohort)
+
+
+class TestClientBank:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_stacked_round_equals_per_client_reference_bit_for_bit(self, dtype):
+        # every batch length from 1 to batch_size, in a ragged cohort that
+        # always holds a full batch and a one-row batch (numpy's gemv case);
+        # two client layers, so the one-row delta @ W.T reaches a gradient
+        cfg = small_config(clients=4, cut=2, activation="tanh", momentum=0.9)
+        bank = ClientBank(cfg, 1, range(cfg.clients), dtype=dtype)
+        alone = [ClientBank(cfg, 1, [i], dtype=dtype) for i in range(cfg.clients)]
+        params = bank.get_params()
+        velocity = [[np.zeros_like(a) for a in p] for p in params]
+        width = cfg.model_dims[cfg.cut]
+        rng = np.random.default_rng(0)
+        for t, n in enumerate(range(1, cfg.batch_size + 1), start=1):
+            lengths = [n, cfg.batch_size, 1, max(1, n - 1)]
+            indices = [rng.choice(len(bank.train_inputs), k, replace=False) for k in lengths]
+            grads = [rng.normal(size=(k, width)).astype(dtype) for k in lengths]
+            acts = bank.forward(t, indices)
+            bank.apply_grads(t, grads)
+            for i in range(cfg.clients):
+                (one,) = alone[i].forward(t, [indices[i]])
+                alone[i].apply_grads(t, [grads[i]])
+                want, caches = oracles.client_forward(params[i], bank.train_inputs[indices[i]], cfg.activation)
+                assert acts[i].dtype == want.dtype and (acts[i] == want).all(), (n, i)
+                assert (one == want).all(), (n, i)
+                step = oracles.client_backward(params[i], caches, grads[i], cfg.activation)
+                oracles.sgd_step(params[i], step, velocity[i], cfg.lr_client, cfg.momentum)
+
+            got = bank.get_params()
+            stacked_velocity = [v for pair in bank.opt.velocity for v in pair]
+            for i in range(cfg.clients):
+                (own,) = alone[i].get_params()
+                moments = [v[i].reshape(r.shape) for v, r in zip(stacked_velocity, params[i])]
+                for name, mine in (("bank", got[i]), ("bank of one", own), ("momentum", moments)):
+                    want = velocity[i] if name == "momentum" else params[i]
+                    assert all((a == b).all() for a, b in zip(mine, want)), (name, n, i)
+
+    def test_gradients_before_forward_and_wrong_shapes_are_protocol_errors(self):
+        cfg = small_config(clients=2)
+        bank = ClientBank(cfg, 1, range(cfg.clients))
+        with pytest.raises(ProtocolError, match="before any forward pass"):
+            bank.apply_grads(1, [np.zeros((1, 16))] * 2)
+        acts = bank.forward(1)
+        bad = [np.zeros_like(acts[0]), np.zeros((len(acts[1]), 3), dtype=acts[1].dtype)]
+        with pytest.raises(ProtocolError, match=r"client 1: activation grad shape"):
+            bank.apply_grads(1, bad)
+
+    def test_set_params_gives_every_client_the_model(self):
+        cfg = small_config(clients=3)
+        bank = ClientBank(cfg, 1, range(cfg.clients))
+        model = [np.full_like(a, k) for k, a in enumerate(bank.get_params()[0])]
+        bank.set_params(model)
+        assert all(all((a == b).all() for a, b in zip(p, model)) for p in bank.get_params())
+        with pytest.raises(ConfigError):
+            bank.set_params(model[:-1])

@@ -239,6 +239,7 @@ class TestTcpChannels:
         cfg_text = config_to_text(ExperimentConfig())
         outcomes = {}
         accepted = {}
+        admitted = []
 
         def acceptor():
             accepted.update(listener.accept_clients(2, cfg_text, timeout=10))
@@ -253,7 +254,9 @@ class TestTcpChannels:
                 outcomes[name] = ch.recv(timeout=10)
             except ProtocolError as e:
                 outcomes[name] = e
-            if not isinstance(outcomes.get(name), ConfigMsg):
+            if isinstance(outcomes.get(name), ConfigMsg):
+                admitted.append(ch)
+            else:
                 ch.close()
 
         # serialized so the duplicate arrives after the first valid check-in
@@ -269,7 +272,7 @@ class TestTcpChannels:
         assert isinstance(outcomes["b"], ConfigMsg)
         assert isinstance(outcomes["dup"], Bye)
         assert isinstance(outcomes["oob"], Bye)
-        for ch in accepted.values():
+        for ch in [*admitted, *accepted.values()]:
             ch.close()
 
     def test_transport_transparency_tcp_equals_inproc(self):
