@@ -16,6 +16,7 @@ from .errors import ConfigError
 
 STRATEGIES = ("gapsl", "psl", "sfl", "vanilla_sl")
 TRANSPORTS = ("inproc", "tcp")
+TCP_STRATEGIES = ("gapsl", "psl")  # the wire carries no client models
 MAX_TCP_CLIENTS = 0xFFFF  # HELLO and the matrix headers carry the client id as u16
 GDA_MODES = ("gradient", "loss_only")
 
@@ -325,7 +326,7 @@ def validate(cfg: ExperimentConfig) -> list[str]:
         v.append(f"sfl_interval must be >= 1, got {cfg.sfl_interval}")
     if cfg.transport not in TRANSPORTS:
         v.append(f"transport must be one of {TRANSPORTS}, got {cfg.transport!r}")
-    if cfg.transport == "tcp" and cfg.strategy not in ("gapsl", "psl"):
+    if cfg.transport == "tcp" and cfg.strategy not in TCP_STRATEGIES:
         v.append("tcp transport supports only gapsl and psl (no client-model shipping)")
     if cfg.transport == "tcp" and cfg.clients > MAX_TCP_CLIENTS:
         v.append(f"tcp transport carries client ids as u16: clients must be <= {MAX_TCP_CLIENTS}, "

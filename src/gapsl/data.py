@@ -161,21 +161,6 @@ def iid_partition(labels: np.ndarray, num_clients: int, seed: int) -> Partition:
     return Partition([np.sort(perm[k::num_clients]) for k in range(num_clients)], alpha=None)
 
 
-def label_distribution(labels: np.ndarray, num_classes: int) -> np.ndarray:
-    hist = np.bincount(labels, minlength=num_classes).astype(np.float64)
-    return hist / max(1, len(labels))
-
-
-def heterogeneity(dataset_labels: np.ndarray, partition: Partition, num_classes: int) -> float:
-    """Mean per-client total-variation distance from the global label distribution."""
-    global_dist = label_distribution(dataset_labels, num_classes)
-    tv = [
-        0.5 * np.abs(label_distribution(dataset_labels[ix], num_classes) - global_dist).sum()
-        for ix in partition.client_indices
-    ]
-    return float(np.mean(tv))
-
-
 def load_idx(path: str) -> np.ndarray:
     """Parse one IDX file (big-endian, magic 0x801 labels / 0x803 images).
 

@@ -25,16 +25,14 @@ import numpy as np
 from .errors import ConfigError, DataError, NumericError, ProtocolError
 
 ACTIVATIONS = ("relu", "tanh")
-LOSSES = ("softmax_cross_entropy",)
 
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """Layer widths plus the hidden activation and loss choices."""
+    """Layer widths plus the hidden activation."""
 
     layer_dims: tuple[int, ...]
     activation: str = "relu"
-    loss: str = "softmax_cross_entropy"
 
     def __post_init__(self):
         if len(self.layer_dims) < 3:
@@ -43,8 +41,6 @@ class ModelSpec:
             raise ConfigError(f"layer dims must be >= 1, got {self.layer_dims}")
         if self.activation not in ACTIVATIONS:
             raise ConfigError(f"unknown activation {self.activation!r}, expected one of {ACTIVATIONS}")
-        if self.loss not in LOSSES:
-            raise ConfigError(f"unknown loss {self.loss!r}, expected one of {LOSSES}")
 
     @property
     def num_layers(self) -> int:
@@ -171,10 +167,6 @@ def grads_arrays(grads: list[tuple[np.ndarray, np.ndarray]]) -> list[np.ndarray]
         out.append(dw)
         out.append(db)
     return out
-
-
-def param_count(layers: list[DenseLayer]) -> int:
-    return sum(a.size for a in params_arrays(layers))
 
 
 def forward_client(

@@ -13,17 +13,17 @@ Strategies:
   sfl         psl plus periodic FedAvg of the client-side models
   vanilla_sl  sequential: one relayed client model visits clients round-robin
 
-Clients are driven through one cohort interface, so the same engine runs
-both the in-process simulation (one stacked :class:`ClientBank`) and the
-TCP deployment (a :class:`ProxyCohort` of remote clients). Every random
-choice comes from a seeded substream, so a (config, seed) pair replays
-bit-identically.
+Every strategy runs one round function over a list of client ids (all
+of them, or one per round for vanilla_sl). The coordinator draws every
+batch and drives clients through one cohort interface: one stacked
+:class:`ClientBank` in process, a :class:`ProxyCohort` of remote clients
+over TCP. Every random choice comes from a seeded substream, so a
+(config, seed) pair replays bit-identically.
 """
 
 from __future__ import annotations
 
-import time
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from typing import Protocol
 
@@ -31,7 +31,7 @@ import numpy as np
 
 from . import gda as gda_mod
 from . import lgi as lgi_mod
-from .config import ExperimentConfig, is_eval_round
+from .config import TCP_STRATEGIES, ExperimentConfig, is_eval_round
 from .data import Dataset, Partition, dirichlet_partition, iid_partition, load_idx_dataset, synth_gaussian_mixture
 from .errors import ConfigError, CoordinationSkipped, ProtocolError
 from .geometry import GradientVector, flatten, pairwise_mean_deviation, unflatten
@@ -115,10 +115,20 @@ class ShardCursor:
         return out
 
 
+def shard_cursors(
+    cfg: ExperimentConfig, seed: int, partition: Partition, ids: Iterable[int]
+) -> list[ShardCursor]:
+    """The batch streams of clients ``ids``; a TCP client replays its own."""
+    return [
+        ShardCursor(partition.client_indices[i], substream(seed, STREAM_SHUFFLE, i), cfg.batch_size)
+        for i in ids
+    ]
+
+
 class ClientBank:
-    """Client-side models, optimizers and data pipelines of a set of
-    clients, held as stacks with a leading client axis; the in-process
-    :class:`ClientCohort`. A TCP client is a bank of one.
+    """Client-side models and optimizers of a set of clients, held as
+    stacks with a leading client axis; the in-process :class:`ClientCohort`.
+    A TCP client is a bank of one.
 
     Every client starts from the same ``build_model(cfg, seed)``. A round
     pads each client's batch to the longest one with rows whose activation
@@ -134,16 +144,12 @@ class ClientBank:
         cfg: ExperimentConfig,
         seed: int,
         client_ids: Iterable[int],
-        data: tuple[Dataset, Dataset, Partition] | None = None,
+        train: Dataset,
+        test: Dataset,
         dtype=np.float32,
     ):
         self.client_ids = list(client_ids)
         self.activation = cfg.activation
-        if data is None:
-            train, test = build_dataset(cfg, seed)
-            partition = build_partition(cfg, seed, train.labels)
-        else:
-            train, test, partition = data
         n = len(self.client_ids)
         model = build_model(cfg, seed, dtype=dtype)
         self.shapes = [a.shape for a in params_arrays(model.client)]  # one client's
@@ -154,18 +160,13 @@ class ClientBank:
         self.opt = sgd_state(self.layers, cfg.lr_client, cfg.momentum)
         self.train_inputs = train.inputs.astype(dtype, copy=False)
         self.test_inputs = test.inputs.astype(dtype, copy=False)
-        self.cursors = [
-            ShardCursor(partition.client_indices[i], substream(seed, STREAM_SHUFFLE, i), cfg.batch_size)
-            for i in self.client_ids
-        ]
         self._round = None  # (batch lengths, stacked cache, one-row clients and their cache)
 
     def _models(self, clients) -> list[DenseLayer]:
         """The layers of ``clients``: views for one index, a copied stack for a list."""
         return [DenseLayer(l.w[clients], l.b[clients]) for l in self.layers]
 
-    def forward(self, round_t: int, indices: list[np.ndarray] | None = None) -> list[np.ndarray]:
-        batches = [c.next() for c in self.cursors] if indices is None else indices
+    def forward(self, round_t: int, batches: list[np.ndarray]) -> list[np.ndarray]:
         lengths = [len(b) for b in batches]
         rows = np.zeros((len(batches), max(lengths)), dtype=np.intp)  # padding reads sample 0
         for k, b in enumerate(batches):
@@ -232,25 +233,22 @@ class ClientProxy(Protocol):
     def forward_round(self, round_t: int) -> np.ndarray: ...
     def apply_grads(self, round_t: int, act_grads: np.ndarray) -> None: ...
     def eval_activations(self, round_t: int) -> np.ndarray: ...
-    def get_params(self) -> list[np.ndarray]: ...
-    def set_params(self, arrays: list[np.ndarray]) -> None: ...
 
 
 class ClientCohort(Protocol):
     """What the coordinator needs from its clients, one call per round step
     with one entry per client in id order: a :class:`ClientBank` in process,
-    a :class:`ProxyCohort` over TCP."""
+    a :class:`ProxyCohort` over TCP. ``forward`` gets the round's batches."""
 
-    def forward(self, round_t: int, indices: list[np.ndarray] | None = None) -> list[np.ndarray]: ...
+    def forward(self, round_t: int, batches: list[np.ndarray]) -> list[np.ndarray]: ...
     def apply_grads(self, round_t: int, act_grads: list[np.ndarray]) -> None: ...
     def eval_activations(self, round_t: int) -> Iterator[np.ndarray]: ...
-    def get_params(self) -> list[list[np.ndarray]]: ...
-    def set_params(self, arrays: list[np.ndarray]) -> None: ...
 
 
 class ProxyCohort:
     """A :class:`ClientCohort` over per-client proxies, called one client at
-    a time in id order; a ProtocolError names the round, client and phase."""
+    a time in id order; a ProtocolError names the round, client and phase.
+    Batches are not sent: each remote client replays its own stream."""
 
     def __init__(self, proxies: dict[int, ClientProxy]):
         self.proxies = proxies
@@ -263,9 +261,7 @@ class ProxyCohort:
                 raise client_error(round_t, i, phase, e) from e
             yield out
 
-    def forward(self, round_t: int, indices: list[np.ndarray] | None = None) -> list[np.ndarray]:
-        if indices is not None:
-            raise ConfigError("remote clients draw their own batches")
+    def forward(self, round_t: int, batches: list[np.ndarray]) -> list[np.ndarray]:
         return list(self._each(round_t, "forward", lambda i, p: p.forward_round(round_t)))
 
     def apply_grads(self, round_t: int, act_grads: list[np.ndarray]) -> None:
@@ -274,13 +270,6 @@ class ProxyCohort:
 
     def eval_activations(self, round_t: int) -> Iterator[np.ndarray]:
         return self._each(round_t, "eval", lambda i, p: p.eval_activations(round_t))
-
-    def get_params(self) -> list[list[np.ndarray]]:
-        return [self.proxies[i].get_params() for i in sorted(self.proxies)]
-
-    def set_params(self, arrays: list[np.ndarray]) -> None:
-        for i in sorted(self.proxies):
-            self.proxies[i].set_params(arrays)
 
 
 @dataclass
@@ -302,7 +291,6 @@ class RoundReport:
     survivor_ids: tuple[int, ...] | None = None
     coordination_skipped: bool = False
     gda_fallback: bool = False
-    wall_ms: float = 0.0
 
     @property
     def selected_count(self) -> int | None:
@@ -337,8 +325,8 @@ def fedavg(param_sets: list[list[np.ndarray]], weights: list[float]) -> list[np.
 class TrainingEngine:
     """Runs one (config, seed) experiment over its client cohort.
 
-    ``proxies`` are the remote clients of a TCP run; without them the
-    clients are one in-process :class:`ClientBank`.
+    ``proxies`` are the remote clients of a TCP run, which serves gapsl and
+    psl only; without them the clients are one in-process :class:`ClientBank`.
     """
 
     def __init__(
@@ -349,6 +337,8 @@ class TrainingEngine:
         dtype=np.float32,
         data: tuple[Dataset, Dataset, Partition] | None = None,
     ):
+        if proxies is not None and cfg.strategy not in TCP_STRATEGIES:
+            raise ConfigError(f"tcp transport supports only gapsl and psl, got {cfg.strategy}")
         self.cfg = cfg
         self.seed = seed
         self.dtype = dtype
@@ -363,22 +353,11 @@ class TrainingEngine:
         self.fan_in = self.server[0].w.shape[0]
         self.server_opt = sgd_state(self.server, cfg.lr_server, cfg.momentum)
         self.server_shapes = [a.shape for a in params_arrays(self.server)]
-        # the coordinator's own batch cursors replay exactly what each client
-        # draws, so it can pair incoming activations with the right labels
-        # without labels ever crossing the wire
-        self.label_cursors = [
-            ShardCursor(
-                self.partition.client_indices[i],
-                substream(seed, STREAM_SHUFFLE, i),
-                cfg.batch_size,
-            )
-            for i in range(cfg.clients)
-        ]
+        self.cursors = shard_cursors(cfg, seed, self.partition, range(cfg.clients))
         self.clients: ClientCohort
         if proxies is None:
-            shared = (self.train, self.test, self.partition)
             ids = [0] if cfg.strategy == "vanilla_sl" else range(cfg.clients)  # vanilla_sl relays one model
-            self.clients = ClientBank(cfg, seed, ids, data=shared, dtype=dtype)
+            self.clients = ClientBank(cfg, seed, ids, self.train, self.test, dtype=dtype)
         else:
             self.clients = ProxyCohort(proxies)
         self.lgi_state = lgi_mod.LgiState()
@@ -464,21 +443,22 @@ class TrainingEngine:
 
     # ---- rounds ----------------------------------------------------------
 
-    def _round_parallel(self, t: int) -> RoundReport:
+    def _round(self, t: int, ids: Sequence[int]) -> RoundReport:
+        """One round over clients ``ids``: every client for the parallel
+        strategies, the relay's current client for vanilla_sl."""
         cfg = self.cfg
-        ids = range(cfg.clients)
-        batches = [self.label_cursors[i].next() for i in ids]
-        labels = [self.train.labels[idx] for idx in batches]
-        acts = self.clients.forward(t)
-        for i, idx in enumerate(batches):
-            self._check_acts(t, i, "forward", acts[i], len(idx))
+        batches = [self.cursors[i].next() for i in ids]
+        acts = self.clients.forward(t, batches)
+        for i, a, idx in zip(ids, acts, batches):
+            self._check_acts(t, i, "forward", a, len(idx))
             self.samples_consumed += len(idx)
 
         # the round's cohort is one g[clients, params] matrix, prepared once
+        labels = [self.train.labels[idx] for idx in batches]
         losses, rows, act_grads = zip(*map(self._server_pass, acts, labels))
         g = np.stack(rows)
-        cohort = [GradientVector(i, t, g[i]) for i in ids]
-        train_losses = dict(enumerate(losses))
+        cohort = [GradientVector(i, t, row) for i, row in zip(ids, g)]
+        train_losses = dict(zip(ids, losses))
 
         pairwise = pairwise_mean_deviation(cohort)
         fields = {}
@@ -490,7 +470,7 @@ class TrainingEngine:
 
         self.clients.apply_grads(t, act_grads)
 
-        if cfg.strategy == "sfl" and t % cfg.sfl_interval == 0:
+        if cfg.strategy == "sfl" and t % cfg.sfl_interval == 0:  # in process only: a ClientBank
             sizes = [float(len(self.partition.client_indices[i])) for i in ids]
             self.clients.set_params(fedavg(self.clients.get_params(), sizes))
 
@@ -503,32 +483,11 @@ class TrainingEngine:
             **fields,
         )
 
-    def _round_vanilla(self, t: int) -> RoundReport:
-        active = (t - 1) % self.cfg.clients
-        idx = self.label_cursors[active].next()
-        labels = self.train.labels[idx]
-        (acts,) = self.clients.forward(t, [idx])
-        self._check_acts(t, active, "forward", acts, len(idx))
-        self.samples_consumed += len(idx)
-        loss, g_vec, act_grads = self._server_pass(acts, labels)
-        self._apply_server_update(g_vec)
-        self.clients.apply_grads(t, [act_grads])
-        return RoundReport(
-            round=t,
-            epoch_equiv=self.samples_consumed / len(self.train),
-            train_losses={active: loss},
-            train_loss=loss,
-        )
-
     def run_round(self, t: int) -> RoundReport:
-        started = time.perf_counter()
-        if self.cfg.strategy == "vanilla_sl":
-            report = self._round_vanilla(t)
-        else:
-            report = self._round_parallel(t)
+        n = self.cfg.clients
+        report = self._round(t, [(t - 1) % n] if self.cfg.strategy == "vanilla_sl" else range(n))
         if is_eval_round(self.cfg, t):
             report.accuracy = self._evaluate(t)
-        report.wall_ms = (time.perf_counter() - started) * 1000.0
         return report
 
     def run(self) -> list[RoundReport]:

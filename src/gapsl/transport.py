@@ -352,12 +352,6 @@ class RemoteClientProxy:
         self.channel.send(EvalRequest(round_t))
         return self._expect_matrix(self.channel.recv(), EvalResult, round_t)
 
-    def get_params(self):
-        raise ConfigError("tcp transport cannot ship client model parameters")
-
-    def set_params(self, arrays) -> None:
-        raise ConfigError("tcp transport cannot ship client model parameters")
-
     def finish(self, metrics: dict) -> None:
         self.channel.send(Metrics(metrics))
         self.channel.send(Bye())
@@ -368,9 +362,11 @@ def client_loop(channel: FrameChannel, client_id: int, handshake_timeout: float 
     """Worker-side protocol driver: handshake, train every seed, wind down.
 
     The server's CONFIG text is authoritative; it determines the data,
-    model, schedule and seed list. Returns the final METRICS payload.
+    model, schedule and seed list. The client replays the batch stream the
+    coordinator draws, so labels never cross the wire. Returns the final
+    METRICS payload.
     """
-    from .orchestrator import ClientBank  # local import keeps module deps one-way
+    from .orchestrator import ClientBank, build_dataset, build_partition, shard_cursors  # deps stay one-way
 
     channel.send(Hello(client_id))
     msg = channel.recv(timeout=handshake_timeout)
@@ -381,9 +377,11 @@ def client_loop(channel: FrameChannel, client_id: int, handshake_timeout: float 
     cfg = parse_config_text(msg.text, source="<server config>")
 
     for seed in cfg.seeds:
-        bank = ClientBank(cfg, seed, [client_id])
+        train, test = build_dataset(cfg, seed)
+        (cursor,) = shard_cursors(cfg, seed, build_partition(cfg, seed, train.labels), [client_id])
+        bank = ClientBank(cfg, seed, [client_id], train, test)
         for t in range(1, cfg.rounds + 1):
-            (acts,) = bank.forward(t)
+            (acts,) = bank.forward(t, [cursor.next()])
             channel.send(Activations(t, client_id, acts))
             reply = channel.recv()
             if not isinstance(reply, ActGrads) or reply.round != t:

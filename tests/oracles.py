@@ -199,6 +199,11 @@ def weighted_mean(columns, weights):
     return out
 
 
+def param_count(layers):
+    """Number of scalars in a list of dense layers, weights plus biases."""
+    return sum(math.prod(layer.w.shape) + math.prod(layer.b.shape) for layer in layers)
+
+
 # ---- bit-exact per-client references ---------------------------------------
 #
 # The client-side layer functions for one client: 2-D numpy products on a

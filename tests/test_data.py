@@ -7,14 +7,29 @@ import pytest
 
 from gapsl.data import (
     Dataset,
+    Partition,
     dirichlet_partition,
-    heterogeneity,
     iid_partition,
     load_idx,
     load_idx_dataset,
     synth_gaussian_mixture,
 )
 from gapsl.errors import DataError, FormatError
+
+
+def label_distribution(labels: np.ndarray, num_classes: int) -> np.ndarray:
+    hist = np.bincount(labels, minlength=num_classes).astype(np.float64)
+    return hist / max(1, len(labels))
+
+
+def heterogeneity(dataset_labels: np.ndarray, partition: Partition, num_classes: int) -> float:
+    """Mean per-client total-variation distance from the global label distribution."""
+    global_dist = label_distribution(dataset_labels, num_classes)
+    tv = [
+        0.5 * np.abs(label_distribution(dataset_labels[ix], num_classes) - global_dist).sum()
+        for ix in partition.client_indices
+    ]
+    return float(np.mean(tv))
 
 
 def assert_valid_partition(partition, n):

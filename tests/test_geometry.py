@@ -18,7 +18,7 @@ from gapsl.geometry import (
     unflatten,
 )
 from gapsl.lgi import consistency_scores
-from gapsl.nn import ModelSpec, param_count, params_arrays, split_model
+from gapsl.nn import ModelSpec, params_arrays, split_model
 
 
 def edge_cohort(rng, dtype, size=6, dim=7):
@@ -51,7 +51,7 @@ class TestFlatten:
     def test_length_matches_parameter_count(self):
         model = split_model(ModelSpec((4, 8, 8, 3)), 2, seed=0)
         vec = flatten(params_arrays(model.client))
-        assert vec.size == param_count(model.client) == 112
+        assert vec.size == oracles.param_count(model.client) == 112
 
     def test_empty_list_rejected(self):
         with pytest.raises(ValueError):

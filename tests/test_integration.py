@@ -12,7 +12,7 @@ from gapsl.config import ExperimentConfig, config_to_text
 from gapsl.errors import ProtocolError
 from gapsl.geometry import flatten
 from gapsl.nn import grads_arrays, params_arrays
-from gapsl.orchestrator import ClientBank, TrainingEngine, run_experiment
+from gapsl.orchestrator import ClientBank, TrainingEngine, build_dataset, build_partition, run_experiment, shard_cursors
 from gapsl.transport import Activations, Bye, ConfigMsg, Hello, Listener, RemoteClientProxy, connect
 
 
@@ -144,9 +144,11 @@ class TestTransportFailures:
                 ch.send(Hello(cid))
                 msg = ch.recv(timeout=10)
                 assert isinstance(msg, ConfigMsg)
-                bank = ClientBank(cfg, 1, [cid])
+                train, test = build_dataset(cfg, 1)
+                (cursor,) = shard_cursors(cfg, 1, build_partition(cfg, 1, train.labels), [cid])
+                bank = ClientBank(cfg, 1, [cid], train, test)
                 for t in range(1, die_after + 1):
-                    ch.send(Activations(t, cid, bank.forward(t)[0]))
+                    ch.send(Activations(t, cid, bank.forward(t, [cursor.next()])[0]))
                     reply = ch.recv()
                     bank.apply_grads(t, [reply.matrix])
             except ProtocolError:
@@ -182,14 +184,14 @@ class TestTransportFailures:
         )
 
         class WideBank(ClientBank):
-            def forward(self, round_t, indices=None):
-                acts = super().forward(round_t, indices)
+            def forward(self, round_t, batches):
+                acts = super().forward(round_t, batches)
                 if round_t == 2:
                     acts[1] = np.hstack([acts[1], acts[1]])
                 return acts
 
         engine = TrainingEngine(cfg, 1)
-        engine.clients = WideBank(cfg, 1, range(cfg.clients))
+        engine.clients = WideBank(cfg, 1, range(cfg.clients), engine.train, engine.test)
         with pytest.raises(ProtocolError, match=r"round 2 client 1 \(forward\): expected activations of shape \(8, 6\)"):
             engine.run()
 
@@ -209,7 +211,7 @@ class TestTransportFailures:
                 yield acts[:1] if reply == "one_row" else np.hstack([acts, acts])
 
         engine = TrainingEngine(cfg, 1)
-        engine.clients = LyingBank(cfg, 1, range(cfg.clients))
+        engine.clients = LyingBank(cfg, 1, range(cfg.clients), engine.train, engine.test)
         rows = len(engine.test)
         got = r"\(1, 6\)" if reply == "one_row" else rf"\({rows}, 12\)"
         with pytest.raises(ProtocolError, match=rf"round 5 client 1 \(eval\): expected activations of shape "

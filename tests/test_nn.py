@@ -15,7 +15,6 @@ from gapsl.nn import (
     forward_server,
     grads_arrays,
     logits_from_activations,
-    param_count,
     params_arrays,
     sgd_state,
     sgd_step,
@@ -299,8 +298,8 @@ class TestSplitModel:
 
     def test_parameter_counts(self):
         model = split_model(ModelSpec((4, 8, 8, 3)), 2, seed=0)
-        assert param_count(model.client) == 4 * 8 + 8 + 8 * 8 + 8  # 112
-        assert param_count(model.server) == 8 * 3 + 3              # 27
+        assert oracles.param_count(model.client) == 4 * 8 + 8 + 8 * 8 + 8  # 112
+        assert oracles.param_count(model.server) == 8 * 3 + 3              # 27
 
     def test_cut_out_of_range_rejected(self):
         spec = ModelSpec((4, 8, 3))

@@ -58,10 +58,7 @@ def clone_cursor_state(engine, src_client, dst_client, seed):
     """Make dst client consume exactly src client's shard and batch order."""
     shared_indices = engine.partition.client_indices[src_client]
     engine.partition.client_indices[dst_client] = shared_indices
-    engine.label_cursors[dst_client] = ShardCursor(
-        shared_indices, substream(seed, STREAM_SHUFFLE, src_client), engine.cfg.batch_size
-    )
-    engine.clients.cursors[dst_client] = ShardCursor(
+    engine.cursors[dst_client] = ShardCursor(
         shared_indices, substream(seed, STREAM_SHUFFLE, src_client), engine.cfg.batch_size
     )
 
@@ -357,12 +354,11 @@ class TestRoundShape:
     def test_client_bank_and_tcp_cohort_define_the_protocol(self):
         # the Protocols are not checked at runtime: the bank and the TCP
         # cohort must answer every call the engine makes, with the same
-        # parameters, and so must the remote proxy the TCP cohort wraps
+        # parameters, and so must the remote proxy the TCP cohort wraps;
+        # SFL's FedAvg runs in process only, so only the bank ships models
         for protocol, classes, names in (
-            (ClientCohort, (ClientBank, ProxyCohort),
-             ["apply_grads", "eval_activations", "forward", "get_params", "set_params"]),
-            (ClientProxy, (RemoteClientProxy,),
-             ["apply_grads", "eval_activations", "forward_round", "get_params", "set_params"]),
+            (ClientCohort, (ClientBank, ProxyCohort), ["apply_grads", "eval_activations", "forward"]),
+            (ClientProxy, (RemoteClientProxy,), ["apply_grads", "eval_activations", "forward_round"]),
         ):
             methods = [n for n, v in vars(protocol).items() if callable(v) and not n.startswith("_")]
             assert sorted(methods) == names
@@ -370,9 +366,39 @@ class TestRoundShape:
                 for name in methods:
                     want = list(inspect.signature(getattr(protocol, name)).parameters)
                     assert list(inspect.signature(getattr(cls, name)).parameters) == want, (cls.__name__, name)
+        for name in ("get_params", "set_params"):
+            assert hasattr(ClientBank, name)
+            assert not hasattr(ProxyCohort, name) and not hasattr(RemoteClientProxy, name)
         tcp = TrainingEngine(small_config(clients=2), 1, {i: RemoteClientProxy(None, i) for i in range(2)})
         assert isinstance(TrainingEngine(small_config(), 1).clients, ClientBank)
         assert isinstance(tcp.clients, ProxyCohort)
+
+    @pytest.mark.parametrize("strategy", ["sfl", "vanilla_sl"])
+    def test_remote_clients_serve_only_parallel_strategies(self, strategy):
+        # sfl would ship client models and vanilla_sl relays one, neither of
+        # which the wire carries
+        proxies = {i: RemoteClientProxy(None, i) for i in range(2)}
+        with pytest.raises(ConfigError, match=f"supports only gapsl and psl, got {strategy}"):
+            TrainingEngine(small_config(strategy=strategy, clients=2), 1, proxies)
+
+    def test_each_round_draws_each_batch_once(self, monkeypatch):
+        # the coordinator owns the batch stream: one draw per training client
+        # per round, whether the round is parallel or vanilla_sl's relay
+        drawn = []
+        draw = ShardCursor.next
+
+        def counting(self):
+            drawn.append(self)
+            return draw(self)
+
+        monkeypatch.setattr(ShardCursor, "next", counting)
+        for strategy, per_round in (("psl", 4), ("gapsl", 4), ("sfl", 4), ("vanilla_sl", 1)):
+            engine = TrainingEngine(small_config(strategy=strategy, clients=4, sfl_interval=2), 1)
+            for t in range(1, 6):
+                drawn.clear()
+                engine.run_round(t)
+                assert len(drawn) == per_round, (strategy, t)
+                assert drawn == (engine.cursors if per_round > 1 else [engine.cursors[(t - 1) % 4]])
 
 
 class TestClientBank:
@@ -382,8 +408,9 @@ class TestClientBank:
         # always holds a full batch and a one-row batch (numpy's gemv case);
         # two client layers, so the one-row delta @ W.T reaches a gradient
         cfg = small_config(clients=4, cut=2, activation="tanh", momentum=0.9)
-        bank = ClientBank(cfg, 1, range(cfg.clients), dtype=dtype)
-        alone = [ClientBank(cfg, 1, [i], dtype=dtype) for i in range(cfg.clients)]
+        train, test = build_dataset(cfg, 1)
+        bank = ClientBank(cfg, 1, range(cfg.clients), train, test, dtype=dtype)
+        alone = [ClientBank(cfg, 1, [i], train, test, dtype=dtype) for i in range(cfg.clients)]
         params = bank.get_params()
         velocity = [[np.zeros_like(a) for a in p] for p in params]
         width = cfg.model_dims[cfg.cut]
@@ -414,17 +441,17 @@ class TestClientBank:
 
     def test_gradients_before_forward_and_wrong_shapes_are_protocol_errors(self):
         cfg = small_config(clients=2)
-        bank = ClientBank(cfg, 1, range(cfg.clients))
+        bank = ClientBank(cfg, 1, range(cfg.clients), *build_dataset(cfg, 1))
         with pytest.raises(ProtocolError, match="before any forward pass"):
             bank.apply_grads(1, [np.zeros((1, 16))] * 2)
-        acts = bank.forward(1)
+        acts = bank.forward(1, [np.arange(5), np.arange(5, 16)])
         bad = [np.zeros_like(acts[0]), np.zeros((len(acts[1]), 3), dtype=acts[1].dtype)]
         with pytest.raises(ProtocolError, match=r"client 1: activation grad shape"):
             bank.apply_grads(1, bad)
 
     def test_set_params_gives_every_client_the_model(self):
         cfg = small_config(clients=3)
-        bank = ClientBank(cfg, 1, range(cfg.clients))
+        bank = ClientBank(cfg, 1, range(cfg.clients), *build_dataset(cfg, 1))
         model = [np.full_like(a, k) for k, a in enumerate(bank.get_params()[0])]
         bank.set_params(model)
         assert all(all((a == b).all() for a, b in zip(p, model)) for p in bank.get_params())
