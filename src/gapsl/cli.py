@@ -20,7 +20,7 @@ import sys
 import time
 from pathlib import Path
 
-from .config import parse_config
+from .config import STRATEGIES, TRANSPORTS, parse_config
 from .errors import ConfigError, DataError, NumericError, ProtocolError
 from .orchestrator import TrainingEngine, run_experiment
 from .reporting import (
@@ -40,27 +40,26 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="gapsl", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
+    # every flag but --config and --out is a config key: its dest is the key
     run_p = sub.add_parser("run", help="run an experiment for every seed")
     run_p.add_argument("--config", help="key=value config file")
-    run_p.add_argument("--strategy", choices=("gapsl", "psl", "sfl", "vanilla_sl"))
+    run_p.add_argument("--strategy", choices=STRATEGIES)
     seed_group = run_p.add_mutually_exclusive_group()
-    seed_group.add_argument("--seed", type=int, help="single seed")
+    seed_group.add_argument("--seed", type=int, dest="seeds", metavar="SEED", help="single seed")
     seed_group.add_argument("--seeds", help="comma-separated seed list")
     run_p.add_argument("--rounds", type=int)
     run_p.add_argument("--clients", type=int)
     run_p.add_argument("--alpha", help="Dirichlet alpha, or 'iid'")
-    run_p.add_argument("--k-min", type=float, dest="k_min")
-    run_p.add_argument("--k-max", type=float, dest="k_max")
+    run_p.add_argument("--k-min", type=float)
+    run_p.add_argument("--k-max", type=float)
     run_p.add_argument("--eta", type=float)
-    run_p.add_argument("--lambda", type=float, dest="lam")
-    run_p.add_argument("--batch-size", type=int, dest="batch_size")
-    run_p.add_argument("--eval-interval", type=int, dest="eval_interval")
-    run_p.add_argument("--transport", choices=("inproc", "tcp"))
+    run_p.add_argument("--lambda", type=float)
+    run_p.add_argument("--batch-size", type=int)
+    run_p.add_argument("--eval-interval", type=int)
+    run_p.add_argument("--transport", choices=TRANSPORTS)
     run_p.add_argument("--listen", help="bind address host:port for tcp transport")
-    run_p.add_argument("--non-lgi", action="store_true")
-    run_p.add_argument("--rand-lgi", action="store_true")
-    run_p.add_argument("--non-gda", action="store_true")
-    run_p.add_argument("--rand-gda", action="store_true")
+    for flag in ("--non-lgi", "--rand-lgi", "--non-gda", "--rand-gda"):
+        run_p.add_argument(flag, action="store_true", default=None)
     run_p.add_argument("--out", default="runs", help="output directory (default: runs)")
 
     cmp_p = sub.add_parser("compare", help="tabulate finished runs against a shared target")
@@ -74,25 +73,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _collect_overrides(args: argparse.Namespace) -> dict[str, str]:
-    overrides: dict[str, str] = {}
-    simple = (
-        ("strategy", "strategy"), ("rounds", "rounds"), ("clients", "clients"),
-        ("alpha", "alpha"), ("k_min", "k_min"), ("k_max", "k_max"), ("eta", "eta"),
-        ("lam", "lambda"), ("batch_size", "batch_size"), ("eval_interval", "eval_interval"),
-        ("transport", "transport"), ("listen", "listen"),
-    )
-    for attr, key in simple:
-        value = getattr(args, attr, None)
-        if value is not None:
-            overrides[key] = str(value)
-    if args.seed is not None:
-        overrides["seeds"] = str(args.seed)
-    elif args.seeds is not None:
-        overrides["seeds"] = args.seeds
-    for flag in ("non_lgi", "rand_lgi", "non_gda", "rand_gda"):
-        if getattr(args, flag):
-            overrides[flag] = "true"
-    return overrides
+    """The config keys given as flags; an absent flag is None (a given 0 is kept)."""
+    return {
+        key: str(value)
+        for key, value in vars(args).items()
+        if key not in ("command", "config", "out") and value is not None
+    }
 
 
 def _cmd_run(args: argparse.Namespace) -> int:

@@ -9,12 +9,15 @@ every violation before failing so a bad config is reported in one shot.
 from __future__ import annotations
 
 import dataclasses
+import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import ConfigError
+from .nn import ACTIVATIONS
 
 STRATEGIES = ("gapsl", "psl", "sfl", "vanilla_sl")
+DATASETS = ("gaussian", "idx")
 TRANSPORTS = ("inproc", "tcp")
 TCP_STRATEGIES = ("gapsl", "psl")  # the wire carries no client models
 MAX_TCP_CLIENTS = 0xFFFF  # HELLO and the matrix headers carry the client id as u16
@@ -31,7 +34,7 @@ class ExperimentConfig:
     eval_interval: int = 5
 
     # data
-    dataset: str = "gaussian"            # gaussian | idx
+    dataset: str = "gaussian"
     alpha: float | None = 0.1            # None = IID partition
     samples_per_class: int = 400
     spread: float = 0.2
@@ -57,7 +60,7 @@ class ExperimentConfig:
     k_max: float = 80.0
     eta: float = 1.0
     lam: float = 5e-4
-    gda_mode: str = "gradient"           # gradient | loss_only
+    gda_mode: str = "gradient"
     theta_th_override: float | None = None
 
     # ablation flags (gapsl only)
@@ -89,15 +92,6 @@ def is_eval_round(cfg: ExperimentConfig, t: int) -> bool:
     return t % cfg.eval_interval == 0 or t == cfg.rounds
 
 
-# key -> (parser, formatter); keys not listed here are unknown
-def _parse_int(v: str) -> int:
-    return int(v)
-
-
-def _parse_float(v: str) -> float:
-    return float(v)
-
-
 def _parse_bool(v: str) -> bool:
     lv = v.strip().lower()
     if lv in ("true", "1", "yes", "on"):
@@ -115,59 +109,34 @@ def _parse_ints(v: str) -> tuple[int, ...]:
     return tuple(int(p) for p in v.replace(" ", "").split(",") if p)
 
 
-def _parse_str(v: str) -> str:
-    return v.strip()
+def _optional(parse):
+    def parse_optional(v: str):
+        v = v.strip()
+        return None if v.lower() in ("", "none") else parse(v)
+    return parse_optional
 
 
-def _parse_opt_str(v: str) -> str | None:
-    v = v.strip()
-    return None if (not v or v.lower() == "none") else v
-
-
-def _parse_opt_float(v: str) -> float | None:
-    v = v.strip()
-    return None if v.lower() in ("", "none") else float(v)
-
-
-_FIELD_PARSERS = {
-    "strategy": _parse_str,
-    "clients": _parse_int,
-    "rounds": _parse_int,
-    "batch_size": _parse_int,
-    "seeds": _parse_ints,
-    "eval_interval": _parse_int,
-    "dataset": _parse_str,
-    "alpha": _parse_alpha,
-    "samples_per_class": _parse_int,
-    "spread": _parse_float,
-    "train_images": _parse_opt_str,
-    "train_labels": _parse_opt_str,
-    "test_images": _parse_opt_str,
-    "test_labels": _parse_opt_str,
-    "model_dims": _parse_ints,
-    "cut": _parse_int,
-    "activation": _parse_str,
-    "lr_client": _parse_float,
-    "lr_server": _parse_float,
-    "momentum": _parse_float,
-    "k_min": _parse_float,
-    "k_max": _parse_float,
-    "eta": _parse_float,
-    "lambda": _parse_float,
-    "gda_mode": _parse_str,
-    "theta_th_override": _parse_opt_float,
-    "non_lgi": _parse_bool,
-    "rand_lgi": _parse_bool,
-    "non_gda": _parse_bool,
-    "rand_gda": _parse_bool,
-    "sfl_interval": _parse_int,
-    "transport": _parse_str,
-    "listen": _parse_opt_str,
+# one parser per field annotation (a string, under ``from __future__ import
+# annotations``); alpha alone also reads "iid"
+_TYPE_PARSERS = {
+    "str": str.strip,
+    "int": int,
+    "float": float,
+    "bool": _parse_bool,
+    "tuple[int, ...]": _parse_ints,
+    "str | None": _optional(str),
+    "float | None": _optional(float),
 }
 
-# config-file key <-> dataclass field (only where they differ)
-_KEY_TO_FIELD = {"lambda": "lam"}
-_FIELD_TO_KEY = {v: k for k, v in _KEY_TO_FIELD.items()}
+# dataclass field -> config-file key, where they differ
+_FIELD_TO_KEY = {"lam": "lambda"}
+
+# config-file key -> (field, parser); keys not listed here are unknown, and a
+# field whose annotation has no parser fails here, at import
+_KEYS = {
+    _FIELD_TO_KEY.get(f.name, f.name): (f.name, _parse_alpha if f.name == "alpha" else _TYPE_PARSERS[f.type])
+    for f in dataclasses.fields(ExperimentConfig)
+}
 
 
 def _format_value(value) -> str:
@@ -183,13 +152,9 @@ def _format_value(value) -> str:
 def config_to_text(cfg: ExperimentConfig) -> str:
     """Canonical key=value serialization (sorted keys); parses back losslessly."""
     lines = []
-    for f in sorted(dataclasses.fields(cfg), key=lambda f: _FIELD_TO_KEY.get(f.name, f.name)):
-        key = _FIELD_TO_KEY.get(f.name, f.name)
-        value = getattr(cfg, f.name)
-        if f.name == "alpha":
-            lines.append(f"alpha = {'iid' if value is None else value}")
-        else:
-            lines.append(f"{key} = {_format_value(value)}")
+    for key, (name, _) in sorted(_KEYS.items()):
+        value = getattr(cfg, name)
+        lines.append(f"{key} = {'iid' if name == 'alpha' and value is None else _format_value(value)}")
     return "\n".join(lines) + "\n"
 
 
@@ -202,12 +167,12 @@ def parse_config_text(
 
     def absorb(key: str, raw: str, where: str) -> None:
         key = key.strip()
-        parser = _FIELD_PARSERS.get(key)
-        if parser is None:
+        if key not in _KEYS:
             violations.append(f"{where}: unknown key {key!r}")
             return
+        name, parser = _KEYS[key]
         try:
-            values[_KEY_TO_FIELD.get(key, key)] = parser(raw)
+            values[name] = parser(raw)
         except ValueError as e:
             violations.append(f"{where}: bad value for {key!r}: {e}")
 
@@ -258,6 +223,10 @@ def parse_config(
 def validate(cfg: ExperimentConfig) -> list[str]:
     """Every rule violation in the config, empty when valid."""
     v: list[str] = []
+    for key, (name, _) in _KEYS.items():
+        value = getattr(cfg, name)
+        if isinstance(value, float) and not math.isfinite(value):
+            v.append(f"{key} must be finite, got {value}")
     if cfg.strategy not in STRATEGIES:
         v.append(f"strategy must be one of {STRATEGIES}, got {cfg.strategy!r}")
     if cfg.clients < 2:
@@ -270,11 +239,13 @@ def validate(cfg: ExperimentConfig) -> list[str]:
         v.append("seeds must not be empty")
     elif any(s < 0 for s in cfg.seeds):
         v.append(f"seeds must be non-negative, got {cfg.seeds}")
+    elif len(set(cfg.seeds)) < len(cfg.seeds):
+        v.append(f"seeds must not repeat, got {cfg.seeds}")
     if cfg.eval_interval < 1:
         v.append(f"eval_interval must be >= 1, got {cfg.eval_interval}")
 
-    if cfg.dataset not in ("gaussian", "idx"):
-        v.append(f"dataset must be gaussian or idx, got {cfg.dataset!r}")
+    if cfg.dataset not in DATASETS:
+        v.append(f"dataset must be {' or '.join(DATASETS)}, got {cfg.dataset!r}")
     if cfg.dataset == "idx":
         for key in ("train_images", "train_labels", "test_images", "test_labels"):
             if getattr(cfg, key) is None:
@@ -292,8 +263,8 @@ def validate(cfg: ExperimentConfig) -> list[str]:
         v.append(f"model_dims entries must be >= 1, got {cfg.model_dims}")
     elif not (1 <= cfg.cut <= len(cfg.model_dims) - 2):
         v.append(f"cut must be in [1, {len(cfg.model_dims) - 2}], got {cfg.cut}")
-    if cfg.activation not in ("relu", "tanh"):
-        v.append(f"activation must be relu or tanh, got {cfg.activation!r}")
+    if cfg.activation not in ACTIVATIONS:
+        v.append(f"activation must be {' or '.join(ACTIVATIONS)}, got {cfg.activation!r}")
 
     for key in ("lr_client", "lr_server"):
         if getattr(cfg, key) <= 0:

@@ -191,12 +191,19 @@ def select_consistent(
 
 
 def leader_gradient(cohort: list[GradientVector], selected: tuple[int, ...]) -> GradientVector:
-    """Unweighted mean of the selected gradients, reduced in ascending id order."""
+    """Unweighted mean of the selected gradients, reduced in ascending id order.
+
+    Raises :class:`CoordinationSkipped` when the selection is empty or its
+    gradients cancel: a degenerate leader has no direction to align to.
+    """
     if not selected:
         raise CoordinationSkipped("empty selection, no leader gradient")
     by_id = {g.client_id: g for g in cohort}
     stack = np.stack([by_id[cid].values for cid in sorted(selected)])
-    return GradientVector(client_id=-1, round=cohort[0].round, values=stack.mean(axis=0))
+    leader = GradientVector(client_id=-1, round=cohort[0].round, values=stack.mean(axis=0))
+    if leader.is_degenerate():
+        raise CoordinationSkipped("leader gradient is degenerate")
+    return leader
 
 
 def run_lgi(

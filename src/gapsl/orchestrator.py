@@ -152,7 +152,6 @@ class ClientBank:
         self.activation = cfg.activation
         n = len(self.client_ids)
         model = build_model(cfg, seed, dtype=dtype)
-        self.shapes = [a.shape for a in params_arrays(model.client)]  # one client's
         self.layers = [
             DenseLayer(np.repeat(l.w[None], n, axis=0), np.repeat(l.b[None, None], n, axis=0))
             for l in model.client
@@ -208,18 +207,15 @@ class ClientBank:
         for k in range(len(self.client_ids)):
             yield forward_client(self._models(k), self.test_inputs, self.activation)[0]
 
-    def get_params(self) -> list[list[np.ndarray]]:
-        """Each client's parameters in canonical order, as copies."""
-        stacks = params_arrays(self.layers)
-        return [[a[k].reshape(shape).copy() for a, shape in zip(stacks, self.shapes)]
-                for k in range(len(self.client_ids))]
-
-    def set_params(self, arrays: list[np.ndarray]) -> None:
-        """Give every client the one model ``arrays``."""
-        if [a.shape for a in arrays] != self.shapes:
-            raise ConfigError(f"parameter shapes {[a.shape for a in arrays]} do not match {self.shapes}")
-        for stack, a in zip(params_arrays(self.layers), arrays):
-            stack[...] = a
+    def average(self, weights: Sequence[float]) -> None:
+        """FedAvg: give every client the ``weights``-weighted mean of the
+        clients' models, summed in float64 in client order."""
+        w = np.asarray(weights, dtype=np.float64)
+        w = w / w.sum()
+        # Python's sum adds client after client; numpy's axis-0 sum would
+        # switch to pairwise order when a stack holds one value per client
+        for stack in params_arrays(self.layers):
+            stack[...] = sum(wk * s for wk, s in zip(w, stack.astype(np.float64))).astype(stack.dtype)
 
 
 def client_error(round_t: int, client_id: int, phase: str, problem) -> ProtocolError:
@@ -299,27 +295,6 @@ class RoundReport:
     @property
     def survivor_count(self) -> int | None:
         return None if self.survivor_ids is None else len(self.survivor_ids)
-
-
-def fedavg(param_sets: list[list[np.ndarray]], weights: list[float]) -> list[np.ndarray]:
-    """Convex combination of parameter lists with normalized weights."""
-    if not param_sets:
-        raise ConfigError("fedavg of zero models")
-    shapes = [tuple(a.shape) for a in param_sets[0]]
-    for ps in param_sets[1:]:
-        if [tuple(a.shape) for a in ps] != shapes:
-            raise ConfigError("fedavg models disagree on parameter shapes")
-    w = np.asarray(weights, dtype=np.float64)
-    if len(w) != len(param_sets) or (w < 0).any() or w.sum() == 0:
-        raise ConfigError(f"bad fedavg weights {weights}")
-    w = w / w.sum()
-    merged = []
-    for k in range(len(shapes)):
-        acc = np.zeros(shapes[k], dtype=np.float64)
-        for wi, ps in zip(w, param_sets):
-            acc += wi * ps[k].astype(np.float64)
-        merged.append(acc.astype(param_sets[0][k].dtype))
-    return merged
 
 
 class TrainingEngine:
@@ -471,8 +446,7 @@ class TrainingEngine:
         self.clients.apply_grads(t, act_grads)
 
         if cfg.strategy == "sfl" and t % cfg.sfl_interval == 0:  # in process only: a ClientBank
-            sizes = [float(len(self.partition.client_indices[i])) for i in ids]
-            self.clients.set_params(fedavg(self.clients.get_params(), sizes))
+            self.clients.average([len(self.partition.client_indices[i]) for i in ids])
 
         return RoundReport(
             round=t,

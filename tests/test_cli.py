@@ -1,12 +1,16 @@
 """Config parsing, the run driver, metrics files, and comparisons."""
 
+import argparse
+import dataclasses
 import json
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from gapsl.cli import main
+from gapsl.cli import _build_parser, _collect_overrides, main
 from gapsl.config import ExperimentConfig, config_to_text, parse_config, parse_config_text, validate
 from gapsl.errors import ConfigError, DataError
 from gapsl.reporting import CSV_COLUMNS, compare_table, read_metrics_csv
@@ -82,6 +86,77 @@ class TestParseConfig:
             parse_config_text("transport = tcp\nclients = 65536\n")
         assert validate(ExperimentConfig(transport="tcp", clients=65535)) == []
         assert validate(ExperimentConfig(transport="inproc", clients=65536)) == []
+
+
+def config_keys():
+    """Every config-file key, read from the canonical serialization."""
+    return [line.split(" = ")[0] for line in config_to_text(ExperimentConfig()).splitlines()]
+
+
+# one non-default value per field; "dataset" also needs its idx paths
+NON_DEFAULT = dict(
+    strategy="sfl", clients=3, rounds=7, batch_size=5, seeds=(4, 2), eval_interval=3,
+    dataset="idx", alpha=None, samples_per_class=9, spread=0.35,
+    train_images="a.idx", train_labels="b.idx", test_images="c.idx", test_labels="d.idx",
+    model_dims=(4, 8, 8, 3), cut=1, activation="relu",
+    lr_client=0.125, lr_server=1e-3, momentum=0.0,
+    k_min=12.5, k_max=100.0, eta=0.0, lam=2.5, gda_mode="loss_only", theta_th_override=0.75,
+    non_lgi=True, rand_lgi=True, non_gda=True, rand_gda=True,
+    sfl_interval=4, transport="tcp", listen="127.0.0.1:0",
+)
+IDX_PATHS = {k: NON_DEFAULT[k] for k in ("train_images", "train_labels", "test_images", "test_labels")}
+
+
+class TestConfigKeys:
+    @pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(ExperimentConfig)])
+    def test_every_field_round_trips_a_non_default_value(self, name):
+        assert set(NON_DEFAULT) == {f.name for f in dataclasses.fields(ExperimentConfig)}
+        assert NON_DEFAULT[name] != getattr(ExperimentConfig(), name)
+        cfg = ExperimentConfig(**{name: NON_DEFAULT[name], **(IDX_PATHS if name == "dataset" else {})})
+        assert parse_config_text(config_to_text(cfg)) == cfg
+
+    def test_every_run_flag_is_a_config_key(self):
+        (sub,) = [a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+        dests = {a.dest for a in sub.choices["run"]._actions if a.dest != "help"}
+        assert dests - {"config", "out", "seed"} <= set(config_keys())
+
+    def test_flags_become_overrides_and_absent_flags_none(self):
+        parse = _build_parser().parse_args
+        assert _collect_overrides(parse(["run"])) == {}
+        args = parse(["run", "--rounds", "0", "--lambda", "0.5", "--seed", "3", "--non-lgi", "--k-min", "0"])
+        assert _collect_overrides(args) == {
+            "rounds": "0", "lambda": "0.5", "seeds": "3", "non_lgi": "True", "k_min": "0.0",
+        }
+
+    def test_zero_flag_reaches_validation(self, tmp_path, capsys):
+        assert run_cli("run", "--rounds", "0", "--out", str(tmp_path / "x")) == 2
+        assert "rounds must be >= 1, got 0" in capsys.readouterr().err
+
+    def test_readme_lists_exactly_the_config_keys(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        listing = re.search(r"## Config keys\n\n`([^`]*)`", readme).group(1)
+        named = [name for item in listing.split(",") for name in item.split("(")[0].strip().split("/")]
+        assert sorted(named) == sorted(config_keys())
+
+
+class TestValidation:
+    @pytest.mark.parametrize("key, value", [
+        ("alpha", "nan"), ("lambda", "inf"), ("eta", "nan"), ("lr_server", "inf"),
+        ("spread", "nan"), ("theta_th_override", "nan"),
+    ])
+    def test_non_finite_float_rejected(self, key, value):
+        with pytest.raises(ConfigError, match=rf"{key} must be finite, got {value}"):
+            parse_config_text(f"{key} = {value}\n")
+
+    def test_non_finite_alpha_flag_exits_2(self, tmp_path, capsys):
+        assert run_cli("run", "--alpha", "nan", "--rounds", "2", "--out", str(tmp_path / "x")) == 2
+        assert "alpha must be finite" in capsys.readouterr().err
+
+    def test_repeated_seeds_rejected(self, tmp_path, capsys):
+        with pytest.raises(ConfigError, match=r"seeds must not repeat, got \(1, 1\)"):
+            parse_config_text("seeds = 1,1\n")
+        assert run_cli("run", "--seeds", "1,1", "--rounds", "2", "--out", str(tmp_path / "x")) == 2
+        assert "seeds must not repeat" in capsys.readouterr().err
 
 
 FAST = (

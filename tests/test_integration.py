@@ -47,16 +47,20 @@ class TestIdxExperiment:
         assert reports[-1].accuracy >= 0.9
 
 
-def record_server_grads(monkeypatch, clients, zeroed=()):
+def record_server_grads(monkeypatch, clients, zeroed=(), negated=()):
     """Record each client's flat server gradient as the engine computes it,
-    zeroing those of the ``zeroed`` clients (server passes run in client order)."""
-    rows = []
+    zeroing those of the ``zeroed`` clients and giving the ``negated`` ones the
+    exact negation of the previous client's (server passes run in client order)."""
+    rows, previous = [], []
     backward = orch.backward_server
 
     def recording(layers, cache):
         grads, act_grads = backward(layers, cache)
         if len(rows) % clients in zeroed:
             grads = [(np.zeros_like(dw), np.zeros_like(db)) for dw, db in grads]
+        if len(rows) % clients in negated:
+            grads = [(-dw, -db) for dw, db in previous[-1]]
+        previous.append(grads)
         rows.append(flatten(grads_arrays(grads)))
         return grads, act_grads
 
@@ -91,6 +95,22 @@ class TestCoordinationSkip:
         assert report.k_percent is None and report.selected_ids is None and report.survivor_ids is None
         assert not rows[0].any() and not rows[1].any() and rows[2].any()
         # first step from zero momentum: p <- p - lr * update
+        assert np.array_equal(after, before - cfg.lr_server * np.stack(rows).mean(axis=0))
+
+    @pytest.mark.parametrize("leader", [
+        dict(non_lgi=True),
+        dict(k_min=100.0, k_max=100.0),
+        dict(non_lgi=True, non_gda=True),
+    ], ids=["non_lgi", "k_100", "non_lgi_non_gda"])
+    def test_cancelling_cohort_skips_coordination(self, monkeypatch, leader):
+        # two usable gradients that sum to zero, with every client selected:
+        # the leader has no direction, so the round takes the plain-mean step
+        cfg = coordination_config(clients=2, **leader)
+        rows = record_server_grads(monkeypatch, cfg.clients, negated=(1,))
+        report, before, after = server_step(TrainingEngine(cfg, seed=1), 1)
+        assert rows[0].any() and np.array_equal(rows[1], -rows[0])
+        assert report.coordination_skipped is True and report.gda_fallback is False
+        assert report.k_percent is None and report.selected_ids is None and report.survivor_ids is None
         assert np.array_equal(after, before - cfg.lr_server * np.stack(rows).mean(axis=0))
 
     def test_empty_survivor_set_steps_by_the_leader(self, monkeypatch):

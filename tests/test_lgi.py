@@ -185,6 +185,12 @@ class TestLeaderGradient:
         with pytest.raises(CoordinationSkipped):
             leader_gradient(cohort_of([[1.0, 0.0]]), ())
 
+    def test_cancelling_selection_skips(self):
+        # a zero mean has no direction for the alignment stage to follow
+        cohort = cohort_of([[1.0, -2.0], [-1.0, 2.0], [0.0, 1.0]])
+        with pytest.raises(CoordinationSkipped, match="leader gradient is degenerate"):
+            leader_gradient(cohort, (0, 1))
+
 
 class TestRunLgi:
     def test_identical_two_client_cohort_temporal_schedule(self):

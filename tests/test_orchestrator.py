@@ -1,6 +1,7 @@
 """Training strategies: reduction, symmetry, ablations, determinism."""
 
 import inspect
+import itertools
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from gapsl.config import ExperimentConfig
 from gapsl.data import Partition
 from gapsl.errors import ConfigError, ProtocolError
 from gapsl.geometry import GradientVector, flatten
-from gapsl.nn import params_arrays
+from gapsl.nn import DenseLayer, params_arrays
 from gapsl.orchestrator import (
     STREAM_SHUFFLE,
     ClientBank,
@@ -21,7 +22,6 @@ from gapsl.orchestrator import (
     TrainingEngine,
     build_dataset,
     build_partition,
-    fedavg,
     run_experiment,
     substream,
 )
@@ -47,9 +47,14 @@ def small_config(**kw):
     return ExperimentConfig(**base)
 
 
+def client_params(bank):
+    """Each client's [w0, b0, w1, b1, ...] in model shapes, copied from the bank's stacks."""
+    return [[p.copy() for l in bank.layers for p in (l.w[k], l.b[k, 0])] for k in range(len(bank.client_ids))]
+
+
 def all_params(engine):
     arrays = list(params_arrays(engine.server))
-    for client in engine.clients.get_params():
+    for client in client_params(engine.clients):
         arrays.extend(client)
     return flatten(arrays)
 
@@ -219,55 +224,66 @@ class TestSfl:
         engine = TrainingEngine(cfg, seed)
         clone_cursor_state(engine, 0, 1, seed)
         engine.run_round(1)
-        p0, p1 = (flatten(p) for p in engine.clients.get_params())
+        p0, p1 = (flatten(p) for p in client_params(engine.clients))
         assert np.max(np.abs(p0 - p1)) <= 1e-9
 
     def test_aggregation_synchronizes_client_models(self):
         cfg = small_config(strategy="sfl", rounds=4, sfl_interval=2)
         engine = TrainingEngine(cfg, seed=1)
         engine.run_round(1)
-        params = [flatten(p) for p in engine.clients.get_params()]
+        params = [flatten(p) for p in client_params(engine.clients)]
         assert any(np.max(np.abs(params[0] - p)) > 1e-9 for p in params[1:])  # desynced
         engine.run_round(2)  # aggregation round
-        params = [flatten(p) for p in engine.clients.get_params()]
+        params = [flatten(p) for p in client_params(engine.clients)]
         assert all(np.max(np.abs(params[0] - p)) <= 1e-9 for p in params[1:])
+
+
+def bank_holding(*stacks):
+    """A bank whose client models are ``stacks``: [clients, in, out] weights
+    and [clients, 1, out] biases, layer by layer."""
+    cfg = small_config(clients=len(stacks[0]))
+    bank = ClientBank(cfg, 1, range(cfg.clients), *build_dataset(cfg, 1))
+    bank.layers = [DenseLayer(w, b) for w, b in zip(stacks[::2], stacks[1::2])]
+    return bank
 
 
 class TestFedavg:
     def test_one_model_is_identity(self):
-        arrays = [np.arange(6.0).reshape(2, 3), np.ones(3)]
-        merged = fedavg([arrays], [5.0])
-        assert all(np.array_equal(a, b) for a, b in zip(arrays, merged))
+        arrays = [np.arange(6.0).reshape(1, 2, 3), np.ones((1, 1, 3))]
+        bank = bank_holding(*(a.copy() for a in arrays))
+        bank.average([5.0])
+        assert all(np.array_equal(a, b) for a, b in zip(arrays, params_arrays(bank.layers)))
 
     def test_opposite_weights_cancel(self):
         w = np.random.default_rng(0).normal(size=(3, 2))
-        merged = fedavg([[w], [-w]], [1.0, 1.0])
-        assert np.max(np.abs(merged[0])) <= 1e-12
+        bank = bank_holding(np.stack([w, -w]), np.zeros((2, 1, 2)))
+        bank.average([1.0, 1.0])
+        assert np.max(np.abs(bank.layers[0].w)) <= 1e-12
 
     def test_equal_weights_give_arithmetic_mean(self):
         a, b = np.full((2, 2), 1.0), np.full((2, 2), 3.0)
-        merged = fedavg([[a], [b]], [7.0, 7.0])
-        assert np.allclose(merged[0], 2.0)
+        bank = bank_holding(np.stack([a, b]), np.stack([a[:1], b[:1]]))
+        bank.average([7.0, 7.0])
+        assert all(np.allclose(stack, 2.0) for stack in params_arrays(bank.layers))
 
     def test_matches_weighted_mean_oracle(self):
+        # the oracle sums in float64 in client order, as FedAvg does, so the
+        # two agree bit for bit. Cohorts reach past numpy's 8-value pairwise
+        # block, some stacks hold one value per client, and the weights are
+        # shard sizes, whose sum is exact in any order.
         rng = np.random.default_rng(1)
-        for _ in range(50):
-            n = int(rng.integers(2, 6))
-            dim = int(rng.integers(1, 8))
-            sets = [[rng.normal(size=dim)] for _ in range(n)]
-            weights = list(rng.uniform(0.1, 10.0, size=n))
-            merged = fedavg(sets, weights)
-            want = oracles.weighted_mean([list(s[0]) for s in sets], weights)
-            assert np.max(np.abs(merged[0] - np.array(want))) <= 1e-9
-
-    def test_bad_weights_rejected(self):
-        arrays = [[np.ones(2)], [np.ones(2)]]
-        with pytest.raises(ConfigError):
-            fedavg(arrays, [0.0, 0.0])
-        with pytest.raises(ConfigError):
-            fedavg(arrays, [1.0, -1.0])
-        with pytest.raises(ConfigError):
-            fedavg([[np.ones(2)], [np.ones(3)]], [1.0, 1.0])
+        for dtype, n, (fan_in, width) in itertools.product(
+            (np.float32, np.float64), (2, 5, 9, 19), ((1, 1), (3, 1), (2, 5), (7, 4))
+        ):
+            w = rng.normal(size=(n, fan_in, width)).astype(dtype)
+            b = rng.normal(size=(n, 1, width)).astype(dtype)
+            weights = [int(k) for k in rng.integers(1, 200, size=n)]
+            want = oracles.weighted_mean([np.concatenate([w[k].ravel(), b[k].ravel()]).tolist() for k in range(n)], weights)
+            bank = bank_holding(w, b)
+            bank.average(weights)
+            for k in range(n):  # every client now holds the mean
+                got = np.concatenate([bank.layers[0].w[k].ravel(), bank.layers[0].b[k].ravel()])
+                assert got.dtype == dtype and (got == np.array(want, dtype=dtype)).all(), (dtype, n, fan_in, width)
 
 
 class TestVanilla:
@@ -355,7 +371,7 @@ class TestRoundShape:
         # the Protocols are not checked at runtime: the bank and the TCP
         # cohort must answer every call the engine makes, with the same
         # parameters, and so must the remote proxy the TCP cohort wraps;
-        # SFL's FedAvg runs in process only, so only the bank ships models
+        # SFL's FedAvg runs in process only, so only the bank averages models
         for protocol, classes, names in (
             (ClientCohort, (ClientBank, ProxyCohort), ["apply_grads", "eval_activations", "forward"]),
             (ClientProxy, (RemoteClientProxy,), ["apply_grads", "eval_activations", "forward_round"]),
@@ -366,9 +382,8 @@ class TestRoundShape:
                 for name in methods:
                     want = list(inspect.signature(getattr(protocol, name)).parameters)
                     assert list(inspect.signature(getattr(cls, name)).parameters) == want, (cls.__name__, name)
-        for name in ("get_params", "set_params"):
-            assert hasattr(ClientBank, name)
-            assert not hasattr(ProxyCohort, name) and not hasattr(RemoteClientProxy, name)
+        assert hasattr(ClientBank, "average")
+        assert not hasattr(ProxyCohort, "average") and not hasattr(RemoteClientProxy, "average")
         tcp = TrainingEngine(small_config(clients=2), 1, {i: RemoteClientProxy(None, i) for i in range(2)})
         assert isinstance(TrainingEngine(small_config(), 1).clients, ClientBank)
         assert isinstance(tcp.clients, ProxyCohort)
@@ -411,7 +426,7 @@ class TestClientBank:
         train, test = build_dataset(cfg, 1)
         bank = ClientBank(cfg, 1, range(cfg.clients), train, test, dtype=dtype)
         alone = [ClientBank(cfg, 1, [i], train, test, dtype=dtype) for i in range(cfg.clients)]
-        params = bank.get_params()
+        params = client_params(bank)
         velocity = [[np.zeros_like(a) for a in p] for p in params]
         width = cfg.model_dims[cfg.cut]
         rng = np.random.default_rng(0)
@@ -430,10 +445,10 @@ class TestClientBank:
                 step = oracles.client_backward(params[i], caches, grads[i], cfg.activation)
                 oracles.sgd_step(params[i], step, velocity[i], cfg.lr_client, cfg.momentum)
 
-            got = bank.get_params()
+            got = client_params(bank)
             stacked_velocity = [v for pair in bank.opt.velocity for v in pair]
             for i in range(cfg.clients):
-                (own,) = alone[i].get_params()
+                (own,) = client_params(alone[i])
                 moments = [v[i].reshape(r.shape) for v, r in zip(stacked_velocity, params[i])]
                 for name, mine in (("bank", got[i]), ("bank of one", own), ("momentum", moments)):
                     want = velocity[i] if name == "momentum" else params[i]
@@ -448,12 +463,3 @@ class TestClientBank:
         bad = [np.zeros_like(acts[0]), np.zeros((len(acts[1]), 3), dtype=acts[1].dtype)]
         with pytest.raises(ProtocolError, match=r"client 1: activation grad shape"):
             bank.apply_grads(1, bad)
-
-    def test_set_params_gives_every_client_the_model(self):
-        cfg = small_config(clients=3)
-        bank = ClientBank(cfg, 1, range(cfg.clients), *build_dataset(cfg, 1))
-        model = [np.full_like(a, k) for k, a in enumerate(bank.get_params()[0])]
-        bank.set_params(model)
-        assert all(all((a == b).all() for a, b in zip(p, model)) for p in bank.get_params())
-        with pytest.raises(ConfigError):
-            bank.set_params(model[:-1])
