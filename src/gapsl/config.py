@@ -11,6 +11,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import os
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .errors import ConfigError
@@ -197,11 +198,7 @@ def parse_config_text(
 
     # build from whatever parsed cleanly so semantic violations surface
     # alongside parse-level ones in a single report
-    cfg = ExperimentConfig(**values)
-    violations.extend(validate(cfg))
-    if violations:
-        raise ConfigError("invalid configuration:\n  " + "\n  ".join(violations))
-    return cfg
+    return require_valid(ExperimentConfig(**values), violations)
 
 
 def parse_config(
@@ -220,6 +217,15 @@ def parse_config(
     return parse_config_text(text, overrides, source)
 
 
+def require_valid(cfg: ExperimentConfig, violations: Sequence[str] = ()) -> ExperimentConfig:
+    """``cfg`` when it breaks no rule; otherwise a :class:`ConfigError` that
+    lists ``violations`` (found while parsing) and every rule it breaks."""
+    violations = [*violations, *validate(cfg)]
+    if violations:
+        raise ConfigError("invalid configuration:\n  " + "\n  ".join(violations))
+    return cfg
+
+
 def validate(cfg: ExperimentConfig) -> list[str]:
     """Every rule violation in the config, empty when valid."""
     v: list[str] = []
@@ -229,8 +235,9 @@ def validate(cfg: ExperimentConfig) -> list[str]:
             v.append(f"{key} must be finite, got {value}")
     if cfg.strategy not in STRATEGIES:
         v.append(f"strategy must be one of {STRATEGIES}, got {cfg.strategy!r}")
-    if cfg.clients < 2:
-        v.append(f"clients must be >= 2, got {cfg.clients}")
+    # one client is centralized split training; gapsl needs two to compare
+    if cfg.clients < (2 if cfg.strategy == "gapsl" else 1):
+        v.append(f"clients must be >= 2 for gapsl and >= 1 otherwise, got {cfg.clients}")
     if cfg.rounds < 1:
         v.append(f"rounds must be >= 1, got {cfg.rounds}")
     if cfg.batch_size < 1:

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, CoordinationSkipped
-from .geometry import EPS_NORM, GradientVector, angular_deviation, mean_std
+from .geometry import EPS_NORM, Cohort, GradientVector, angular_deviation, mean_std, prepared
 
 log = logging.getLogger(__name__)
 
@@ -62,15 +62,25 @@ class GdaOutcome:
 
 
 def deviations_to_leader(
-    cohort: list[GradientVector], leader: GradientVector
+    cohort: Cohort | list[GradientVector], leader: GradientVector
 ) -> dict[int, float]:
-    """Angle of each usable client gradient against the leader."""
+    """Angle of each usable client gradient against the leader.
+
+    One product over the usable rows with the leader appended gives every
+    <g, leader> and <leader, leader>; each row's squared norm comes from
+    the cohort's Gram.
+    """
     if leader.is_degenerate():
         raise CoordinationSkipped("leader gradient is degenerate")
+    cohort = prepared(cohort)
+    lead = leader.v64
+    # two leader columns: numpy hands a one-column product to gemv, which
+    # sums in another order than the gemm behind the Gram
+    rows = np.vstack([cohort.stack, lead])
+    *dots, ll = (rows @ np.stack([lead, lead], axis=1))[:, 0].tolist()
     return {
-        g.client_id: angular_deviation(g.v64, leader.v64, g.sq, leader.sq)
-        for g in cohort
-        if not g.is_degenerate()
+        g.client_id: angular_deviation(g.v64, lead, aa, ll, ab)
+        for g, aa, ab in zip(cohort.usable, cohort.diag, dots)
     }
 
 
@@ -125,7 +135,7 @@ def global_loss(regularized: dict[int, float], survivors: tuple[int, ...]) -> fl
 
 
 def run_gda(
-    cohort: list[GradientVector],
+    cohort: Cohort | list[GradientVector],
     losses: dict[int, float],
     leader: GradientVector,
     config: GdaConfig,
@@ -142,6 +152,7 @@ def run_gda(
     leader iff atan(lambda * sin(theta) / ||g||) < 2 * theta. On a short g
     with a large lambda it can lower it.
     """
+    cohort = prepared(cohort)
     deviations = deviations_to_leader(cohort, leader)
     if config.threshold_override is not None:
         threshold = config.threshold_override
@@ -158,7 +169,7 @@ def run_gda(
     elif survivor_mode != "threshold":
         raise ConfigError(f"unknown survivor mode {survivor_mode!r}")
 
-    by_id = {g.client_id: g for g in cohort}
+    by_id = cohort.by_id
     regularized: dict[int, float] = {}
     corrected: dict[int, np.ndarray] = {}
     for cid in survivors:

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, CoordinationSkipped
-from .geometry import EPS_NORM, GradientVector, angular_deviation, mean_std
+from .geometry import EPS_NORM, Cohort, GradientVector, angular_deviation, mean_std, prepared
 
 
 @dataclass(frozen=True)
@@ -71,27 +71,29 @@ class LgiOutcome:
     leader: GradientVector
 
 
-def consistency_scores(cohort: list[GradientVector], round_t: int = 0) -> ScoreSet:
+def consistency_scores(cohort: Cohort | list[GradientVector], round_t: int = 0) -> ScoreSet:
     """Score each client by its mean angular deviation from every other client.
 
-    Near-zero gradients are excluded from scoring entirely. Raises
+    Near-zero gradients are excluded from scoring entirely. Every angle
+    reads its dot products from the cohort's Gram. Raises
     :class:`CoordinationSkipped` when fewer than two usable gradients remain.
     """
-    usable = [g for g in cohort if not g.is_degenerate()]
-    excluded = tuple(g.client_id for g in cohort if g.is_degenerate())
-    if len(usable) < 2:
+    cohort = prepared(cohort)
+    if len(cohort.usable) < 2:
         raise CoordinationSkipped(
-            f"only {len(usable)} usable gradients in a cohort of {len(cohort)}"
+            f"only {len(cohort.usable)} usable gradients in a cohort of {len(cohort.vectors)}"
         )
-    rows = [(g.client_id, g.v64, g.sq) for g in usable]
+    rows, gram, diag = [g.v64 for g in cohort.usable], cohort.gram, cohort.diag
+    n = len(rows)
     scores: dict[int, float] = {}
-    for cid, a, aa in rows:
+    for i, g in enumerate(cohort.usable):
+        a, aa, row = rows[i], diag[i], gram[i].tolist()
         total = 0.0
-        for other, b, bb in rows:
-            if other != cid:
-                total += angular_deviation(a, b, aa, bb)
-        scores[cid] = total / (len(rows) - 1)
-    return ScoreSet(round=round_t, scores=scores, excluded=excluded)
+        for j in range(n):
+            if j != i:
+                total += angular_deviation(a, rows[j], aa, diag[j], row[j])
+        scores[g.client_id] = total / (n - 1)
+    return ScoreSet(round=round_t, scores=scores, excluded=cohort.excluded)
 
 
 def selection_ratio(state: LgiState, config: LgiConfig, scores: ScoreSet) -> float:
@@ -133,7 +135,7 @@ def select_top(scores: ScoreSet, k_percent: float, cohort_size: int) -> tuple[in
 
 
 def select_consistent(
-    cohort: list[GradientVector], scores: ScoreSet, k_percent: float, cohort_size: int
+    cohort: Cohort | list[GradientVector], scores: ScoreSet, k_percent: float, cohort_size: int
 ) -> tuple[int, ...]:
     """The ceil(k% * cohort) clients whose gradients form the leader.
 
@@ -148,14 +150,15 @@ def select_consistent(
     gradients cancel has no direction and ranks below every other.
 
     When the trend itself is degenerate there is nothing to follow, and
-    the selection falls back to :func:`select_top`.
+    the selection falls back to :func:`select_top`. ``scores`` must score
+    the cohort's usable clients.
     """
-    ids = sorted(scores.scores)
+    cohort = prepared(cohort)
+    ids = [g.client_id for g in cohort.usable]  # ascending
     count = min(selection_count(k_percent, cohort_size), len(ids))
     if count == len(ids):
         return tuple(ids)
-    by_id = {g.client_id: g for g in cohort}
-    stack = np.stack([by_id[cid].v64 for cid in ids])
+    stack, gram, diag = cohort.stack, cohort.gram, cohort.diag
     trend = stack.sum(axis=0)
     trend_norm = float(np.linalg.norm(trend))
     if trend_norm <= EPS_NORM:
@@ -163,7 +166,6 @@ def select_consistent(
 
     # one drop per step over arrays this short: Python floats are cheaper
     # than a dozen numpy calls per step
-    gram = (stack @ stack.T).tolist()
     toward_trend = (stack @ trend).tolist()    # <g_i, trend>
     to_kept = list(toward_trend)               # <g_i, sum of kept>
     along = kept_sq = trend_norm * trend_norm  # <sum of kept, trend>, ||sum of kept||^2
@@ -177,7 +179,7 @@ def select_consistent(
         for j in kept:
             if (kept_score - score[j]) / (len(kept) - 1) > cohort_mean and score[j] != worst:
                 continue
-            rest_sq = kept_sq - 2.0 * to_kept[j] + gram[j][j]
+            rest_sq = kept_sq - 2.0 * to_kept[j] + diag[j]
             cos = -2.0
             if rest_sq > EPS_NORM * EPS_NORM:
                 cos = (along - toward_trend[j]) / (math.sqrt(rest_sq) * trend_norm)
@@ -185,12 +187,12 @@ def select_consistent(
                 drop, drop_cos = j, cos
         kept.remove(drop)
         along -= toward_trend[drop]
-        kept_sq += gram[drop][drop] - 2.0 * to_kept[drop]
-        to_kept = [a - b for a, b in zip(to_kept, gram[drop])]
+        kept_sq += diag[drop] - 2.0 * to_kept[drop]
+        to_kept = [a - b for a, b in zip(to_kept, gram[drop].tolist())]
     return tuple(ids[i] for i in kept)
 
 
-def leader_gradient(cohort: list[GradientVector], selected: tuple[int, ...]) -> GradientVector:
+def leader_gradient(cohort: Cohort | list[GradientVector], selected: tuple[int, ...]) -> GradientVector:
     """Unweighted mean of the selected gradients, reduced in ascending id order.
 
     Raises :class:`CoordinationSkipped` when the selection is empty or its
@@ -198,16 +200,16 @@ def leader_gradient(cohort: list[GradientVector], selected: tuple[int, ...]) -> 
     """
     if not selected:
         raise CoordinationSkipped("empty selection, no leader gradient")
-    by_id = {g.client_id: g for g in cohort}
-    stack = np.stack([by_id[cid].values for cid in sorted(selected)])
-    leader = GradientVector(client_id=-1, round=cohort[0].round, values=stack.mean(axis=0))
+    cohort = prepared(cohort)
+    stack = np.stack([cohort.by_id[cid].values for cid in sorted(selected)])
+    leader = GradientVector(client_id=-1, round=cohort.vectors[0].round, values=stack.mean(axis=0))
     if leader.is_degenerate():
         raise CoordinationSkipped("leader gradient is degenerate")
     return leader
 
 
 def run_lgi(
-    cohort: list[GradientVector],
+    cohort: Cohort | list[GradientVector],
     state: LgiState,
     config: LgiConfig,
     round_t: int,
@@ -220,11 +222,10 @@ def run_lgi(
     normal selection of :func:`select_consistent`, "all" keeps every usable
     client (no ratio adaptation), "random" keeps the adaptive count but
     draws the members uniformly from ``rng``. The latter two exist for
-    ablations.
+    ablations. Raises :class:`ConfigError` when the gradients disagree on
+    length.
     """
-    lengths = {g.values.shape for g in cohort}
-    if len(lengths) > 1:
-        raise ConfigError(f"cohort gradients disagree on length: {sorted(lengths)}")
+    cohort = prepared(cohort)
     scores = consistency_scores(cohort, round_t)
 
     if mode == "all":
@@ -234,11 +235,11 @@ def run_lgi(
         state.round = round_t
         k_percent = selection_ratio(state, config, scores)
         if mode == "consistent":
-            selected = select_consistent(cohort, scores, k_percent, len(cohort))
+            selected = select_consistent(cohort, scores, k_percent, len(cohort.vectors))
         elif mode == "random":
             if rng is None:
                 raise ConfigError("random selection mode needs an rng")
-            count = min(selection_count(k_percent, len(cohort)), len(scores.scores))
+            count = min(selection_count(k_percent, len(cohort.vectors)), len(scores.scores))
             pool = sorted(scores.scores)
             picked = rng.choice(len(pool), size=count, replace=False)
             selected = tuple(sorted(pool[i] for i in picked))

@@ -31,10 +31,10 @@ import numpy as np
 
 from . import gda as gda_mod
 from . import lgi as lgi_mod
-from .config import TCP_STRATEGIES, ExperimentConfig, is_eval_round
+from .config import TCP_STRATEGIES, ExperimentConfig, is_eval_round, require_valid
 from .data import Dataset, Partition, dirichlet_partition, iid_partition, load_idx_dataset, synth_gaussian_mixture
 from .errors import ConfigError, CoordinationSkipped, ProtocolError
-from .geometry import GradientVector, flatten, pairwise_mean_deviation, unflatten
+from .geometry import Cohort, GradientVector, flatten, pairwise_mean_deviation, unflatten
 from .nn import (
     DenseLayer,
     ModelSpec,
@@ -270,11 +270,18 @@ class ProxyCohort:
 
 @dataclass
 class RoundReport:
-    """Everything the metrics sink records about one training round."""
+    """Everything the metrics sink records about one training round.
+
+    ``client_losses`` holds the clients' training losses in float64, in
+    ``client_ids`` order; :attr:`train_losses` maps id to loss on access.
+    A run keeps every report, and at 100 clients a stored dict of 100
+    Python floats would be most of a report's memory.
+    """
 
     round: int
     epoch_equiv: float
-    train_losses: dict[int, float]
+    client_ids: tuple[int, ...]
+    client_losses: np.ndarray
     train_loss: float
     accuracy: float | None = None
     pairwise_deviation: float | None = None
@@ -289,6 +296,10 @@ class RoundReport:
     gda_fallback: bool = False
 
     @property
+    def train_losses(self) -> dict[int, float]:
+        return dict(zip(self.client_ids, self.client_losses.tolist()))
+
+    @property
     def selected_count(self) -> int | None:
         return None if self.selected_ids is None else len(self.selected_ids)
 
@@ -300,6 +311,7 @@ class RoundReport:
 class TrainingEngine:
     """Runs one (config, seed) experiment over its client cohort.
 
+    Raises :class:`ConfigError` listing every rule ``cfg`` breaks.
     ``proxies`` are the remote clients of a TCP run, which serves gapsl and
     psl only; without them the clients are one in-process :class:`ClientBank`.
     """
@@ -312,6 +324,7 @@ class TrainingEngine:
         dtype=np.float32,
         data: tuple[Dataset, Dataset, Partition] | None = None,
     ):
+        require_valid(cfg)
         if proxies is not None and cfg.strategy not in TCP_STRATEGIES:
             raise ConfigError(f"tcp transport supports only gapsl and psl, got {cfg.strategy}")
         self.cfg = cfg
@@ -364,9 +377,7 @@ class TrainingEngine:
         if acts.shape != (rows, self.fan_in):
             raise client_error(t, i, phase, f"expected activations of shape {(rows, self.fan_in)}, got {acts.shape}")
 
-    def _coordinate(
-        self, cohort: list[GradientVector], g: np.ndarray, losses: dict[int, float], round_t: int
-    ):
+    def _coordinate(self, cohort: Cohort, g: np.ndarray, losses: dict[int, float], round_t: int):
         """GAPSL coordination of the round's ``g[clients, params]`` (``cohort``
         holds its rows); returns (update_vec, the report fields it sets)."""
         cfg = self.cfg
@@ -428,11 +439,12 @@ class TrainingEngine:
             self._check_acts(t, i, "forward", a, len(idx))
             self.samples_consumed += len(idx)
 
-        # the round's cohort is one g[clients, params] matrix, prepared once
+        # the round's cohort is one g[clients, params] matrix, prepared once:
+        # its Gram serves the pairwise stat, LGI and GDA
         labels = [self.train.labels[idx] for idx in batches]
         losses, rows, act_grads = zip(*map(self._server_pass, acts, labels))
         g = np.stack(rows)
-        cohort = [GradientVector(i, t, row) for i, row in zip(ids, g)]
+        cohort = Cohort(GradientVector(i, t, row) for i, row in zip(ids, g))
         train_losses = dict(zip(ids, losses))
 
         pairwise = pairwise_mean_deviation(cohort)
@@ -451,7 +463,8 @@ class TrainingEngine:
         return RoundReport(
             round=t,
             epoch_equiv=self.samples_consumed / len(self.train),
-            train_losses=train_losses,
+            client_ids=tuple(ids),
+            client_losses=np.array(losses),
             train_loss=float(np.mean(losses)),
             pairwise_deviation=pairwise,
             **fields,
@@ -470,6 +483,4 @@ class TrainingEngine:
 
 def run_experiment(cfg: ExperimentConfig, seed: int, dtype=np.float32) -> list[RoundReport]:
     """Run one seed fully in process and return its round reports."""
-    if cfg.rounds < 1:
-        raise ConfigError(f"rounds must be >= 1, got {cfg.rounds}")
     return TrainingEngine(cfg, seed, dtype=dtype).run()

@@ -17,12 +17,15 @@ import numpy as np
 
 # ---- basic vector ops ------------------------------------------------------
 
+# float() on every element: a numpy float32 element would otherwise keep
+# the arithmetic in float32
+
 def dot(a, b):
-    return sum(x * y for x, y in zip(a, b))
+    return sum(float(x) * float(y) for x, y in zip(a, b))
 
 
 def norm(a):
-    return math.sqrt(sum(x * x for x in a))
+    return math.sqrt(sum(float(x) * float(x) for x in a))
 
 
 def angle(a, b):
@@ -189,13 +192,14 @@ def softmax_ce(logits_row, label):
 
 
 def weighted_mean(columns, weights):
-    """Weighted mean of equally long value lists."""
+    """Weighted mean of equally long value lists, in float64."""
+    weights = [float(w) for w in weights]
     total_w = sum(weights)
     dim = len(columns[0])
     out = [0.0] * dim
     for w, col in zip(weights, columns):
         for d in range(dim):
-            out[d] += (w / total_w) * col[d]
+            out[d] += (w / total_w) * float(col[d])
     return out
 
 

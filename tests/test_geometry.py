@@ -10,6 +10,7 @@ from gapsl.errors import DegenerateGradientError
 from gapsl.gda import deviations_to_leader
 from gapsl.geometry import (
     EPS_NORM,
+    Cohort,
     GradientVector,
     angular_deviation,
     flatten,
@@ -123,7 +124,10 @@ class TestPairwiseMeanDeviation:
 
 
 class TestPreparedCohort:
-    """The per-round cast-and-square must not move a single bit of any angle."""
+    """At width 7, and a handful of rows, the Gram's gemm sums each dot
+    product in the order a per-pair dot product does, so the cohort's
+    angles equal plain per-pair loops bit for bit. Wider rows part ways by
+    ulps (:class:`TestGramPath`)."""
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_equals_plain_angle_loops_on_raw_arrays(self, dtype):
@@ -156,6 +160,72 @@ class TestPreparedCohort:
             assert deviations_to_leader(cohort, leader) == {
                 i: angular_deviation(v, lead) for i, v in usable
             }
+
+
+def oracle_angles(rows):
+    """Every pairwise angle of ``rows`` by the plain-Python oracle."""
+    n = len(rows)
+    angles = [[0.0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            angles[i][j] = angles[j][i] = oracles.angle(rows[i], rows[j])
+    return angles
+
+
+class TestGramPath:
+    """Angles read from the cohort's one Gram, at cohort100 shape."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_matches_oracles_within_1e_13(self, dtype):
+        rng = np.random.default_rng(11)
+        vs = rng.normal(size=(100, 264)).astype(dtype)
+        lead = rng.normal(size=264).astype(dtype)
+        cohort = Cohort(GradientVector(i, 1, v) for i, v in enumerate(vs))
+        rows = vs.tolist()
+        angles = oracle_angles(rows)
+        n = len(rows)
+
+        assert abs(pairwise_mean_deviation(cohort) - oracles.pairwise_mean_angle(rows)) <= 1e-13
+        scores = consistency_scores(cohort).scores
+        for i in range(n):
+            assert abs(scores[i] - sum(angles[i][j] for j in range(n) if j != i) / (n - 1)) <= 1e-13
+        devs = deviations_to_leader(cohort, GradientVector(-1, 1, lead))
+        for i in range(n):
+            assert abs(devs[i] - oracles.angle(rows[i], lead.tolist())) <= 1e-13
+
+    @pytest.mark.parametrize("power", [-2, 0, 1, 3])
+    def test_power_of_two_multiple_at_first_and_last_row(self, power):
+        # small-integer rows: every dot product is exact in any summation
+        # order, so the Gram's cosine lands on exactly 1.0
+        rng = np.random.default_rng(12)
+        vs = rng.integers(-8, 9, size=(100, 264)).astype(np.float64)
+        vs[-1] = vs[0] * 2.0**power
+        cohort = Cohort(GradientVector(i, 1, v) for i, v in enumerate(vs))
+        first, last = cohort.stack[0], cohort.stack[-1]
+        assert angular_deviation(first, last, cohort.diag[0], cohort.diag[-1], cohort.gram[0, -1]) == 0.0
+        devs = deviations_to_leader(cohort, GradientVector(-1, 1, vs[0] * 2.0**-power))
+        assert devs[0] == devs[99] == 0.0
+
+        # random rows: BLAS tiles the product, so the cross entry can round
+        # an ulp off the diagonal ones, which acos magnifies to ~1e-8 rad
+        vs = rng.normal(size=(100, 264))
+        vs[-1] = vs[0] * 2.0**power
+        cohort = Cohort(GradientVector(i, 1, v) for i, v in enumerate(vs))
+        first, last = cohort.stack[0], cohort.stack[-1]
+        assert angular_deviation(first, last, cohort.diag[0], cohort.diag[-1], cohort.gram[0, -1]) <= 1e-7
+        assert angular_deviation(first, last) == 0.0  # one dot kernel: one order
+
+
+class TestOracles:
+    def test_float32_elements_compute_in_float64(self):
+        rng = np.random.default_rng(14)
+        a, b = rng.normal(size=(2, 300)).astype(np.float32)
+        weights = rng.uniform(1, 9, size=2).astype(np.float32)
+        assert oracles.dot(a, b) == oracles.dot(a.tolist(), b.tolist())
+        assert oracles.norm(a) == oracles.norm(a.tolist())
+        assert oracles.weighted_mean([a, b], weights) == oracles.weighted_mean(
+            [a.tolist(), b.tolist()], weights.tolist()
+        )
 
 
 class TestMeanStd:

@@ -7,10 +7,11 @@ import numpy as np
 import pytest
 
 import oracles
+import gapsl.orchestrator as orchestrator
 from gapsl.config import ExperimentConfig
 from gapsl.data import Partition
 from gapsl.errors import ConfigError, ProtocolError
-from gapsl.geometry import GradientVector, flatten
+from gapsl.geometry import Cohort, GradientVector, flatten
 from gapsl.nn import DenseLayer, params_arrays
 from gapsl.orchestrator import (
     STREAM_SHUFFLE,
@@ -335,6 +336,17 @@ class TestRoundAccounting:
             assert 0.0 <= r.accuracy <= 1.0
 
 
+class TestValidation:
+    def test_engine_rejects_an_invalid_config_before_drawing_data(self, monkeypatch):
+        drawn = []
+        monkeypatch.setattr(orchestrator, "build_dataset", lambda *a: drawn.append(a))
+        with pytest.raises(ConfigError, match="alpha must be finite, got nan"):
+            run_experiment(ExperimentConfig(alpha=float("nan"), rounds=2), 1)
+        with pytest.raises(ConfigError, match="rounds must be >= 1, got 0"):
+            run_experiment(ExperimentConfig(rounds=0), 1)
+        assert drawn == []
+
+
 class TestShardCursor:
     def test_partial_final_batch_then_reshuffle(self):
         cursor = ShardCursor(np.arange(10), np.random.default_rng(0), batch_size=4)
@@ -366,6 +378,25 @@ class TestRoundShape:
             report = engine.run_round(t)
             assert not report.coordination_skipped
             assert sorted(made) == [-1, 0, 1, 2, 3, 4]
+
+    def test_gapsl_round_builds_one_gram(self, monkeypatch):
+        # the pairwise stat, LGI scores, LGI selection and GDA's leader
+        # angles all read the cohort built in the round
+        grams = []
+        prepare = Cohort.__init__
+
+        def counting(self, vectors):
+            prepare(self, vectors)
+            grams.append(len(self.gram))
+
+        monkeypatch.setattr(Cohort, "__init__", counting)
+        cfg = small_config(strategy="gapsl", clients=5, rounds=4, eval_interval=2)
+        engine = TrainingEngine(cfg, seed=1)
+        for t in range(1, 5):
+            grams.clear()
+            report = engine.run_round(t)
+            assert not report.coordination_skipped and report.survivor_ids is not None
+            assert grams == [5]
 
     def test_client_bank_and_tcp_cohort_define_the_protocol(self):
         # the Protocols are not checked at runtime: the bank and the TCP
