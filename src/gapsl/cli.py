@@ -7,7 +7,8 @@
 ``run`` executes every seed, writing manifest.json, metrics.csv and
 summary.json into the output directory. With ``--transport tcp`` it
 listens for the configured number of worker processes (started with the
-``client`` subcommand) instead of simulating clients in process.
+``client`` subcommand) instead of simulating clients in process. A client
+takes its whole config from the server at the handshake.
 
 Exit codes: 0 success, 2 configuration/data error, 3 protocol error,
 4 numeric error.
@@ -68,7 +69,6 @@ def _build_parser() -> argparse.ArgumentParser:
     cli_p = sub.add_parser("client", help="TCP worker process for one client device")
     cli_p.add_argument("--connect", required=True, help="server address host:port")
     cli_p.add_argument("--client-id", type=int, required=True, dest="client_id")
-    cli_p.add_argument("--config", help="local config file (server CONFIG is authoritative)")
     return parser
 
 
@@ -133,8 +133,6 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
 
 def _cmd_client(args: argparse.Namespace) -> int:
-    if args.config:
-        parse_config(args.config)  # validate the local bootstrap config
     channel = connect(args.connect)
     try:
         final = client_loop(channel, args.client_id)

@@ -48,10 +48,6 @@ class Partition:
     client_indices: list[np.ndarray]
     alpha: float | None  # None marks an IID split
 
-    @property
-    def num_clients(self) -> int:
-        return len(self.client_indices)
-
     def sizes(self) -> list[int]:
         return [len(ix) for ix in self.client_indices]
 

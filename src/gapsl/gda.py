@@ -61,9 +61,7 @@ class GdaOutcome:
     fallback: bool  # True when no client survived the filter
 
 
-def deviations_to_leader(
-    cohort: Cohort | list[GradientVector], leader: GradientVector
-) -> dict[int, float]:
+def deviations_to_leader(cohort: Cohort, leader: GradientVector) -> dict[int, float]:
     """Angle of each usable client gradient against the leader.
 
     One product over the usable rows with the leader appended gives every
@@ -72,15 +70,14 @@ def deviations_to_leader(
     """
     if leader.is_degenerate():
         raise CoordinationSkipped("leader gradient is degenerate")
-    cohort = prepared(cohort)
-    lead = leader.v64
+    lead = leader.values.astype(np.float64, copy=False)
     # two leader columns: numpy hands a one-column product to gemv, which
     # sums in another order than the gemm behind the Gram
     rows = np.vstack([cohort.stack, lead])
     *dots, ll = (rows @ np.stack([lead, lead], axis=1))[:, 0].tolist()
     return {
-        g.client_id: angular_deviation(g.v64, lead, aa, ll, ab)
-        for g, aa, ab in zip(cohort.usable, cohort.diag, dots)
+        cid: angular_deviation(g, lead, aa, ll, ab)
+        for cid, g, aa, ab in zip(cohort.usable, cohort.stack, cohort.diag, dots)
     }
 
 
@@ -169,14 +166,13 @@ def run_gda(
     elif survivor_mode != "threshold":
         raise ConfigError(f"unknown survivor mode {survivor_mode!r}")
 
-    by_id = cohort.by_id
     regularized: dict[int, float] = {}
     corrected: dict[int, np.ndarray] = {}
-    for cid in survivors:
+    for cid, k in zip(survivors, cohort.rows(survivors)):
         regularized[cid] = regularized_loss(losses[cid], deviations[cid], config.lam)
-        g = by_id[cid].values
+        g = cohort.values[k]
         if config.apply_correction:
-            lambda_g = config.lam * by_id[cid].norm()
+            lambda_g = config.lam * math.sqrt(cohort.sq[k])
             corrected[cid] = alignment_correction(g, leader.values, lambda_g)
         else:
             corrected[cid] = g

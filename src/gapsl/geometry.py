@@ -6,17 +6,19 @@ All angle math runs in float64 regardless of the vectors' storage dtype;
 cosines are clamped to [-1, 1] before arccos so near-parallel vectors
 never produce NaN.
 
-A round compares every gradient with every other, so its cohort is
-prepared once (:class:`Cohort`): the usable rows are stacked in float64
-and their Gram matrix taken by one product. Each angle then reads its
-cross dot product and both squared norms from that Gram: three table
-lookups, one square root and one ``math.acos``.
+A round's gradients are one ``[clients, params]`` matrix, prepared once
+(:class:`Cohort`): its usable rows are stacked in float64 and their Gram
+matrix taken by one product. Each angle then reads its cross dot product
+and both squared norms from that Gram: three table lookups, one square
+root and one ``math.acos``. :class:`GradientVector` is the one-client
+record the LGI/GDA entry points also accept; :func:`prepared` turns a
+list of them into a cohort.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -31,61 +33,65 @@ _EPS_SQ = EPS_NORM * EPS_NORM
 
 @dataclass
 class GradientVector:
-    """One client's flattened server-side parameter gradient for a round.
-
-    ``v64`` is ``values`` in float64 and ``sq`` its squared norm <v64, v64>,
-    both taken once at construction; ``values`` must not change afterwards.
-    """
+    """One client's flattened server-side parameter gradient for a round."""
 
     client_id: int
     round: int
     values: np.ndarray
-    v64: np.ndarray = field(init=False, repr=False)
-    sq: float = field(init=False, repr=False)
-
-    def __post_init__(self):
-        self.v64 = self.values.astype(np.float64, copy=False)
-        self.sq = float(self.v64.dot(self.v64))
 
     def norm(self) -> float:
         # np.linalg.norm of a real 1-D vector is sqrt(x.dot(x)): same bits
-        return math.sqrt(self.sq)
+        v64 = self.values.astype(np.float64, copy=False)
+        return math.sqrt(float(v64.dot(v64)))
 
     def is_degenerate(self) -> bool:
         return self.norm() <= EPS_NORM
 
 
 class Cohort:
-    """One round's gradients, prepared once for every angle the round takes.
+    """One round's gradients as one matrix, prepared once for every angle
+    the round takes.
 
-    ``vectors`` are the :class:`GradientVector` s in ascending client id
-    and ``usable`` the non-degenerate ones, each judged on its own ``sq``.
-    ``stack`` holds the usable rows in float64, ``gram`` their Gram matrix
+    ``values[k]`` is the gradient of client ``ids[k]``, ids ascending, and
+    ``sq[k]`` its squared norm, one float64 dot product per row. A row
+    whose norm ``sqrt(sq[k])`` is at most ``EPS_NORM`` is degenerate:
+    ``excluded`` lists those ids and ``usable`` the others. ``stack``
+    holds the usable rows in float64, ``gram`` their Gram matrix
     ``stack @ stack.T`` (one product) and ``diag`` its diagonal as Python
     floats. A loop over the Gram takes one row at a time as a list:
     Python floats are what the per-pair arithmetic wants, and all n² of
     them at once would take 32 bytes each (32 MB at 1000 clients).
-    Raises :class:`ConfigError` when the gradients disagree on length.
     """
 
-    def __init__(self, vectors: Iterable[GradientVector]):
-        self.vectors = sorted(vectors, key=lambda g: g.client_id)
-        shapes = {g.values.shape for g in self.vectors}
-        if len(shapes) > 1:
-            raise ConfigError(f"cohort gradients disagree on length: {sorted(shapes)}")
-        self.by_id = {g.client_id: g for g in self.vectors}
-        degenerate = [g.is_degenerate() for g in self.vectors]
-        self.usable = [g for g, d in zip(self.vectors, degenerate) if not d]
-        self.excluded = tuple(g.client_id for g, d in zip(self.vectors, degenerate) if d)
-        width = self.vectors[0].values.size if self.vectors else 0
-        self.stack = np.stack([g.v64 for g in self.usable]) if self.usable else np.zeros((0, width))
+    def __init__(self, ids: Sequence[int], values: np.ndarray, round_t: int):
+        self.ids = list(ids)
+        self.values = values
+        self.round = round_t
+        v64 = values.astype(np.float64, copy=False)
+        self.sq = [float(v.dot(v)) for v in v64]
+        keep = [math.sqrt(s) > EPS_NORM for s in self.sq]
+        self.usable = [i for i, k in zip(self.ids, keep) if k]
+        self.excluded = tuple(i for i, k in zip(self.ids, keep) if not k)
+        self.stack = v64[keep]
         self.gram = self.stack @ self.stack.T
         self.diag = self.gram.diagonal().tolist()
 
+    def rows(self, ids: Sequence[int]) -> np.ndarray:
+        """Row indices of clients ``ids``, which must be in the cohort."""
+        return np.searchsorted(self.ids, ids)
+
 
 def prepared(cohort: Cohort | Iterable[GradientVector]) -> Cohort:
-    """``cohort`` itself when already prepared, else its :class:`Cohort`."""
-    return cohort if isinstance(cohort, Cohort) else Cohort(cohort)
+    """``cohort`` itself when already prepared, else the :class:`Cohort` of
+    its gradients. Raises :class:`ConfigError` when they disagree on length."""
+    if isinstance(cohort, Cohort):
+        return cohort
+    vectors = sorted(cohort, key=lambda g: g.client_id)
+    shapes = {g.values.shape for g in vectors}
+    if len(shapes) > 1:
+        raise ConfigError(f"cohort gradients disagree on length: {sorted(shapes)}")
+    values = np.stack([g.values for g in vectors]) if vectors else np.zeros((0, 0))
+    return Cohort([g.client_id for g in vectors], values, vectors[0].round if vectors else 0)
 
 
 def flatten(tensors: Sequence[np.ndarray]) -> np.ndarray:
@@ -119,8 +125,9 @@ def angular_deviation(
 
     A caller that holds any of the three dot products passes it as ``aa``,
     ``bb`` or ``ab``; the others are taken here in float64, so a vector
-    whose squared norm is passed must already be float64
-    (``GradientVector.v64`` and ``.sq``). The cosine <a,b> / sqrt(<a,a> *
+    whose squared norm is passed must already be float64 (a row of
+    :attr:`Cohort.stack` and its ``diag`` entry). When all three are
+    passed, ``a`` and ``b`` are not read. The cosine <a,b> / sqrt(<a,a> *
     <b,b>) is clamped into [-1, 1] before ``math.acos``.
 
     Taken here by one dot kernel, the three products share one summation
@@ -157,8 +164,8 @@ def pairwise_mean_deviation(cohort: Cohort | Sequence[np.ndarray]) -> float | No
     two non-degenerate vectors remain.
     """
     if not isinstance(cohort, Cohort):
-        cohort = Cohort(GradientVector(i, 0, v) for i, v in enumerate(cohort))
-    rows, gram, diag = [g.v64 for g in cohort.usable], cohort.gram, cohort.diag
+        cohort = prepared(GradientVector(i, 0, v) for i, v in enumerate(cohort))
+    rows, gram, diag = list(cohort.stack), cohort.gram, cohort.diag
     n = len(rows)
     if n < 2:
         return None

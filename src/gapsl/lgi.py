@@ -71,29 +71,28 @@ class LgiOutcome:
     leader: GradientVector
 
 
-def consistency_scores(cohort: Cohort | list[GradientVector], round_t: int = 0) -> ScoreSet:
+def consistency_scores(cohort: Cohort) -> ScoreSet:
     """Score each client by its mean angular deviation from every other client.
 
     Near-zero gradients are excluded from scoring entirely. Every angle
     reads its dot products from the cohort's Gram. Raises
     :class:`CoordinationSkipped` when fewer than two usable gradients remain.
     """
-    cohort = prepared(cohort)
     if len(cohort.usable) < 2:
         raise CoordinationSkipped(
-            f"only {len(cohort.usable)} usable gradients in a cohort of {len(cohort.vectors)}"
+            f"only {len(cohort.usable)} usable gradients in a cohort of {len(cohort.ids)}"
         )
-    rows, gram, diag = [g.v64 for g in cohort.usable], cohort.gram, cohort.diag
+    rows, gram, diag = list(cohort.stack), cohort.gram, cohort.diag
     n = len(rows)
     scores: dict[int, float] = {}
-    for i, g in enumerate(cohort.usable):
+    for i, cid in enumerate(cohort.usable):
         a, aa, row = rows[i], diag[i], gram[i].tolist()
         total = 0.0
         for j in range(n):
             if j != i:
                 total += angular_deviation(a, rows[j], aa, diag[j], row[j])
-        scores[g.client_id] = total / (n - 1)
-    return ScoreSet(round=round_t, scores=scores, excluded=cohort.excluded)
+        scores[cid] = total / (n - 1)
+    return ScoreSet(round=cohort.round, scores=scores, excluded=cohort.excluded)
 
 
 def selection_ratio(state: LgiState, config: LgiConfig, scores: ScoreSet) -> float:
@@ -134,9 +133,7 @@ def select_top(scores: ScoreSet, k_percent: float, cohort_size: int) -> tuple[in
     return tuple(sorted(cid for cid, _ in ranked[:count]))
 
 
-def select_consistent(
-    cohort: Cohort | list[GradientVector], scores: ScoreSet, k_percent: float, cohort_size: int
-) -> tuple[int, ...]:
+def select_consistent(cohort: Cohort, scores: ScoreSet, k_percent: float) -> tuple[int, ...]:
     """The ceil(k% * cohort) clients whose gradients form the leader.
 
     Start from every scored client and drop one client at a time until
@@ -153,16 +150,15 @@ def select_consistent(
     the selection falls back to :func:`select_top`. ``scores`` must score
     the cohort's usable clients.
     """
-    cohort = prepared(cohort)
-    ids = [g.client_id for g in cohort.usable]  # ascending
-    count = min(selection_count(k_percent, cohort_size), len(ids))
+    ids = cohort.usable  # ascending
+    count = min(selection_count(k_percent, len(cohort.ids)), len(ids))
     if count == len(ids):
         return tuple(ids)
     stack, gram, diag = cohort.stack, cohort.gram, cohort.diag
     trend = stack.sum(axis=0)
     trend_norm = float(np.linalg.norm(trend))
     if trend_norm <= EPS_NORM:
-        return select_top(scores, k_percent, cohort_size)
+        return select_top(scores, k_percent, len(cohort.ids))
 
     # one drop per step over arrays this short: Python floats are cheaper
     # than a dozen numpy calls per step
@@ -192,7 +188,7 @@ def select_consistent(
     return tuple(ids[i] for i in kept)
 
 
-def leader_gradient(cohort: Cohort | list[GradientVector], selected: tuple[int, ...]) -> GradientVector:
+def leader_gradient(cohort: Cohort, selected: tuple[int, ...]) -> GradientVector:
     """Unweighted mean of the selected gradients, reduced in ascending id order.
 
     Raises :class:`CoordinationSkipped` when the selection is empty or its
@@ -200,9 +196,8 @@ def leader_gradient(cohort: Cohort | list[GradientVector], selected: tuple[int, 
     """
     if not selected:
         raise CoordinationSkipped("empty selection, no leader gradient")
-    cohort = prepared(cohort)
-    stack = np.stack([cohort.by_id[cid].values for cid in sorted(selected)])
-    leader = GradientVector(client_id=-1, round=cohort.vectors[0].round, values=stack.mean(axis=0))
+    values = cohort.values[cohort.rows(sorted(selected))].mean(axis=0)
+    leader = GradientVector(client_id=-1, round=cohort.round, values=values)
     if leader.is_degenerate():
         raise CoordinationSkipped("leader gradient is degenerate")
     return leader
@@ -226,7 +221,7 @@ def run_lgi(
     length.
     """
     cohort = prepared(cohort)
-    scores = consistency_scores(cohort, round_t)
+    scores = consistency_scores(cohort)
 
     if mode == "all":
         selected = tuple(sorted(scores.scores))
@@ -235,11 +230,11 @@ def run_lgi(
         state.round = round_t
         k_percent = selection_ratio(state, config, scores)
         if mode == "consistent":
-            selected = select_consistent(cohort, scores, k_percent, len(cohort.vectors))
+            selected = select_consistent(cohort, scores, k_percent)
         elif mode == "random":
             if rng is None:
                 raise ConfigError("random selection mode needs an rng")
-            count = min(selection_count(k_percent, len(cohort.vectors)), len(scores.scores))
+            count = min(selection_count(k_percent, len(cohort.ids)), len(scores.scores))
             pool = sorted(scores.scores)
             picked = rng.choice(len(pool), size=count, replace=False)
             selected = tuple(sorted(pool[i] for i in picked))

@@ -34,7 +34,7 @@ from . import lgi as lgi_mod
 from .config import TCP_STRATEGIES, ExperimentConfig, is_eval_round, require_valid
 from .data import Dataset, Partition, dirichlet_partition, iid_partition, load_idx_dataset, synth_gaussian_mixture
 from .errors import ConfigError, CoordinationSkipped, ProtocolError
-from .geometry import Cohort, GradientVector, flatten, pairwise_mean_deviation, unflatten
+from .geometry import Cohort, flatten, pairwise_mean_deviation, unflatten
 from .nn import (
     DenseLayer,
     ModelSpec,
@@ -286,7 +286,6 @@ class RoundReport:
     accuracy: float | None = None
     pairwise_deviation: float | None = None
     # coordination stages; the defaults stand where a stage did not run
-    regularized_losses: dict[int, float] | None = None
     global_loss: float | None = None
     k_percent: float | None = None
     theta_threshold: float | None = None
@@ -327,6 +326,8 @@ class TrainingEngine:
         require_valid(cfg)
         if proxies is not None and cfg.strategy not in TCP_STRATEGIES:
             raise ConfigError(f"tcp transport supports only gapsl and psl, got {cfg.strategy}")
+        if proxies is not None and sorted(proxies) != list(range(cfg.clients)):
+            raise ConfigError(f"tcp transport needs one proxy per client 0..{cfg.clients - 1}, got {sorted(proxies)}")
         self.cfg = cfg
         self.seed = seed
         self.dtype = dtype
@@ -377,9 +378,9 @@ class TrainingEngine:
         if acts.shape != (rows, self.fan_in):
             raise client_error(t, i, phase, f"expected activations of shape {(rows, self.fan_in)}, got {acts.shape}")
 
-    def _coordinate(self, cohort: Cohort, g: np.ndarray, losses: dict[int, float], round_t: int):
-        """GAPSL coordination of the round's ``g[clients, params]`` (``cohort``
-        holds its rows); returns (update_vec, the report fields it sets)."""
+    def _coordinate(self, cohort: Cohort, losses: dict[int, float]):
+        """GAPSL coordination of the round's cohort; returns (update_vec,
+        the report fields it sets)."""
         cfg = self.cfg
         try:
             mode = "all" if cfg.non_lgi else ("random" if cfg.rand_lgi else "consistent")
@@ -387,12 +388,12 @@ class TrainingEngine:
                 cohort,
                 self.lgi_state,
                 self.lgi_cfg,
-                round_t,
+                cohort.round,
                 mode=mode,
                 rng=self.ablation_rng if cfg.rand_lgi else None,
             )
         except CoordinationSkipped:
-            return g.mean(axis=0), {"coordination_skipped": True}
+            return cohort.values.mean(axis=0), {"coordination_skipped": True}
 
         fields = {"k_percent": lgi_out.k_percent, "selected_ids": lgi_out.selected}
         if cfg.non_gda:
@@ -409,7 +410,6 @@ class TrainingEngine:
         fields.update(
             theta_threshold=gda_out.threshold,
             survivor_ids=gda_out.survivors,
-            regularized_losses=gda_out.regularized_losses,
             global_loss=gda_out.global_loss,
             gda_fallback=gda_out.fallback,
         )
@@ -435,24 +435,22 @@ class TrainingEngine:
         cfg = self.cfg
         batches = [self.cursors[i].next() for i in ids]
         acts = self.clients.forward(t, batches)
-        for i, a, idx in zip(ids, acts, batches):
+        for i, a, idx in zip(ids, acts, batches, strict=True):
             self._check_acts(t, i, "forward", a, len(idx))
             self.samples_consumed += len(idx)
 
-        # the round's cohort is one g[clients, params] matrix, prepared once:
+        # the round's cohort is its g[clients, params] matrix, prepared once:
         # its Gram serves the pairwise stat, LGI and GDA
         labels = [self.train.labels[idx] for idx in batches]
         losses, rows, act_grads = zip(*map(self._server_pass, acts, labels))
-        g = np.stack(rows)
-        cohort = Cohort(GradientVector(i, t, row) for i, row in zip(ids, g))
-        train_losses = dict(zip(ids, losses))
+        cohort = Cohort(ids, np.stack(rows), t)
 
         pairwise = pairwise_mean_deviation(cohort)
         fields = {}
         if cfg.strategy == "gapsl":
-            update, fields = self._coordinate(cohort, g, train_losses, t)
+            update, fields = self._coordinate(cohort, dict(zip(ids, losses, strict=True)))
         else:
-            update = g.mean(axis=0)
+            update = cohort.values.mean(axis=0)
         self._apply_server_update(update)
 
         self.clients.apply_grads(t, act_grads)

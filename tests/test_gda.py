@@ -17,11 +17,16 @@ from gapsl.gda import (
     regularized_loss,
     run_gda,
 )
-from gapsl.geometry import GradientVector, angular_deviation
+from gapsl.geometry import Cohort, GradientVector, angular_deviation
 
 
 def cohort_of(vectors, round_t=1):
     return [GradientVector(i, round_t, np.asarray(v, dtype=np.float64)) for i, v in enumerate(vectors)]
+
+
+def matrix_cohort(vectors):
+    """The prepared cohort of ``vectors``, built from their matrix as a round builds it."""
+    return Cohort(range(len(vectors)), np.asarray(vectors, dtype=np.float64), 1)
 
 
 def leader_of(v):
@@ -30,11 +35,11 @@ def leader_of(v):
 
 class TestDeviationsToLeader:
     def test_aligned_client_has_zero_deviation(self):
-        devs = deviations_to_leader(cohort_of([[2.0, 0.0]]), leader_of([1.0, 0.0]))
+        devs = deviations_to_leader(matrix_cohort([[2.0, 0.0]]), leader_of([1.0, 0.0]))
         assert devs[0] == 0.0
 
     def test_opposed_client_has_pi_deviation(self):
-        devs = deviations_to_leader(cohort_of([[-1.0, 0.0]]), leader_of([1.0, 0.0]))
+        devs = deviations_to_leader(matrix_cohort([[-1.0, 0.0]]), leader_of([1.0, 0.0]))
         assert abs(devs[0] - math.pi) < 1e-12
 
     def test_matches_per_client_angle_oracle(self):
@@ -42,16 +47,16 @@ class TestDeviationsToLeader:
         for _ in range(100):
             vs = [list(rng.normal(size=5)) for _ in range(4)]
             lead = list(rng.normal(size=5))
-            devs = deviations_to_leader(cohort_of(vs), leader_of(lead))
+            devs = deviations_to_leader(matrix_cohort(vs), leader_of(lead))
             for i, v in enumerate(vs):
                 assert abs(devs[i] - oracles.angle(v, lead)) <= 1e-9
 
     def test_degenerate_leader_skips(self):
         with pytest.raises(CoordinationSkipped):
-            deviations_to_leader(cohort_of([[1.0, 0.0]]), leader_of([0.0, 0.0]))
+            deviations_to_leader(matrix_cohort([[1.0, 0.0]]), leader_of([0.0, 0.0]))
 
     def test_degenerate_clients_dropped(self):
-        devs = deviations_to_leader(cohort_of([[1.0, 0.0], [0.0, 0.0]]), leader_of([1.0, 0.0]))
+        devs = deviations_to_leader(matrix_cohort([[1.0, 0.0], [0.0, 0.0]]), leader_of([1.0, 0.0]))
         assert set(devs) == {0}
 
 

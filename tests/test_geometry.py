@@ -16,9 +16,10 @@ from gapsl.geometry import (
     flatten,
     mean_std,
     pairwise_mean_deviation,
+    prepared,
     unflatten,
 )
-from gapsl.lgi import consistency_scores
+from gapsl.lgi import consistency_scores, leader_gradient, select_consistent
 from gapsl.nn import ModelSpec, params_arrays, split_model
 
 
@@ -146,7 +147,7 @@ class TestPreparedCohort:
             pairs = len(usable) * (len(usable) - 1) // 2
             assert pairwise_mean_deviation(vs) == total / pairs
 
-            cohort = [GradientVector(i, 1, v) for i, v in enumerate(vs)]
+            cohort = prepared(GradientVector(i, 1, v) for i, v in enumerate(vs))
             scores = {}
             for i, a in usable:
                 total = 0.0
@@ -160,6 +161,37 @@ class TestPreparedCohort:
             assert deviations_to_leader(cohort, leader) == {
                 i: angular_deviation(v, lead) for i, v in usable
             }
+
+
+class TestMatrixCohort:
+    """A round builds its cohort from its gradient matrix; the entry points
+    the gates call prepare one from :class:`GradientVector` s. Both must
+    give every stage the same numbers."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_matrix_and_prepared_vectors_agree(self, dtype):
+        rng = np.random.default_rng(15)
+        for _ in range(20):
+            vs = edge_cohort(rng, dtype)
+            ids = sorted(rng.choice(50, size=len(vs), replace=False).tolist())
+            matrix = Cohort(ids, np.stack(vs), 1)
+            order = rng.permutation(len(vs))  # prepared() sorts by client id
+            listed = prepared(GradientVector(ids[k], 1, vs[k]) for k in order)
+
+            assert listed.ids == matrix.ids == ids
+            assert listed.sq == matrix.sq
+            assert matrix.excluded == tuple(i for i, v in zip(ids, vs) if GradientVector(i, 1, v).is_degenerate())
+            assert matrix.excluded == listed.excluded and 0 < len(matrix.excluded) < len(ids) - 2
+            assert pairwise_mean_deviation(listed) == pairwise_mean_deviation(matrix)
+            scores = consistency_scores(matrix)
+            assert consistency_scores(listed).scores == scores.scores
+            selected = select_consistent(matrix, scores, 50.0)
+            assert select_consistent(listed, scores, 50.0) == selected
+            assert len(selected) < len(scores.scores)
+            leader = leader_gradient(matrix, selected)
+            assert np.array_equal(leader_gradient(listed, selected).values, leader.values)
+            assert leader.values.dtype == dtype
+            assert deviations_to_leader(listed, leader) == deviations_to_leader(matrix, leader)
 
 
 def oracle_angles(rows):
@@ -180,7 +212,7 @@ class TestGramPath:
         rng = np.random.default_rng(11)
         vs = rng.normal(size=(100, 264)).astype(dtype)
         lead = rng.normal(size=264).astype(dtype)
-        cohort = Cohort(GradientVector(i, 1, v) for i, v in enumerate(vs))
+        cohort = Cohort(range(len(vs)), vs, 1)
         rows = vs.tolist()
         angles = oracle_angles(rows)
         n = len(rows)
@@ -200,7 +232,7 @@ class TestGramPath:
         rng = np.random.default_rng(12)
         vs = rng.integers(-8, 9, size=(100, 264)).astype(np.float64)
         vs[-1] = vs[0] * 2.0**power
-        cohort = Cohort(GradientVector(i, 1, v) for i, v in enumerate(vs))
+        cohort = Cohort(range(len(vs)), vs, 1)
         first, last = cohort.stack[0], cohort.stack[-1]
         assert angular_deviation(first, last, cohort.diag[0], cohort.diag[-1], cohort.gram[0, -1]) == 0.0
         devs = deviations_to_leader(cohort, GradientVector(-1, 1, vs[0] * 2.0**-power))
@@ -210,7 +242,7 @@ class TestGramPath:
         # an ulp off the diagonal ones, which acos magnifies to ~1e-8 rad
         vs = rng.normal(size=(100, 264))
         vs[-1] = vs[0] * 2.0**power
-        cohort = Cohort(GradientVector(i, 1, v) for i, v in enumerate(vs))
+        cohort = Cohort(range(len(vs)), vs, 1)
         first, last = cohort.stack[0], cohort.stack[-1]
         assert angular_deviation(first, last, cohort.diag[0], cohort.diag[-1], cohort.gram[0, -1]) <= 1e-7
         assert angular_deviation(first, last) == 0.0  # one dot kernel: one order

@@ -7,7 +7,7 @@ import pytest
 
 import oracles
 from gapsl.errors import ConfigError, CoordinationSkipped
-from gapsl.geometry import GradientVector
+from gapsl.geometry import Cohort, GradientVector
 from gapsl.lgi import (
     LgiConfig,
     LgiState,
@@ -25,15 +25,20 @@ def cohort_of(vectors, round_t=1):
     return [GradientVector(i, round_t, np.asarray(v, dtype=np.float64)) for i, v in enumerate(vectors)]
 
 
+def matrix_cohort(vectors):
+    """The prepared cohort of ``vectors``, built from their matrix as a round builds it."""
+    return Cohort(range(len(vectors)), np.asarray(vectors, dtype=np.float64), 1)
+
+
 class TestConsistencyScores:
     def test_identical_gradients_score_zero(self):
-        cohort = cohort_of([[1.0, 2.0]] * 3)
+        cohort = matrix_cohort([[1.0, 2.0]] * 3)
         scores = consistency_scores(cohort)
         assert all(s == 0.0 for s in scores.scores.values())
 
     def test_hand_computed_three_client_cohort(self):
         s = 1 / math.sqrt(2)
-        cohort = cohort_of([[1.0, 0.0], [0.0, 1.0], [s, s]])
+        cohort = matrix_cohort([[1.0, 0.0], [0.0, 1.0], [s, s]])
         scores = consistency_scores(cohort).scores
         assert abs(scores[0] - 3 * math.pi / 8) < 1e-12
         assert abs(scores[1] - 3 * math.pi / 8) < 1e-12
@@ -44,13 +49,13 @@ class TestConsistencyScores:
         for _ in range(200):
             size = int(rng.integers(2, 7))
             vectors = {i: list(rng.normal(size=4)) for i in range(size)}
-            cohort = cohort_of(list(vectors.values()))
+            cohort = matrix_cohort(list(vectors.values()))
             got = consistency_scores(cohort).scores
             ref = oracles.lgi_reference(vectors, None, None, 1, 10, 20, 80)["scores"]
             assert all(abs(got[i] - ref[i]) <= 1e-9 for i in vectors)
 
     def test_degenerate_clients_excluded(self):
-        cohort = cohort_of([[1.0, 0.0], [0.0, 0.0], [0.0, 1.0]])
+        cohort = matrix_cohort([[1.0, 0.0], [0.0, 0.0], [0.0, 1.0]])
         scores = consistency_scores(cohort)
         assert scores.excluded == (1,)
         assert set(scores.scores) == {0, 2}
@@ -59,7 +64,7 @@ class TestConsistencyScores:
 
     def test_fewer_than_two_usable_skips_coordination(self):
         with pytest.raises(CoordinationSkipped):
-            consistency_scores(cohort_of([[0.0, 0.0], [1.0, 0.0]]))
+            consistency_scores(matrix_cohort([[0.0, 0.0], [1.0, 0.0]]))
 
 
 class TestSelectionRatio:
@@ -143,10 +148,10 @@ class TestSelectConsistent:
         # the x cluster only, the set keeps one y gradient so the leader
         # follows the cohort's sum
         vs = [[1.0, 0.1], [1.0, 0.0], [1.0, -0.1], [0.2, 5.0], [-0.2, 5.0]]
-        cohort = cohort_of(vs)
+        cohort = matrix_cohort(vs)
         scores = consistency_scores(cohort)
         assert select_top(scores, 60.0, 5) == (0, 1, 2)
-        assert select_consistent(cohort, scores, 60.0, 5) == (0, 1, 4)
+        assert select_consistent(cohort, scores, 60.0) == (0, 1, 4)
         trend = list(np.sum(vs, axis=0))
         by_rank = list(leader_gradient(cohort, (0, 1, 2)).values)
         by_set = list(leader_gradient(cohort, (0, 1, 4)).values)
@@ -154,40 +159,40 @@ class TestSelectConsistent:
 
     def test_opposed_client_is_dropped_first(self):
         # two agreeing gradients and a larger one pointing against them
-        cohort = cohort_of([[1.0, 0.2], [1.0, -0.2], [-1.5, 0.1]])
+        cohort = matrix_cohort([[1.0, 0.2], [1.0, -0.2], [-1.5, 0.1]])
         scores = consistency_scores(cohort)
-        assert select_consistent(cohort, scores, 60.0, 3) == (0, 1)
+        assert select_consistent(cohort, scores, 60.0) == (0, 1)
 
     def test_cancelling_cohort_falls_back_to_ranking(self):
-        cohort = cohort_of([[1.0, 0.0], [-1.0, 0.0], [0.0, 2.0], [0.0, -2.0], [0.5, 0.5], [-0.5, -0.5]])
+        cohort = matrix_cohort([[1.0, 0.0], [-1.0, 0.0], [0.0, 2.0], [0.0, -2.0], [0.5, 0.5], [-0.5, -0.5]])
         scores = consistency_scores(cohort)
-        assert select_consistent(cohort, scores, 50.0, 6) == select_top(scores, 50.0, 6)
+        assert select_consistent(cohort, scores, 50.0) == select_top(scores, 50.0, 6)
 
 
 class TestLeaderGradient:
     def test_single_selection_returns_it_exactly(self):
-        cohort = cohort_of([[1.0, 2.0], [5.0, 6.0]])
+        cohort = matrix_cohort([[1.0, 2.0], [5.0, 6.0]])
         leader = leader_gradient(cohort, (1,))
         assert np.array_equal(leader.values, [5.0, 6.0])
 
     def test_mean_of_two(self):
-        cohort = cohort_of([[1.0, 0.0], [0.0, 1.0]])
+        cohort = matrix_cohort([[1.0, 0.0], [0.0, 1.0]])
         leader = leader_gradient(cohort, (0, 1))
         assert np.allclose(leader.values, [0.5, 0.5])
 
     def test_full_selection_is_global_mean(self):
         rng = np.random.default_rng(2)
         vs = [rng.normal(size=6) for _ in range(5)]
-        leader = leader_gradient(cohort_of(vs), tuple(range(5)))
+        leader = leader_gradient(matrix_cohort(vs), tuple(range(5)))
         assert np.max(np.abs(leader.values - np.mean(vs, axis=0))) <= 1e-9
 
     def test_empty_selection_skips(self):
         with pytest.raises(CoordinationSkipped):
-            leader_gradient(cohort_of([[1.0, 0.0]]), ())
+            leader_gradient(matrix_cohort([[1.0, 0.0]]), ())
 
     def test_cancelling_selection_skips(self):
         # a zero mean has no direction for the alignment stage to follow
-        cohort = cohort_of([[1.0, -2.0], [-1.0, 2.0], [0.0, 1.0]])
+        cohort = matrix_cohort([[1.0, -2.0], [-1.0, 2.0], [0.0, 1.0]])
         with pytest.raises(CoordinationSkipped, match="leader gradient is degenerate"):
             leader_gradient(cohort, (0, 1))
 

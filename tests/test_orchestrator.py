@@ -361,23 +361,38 @@ class TestShardCursor:
 
 class TestRoundShape:
     def test_gapsl_round_prepares_each_gradient_once(self, monkeypatch):
-        # one GradientVector per client plus the leader: the cohort built from
-        # the round's gradient matrix serves the pairwise stat, LGI and GDA
-        made = []
-        prepare = GradientVector.__post_init__
+        # the round's gradient matrix is its cohort: one Cohort over every
+        # client's server gradient, and the leader is the round's only
+        # GradientVector
+        rows, cohorts, made = [], [], []
+        server_pass, prepare, record = TrainingEngine._server_pass, Cohort.__init__, GradientVector.__init__
 
-        def counting(self):
+        def recording(self, acts, labels):
+            out = server_pass(self, acts, labels)
+            rows.append(out[1])
+            return out
+
+        def counting_cohort(self, ids, values, round_t):
+            prepare(self, ids, values, round_t)
+            cohorts.append(self)
+
+        def counting_vector(self, *args, **kwargs):
+            record(self, *args, **kwargs)
             made.append(self.client_id)
-            prepare(self)
 
-        monkeypatch.setattr(GradientVector, "__post_init__", counting)
+        monkeypatch.setattr(TrainingEngine, "_server_pass", recording)
+        monkeypatch.setattr(Cohort, "__init__", counting_cohort)
+        monkeypatch.setattr(GradientVector, "__init__", counting_vector)
         cfg = small_config(strategy="gapsl", clients=5, rounds=4, eval_interval=2)
         engine = TrainingEngine(cfg, seed=1)
         for t in range(1, 5):
-            made.clear()
+            del rows[:], cohorts[:], made[:]
             report = engine.run_round(t)
             assert not report.coordination_skipped
-            assert sorted(made) == [-1, 0, 1, 2, 3, 4]
+            [cohort] = cohorts
+            assert cohort.ids == list(range(5)) and cohort.round == t
+            assert np.array_equal(cohort.values, np.stack(rows))
+            assert made == [-1]
 
     def test_gapsl_round_builds_one_gram(self, monkeypatch):
         # the pairwise stat, LGI scores, LGI selection and GDA's leader
@@ -385,8 +400,8 @@ class TestRoundShape:
         grams = []
         prepare = Cohort.__init__
 
-        def counting(self, vectors):
-            prepare(self, vectors)
+        def counting(self, ids, values, round_t):
+            prepare(self, ids, values, round_t)
             grams.append(len(self.gram))
 
         monkeypatch.setattr(Cohort, "__init__", counting)
@@ -426,6 +441,22 @@ class TestRoundShape:
         proxies = {i: RemoteClientProxy(None, i) for i in range(2)}
         with pytest.raises(ConfigError, match=f"supports only gapsl and psl, got {strategy}"):
             TrainingEngine(small_config(strategy=strategy, clients=2), 1, proxies)
+
+    @pytest.mark.parametrize("ids", [[0, 1], [1, 2, 3], [0, 1, 3], [0, 1, 2, 3]])
+    def test_remote_clients_must_be_the_cohort(self, ids):
+        # the engine pairs client k with the k-th activations it receives:
+        # a missing, extra or misnumbered proxy would mislabel every client
+        # after it
+        proxies = {i: RemoteClientProxy(None, i) for i in ids}
+        with pytest.raises(ConfigError, match=r"one proxy per client 0\.\.2, got \[" + ", ".join(map(str, ids))):
+            TrainingEngine(small_config(strategy="gapsl", clients=3), 1, proxies)
+
+    def test_a_short_cohort_answer_fails_the_round(self):
+        engine = TrainingEngine(small_config(clients=3), 1)
+        forward = engine.clients.forward
+        engine.clients.forward = lambda t, batches: forward(t, batches)[:-1]
+        with pytest.raises(ValueError, match="zip"):
+            engine.run_round(1)
 
     def test_each_round_draws_each_batch_once(self, monkeypatch):
         # the coordinator owns the batch stream: one draw per training client
