@@ -90,8 +90,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
     started = time.perf_counter()
     rows: list[list[str]] = []
     if cfg.transport == "tcp":
-        if not cfg.listen:
-            raise ConfigError("tcp transport needs --listen HOST:PORT")
         listener = Listener(cfg.listen)
         print(f"listening on {listener.address}, waiting for {cfg.clients} clients", file=sys.stderr)
         channels = listener.accept_clients(cfg.clients, config_mod.config_to_text(cfg))

@@ -304,6 +304,8 @@ def validate(cfg: ExperimentConfig) -> list[str]:
         v.append(f"sfl_interval must be >= 1, got {cfg.sfl_interval}")
     if cfg.transport not in TRANSPORTS:
         v.append(f"transport must be one of {TRANSPORTS}, got {cfg.transport!r}")
+    if cfg.transport == "tcp" and not cfg.listen:
+        v.append("tcp transport needs listen HOST:PORT")
     if cfg.transport == "tcp" and cfg.strategy not in TCP_STRATEGIES:
         v.append("tcp transport supports only gapsl and psl (no client-model shipping)")
     if cfg.transport == "tcp" and cfg.clients > MAX_TCP_CLIENTS:

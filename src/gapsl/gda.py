@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, CoordinationSkipped
-from .geometry import EPS_NORM, Cohort, GradientVector, angular_deviation, mean_std, prepared
+from .geometry import EPS_NORM, Cohort, GradientVector, angular_deviation, left_sum, mean_std, prepared
 
 log = logging.getLogger(__name__)
 
@@ -128,7 +128,7 @@ def alignment_correction(
 
 def global_loss(regularized: dict[int, float], survivors: tuple[int, ...]) -> float:
     """Sum of the regularized losses over the surviving clients."""
-    return float(sum(regularized[cid] for cid in survivors))
+    return float(left_sum(regularized[cid] for cid in survivors))
 
 
 def run_gda(

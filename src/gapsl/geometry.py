@@ -177,6 +177,18 @@ def pairwise_mean_deviation(cohort: Cohort | Sequence[np.ndarray]) -> float | No
     return total / (n * (n - 1) // 2)
 
 
+def left_sum(values: Iterable[float]) -> float:
+    """Add ``values`` one after another from 0.0, without compensation.
+
+    From Python 3.12 the builtin ``sum`` of floats is compensated, so it
+    would tie a run's bits to the Python version it replays on.
+    """
+    total = 0.0
+    for x in values:
+        total += x
+    return total
+
+
 def mean_std(values: Sequence[float]) -> tuple[float, float]:
     """Mean and population standard deviation (divide by n) of a sample."""
     arr = np.asarray(values, dtype=np.float64)

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, CoordinationSkipped
-from .geometry import EPS_NORM, Cohort, GradientVector, angular_deviation, mean_std, prepared
+from .geometry import EPS_NORM, Cohort, GradientVector, angular_deviation, left_sum, mean_std, prepared
 
 
 @dataclass(frozen=True)
@@ -166,10 +166,10 @@ def select_consistent(cohort: Cohort, scores: ScoreSet, k_percent: float) -> tup
     to_kept = list(toward_trend)               # <g_i, sum of kept>
     along = kept_sq = trend_norm * trend_norm  # <sum of kept, trend>, ||sum of kept||^2
     score = [scores.scores[cid] for cid in ids]
-    cohort_mean = sum(score) / len(score)
+    cohort_mean = left_sum(score) / len(score)
     kept = list(range(len(ids)))
     while len(kept) > count:
-        kept_score = sum(score[i] for i in kept)
+        kept_score = left_sum(score[i] for i in kept)
         worst = max(score[i] for i in kept)
         drop, drop_cos = None, -math.inf
         for j in kept:

@@ -5,9 +5,12 @@ a server part. Hidden layers apply ReLU or tanh; the final layer emits
 logits consumed by softmax cross-entropy. Everything is plain numpy so
 gradients are exact and checkable against finite differences.
 
-Two precisions are supported through the ``dtype`` argument of
-:func:`split_model`: float32 for experiment runs, float64 for tests that
-need tight finite-difference tolerances.
+The engine trains in float32, the precision the wire carries. The
+``dtype`` argument of :func:`split_model` also builds float64 models, for
+checks that need tight finite-difference tolerances.
+
+Both parts share one forward loop and one backprop loop over their hidden
+layers; the server part adds its linear output layer and the loss.
 
 The client-side functions (:func:`forward_client`, :func:`backward_client`,
 :func:`sgd_step`) also run a whole bank of clients at once: every array
@@ -78,19 +81,14 @@ class LayerCache:
 
 
 @dataclass
-class ClientCache:
-    activation: str
-    layers: list[LayerCache]
-    shapes: list[tuple[tuple[int, ...], tuple[int, ...]]]
+class Cache:
+    """Forward state of one model part, for its backward pass."""
 
-
-@dataclass
-class ServerCache:
     activation: str
-    layers: list[LayerCache]  # hidden server layers plus the final linear layer
+    layers: list[LayerCache]  # per layer; the server part's last is its linear output layer
     shapes: list[tuple[tuple[int, ...], tuple[int, ...]]]
-    probs: np.ndarray         # softmax rows, [batch, classes]
-    labels: np.ndarray
+    probs: np.ndarray | None = None   # server part only: softmax rows, [batch, classes]
+    labels: np.ndarray | None = None  # server part only
 
 
 @dataclass
@@ -169,9 +167,36 @@ def grads_arrays(grads: list[tuple[np.ndarray, np.ndarray]]) -> list[np.ndarray]
     return out
 
 
+def _forward(
+    layers: list[DenseLayer], a: np.ndarray, activation: str, caches: list[LayerCache] | None = None
+) -> np.ndarray:
+    """Apply the hidden layers ``layers`` to ``a``, appending each layer's
+    :class:`LayerCache` to ``caches`` when given."""
+    for l in layers:
+        z = a @ l.w + l.b
+        if caches is not None:
+            caches.append(LayerCache(inputs=a, preact=z))
+        a = _act(z, activation)
+    return a
+
+
+def _backprop(
+    layers: list[DenseLayer], caches: list[LayerCache], delta: np.ndarray, activation: str
+) -> tuple[list[tuple[np.ndarray, np.ndarray]], np.ndarray]:
+    """Backprop ``delta``, the gradient at the top layer's pre-activation,
+    down ``layers``. Returns every layer's (dW, db) and the gradient at the
+    first layer's pre-activation."""
+    grads: list[tuple[np.ndarray, np.ndarray]] = [None] * len(layers)  # type: ignore[list-item]
+    for k in range(len(layers) - 1, -1, -1):
+        grads[k] = (caches[k].inputs.swapaxes(-1, -2) @ delta, delta.sum(axis=-2).reshape(layers[k].b.shape))
+        if k:
+            delta = (delta @ layers[k].w.swapaxes(-1, -2)) * _act_grad(caches[k - 1].preact, activation)
+    return grads, delta
+
+
 def forward_client(
     layers: list[DenseLayer], inputs: np.ndarray, activation: str = "relu"
-) -> tuple[np.ndarray, ClientCache]:
+) -> tuple[np.ndarray, Cache]:
     """Run the client part; returns cut-layer activations and the backward cache.
 
     ``inputs`` is ``[batch, fan_in]`` for one model and
@@ -180,13 +205,9 @@ def forward_client(
     w = layers[0].w
     if inputs.ndim != w.ndim or inputs.shape[:-2] != w.shape[:-2] or inputs.shape[-1] != w.shape[-2]:
         raise ConfigError(f"input shape {inputs.shape} does not match first layer weights {w.shape}")
-    a = inputs
-    caches = []
-    for l in layers:
-        z = a @ l.w + l.b
-        caches.append(LayerCache(inputs=a, preact=z))
-        a = _act(z, activation)
-    return a, ClientCache(activation=activation, layers=caches, shapes=_layer_shapes(layers))
+    caches: list[LayerCache] = []
+    a = _forward(layers, inputs, activation, caches)
+    return a, Cache(activation=activation, layers=caches, shapes=_layer_shapes(layers))
 
 
 def forward_server(
@@ -194,7 +215,7 @@ def forward_server(
     activations: np.ndarray,
     labels: np.ndarray,
     activation: str = "relu",
-) -> tuple[np.ndarray, float, ServerCache]:
+) -> tuple[np.ndarray, float, Cache]:
     """Run the server part and the loss; returns per-example losses, their mean, and the cache."""
     if activations.ndim != 2 or activations.shape[1] != layers[0].w.shape[0]:
         raise ConfigError(
@@ -207,12 +228,8 @@ def forward_server(
     if labels.size and (labels.min() < 0 or labels.max() >= num_classes):
         raise DataError(f"label out of range [0, {num_classes}): {labels.min()}..{labels.max()}")
 
-    a = activations
-    caches = []
-    for l in layers[:-1]:
-        z = a @ l.w + l.b
-        caches.append(LayerCache(inputs=a, preact=z))
-        a = _act(z, activation)
+    caches: list[LayerCache] = []
+    a = _forward(layers[:-1], activations, activation, caches)
     last = layers[-1]
     logits = a @ last.w + last.b
     caches.append(LayerCache(inputs=a, preact=logits))
@@ -222,15 +239,13 @@ def forward_server(
     probs = exp / exp.sum(axis=1, keepdims=True)
     log_z = np.log(exp.sum(axis=1)) + logits.max(axis=1)
     per_example = log_z - logits[np.arange(len(labels)), labels]
-    cache = ServerCache(
-        activation=activation, layers=caches, shapes=_layer_shapes(layers), probs=probs, labels=labels
-    )
+    cache = Cache(activation=activation, layers=caches, shapes=_layer_shapes(layers), probs=probs, labels=labels)
     return per_example, float(per_example.mean()), cache
 
 
 def backward_server(
     layers: list[DenseLayer],
-    cache: ServerCache,
+    cache: Cache,
     loss_weights: np.ndarray | None = None,
 ) -> tuple[list[tuple[np.ndarray, np.ndarray]], np.ndarray]:
     """Backprop the (weighted) per-example losses through the server part.
@@ -246,37 +261,24 @@ def backward_server(
     onehot = np.zeros_like(cache.probs)
     onehot[np.arange(batch), cache.labels] = 1
     delta = (cache.probs - onehot) * loss_weights[:, None]
-
-    grads: list[tuple[np.ndarray, np.ndarray]] = [None] * len(layers)  # type: ignore[list-item]
-    for k in range(len(layers) - 1, -1, -1):
-        lc = cache.layers[k]
-        if k < len(layers) - 1:
-            delta = delta * _act_grad(lc.preact, cache.activation)
-        grads[k] = (lc.inputs.T @ delta, delta.sum(axis=0))
-        delta = delta @ layers[k].w.T
-    return grads, delta
+    grads, d0 = _backprop(layers, cache.layers, delta, cache.activation)
+    return grads, d0 @ layers[0].w.T
 
 
 def backward_client(
     layers: list[DenseLayer],
-    cache: ClientCache,
+    cache: Cache,
     activation_grads: np.ndarray,
 ) -> list[tuple[np.ndarray, np.ndarray]]:
     """Backprop activation gradients through the client part (one model or a bank)."""
     _check_cache(layers, cache.shapes)
-    last = cache.layers[-1]
-    if activation_grads.shape != last.preact.shape:
+    top = cache.layers[-1].preact
+    if activation_grads.shape != top.shape:
         raise ProtocolError(
-            f"activation grad shape {activation_grads.shape} does not match cut shape {last.preact.shape}"
+            f"activation grad shape {activation_grads.shape} does not match cut shape {top.shape}"
         )
-    delta = activation_grads
-    grads: list[tuple[np.ndarray, np.ndarray]] = [None] * len(layers)  # type: ignore[list-item]
-    for k in range(len(layers) - 1, -1, -1):
-        lc = cache.layers[k]
-        delta = delta * _act_grad(lc.preact, cache.activation)
-        grads[k] = (lc.inputs.swapaxes(-1, -2) @ delta, delta.sum(axis=-2).reshape(layers[k].b.shape))
-        if k:  # the client's inputs take no gradient
-            delta = delta @ layers[k].w.swapaxes(-1, -2)
+    delta = activation_grads * _act_grad(top, cache.activation)
+    grads, _ = _backprop(layers, cache.layers, delta, cache.activation)  # the inputs take no gradient
     return grads
 
 
@@ -313,7 +315,5 @@ def logits_from_activations(
     layers: list[DenseLayer], activations: np.ndarray, activation: str = "relu"
 ) -> np.ndarray:
     """Server-part forward without loss bookkeeping (evaluation path)."""
-    a = activations
-    for l in layers[:-1]:
-        a = _act(a @ l.w + l.b, activation)
+    a = _forward(layers[:-1], activations, activation)
     return a @ layers[-1].w + layers[-1].b

@@ -86,9 +86,10 @@ def build_partition(cfg: ExperimentConfig, seed: int, labels: np.ndarray) -> Par
     return dirichlet_partition(labels, cfg.clients, cfg.alpha, rng)
 
 
-def build_model(cfg: ExperimentConfig, seed: int, dtype=np.float32) -> SplitModel:
+def build_model(cfg: ExperimentConfig, seed: int) -> SplitModel:
+    """The run's initial float32 model: the engine trains in the wire's precision."""
     spec = ModelSpec(tuple(cfg.model_dims), cfg.activation)
-    return split_model(spec, cfg.cut, substream(seed, STREAM_INIT), dtype=dtype)
+    return split_model(spec, cfg.cut, substream(seed, STREAM_INIT))
 
 
 class ShardCursor:
@@ -140,25 +141,19 @@ class ClientBank:
     """
 
     def __init__(
-        self,
-        cfg: ExperimentConfig,
-        seed: int,
-        client_ids: Iterable[int],
-        train: Dataset,
-        test: Dataset,
-        dtype=np.float32,
+        self, cfg: ExperimentConfig, seed: int, client_ids: Iterable[int], train: Dataset, test: Dataset
     ):
         self.client_ids = list(client_ids)
         self.activation = cfg.activation
         n = len(self.client_ids)
-        model = build_model(cfg, seed, dtype=dtype)
+        model = build_model(cfg, seed)
         self.layers = [
             DenseLayer(np.repeat(l.w[None], n, axis=0), np.repeat(l.b[None, None], n, axis=0))
             for l in model.client
         ]
         self.opt = sgd_state(self.layers, cfg.lr_client, cfg.momentum)
-        self.train_inputs = train.inputs.astype(dtype, copy=False)
-        self.test_inputs = test.inputs.astype(dtype, copy=False)
+        self.train_inputs = train.inputs.astype(np.float32, copy=False)
+        self.test_inputs = test.inputs.astype(np.float32, copy=False)
         self._round = None  # (batch lengths, stacked cache, one-row clients and their cache)
 
     def _models(self, clients) -> list[DenseLayer]:
@@ -186,7 +181,7 @@ class ClientBank:
             raise ProtocolError("gradients received before any forward pass")
         lengths, cache, one_row, one_row_cache = self._round
         self._round = None
-        padded = np.zeros(cache.layers[-1].preact.shape, dtype=self.layers[0].w.dtype)
+        padded = np.zeros(cache.layers[-1].preact.shape, dtype=np.float32)
         for k, (g, n) in enumerate(zip(act_grads, lengths)):
             if g.shape != (n, padded.shape[-1]):
                 raise ProtocolError(
@@ -320,7 +315,6 @@ class TrainingEngine:
         cfg: ExperimentConfig,
         seed: int,
         proxies: dict[int, ClientProxy] | None = None,
-        dtype=np.float32,
         data: tuple[Dataset, Dataset, Partition] | None = None,
     ):
         require_valid(cfg)
@@ -330,13 +324,12 @@ class TrainingEngine:
             raise ConfigError(f"tcp transport needs one proxy per client 0..{cfg.clients - 1}, got {sorted(proxies)}")
         self.cfg = cfg
         self.seed = seed
-        self.dtype = dtype
         if data is None:
             self.train, self.test = build_dataset(cfg, seed)
             self.partition = build_partition(cfg, seed, self.train.labels)
         else:
             self.train, self.test, self.partition = data
-        model = build_model(cfg, seed, dtype=dtype)
+        model = build_model(cfg, seed)
         self.activation = cfg.activation
         self.server = model.server
         self.fan_in = self.server[0].w.shape[0]
@@ -346,7 +339,7 @@ class TrainingEngine:
         self.clients: ClientCohort
         if proxies is None:
             ids = [0] if cfg.strategy == "vanilla_sl" else range(cfg.clients)  # vanilla_sl relays one model
-            self.clients = ClientBank(cfg, seed, ids, self.train, self.test, dtype=dtype)
+            self.clients = ClientBank(cfg, seed, ids, self.train, self.test)
         else:
             self.clients = ProxyCohort(proxies)
         self.lgi_state = lgi_mod.LgiState()
@@ -479,6 +472,6 @@ class TrainingEngine:
         return [self.run_round(t) for t in range(1, self.cfg.rounds + 1)]
 
 
-def run_experiment(cfg: ExperimentConfig, seed: int, dtype=np.float32) -> list[RoundReport]:
+def run_experiment(cfg: ExperimentConfig, seed: int) -> list[RoundReport]:
     """Run one seed fully in process and return its round reports."""
-    return TrainingEngine(cfg, seed, dtype=dtype).run()
+    return TrainingEngine(cfg, seed).run()

@@ -23,6 +23,11 @@ ACT_GRADS and then EVAL_REQUEST back to back, and under Nagle's algorithm
 the second frame would wait for the client's delayed ACK (about 40 ms).
 Every frame leaves in a single ``sendall``, so no frame is split into
 small segments.
+
+The coordinator waits at most ``PEER_TIMEOUT_S`` for each frame a client
+owes it (activations, eval results), so a live but silent peer ends the
+run with a :class:`ProtocolError` instead of hanging it. A client waits
+on the coordinator without a deadline.
 """
 
 from __future__ import annotations
@@ -30,6 +35,7 @@ from __future__ import annotations
 import json
 import socket
 import struct
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -44,6 +50,9 @@ HEADER_FMT = "<4sBBI"
 HEADER_SIZE = struct.calcsize(HEADER_FMT)
 MATRIX_FMT = "<IHII"
 MATRIX_HEADER_SIZE = struct.calcsize(MATRIX_FMT)
+# seconds the coordinator waits for one client frame: far above a client's
+# per-seed dataset build plus one round
+PEER_TIMEOUT_S = 300.0
 
 TAG_HELLO = 1
 TAG_CONFIG = 2
@@ -237,14 +246,19 @@ class FrameChannel:
             raise ProtocolError(f"send failed: {e}") from e
 
     def recv(self, timeout: float | None = None) -> WireMessage:
-        self.sock.settimeout(timeout)
+        """The next message; ``timeout`` seconds bound the wait for the whole frame."""
+        deadline = None if timeout is None else time.monotonic() + timeout
         while True:
             parsed = decode(self._buf)
             if parsed is not None:
                 msg, consumed = parsed
                 del self._buf[:consumed]
                 return msg
+            left = None if deadline is None else deadline - time.monotonic()
             try:
+                if left is not None and left <= 0:
+                    raise socket.timeout
+                self.sock.settimeout(left)
                 chunk = self.sock.recv(65536)
             except socket.timeout as e:
                 raise ProtocolError(f"timed out after {timeout}s waiting for a frame") from e
@@ -343,14 +357,14 @@ class RemoteClientProxy:
         return msg.matrix
 
     def forward_round(self, round_t: int) -> np.ndarray:
-        return self._expect_matrix(self.channel.recv(), Activations, round_t)
+        return self._expect_matrix(self.channel.recv(PEER_TIMEOUT_S), Activations, round_t)
 
     def apply_grads(self, round_t: int, act_grads: np.ndarray) -> None:
         self.channel.send(ActGrads(round_t, self.client_id, act_grads))
 
     def eval_activations(self, round_t: int) -> np.ndarray:
         self.channel.send(EvalRequest(round_t))
-        return self._expect_matrix(self.channel.recv(), EvalResult, round_t)
+        return self._expect_matrix(self.channel.recv(PEER_TIMEOUT_S), EvalResult, round_t)
 
     def finish(self, metrics: dict) -> None:
         self.channel.send(Metrics(metrics))

@@ -84,7 +84,7 @@ class TestParseConfig:
         # HELLO and the matrix headers carry the client id as u16
         with pytest.raises(ConfigError, match="u16"):
             parse_config_text("transport = tcp\nclients = 65536\n")
-        assert validate(ExperimentConfig(transport="tcp", clients=65535)) == []
+        assert validate(ExperimentConfig(transport="tcp", clients=65535, listen="127.0.0.1:0")) == []
         assert validate(ExperimentConfig(transport="inproc", clients=65536)) == []
 
 
@@ -93,7 +93,8 @@ def config_keys():
     return [line.split(" = ")[0] for line in config_to_text(ExperimentConfig()).splitlines()]
 
 
-# one non-default value per field; "dataset" also needs its idx paths
+# one non-default value per field; "dataset" also needs its idx paths and
+# "transport" its listen address
 NON_DEFAULT = dict(
     strategy="sfl", clients=3, rounds=7, batch_size=5, seeds=(4, 2), eval_interval=3,
     dataset="idx", alpha=None, samples_per_class=9, spread=0.35,
@@ -112,7 +113,8 @@ class TestConfigKeys:
     def test_every_field_round_trips_a_non_default_value(self, name):
         assert set(NON_DEFAULT) == {f.name for f in dataclasses.fields(ExperimentConfig)}
         assert NON_DEFAULT[name] != getattr(ExperimentConfig(), name)
-        cfg = ExperimentConfig(**{name: NON_DEFAULT[name], **(IDX_PATHS if name == "dataset" else {})})
+        needs = {"dataset": IDX_PATHS, "transport": {"listen": NON_DEFAULT["listen"]}}.get(name, {})
+        cfg = ExperimentConfig(**{name: NON_DEFAULT[name], **needs})
         assert parse_config_text(config_to_text(cfg)) == cfg
 
     def test_every_run_flag_is_a_config_key(self):
@@ -215,6 +217,14 @@ class TestRunCommand:
         cfg.write_text("rounds = 0\n")
         assert run_cli("run", "--config", str(cfg), "--out", str(tmp_path / "x")) == 2
         assert "rounds" in capsys.readouterr().err
+
+    def test_tcp_without_listen_fails_before_writing_anything(self, tmp_path, capsys):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(FAST.replace("psl", "gapsl") + "transport = tcp\n")
+        out = tmp_path / "out"
+        assert run_cli("run", "--config", str(cfg), "--out", str(out)) == 2
+        assert "tcp transport needs listen" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_wall_ms_column_is_pinned_zero(self, tmp_path):
         cfg = tmp_path / "exp.cfg"

@@ -1,18 +1,26 @@
 """Cross-module paths: IDX-backed runs, failure handling, exit codes."""
 
+import dataclasses
+import math
 import struct
 import threading
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import gapsl.gda as gda
+import gapsl.lgi as lgi
 import gapsl.orchestrator as orch
+import gapsl.transport as tp
 from gapsl.cli import main
-from gapsl.config import ExperimentConfig, config_to_text
+from gapsl.config import ExperimentConfig, config_to_text, parse_config
 from gapsl.errors import ProtocolError
 from gapsl.geometry import flatten
 from gapsl.nn import grads_arrays, params_arrays
 from gapsl.orchestrator import ClientBank, TrainingEngine, build_dataset, build_partition, run_experiment, shard_cursors
+from gapsl.reporting import metrics_rows
 from gapsl.transport import Activations, Bye, ConfigMsg, Hello, Listener, RemoteClientProxy, connect
 
 
@@ -197,6 +205,45 @@ class TestTransportFailures:
                 t.join(timeout=5)
             listener.close()
 
+    def test_silent_peer_times_out_with_round_context(self, monkeypatch):
+        monkeypatch.setattr(tp, "PEER_TIMEOUT_S", 0.5)
+        cfg = ExperimentConfig(
+            strategy="psl", clients=2, rounds=2, batch_size=8, samples_per_class=20,
+            model_dims=(4, 6, 2), cut=1, eval_interval=10, seeds=(1,), alpha=None,
+        )
+
+        def silent_peer(cid):
+            ch = connect(addr)
+            try:
+                ch.send(Hello(cid))
+                ch.recv(timeout=10)
+                ch.recv(timeout=10)  # say nothing until the coordinator hangs up
+            except ProtocolError:
+                pass
+            finally:
+                ch.close()
+
+        listener = Listener("127.0.0.1:0")
+        addr = listener.address
+        peers = [threading.Thread(target=silent_peer, args=(i,)) for i in range(2)]
+        for peer in peers:
+            peer.start()
+        channels = {}
+        try:
+            channels = listener.accept_clients(2, config_to_text(cfg), timeout=10)
+            engine = TrainingEngine(cfg, 1, {i: RemoteClientProxy(ch, i) for i, ch in channels.items()})
+            began = time.monotonic()
+            with pytest.raises(ProtocolError, match=r"round 1 client 0 \(forward\): timed out after 0.5s"):
+                engine.run_round(1)
+            assert time.monotonic() - began < 5
+        finally:
+            for ch in channels.values():
+                ch.close()
+            for peer in peers:
+                peer.join(timeout=10)
+            listener.close()
+        assert not any(peer.is_alive() for peer in peers)
+
     def test_wrong_width_activations_are_a_protocol_error(self):
         cfg = ExperimentConfig(
             strategy="psl", clients=2, rounds=3, batch_size=8, samples_per_class=20,
@@ -259,3 +306,15 @@ class TestExitCodes:
         code = main(["client", "--connect", "127.0.0.1:1", "--client-id", "0"])
         assert code == 3
         assert "protocol error" in capsys.readouterr().err
+
+
+class TestReplay:
+    def test_coordination_sums_do_not_depend_on_the_python_version(self, monkeypatch):
+        # Python 3.12 made the builtin float sum compensated; a run must
+        # replay the same bits with either sum
+        desk = Path(__file__).resolve().parents[1] / "configs" / "desk_noniid.cfg"
+        cfg = dataclasses.replace(parse_config(str(desk)), clients=100, rounds=5)
+        want = metrics_rows(cfg.strategy, 1, cfg.alpha, run_experiment(cfg, 1))
+        monkeypatch.setattr(lgi, "sum", math.fsum, raising=False)
+        monkeypatch.setattr(gda, "sum", math.fsum, raising=False)
+        assert metrics_rows(cfg.strategy, 1, cfg.alpha, run_experiment(cfg, 1)) == want

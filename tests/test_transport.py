@@ -204,6 +204,30 @@ class TestTcpChannels:
             lsock.close()
         assert not echoer.is_alive()
 
+    def test_recv_deadline_bounds_the_whole_frame(self):
+        # a peer that trickles a frame byte by byte keeps every single read
+        # short; the deadline still holds for the frame as a whole
+        near, far = socket.socketpair()
+        channel = FrameChannel(near)
+        stop = threading.Event()
+
+        def trickle():
+            for byte in encode(Bye()):
+                if stop.wait(0.1):
+                    return
+                far.sendall(bytes([byte]))
+
+        sender = threading.Thread(target=trickle)
+        sender.start()
+        try:
+            with pytest.raises(ProtocolError, match="timed out after 0.35s"):
+                channel.recv(timeout=0.35)
+        finally:
+            stop.set()
+            sender.join(timeout=10)
+            channel.close()
+            far.close()
+
     def test_channels_disable_nagle(self):
         # an eval round sends ACT_GRADS then EVAL_REQUEST back to back; with
         # Nagle on, the second frame waits for the peer's delayed ACK
