@@ -10,7 +10,12 @@ The engine trains in float32, the precision the wire carries. The
 checks that need tight finite-difference tolerances.
 
 Both parts share one forward loop and one backprop loop over their hidden
-layers; the server part adds its linear output layer and the loss.
+layers; the server part adds its linear output layer and the loss. Each
+forward value is computed once: backward takes the activation derivative
+from the layer outputs the forward pass stored (tanh' = 1 - a*a,
+relu' = [a > 0]), so the cache keeps no hidden pre-activation; every
+layer adds its bias and activates in place; the softmax reduces each row
+once; and evaluation runs the forward loop without a cache.
 
 The client-side functions (:func:`forward_client`, :func:`backward_client`,
 :func:`sgd_step`) also run a whole bank of clients at once: every array
@@ -74,10 +79,10 @@ class SplitModel:
 
 @dataclass
 class LayerCache:
-    """Per-layer forward state needed by the backward pass."""
+    """Per-layer forward state: the input the backward pass reads."""
 
-    inputs: np.ndarray    # layer input a_{k-1}
-    preact: np.ndarray    # z_k = a_{k-1} @ W + b
+    inputs: np.ndarray                 # layer input a_{k-1}
+    preact: np.ndarray | None = None   # the server part's output layer only: its logits
 
 
 @dataclass
@@ -87,6 +92,7 @@ class Cache:
     activation: str
     layers: list[LayerCache]  # per layer; the server part's last is its linear output layer
     shapes: list[tuple[tuple[int, ...], tuple[int, ...]]]
+    output: np.ndarray | None = None  # client part only: its top layer's activations
     probs: np.ndarray | None = None   # server part only: softmax rows, [batch, classes]
     labels: np.ndarray | None = None  # server part only
 
@@ -100,17 +106,18 @@ class SgdState:
     velocity: list[tuple[np.ndarray, np.ndarray]] = field(default_factory=list)
 
 
-def _act(z: np.ndarray, activation: str) -> np.ndarray:
+def _act(z: np.ndarray, activation: str, out: np.ndarray | None = None) -> np.ndarray:
     if activation == "relu":
-        return np.maximum(z, 0)
-    return np.tanh(z)
+        return np.maximum(z, 0, out=out)
+    return np.tanh(z, out=out)
 
 
-def _act_grad(z: np.ndarray, activation: str) -> np.ndarray:
+def _act_grad(a: np.ndarray, activation: str) -> np.ndarray:
+    """The activation's derivative, from its output ``a``; relu's is a mask."""
     if activation == "relu":
-        return (z > 0).astype(z.dtype)
-    t = np.tanh(z)
-    return 1 - t * t
+        return a > 0
+    g = a * a
+    return np.subtract(1, g, out=g)
 
 
 def _layer_shapes(layers: list[DenseLayer]) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
@@ -167,16 +174,18 @@ def grads_arrays(grads: list[tuple[np.ndarray, np.ndarray]]) -> list[np.ndarray]
     return out
 
 
-def _forward(
+def forward_hidden(
     layers: list[DenseLayer], a: np.ndarray, activation: str, caches: list[LayerCache] | None = None
 ) -> np.ndarray:
     """Apply the hidden layers ``layers`` to ``a``, appending each layer's
-    :class:`LayerCache` to ``caches`` when given."""
+    :class:`LayerCache` to ``caches`` when given. Each layer adds its bias
+    and activates in place on its own product."""
     for l in layers:
-        z = a @ l.w + l.b
+        z = a @ l.w
+        z += l.b
         if caches is not None:
-            caches.append(LayerCache(inputs=a, preact=z))
-        a = _act(z, activation)
+            caches.append(LayerCache(inputs=a))
+        a = _act(z, activation, out=z)
     return a
 
 
@@ -185,12 +194,15 @@ def _backprop(
 ) -> tuple[list[tuple[np.ndarray, np.ndarray]], np.ndarray]:
     """Backprop ``delta``, the gradient at the top layer's pre-activation,
     down ``layers``. Returns every layer's (dW, db) and the gradient at the
-    first layer's pre-activation."""
+    first layer's pre-activation. Layer k's input is layer k-1's output, so
+    it gives the derivative at layer k-1."""
     grads: list[tuple[np.ndarray, np.ndarray]] = [None] * len(layers)  # type: ignore[list-item]
     for k in range(len(layers) - 1, -1, -1):
-        grads[k] = (caches[k].inputs.swapaxes(-1, -2) @ delta, delta.sum(axis=-2).reshape(layers[k].b.shape))
+        inputs = caches[k].inputs
+        grads[k] = (inputs.swapaxes(-1, -2) @ delta, delta.sum(axis=-2).reshape(layers[k].b.shape))
         if k:
-            delta = (delta @ layers[k].w.swapaxes(-1, -2)) * _act_grad(caches[k - 1].preact, activation)
+            delta = delta @ layers[k].w.swapaxes(-1, -2)
+            delta *= _act_grad(inputs, activation)
     return grads, delta
 
 
@@ -206,8 +218,8 @@ def forward_client(
     if inputs.ndim != w.ndim or inputs.shape[:-2] != w.shape[:-2] or inputs.shape[-1] != w.shape[-2]:
         raise ConfigError(f"input shape {inputs.shape} does not match first layer weights {w.shape}")
     caches: list[LayerCache] = []
-    a = _forward(layers, inputs, activation, caches)
-    return a, Cache(activation=activation, layers=caches, shapes=_layer_shapes(layers))
+    a = forward_hidden(layers, inputs, activation, caches)
+    return a, Cache(activation=activation, layers=caches, shapes=_layer_shapes(layers), output=a)
 
 
 def forward_server(
@@ -229,15 +241,17 @@ def forward_server(
         raise DataError(f"label out of range [0, {num_classes}): {labels.min()}..{labels.max()}")
 
     caches: list[LayerCache] = []
-    a = _forward(layers[:-1], activations, activation, caches)
+    a = forward_hidden(layers[:-1], activations, activation, caches)
     last = layers[-1]
-    logits = a @ last.w + last.b
+    logits = a @ last.w
+    logits += last.b
     caches.append(LayerCache(inputs=a, preact=logits))
 
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    exp = np.exp(shifted)
-    probs = exp / exp.sum(axis=1, keepdims=True)
-    log_z = np.log(exp.sum(axis=1)) + logits.max(axis=1)
+    top = logits.max(axis=1, keepdims=True)
+    exp = np.exp(logits - top)
+    total = exp.sum(axis=1, keepdims=True)
+    probs = exp / total
+    log_z = np.log(total[:, 0]) + top[:, 0]
     per_example = log_z - logits[np.arange(len(labels)), labels]
     cache = Cache(activation=activation, layers=caches, shapes=_layer_shapes(layers), probs=probs, labels=labels)
     return per_example, float(per_example.mean()), cache
@@ -256,11 +270,12 @@ def backward_server(
     """
     _check_cache(layers, cache.shapes)
     batch = cache.probs.shape[0]
+    delta = cache.probs.copy()
+    delta[np.arange(batch), cache.labels] -= 1
     if loss_weights is None:
-        loss_weights = np.full(batch, 1.0 / batch, dtype=cache.probs.dtype)
-    onehot = np.zeros_like(cache.probs)
-    onehot[np.arange(batch), cache.labels] = 1
-    delta = (cache.probs - onehot) * loss_weights[:, None]
+        delta *= cache.probs.dtype.type(1.0 / batch)
+    else:
+        delta = delta * loss_weights[:, None]
     grads, d0 = _backprop(layers, cache.layers, delta, cache.activation)
     return grads, d0 @ layers[0].w.T
 
@@ -272,7 +287,7 @@ def backward_client(
 ) -> list[tuple[np.ndarray, np.ndarray]]:
     """Backprop activation gradients through the client part (one model or a bank)."""
     _check_cache(layers, cache.shapes)
-    top = cache.layers[-1].preact
+    top = cache.output
     if activation_grads.shape != top.shape:
         raise ProtocolError(
             f"activation grad shape {activation_grads.shape} does not match cut shape {top.shape}"
@@ -315,5 +330,6 @@ def logits_from_activations(
     layers: list[DenseLayer], activations: np.ndarray, activation: str = "relu"
 ) -> np.ndarray:
     """Server-part forward without loss bookkeeping (evaluation path)."""
-    a = _forward(layers[:-1], activations, activation)
-    return a @ layers[-1].w + layers[-1].b
+    logits = forward_hidden(layers[:-1], activations, activation) @ layers[-1].w
+    logits += layers[-1].b
+    return logits

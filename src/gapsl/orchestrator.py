@@ -42,6 +42,7 @@ from .nn import (
     backward_client,
     backward_server,
     forward_client,
+    forward_hidden,
     forward_server,
     grads_arrays,
     logits_from_activations,
@@ -65,11 +66,23 @@ def substream(seed: int, *tags: int) -> np.random.Generator:
 
 
 def build_dataset(cfg: ExperimentConfig, seed: int) -> tuple[Dataset, Dataset]:
+    """The run's train and test sets, for the coordinator and a TCP client
+    alike. Raises :class:`ConfigError` when an idx set's input width is not
+    ``model_dims[0]`` or it holds a label the output layer cannot score;
+    the synthetic sets are drawn to fit."""
     if cfg.dataset == "idx":
-        return (
+        sets = (
             load_idx_dataset(cfg.train_images, cfg.train_labels),
             load_idx_dataset(cfg.test_images, cfg.test_labels),
         )
+        for name, ds in zip(("train", "test"), sets):
+            width = ds.inputs.shape[1]
+            if width != cfg.input_dim:
+                raise ConfigError(f"{name} set inputs have width {width}, but model_dims[0] is {cfg.input_dim}")
+            top = ds.num_classes - 1  # an idx set's num_classes is its largest label + 1
+            if top >= cfg.num_classes:
+                raise ConfigError(f"{name} set holds label {top}, but model_dims[-1] is {cfg.num_classes}")
+        return sets
     return synth_gaussian_mixture(
         num_classes=cfg.num_classes,
         dim=cfg.input_dim,
@@ -166,22 +179,26 @@ class ClientBank:
         for k, b in enumerate(batches):
             rows[k, : len(b)] = b
         acts, cache = forward_client(self.layers, self.train_inputs[rows], self.activation)
+        out = [acts[k, :n] for k, n in enumerate(lengths)]
         one_row = [k for k, n in enumerate(lengths) if n == 1] if rows.shape[1] > 1 else []
         one_row_cache = None
         if one_row:
+            # the stacked cache keeps its own gemm outputs; a one-row
+            # client's activations come from its own stack
             one_row_acts, one_row_cache = forward_client(
                 self._models(one_row), self.train_inputs[rows[one_row, :1]], self.activation
             )
-            acts[one_row, :1] = one_row_acts
+            for k, a in zip(one_row, one_row_acts):
+                out[k] = a
         self._round = (lengths, cache, one_row, one_row_cache)
-        return [acts[k, :n] for k, n in enumerate(lengths)]
+        return out
 
     def apply_grads(self, round_t: int, act_grads: list[np.ndarray]) -> None:
         if self._round is None:
             raise ProtocolError("gradients received before any forward pass")
         lengths, cache, one_row, one_row_cache = self._round
         self._round = None
-        padded = np.zeros(cache.layers[-1].preact.shape, dtype=np.float32)
+        padded = np.zeros(cache.output.shape, dtype=np.float32)
         for k, (g, n) in enumerate(zip(act_grads, lengths)):
             if g.shape != (n, padded.shape[-1]):
                 raise ProtocolError(
@@ -198,9 +215,9 @@ class ClientBank:
 
     def eval_activations(self, round_t: int) -> Iterator[np.ndarray]:
         # client by client: a stacked pass over the test set would hold
-        # every client's activations at once
+        # every client's activations at once; no backward follows, so no cache
         for k in range(len(self.client_ids)):
-            yield forward_client(self._models(k), self.test_inputs, self.activation)[0]
+            yield forward_hidden(self._models(k), self.test_inputs, self.activation)
 
     def average(self, weights: Sequence[float]) -> None:
         """FedAvg: give every client the ``weights``-weighted mean of the
@@ -305,7 +322,8 @@ class RoundReport:
 class TrainingEngine:
     """Runs one (config, seed) experiment over its client cohort.
 
-    Raises :class:`ConfigError` listing every rule ``cfg`` breaks.
+    Raises :class:`ConfigError` listing every rule ``cfg`` breaks, or when
+    :func:`build_dataset`'s train or test set does not fit the model.
     ``proxies`` are the remote clients of a TCP run, which serves gapsl and
     psl only; without them the clients are one in-process :class:`ClientBank`.
     """
@@ -416,8 +434,8 @@ class TrainingEngine:
         for i, acts in enumerate(self.clients.eval_activations(round_t)):
             self._check_acts(round_t, i, "eval", acts, len(self.test))
             logits = logits_from_activations(self.server, acts, self.activation)
-            pred = logits.argmax(axis=1)
-            accs.append(float((pred == self.test.labels).sum()) / len(self.test.labels))
+            hits = np.count_nonzero(logits.argmax(axis=1) == self.test.labels)
+            accs.append(hits / len(self.test.labels))
         return float(np.mean(accs))
 
     # ---- rounds ----------------------------------------------------------

@@ -219,7 +219,8 @@ def _act(z, activation):
     return np.maximum(z, 0) if activation == "relu" else np.tanh(z)
 
 
-def _act_grad(z, activation):
+def act_grad(z, activation):
+    """The activation's derivative, recomputed from the pre-activation ``z``."""
     if activation == "relu":
         return (z > 0).astype(z.dtype)
     t = np.tanh(z)
@@ -242,7 +243,7 @@ def client_backward(params, caches, act_grads, activation):
     delta = act_grads
     for k in range(len(caches) - 1, -1, -1):
         inputs, z = caches[k]
-        delta = delta * _act_grad(z, activation)
+        delta = delta * act_grad(z, activation)
         grads[2 * k], grads[2 * k + 1] = inputs.T @ delta, delta.sum(axis=0)
         delta = delta @ params[2 * k].T
     return grads

@@ -14,7 +14,9 @@ from gapsl.data import (
     load_idx_dataset,
     synth_gaussian_mixture,
 )
-from gapsl.errors import DataError, FormatError
+from gapsl.config import ExperimentConfig
+from gapsl.errors import ConfigError, DataError, FormatError
+from gapsl.orchestrator import TrainingEngine, build_dataset
 
 
 def label_distribution(labels: np.ndarray, num_classes: int) -> np.ndarray:
@@ -204,6 +206,39 @@ class TestLoadIdx:
         lab.write_bytes(idx_labels_bytes([0, 1]))
         with pytest.raises(DataError):
             load_idx_dataset(str(img), str(lab))
+
+    @pytest.mark.parametrize(
+        "which,fault", [(None, None), ("train", "label"), ("train", "width"), ("test", "label"), ("test", "width")]
+    )
+    def test_engine_rejects_a_set_that_does_not_fit_the_model(self, tmp_path, which, fault):
+        # model_dims (4, 8, 3): 2x2 images, labels 0..2
+        rng = np.random.default_rng(0)
+        paths = {}
+        for name, n in (("train", 24), ("test", 12)):
+            shape = (n, 3, 2) if fault == "width" and name == which else (n, 2, 2)
+            labels = np.arange(n) % 3
+            if fault == "label" and name == which:
+                labels[-5:] = 3
+            paths[f"{name}_images"] = tmp_path / f"{name}-img.idx"
+            paths[f"{name}_labels"] = tmp_path / f"{name}-lab.idx"
+            paths[f"{name}_images"].write_bytes(idx_images_bytes(rng.integers(0, 256, shape)))
+            paths[f"{name}_labels"].write_bytes(idx_labels_bytes(labels))
+        cfg = ExperimentConfig(
+            dataset="idx", clients=2, rounds=1, alpha=None, model_dims=(4, 8, 3), cut=1,
+            **{k: str(v) for k, v in paths.items()},
+        )
+        if fault is None:
+            assert TrainingEngine(cfg, 1).run()[-1].accuracy is not None
+            return
+        message = {
+            "label": rf"{which} set holds label 3, but model_dims\[-1\] is 3",
+            "width": rf"{which} set inputs have width 6, but model_dims\[0\] is 4",
+        }[fault]
+        # the coordinator's engine and a TCP client both build their sets here
+        with pytest.raises(ConfigError, match=message):
+            build_dataset(cfg, 1)
+        with pytest.raises(ConfigError, match=message):
+            TrainingEngine(cfg, 1)
 
 
 class TestDatasetInvariants:

@@ -12,6 +12,7 @@ from gapsl.nn import (
     backward_client,
     backward_server,
     forward_client,
+    forward_hidden,
     forward_server,
     grads_arrays,
     logits_from_activations,
@@ -194,6 +195,85 @@ class TestBackwardClient:
                 a = np.maximum(a @ layer.w + layer.b, 0)
             unsplit_logits = a @ all_layers[-1].w + all_layers[-1].b
             assert np.max(np.abs(split_logits - unsplit_logits)) <= 1e-9
+
+
+def two_pass_server(layers, acts, labels, activation, loss_weights=None):
+    """forward_server then backward_server in their reference form: the
+    softmax reduces each row twice, the residual subtracts a one-hot matrix
+    and the activation derivative is recomputed from each pre-activation."""
+    a, caches = oracles.client_forward(params_arrays(layers[:-1]), acts, activation)
+    logits = a @ layers[-1].w + layers[-1].b
+    caches.append((a, logits))
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    exp = np.exp(shifted)
+    probs = exp / exp.sum(axis=1, keepdims=True)
+    log_z = np.log(exp.sum(axis=1)) + logits.max(axis=1)
+    per_example = log_z - logits[np.arange(len(labels)), labels]
+    batch = len(labels)
+    if loss_weights is None:
+        loss_weights = np.full(batch, 1.0 / batch, dtype=probs.dtype)
+    onehot = np.zeros_like(probs)
+    onehot[np.arange(batch), labels] = 1
+    delta = (probs - onehot) * loss_weights[:, None]
+    grads = [None] * len(layers)
+    for k in range(len(layers) - 1, -1, -1):
+        grads[k] = (caches[k][0].T @ delta, delta.sum(axis=0))
+        if k:
+            delta = (delta @ layers[k].w.T) * oracles.act_grad(caches[k - 1][1], activation)
+    return per_example, float(per_example.mean()), probs, grads, delta @ layers[0].w.T
+
+
+class TestEachForwardValueOnce:
+    """Backward reads stored outputs and the softmax reduces once; every
+    result is bit-identical to the form that recomputes them."""
+
+    @pytest.mark.parametrize("activation", ["relu", "tanh"])
+    @pytest.mark.parametrize("batch", [1, 7])
+    def test_client_backward_equals_recomputed_derivative(self, activation, batch):
+        rng = np.random.default_rng(31)
+        model = make_model([6, 9, 8, 5, 4], 3, seed=5, dtype=np.float32, activation=activation)
+        x = rng.normal(size=(batch, 6)).astype(np.float32)
+        act_grads = rng.normal(size=(batch, 5)).astype(np.float32)
+        acts, cache = forward_client(model.client, x, activation)
+        params = params_arrays(model.client)
+        want_acts, caches = oracles.client_forward(params, x, activation)
+        assert acts.dtype == np.float32 and (acts == want_acts).all()
+        got = grads_arrays(backward_client(model.client, cache, act_grads))
+        want = oracles.client_backward(params, caches, act_grads, activation)
+        assert all(g.dtype == np.float32 and (g == w).all() for g, w in zip(got, want))
+
+    @pytest.mark.parametrize("activation", ["relu", "tanh"])
+    @pytest.mark.parametrize("weighted", [False, True])
+    @pytest.mark.parametrize("batch", [1, 7])
+    def test_server_pass_equals_two_pass_one_hot_form(self, activation, weighted, batch):
+        rng = np.random.default_rng(32)
+        model = make_model([6, 9, 8, 7, 5], 1, seed=6, dtype=np.float32, activation=activation)
+        acts = rng.normal(size=(batch, 9)).astype(np.float32)
+        labels = rng.integers(0, 5, batch)
+        weights = rng.uniform(0.1, 1.0, batch).astype(np.float32) if weighted else None
+        per_example, mean_loss, cache = forward_server(model.server, acts, labels, activation)
+        grads, act_grads = backward_server(model.server, cache, loss_weights=weights)
+        want = two_pass_server(model.server, acts, labels, activation, weights)
+        assert per_example.dtype == np.float32 and (per_example == want[0]).all()
+        assert mean_loss == want[1]
+        assert (cache.probs == want[2]).all()
+        assert all((dw == ww).all() and (db == wb).all() for (dw, db), (ww, wb) in zip(grads, want[3]))
+        assert act_grads.dtype == np.float32 and (act_grads == want[4]).all()
+
+    @pytest.mark.parametrize("activation", ["relu", "tanh"])
+    def test_forward_leaves_its_inputs_and_weights_unchanged(self, activation):
+        rng = np.random.default_rng(33)
+        model = make_model([6, 9, 8, 7, 5], 2, seed=7, dtype=np.float32, activation=activation)
+        x = rng.normal(size=(11, 6)).astype(np.float32)
+        before = [p.copy() for p in params_arrays(model.client) + params_arrays(model.server)] + [x.copy()]
+        acts = forward_hidden(model.client, x, activation)
+        assert (acts == forward_client(model.client, x, activation)[0]).all()
+        kept = acts.copy()
+        logits = logits_from_activations(model.server, acts, activation)
+        _, _, cache = forward_server(model.server, kept, np.zeros(11, dtype=int), activation)
+        assert (logits == cache.layers[-1].preact).all()
+        after = params_arrays(model.client) + params_arrays(model.server) + [x, acts]
+        assert all((a == b).all() for a, b in zip(after, before + [kept]))
 
 
 class TestGradientCorrectness:

@@ -12,7 +12,7 @@ from gapsl.config import ExperimentConfig
 from gapsl.data import Partition
 from gapsl.errors import ConfigError, ProtocolError
 from gapsl.geometry import Cohort, GradientVector, flatten
-from gapsl.nn import DenseLayer, params_arrays
+from gapsl.nn import DenseLayer, forward_client, logits_from_activations, params_arrays
 from gapsl.orchestrator import (
     STREAM_SHUFFLE,
     ClientBank,
@@ -514,6 +514,48 @@ class TestClientBank:
                 for name, mine in (("bank", got[i]), ("bank of one", own), ("momentum", moments)):
                     want = velocity[i] if name == "momentum" else params[i]
                     assert all((a == b).all() for a, b in zip(mine, want)), (name, n, i)
+
+    @pytest.mark.parametrize("activation", ["relu", "tanh"])
+    def test_gradients_equal_the_recomputed_derivative_form(self, activation, monkeypatch):
+        # backward reads the outputs forward stored; the per-client oracle
+        # recomputes each derivative from the pre-activation. Client 1's
+        # one-row batch is recomputed as its own stack.
+        cfg = small_config(clients=3, cut=2, activation=activation)
+        train, test = build_dataset(cfg, 1)
+        bank = ClientBank(cfg, 1, range(cfg.clients), train, test)
+        params = client_params(bank)
+        stepped = []
+        monkeypatch.setattr(orchestrator, "sgd_step", lambda layers, grads, state: stepped.append(grads))
+        rng = np.random.default_rng(2)
+        lengths = [cfg.batch_size, 1, 5]
+        indices = [rng.choice(len(bank.train_inputs), k, replace=False) for k in lengths]
+        act_grads = [rng.normal(size=(k, cfg.model_dims[cfg.cut])).astype(np.float32) for k in lengths]
+        bank.forward(1, indices)
+        bank.apply_grads(1, act_grads)
+        (grads,) = stepped
+        for i in range(cfg.clients):
+            _, caches = oracles.client_forward(params[i], bank.train_inputs[indices[i]], activation)
+            want = oracles.client_backward(params[i], caches, act_grads[i], activation)
+            got = [g for dw, db in grads for g in (dw[i], db[i, 0])]
+            assert all(g.dtype == np.float32 and (g == w).all() for g, w in zip(got, want)), i
+
+    @pytest.mark.parametrize("activation", ["relu", "tanh"])
+    def test_evaluation_keeps_no_cache_and_changes_nothing(self, activation):
+        cfg = small_config(clients=3, activation=activation)
+        engine = TrainingEngine(cfg, 1)
+        for t in (1, 2):
+            engine.run_round(t)  # the clients' models drift apart
+        bank = engine.clients
+        before = [a.copy() for a in [bank.test_inputs, *params_arrays(bank.layers), *params_arrays(engine.server)]]
+        recount = []
+        for k, acts in enumerate(bank.eval_activations(3)):
+            want = forward_client(bank._models(k), bank.test_inputs, activation)[0]
+            assert acts.dtype == want.dtype and (acts == want).all(), k
+            logits = logits_from_activations(engine.server, want, activation)
+            recount.append(float((logits.argmax(axis=1) == engine.test.labels).sum()) / len(engine.test))
+        assert engine._evaluate(3) == float(np.mean(recount))
+        after = [bank.test_inputs, *params_arrays(bank.layers), *params_arrays(engine.server)]
+        assert all((a == b).all() for a, b in zip(after, before))
 
     def test_gradients_before_forward_and_wrong_shapes_are_protocol_errors(self):
         cfg = small_config(clients=2)
