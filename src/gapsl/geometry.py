@@ -1,10 +1,10 @@
 """Flat-vector gradient geometry.
 
-Gradients are flattened into 1-D vectors (layers in forward order, each
-layer's weights row-major followed by its biases) and compared by angle.
-All angle math runs in float64 regardless of the vectors' storage dtype;
-cosines are clamped to [-1, 1] before arccos so near-parallel vectors
-never produce NaN.
+A gradient is a flat vector in :func:`gapsl.nn.layer_views`' layout (per
+layer in forward order, weights row-major, then biases), as the server
+passes write it into its row of the round's ``g[clients, params]``.
+Vectors are compared by angle, in float64 whatever their storage dtype;
+cosines are clamped to [-1, 1] so near-parallel vectors never give NaN.
 
 A round's gradients are one ``[clients, params]`` matrix, prepared once
 (:class:`Cohort`): its usable rows are stacked in float64 and their Gram
@@ -92,26 +92,6 @@ def prepared(cohort: Cohort | Iterable[GradientVector]) -> Cohort:
         raise ConfigError(f"cohort gradients disagree on length: {sorted(shapes)}")
     values = np.stack([g.values for g in vectors]) if vectors else np.zeros((0, 0))
     return Cohort([g.client_id for g in vectors], values, vectors[0].round if vectors else 0)
-
-
-def flatten(tensors: Sequence[np.ndarray]) -> np.ndarray:
-    """Concatenate tensors into one 1-D vector, row-major within each tensor."""
-    if not tensors:
-        raise ValueError("cannot flatten an empty tensor list")
-    return np.concatenate([np.ravel(t, order="C") for t in tensors])
-
-
-def unflatten(vector: np.ndarray, shapes: Sequence[tuple[int, ...]]) -> list[np.ndarray]:
-    """Inverse of :func:`flatten` given the original tensor shapes."""
-    out = []
-    pos = 0
-    for shape in shapes:
-        size = int(np.prod(shape)) if shape else 1
-        out.append(vector[pos : pos + size].reshape(shape))
-        pos += size
-    if pos != vector.size:
-        raise ValueError(f"vector length {vector.size} does not match shapes (need {pos})")
-    return out
 
 
 def angular_deviation(

@@ -3,11 +3,9 @@
 A model is a stack of dense layers cut at an index into a client part and
 a server part. Hidden layers apply ReLU or tanh; the final layer emits
 logits consumed by softmax cross-entropy. Everything is plain numpy so
-gradients are exact and checkable against finite differences.
-
-The engine trains in float32, the precision the wire carries. The
-``dtype`` argument of :func:`split_model` also builds float64 models, for
-checks that need tight finite-difference tolerances.
+gradients are exact and checkable against finite differences. The engine
+trains in float32, the wire's precision; :func:`split_model` also builds
+float64 models, for tight finite-difference checks.
 
 Both parts share one forward loop and one backprop loop over their hidden
 layers; the server part adds its linear output layer and the loss. Each
@@ -17,16 +15,23 @@ relu' = [a > 0]), so the cache keeps no hidden pre-activation; every
 layer adds its bias and activates in place; the softmax reduces each row
 once; and evaluation runs the forward loop without a cache.
 
+Each part's parameters are one flat vector whose layers are views
+(:func:`layer_views`). Backward writes each gradient through ``out=`` into
+that layout in a buffer the caller owns, and :func:`sgd_step` steps a part
+as one array. Forward reads only the layers, so standalone arrays work too.
+
 The client-side functions (:func:`forward_client`, :func:`backward_client`,
-:func:`sgd_step`) also run a whole bank of clients at once: every array
-then carries a leading client axis (weights ``[clients, fan_in, fan_out]``,
-biases ``[clients, 1, fan_out]``, inputs ``[clients, batch, fan_in]``) and
-``np.matmul`` multiplies client by client.
+:func:`sgd_step`) also run a whole bank of clients at once: its parameters
+are one ``[clients, P]`` matrix, so every view carries a leading client
+axis (weights ``[clients, fan_in, fan_out]``, biases ``[clients, 1,
+fan_out]``, inputs ``[clients, batch, fan_in]``) and ``np.matmul``
+multiplies client by client.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -54,10 +59,6 @@ class ModelSpec:
     def num_layers(self) -> int:
         return len(self.layer_dims) - 1
 
-    @property
-    def num_classes(self) -> int:
-        return self.layer_dims[-1]
-
 
 @dataclass
 class DenseLayer:
@@ -65,16 +66,42 @@ class DenseLayer:
     b: np.ndarray  # [fan_out]; [clients, 1, fan_out] in a bank
 
 
+def layer_views(params: np.ndarray, widths: Sequence[int]) -> list[DenseLayer]:
+    """The layers of widths ``widths`` as views into ``params``, a part's
+    flat vector or a bank's ``[clients, P]`` matrix. This is the layout of
+    every parameter and gradient vector: per layer, weights row-major, then bias."""
+    lead = params.shape[:-1]
+    layers, pos = [], 0
+    for fan_in, fan_out in zip(widths[:-1], widths[1:]):
+        w = params[..., pos : pos + fan_in * fan_out].reshape(*lead, fan_in, fan_out)
+        pos += fan_in * fan_out
+        b = params[..., pos : pos + fan_out].reshape(*lead, 1, fan_out) if lead else params[pos : pos + fan_out]
+        pos += fan_out
+        layers.append(DenseLayer(w, b))
+    if pos != params.shape[-1]:
+        raise ConfigError(f"{params.shape[-1]} parameters do not fit layer widths {tuple(widths)}, which hold {pos}")
+    return layers
+
+
+def _widths(layers: list[DenseLayer]) -> tuple[int, ...]:
+    return (layers[0].w.shape[-2], *(l.w.shape[-1] for l in layers))
+
+
 @dataclass
 class SplitModel:
+    """A model cut after layer ``cut_index``: ``params`` holds every
+    parameter, the client part's first, and each part is a slice of it
+    (``client_params``) with its layers as views (``client``)."""
+
     spec: ModelSpec
     cut_index: int
-    client: list[DenseLayer]
-    server: list[DenseLayer]
+    params: np.ndarray
 
-    @property
-    def dtype(self) -> np.dtype:
-        return self.client[0].w.dtype
+    def __post_init__(self):
+        layers = layer_views(self.params, self.spec.layer_dims)
+        self.client, self.server = layers[: self.cut_index], layers[self.cut_index :]
+        size = sum(l.w.size + l.b.size for l in self.client)
+        self.client_params, self.server_params = self.params[:size], self.params[size:]
 
 
 @dataclass
@@ -99,11 +126,13 @@ class Cache:
 
 @dataclass
 class SgdState:
-    """SGD-with-momentum state: v <- m*v + g; p <- p - lr*v."""
+    """SGD-with-momentum state of one part's flat parameters: v <- m*v + g;
+    p <- p - lr*v. ``widths`` gives their layout, to name a tensor."""
 
     lr: float
     momentum: float
-    velocity: list[tuple[np.ndarray, np.ndarray]] = field(default_factory=list)
+    velocity: np.ndarray
+    widths: tuple[int, ...]
 
 
 def _act(z: np.ndarray, activation: str, out: np.ndarray | None = None) -> np.ndarray:
@@ -124,13 +153,6 @@ def _layer_shapes(layers: list[DenseLayer]) -> list[tuple[tuple[int, ...], tuple
     return [(tuple(l.w.shape), tuple(l.b.shape)) for l in layers]
 
 
-def _check_cache(layers: list[DenseLayer], cached_shapes) -> None:
-    if _layer_shapes(layers) != cached_shapes:
-        raise ProtocolError(
-            "cache does not match these layers; it was produced by a different forward pass"
-        )
-
-
 def split_model(
     spec: ModelSpec,
     cut_index: int,
@@ -148,30 +170,11 @@ def split_model(
             f"cut_index {cut_index} out of range [1, {spec.num_layers - 1}] for dims {spec.layer_dims}"
         )
     rng = np.random.default_rng(seed)
-    layers = []
+    tensors = []
     for fan_in, fan_out in zip(spec.layer_dims[:-1], spec.layer_dims[1:]):
         a = np.sqrt(6.0 / (fan_in + fan_out))
-        w = rng.uniform(-a, a, size=(fan_in, fan_out)).astype(dtype)
-        b = np.zeros(fan_out, dtype=dtype)
-        layers.append(DenseLayer(w, b))
-    return SplitModel(spec=spec, cut_index=cut_index, client=layers[:cut_index], server=layers[cut_index:])
-
-
-def params_arrays(layers: list[DenseLayer]) -> list[np.ndarray]:
-    """Parameter tensors in canonical flattening order: per layer, weights then bias."""
-    out = []
-    for l in layers:
-        out.append(l.w)
-        out.append(l.b)
-    return out
-
-
-def grads_arrays(grads: list[tuple[np.ndarray, np.ndarray]]) -> list[np.ndarray]:
-    out = []
-    for dw, db in grads:
-        out.append(dw)
-        out.append(db)
-    return out
+        tensors += [rng.uniform(-a, a, size=fan_in * fan_out).astype(dtype), np.zeros(fan_out, dtype=dtype)]
+    return SplitModel(spec, cut_index, np.concatenate(tensors))
 
 
 def forward_hidden(
@@ -190,20 +193,29 @@ def forward_hidden(
 
 
 def _backprop(
-    layers: list[DenseLayer], caches: list[LayerCache], delta: np.ndarray, activation: str
-) -> tuple[list[tuple[np.ndarray, np.ndarray]], np.ndarray]:
+    layers: list[DenseLayer], caches: list[LayerCache], delta: np.ndarray, activation: str, grads: list[DenseLayer]
+) -> np.ndarray:
     """Backprop ``delta``, the gradient at the top layer's pre-activation,
-    down ``layers``. Returns every layer's (dW, db) and the gradient at the
-    first layer's pre-activation. Layer k's input is layer k-1's output, so
-    it gives the derivative at layer k-1."""
-    grads: list[tuple[np.ndarray, np.ndarray]] = [None] * len(layers)  # type: ignore[list-item]
+    down ``layers``, writing each layer's (dW, db) into ``grads``. Returns
+    the gradient at the first layer's pre-activation. Layer k's input is
+    layer k-1's output, so it gives the derivative at layer k-1."""
     for k in range(len(layers) - 1, -1, -1):
         inputs = caches[k].inputs
-        grads[k] = (inputs.swapaxes(-1, -2) @ delta, delta.sum(axis=-2).reshape(layers[k].b.shape))
+        np.matmul(inputs.swapaxes(-1, -2), delta, out=grads[k].w)
+        delta.sum(axis=-2, keepdims=True, out=grads[k].b.reshape(*delta.shape[:-2], 1, -1))
         if k:
             delta = delta @ layers[k].w.swapaxes(-1, -2)
             delta *= _act_grad(inputs, activation)
-    return grads, delta
+    return delta
+
+
+def _grad_views(layers: list[DenseLayer], cache: Cache, out: np.ndarray) -> list[DenseLayer]:
+    """The per-layer views of ``out``, the flat gradient of ``layers``."""
+    if _layer_shapes(layers) != cache.shapes:
+        raise ProtocolError("cache does not match these layers; it was produced by a different forward pass")
+    if out.shape[:-1] != layers[0].w.shape[:-2]:  # matmul would broadcast into a larger buffer
+        raise ConfigError(f"gradient buffer of shape {out.shape} does not fit layers {cache.shapes}")
+    return layer_views(out, _widths(layers))
 
 
 def forward_client(
@@ -258,17 +270,15 @@ def forward_server(
 
 
 def backward_server(
-    layers: list[DenseLayer],
-    cache: Cache,
-    loss_weights: np.ndarray | None = None,
-) -> tuple[list[tuple[np.ndarray, np.ndarray]], np.ndarray]:
+    layers: list[DenseLayer], cache: Cache, out: np.ndarray, loss_weights: np.ndarray | None = None
+) -> np.ndarray:
     """Backprop the (weighted) per-example losses through the server part.
 
     ``loss_weights`` defaults to 1/batch for every example, i.e. the
-    gradient of the mean loss. Returns per-layer (dW, db) grads plus the
-    gradient w.r.t. the incoming activations.
+    gradient of the mean loss. Writes the parameter gradient into the flat
+    buffer ``out`` and returns the gradient w.r.t. the incoming activations.
     """
-    _check_cache(layers, cache.shapes)
+    grads = _grad_views(layers, cache, out)
     batch = cache.probs.shape[0]
     delta = cache.probs.copy()
     delta[np.arange(batch), cache.labels] -= 1
@@ -276,54 +286,50 @@ def backward_server(
         delta *= cache.probs.dtype.type(1.0 / batch)
     else:
         delta = delta * loss_weights[:, None]
-    grads, d0 = _backprop(layers, cache.layers, delta, cache.activation)
-    return grads, d0 @ layers[0].w.T
+    d0 = _backprop(layers, cache.layers, delta, cache.activation, grads)
+    return d0 @ layers[0].w.T
 
 
-def backward_client(
-    layers: list[DenseLayer],
-    cache: Cache,
-    activation_grads: np.ndarray,
-) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Backprop activation gradients through the client part (one model or a bank)."""
-    _check_cache(layers, cache.shapes)
+def backward_client(layers: list[DenseLayer], cache: Cache, activation_grads: np.ndarray, out: np.ndarray) -> None:
+    """Backprop activation gradients through the client part (one model or
+    a bank), writing the parameter gradient into the flat buffer ``out``."""
+    grads = _grad_views(layers, cache, out)
     top = cache.output
     if activation_grads.shape != top.shape:
         raise ProtocolError(
             f"activation grad shape {activation_grads.shape} does not match cut shape {top.shape}"
         )
     delta = activation_grads * _act_grad(top, cache.activation)
-    grads, _ = _backprop(layers, cache.layers, delta, cache.activation)  # the inputs take no gradient
-    return grads
+    _backprop(layers, cache.layers, delta, cache.activation, grads)  # the inputs take no gradient
 
 
 def sgd_state(layers: list[DenseLayer], lr: float, momentum: float) -> SgdState:
+    """Zero momentum for the flat parameters that ``layers`` view."""
     if lr <= 0:
         raise ConfigError(f"learning rate must be > 0, got {lr}")
     if not (0 <= momentum < 1):
         raise ConfigError(f"momentum must be in [0, 1), got {momentum}")
-    vel = [(np.zeros_like(l.w), np.zeros_like(l.b)) for l in layers]
-    return SgdState(lr=lr, momentum=momentum, velocity=vel)
+    widths, w = _widths(layers), layers[0].w
+    size = sum(fan_in * fan_out + fan_out for fan_in, fan_out in zip(widths, widths[1:]))
+    return SgdState(lr, momentum, np.zeros((*w.shape[:-2], size), dtype=w.dtype), widths)
 
 
-def sgd_step(
-    layers: list[DenseLayer],
-    grads: list[tuple[np.ndarray, np.ndarray]],
-    state: SgdState,
-) -> None:
-    """In-place momentum SGD update: v <- m*v + g; p <- p - lr*v.
-
-    Elementwise, so a bank steps every client's model in one call.
-    """
-    if len(grads) != len(layers) or len(state.velocity) != len(layers):
-        raise ConfigError("layers, grads and optimizer state have different lengths")
-    for i, (l, (dw, db), (vw, vb)) in enumerate(zip(layers, grads, state.velocity)):
-        for name, p, g, v in (("w", l.w, dw, vw), ("b", l.b, db, vb)):
-            if not np.isfinite(g).all():
-                raise NumericError(f"non-finite gradient for tensor layer{i}.{name}")
-            v *= state.momentum
-            v += g
-            p -= state.lr * v
+def sgd_step(params: np.ndarray, grads: np.ndarray, state: SgdState) -> None:
+    """In-place momentum SGD on one part's flat parameters, or a bank's
+    whole matrix at once: v <- m*v + g; p <- p - lr*v. A non-finite
+    gradient raises :class:`NumericError` naming the first tensor, in
+    layout order, that holds one, before anything is updated."""
+    if not params.shape == grads.shape == state.velocity.shape:
+        raise ConfigError(f"shapes differ: params {params.shape}, grads {grads.shape}, state {state.velocity.shape}")
+    finite = np.isfinite(grads)
+    if not finite.all():
+        layers = layer_views(finite, state.widths)
+        bad = next(f"layer{i}.{n}" for i, l in enumerate(layers) for n in "wb" if not getattr(l, n).all())
+        raise NumericError(f"non-finite gradient for tensor {bad}")
+    v = state.velocity
+    v *= state.momentum
+    v += grads
+    params -= state.lr * v
 
 
 def logits_from_activations(

@@ -34,7 +34,7 @@ from . import lgi as lgi_mod
 from .config import TCP_STRATEGIES, ExperimentConfig, is_eval_round, require_valid
 from .data import Dataset, Partition, dirichlet_partition, iid_partition, load_idx_dataset, synth_gaussian_mixture
 from .errors import ConfigError, CoordinationSkipped, ProtocolError
-from .geometry import Cohort, flatten, pairwise_mean_deviation, unflatten
+from .geometry import Cohort, pairwise_mean_deviation
 from .nn import (
     DenseLayer,
     ModelSpec,
@@ -44,9 +44,8 @@ from .nn import (
     forward_client,
     forward_hidden,
     forward_server,
-    grads_arrays,
+    layer_views,
     logits_from_activations,
-    params_arrays,
     sgd_state,
     sgd_step,
     split_model,
@@ -140,9 +139,9 @@ def shard_cursors(
 
 
 class ClientBank:
-    """Client-side models and optimizers of a set of clients, held as
-    stacks with a leading client axis; the in-process :class:`ClientCohort`.
-    A TCP client is a bank of one.
+    """Client-side models and optimizers of a set of clients: one ``[clients,
+    P]`` parameter matrix, row k client k's, with ``layers`` its views. The
+    in-process :class:`ClientCohort`; a TCP client is a bank of one.
 
     Every client starts from the same ``build_model(cfg, seed)``. A round
     pads each client's batch to the longest one with rows whose activation
@@ -158,12 +157,9 @@ class ClientBank:
     ):
         self.client_ids = list(client_ids)
         self.activation = cfg.activation
-        n = len(self.client_ids)
-        model = build_model(cfg, seed)
-        self.layers = [
-            DenseLayer(np.repeat(l.w[None], n, axis=0), np.repeat(l.b[None, None], n, axis=0))
-            for l in model.client
-        ]
+        self.widths = cfg.model_dims[: cfg.cut + 1]
+        self.params = np.repeat(build_model(cfg, seed).client_params[None], len(self.client_ids), axis=0)
+        self.layers = layer_views(self.params, self.widths)
         self.opt = sgd_state(self.layers, cfg.lr_client, cfg.momentum)
         self.train_inputs = train.inputs.astype(np.float32, copy=False)
         self.test_inputs = test.inputs.astype(np.float32, copy=False)
@@ -206,12 +202,13 @@ class ClientBank:
                     f"does not match cut shape {(n, padded.shape[-1])}"
                 )
             padded[k, :n] = g
-        grads = backward_client(self.layers, cache, padded)
+        grads = np.empty_like(self.params)
+        backward_client(self.layers, cache, padded, grads)
         if one_row:
-            one_row_grads = backward_client(self._models(one_row), one_row_cache, padded[one_row, :1])
-            for (dw, db), (sw, sb) in zip(grads, one_row_grads):
-                dw[one_row], db[one_row] = sw, sb
-        sgd_step(self.layers, grads, self.opt)
+            one_row_grads = np.empty((len(one_row), grads.shape[1]), dtype=grads.dtype)
+            backward_client(self._models(one_row), one_row_cache, padded[one_row, :1], one_row_grads)
+            grads[one_row] = one_row_grads
+        sgd_step(self.params, grads, self.opt)
 
     def eval_activations(self, round_t: int) -> Iterator[np.ndarray]:
         # client by client: a stacked pass over the test set would hold
@@ -224,10 +221,9 @@ class ClientBank:
         clients' models, summed in float64 in client order."""
         w = np.asarray(weights, dtype=np.float64)
         w = w / w.sum()
-        # Python's sum adds client after client; numpy's axis-0 sum would
-        # switch to pairwise order when a stack holds one value per client
-        for stack in params_arrays(self.layers):
-            stack[...] = sum(wk * s for wk, s in zip(w, stack.astype(np.float64))).astype(stack.dtype)
+        # Python's sum adds client after client; numpy's axis-0 sum need not
+        rows = self.params.astype(np.float64)
+        self.params[...] = sum(wk * row for wk, row in zip(w, rows)).astype(self.params.dtype)
 
 
 def client_error(round_t: int, client_id: int, phase: str, problem) -> ProtocolError:
@@ -349,10 +345,9 @@ class TrainingEngine:
             self.train, self.test, self.partition = data
         model = build_model(cfg, seed)
         self.activation = cfg.activation
-        self.server = model.server
+        self.server, self.server_params = model.server, model.server_params
         self.fan_in = self.server[0].w.shape[0]
         self.server_opt = sgd_state(self.server, cfg.lr_server, cfg.momentum)
-        self.server_shapes = [a.shape for a in params_arrays(self.server)]
         self.cursors = shard_cursors(cfg, seed, self.partition, range(cfg.clients))
         self.clients: ClientCohort
         if proxies is None:
@@ -373,15 +368,10 @@ class TrainingEngine:
 
     # ---- per-round pieces ------------------------------------------------
 
-    def _server_pass(self, acts: np.ndarray, labels: np.ndarray):
+    def _server_pass(self, acts: np.ndarray, labels: np.ndarray, out: np.ndarray):
+        """One client's server pass, writing its gradient into ``out``, its row of the round's g."""
         _, mean_loss, cache = forward_server(self.server, acts, labels, self.activation)
-        server_grads, act_grads = backward_server(self.server, cache)
-        return mean_loss, flatten(grads_arrays(server_grads)), act_grads
-
-    def _apply_server_update(self, update_vec: np.ndarray) -> None:
-        arrays = unflatten(update_vec, self.server_shapes)
-        pairs = [(arrays[2 * i], arrays[2 * i + 1]) for i in range(len(self.server))]
-        sgd_step(self.server, pairs, self.server_opt)
+        return mean_loss, backward_server(self.server, cache, out)
 
     def _check_acts(self, t: int, i: int, phase: str, acts: np.ndarray, rows: int) -> None:
         """Activations from client ``i`` must be ``[rows, fan_in]``: checked
@@ -450,11 +440,12 @@ class TrainingEngine:
             self._check_acts(t, i, "forward", a, len(idx))
             self.samples_consumed += len(idx)
 
-        # the round's cohort is its g[clients, params] matrix, prepared once:
-        # its Gram serves the pairwise stat, LGI and GDA
+        # the round's cohort is its g[clients, params] matrix, one row per
+        # server pass, prepared once: its Gram serves the pairwise stat, LGI and GDA
         labels = [self.train.labels[idx] for idx in batches]
-        losses, rows, act_grads = zip(*map(self._server_pass, acts, labels))
-        cohort = Cohort(ids, np.stack(rows), t)
+        g = np.empty((len(ids), self.server_params.size), dtype=self.server_params.dtype)
+        losses, act_grads = zip(*map(self._server_pass, acts, labels, g))
+        cohort = Cohort(ids, g, t)
 
         pairwise = pairwise_mean_deviation(cohort)
         fields = {}
@@ -462,7 +453,7 @@ class TrainingEngine:
             update, fields = self._coordinate(cohort, dict(zip(ids, losses, strict=True)))
         else:
             update = cohort.values.mean(axis=0)
-        self._apply_server_update(update)
+        sgd_step(self.server_params, update, self.server_opt)
 
         self.clients.apply_grads(t, act_grads)
 

@@ -20,6 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import BLAS_THREADS
 from .config import ExperimentConfig, config_to_text
 from .errors import ConfigError, DataError
 from .orchestrator import RoundReport
@@ -114,12 +115,14 @@ def write_manifest(outdir: Path, cfg: ExperimentConfig) -> dict:
     for line in config_to_text(cfg).splitlines():
         key, _, value = line.partition(" = ")
         config_map[key] = value
+    blas = "{name} {version}".format(**np.show_config(mode="dicts")["Build Dependencies"]["blas"])
     manifest = {
         "schema": 1,
         "build_id": build_id(),
         "output_dir": str(outdir),
         "seeds": list(cfg.seeds),
         "config": config_map,
+        "numerics": {"numpy": np.__version__, "blas": blas, "blas_threads": BLAS_THREADS},  # what a replay must match
     }
     with open(outdir / "manifest.json", "w", encoding="utf-8") as f:
         json.dump(manifest, f, indent=2, sort_keys=True)

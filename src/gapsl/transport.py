@@ -398,8 +398,12 @@ def client_loop(channel: FrameChannel, client_id: int, handshake_timeout: float 
             (acts,) = bank.forward(t, [cursor.next()])
             channel.send(Activations(t, client_id, acts))
             reply = channel.recv()
-            if not isinstance(reply, ActGrads) or reply.round != t:
+            if not isinstance(reply, ActGrads):
                 raise ProtocolError(f"round {t}: expected ACT_GRADS, got {type(reply).__name__}")
+            if reply.round != t or reply.client_id != client_id:
+                raise ProtocolError(
+                    f"round {t} client {client_id}: ACT_GRADS for round {reply.round} client {reply.client_id}"
+                )
             bank.apply_grads(t, [reply.matrix])
             if is_eval_round(cfg, t):
                 req = channel.recv()

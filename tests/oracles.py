@@ -255,3 +255,34 @@ def sgd_step(params, grads, velocity, lr, momentum):
         v *= momentum
         v += g
         p -= lr * v
+
+
+# ---- per-tensor lists ------------------------------------------------------
+#
+# The package keeps each model part in one flat vector with its layers as
+# views; the references above work on per-tensor lists [w0, b0, w1, b1, ...].
+# flatten(params_arrays(layers)) is the layout the package's vectors hold.
+
+def params_arrays(layers):
+    """A model part's tensors in layout order: per layer, weights then bias."""
+    return [t for layer in layers for t in (layer.w, layer.b)]
+
+
+def flatten(tensors):
+    """Concatenate tensors into one 1-D vector, row-major within each tensor."""
+    if not tensors:
+        raise ValueError("cannot flatten an empty tensor list")
+    return np.concatenate([np.ravel(t, order="C") for t in tensors])
+
+
+def unflatten(vector, shapes):
+    """Inverse of :func:`flatten` given the original tensor shapes."""
+    out = []
+    pos = 0
+    for shape in shapes:
+        size = math.prod(shape)
+        out.append(vector[pos : pos + size].reshape(shape))
+        pos += size
+    if pos != vector.size:
+        raise ValueError(f"vector length {vector.size} does not match shapes (need {pos})")
+    return out

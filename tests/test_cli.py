@@ -4,12 +4,16 @@ import argparse
 import dataclasses
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import gapsl
 from gapsl.cli import _build_parser, _collect_overrides, main
 from gapsl.config import ExperimentConfig, config_to_text, parse_config, parse_config_text, validate
 from gapsl.errors import ConfigError, DataError
@@ -211,6 +215,10 @@ class TestRunCommand:
         assert manifest["config"]["strategy"] == "psl"
         assert manifest["config"]["model_dims"] == "8,12,4"
         assert manifest["build_id"]
+        numerics = manifest["numerics"]
+        assert numerics["numpy"] == np.__version__
+        assert numerics["blas_threads"] == gapsl.BLAS_THREADS
+        assert set(numerics) == {"numpy", "blas", "blas_threads"} and numerics["blas"]
 
     def test_config_error_exit_code(self, tmp_path, capsys):
         cfg = tmp_path / "broken.cfg"
@@ -232,6 +240,31 @@ class TestRunCommand:
         out = tmp_path / "out"
         run_cli("run", "--config", str(cfg), "--out", str(out))
         assert all(r["wall_ms"] == 0 for r in read_metrics_csv(out / "metrics.csv"))
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+class TestReplay:
+    def test_metrics_do_not_depend_on_the_blas_thread_count(self, tmp_path):
+        # at 100 clients the coordinator's Gram rounds differently on one and
+        # two OpenBLAS threads; the package pins the count before numpy loads,
+        # whatever the environment says
+        out = {}
+        for threads in ("1", "2"):
+            env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+            env.update(dict.fromkeys(gapsl.BLAS_THREAD_VARS, threads))
+            out[threads] = tmp_path / f"threads{threads}"
+            done = subprocess.run(
+                [sys.executable, "-m", "gapsl.cli", "run", "--config", str(ROOT / "configs" / "desk_noniid.cfg"),
+                 "--seed", "1", "--clients", "100", "--rounds", "20", "--out", str(out[threads])],
+                env=env, capture_output=True, text=True, timeout=300,
+            )
+            assert done.returncode == 0, done.stderr
+            manifest = json.loads((out[threads] / "manifest.json").read_text())
+            assert manifest["numerics"]["blas_threads"] == dict.fromkeys(gapsl.BLAS_THREAD_VARS, "1")
+        one, two = ((out[t] / "metrics.csv").read_bytes() for t in ("1", "2"))
+        assert one == two
 
 
 class TestCompareCommand:

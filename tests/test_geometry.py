@@ -1,4 +1,4 @@
-"""Gradient geometry: flattening, angles, pairwise stats."""
+"""Gradient geometry: the flat layout, angles, pairwise stats."""
 
 import math
 
@@ -13,14 +13,13 @@ from gapsl.geometry import (
     Cohort,
     GradientVector,
     angular_deviation,
-    flatten,
     mean_std,
     pairwise_mean_deviation,
     prepared,
-    unflatten,
 )
 from gapsl.lgi import consistency_scores, leader_gradient, select_consistent
-from gapsl.nn import ModelSpec, params_arrays, split_model
+from gapsl.nn import ModelSpec, split_model
+from oracles import flatten, params_arrays, unflatten
 
 
 def edge_cohort(rng, dtype, size=6, dim=7):
@@ -54,6 +53,15 @@ class TestFlatten:
         model = split_model(ModelSpec((4, 8, 8, 3)), 2, seed=0)
         vec = flatten(params_arrays(model.client))
         assert vec.size == oracles.param_count(model.client) == 112
+
+    def test_each_part_vector_holds_the_flatten_order(self):
+        # a part's flat vector, and so each row of a round's gradient
+        # matrix, is its tensors flattened layer by layer, weights then bias
+        model = split_model(ModelSpec((4, 8, 8, 3)), 2, seed=0)
+        model.params[...] = np.arange(model.params.size)  # distinct entries
+        for part, vec in ((model.client, model.client_params), (model.server, model.server_params)):
+            assert np.array_equal(flatten(params_arrays(part)), vec)
+        assert np.array_equal(flatten(params_arrays(model.client + model.server)), model.params)
 
     def test_empty_list_rejected(self):
         with pytest.raises(ValueError):

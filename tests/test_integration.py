@@ -17,8 +17,6 @@ import gapsl.transport as tp
 from gapsl.cli import main
 from gapsl.config import ExperimentConfig, config_to_text, parse_config
 from gapsl.errors import ProtocolError
-from gapsl.geometry import flatten
-from gapsl.nn import grads_arrays, params_arrays
 from gapsl.orchestrator import ClientBank, TrainingEngine, build_dataset, build_partition, run_experiment, shard_cursors
 from gapsl.reporting import metrics_rows
 from gapsl.transport import Activations, Bye, ConfigMsg, Hello, Listener, RemoteClientProxy, connect
@@ -59,18 +57,17 @@ def record_server_grads(monkeypatch, clients, zeroed=(), negated=()):
     """Record each client's flat server gradient as the engine computes it,
     zeroing those of the ``zeroed`` clients and giving the ``negated`` ones the
     exact negation of the previous client's (server passes run in client order)."""
-    rows, previous = [], []
+    rows = []
     backward = orch.backward_server
 
-    def recording(layers, cache):
-        grads, act_grads = backward(layers, cache)
+    def recording(layers, cache, out):
+        act_grads = backward(layers, cache, out)
         if len(rows) % clients in zeroed:
-            grads = [(np.zeros_like(dw), np.zeros_like(db)) for dw, db in grads]
+            out[...] = 0
         if len(rows) % clients in negated:
-            grads = [(-dw, -db) for dw, db in previous[-1]]
-        previous.append(grads)
-        rows.append(flatten(grads_arrays(grads)))
-        return grads, act_grads
+            out[...] = -rows[-1]
+        rows.append(out.copy())
+        return act_grads
 
     monkeypatch.setattr(orch, "backward_server", recording)
     return rows
@@ -78,9 +75,9 @@ def record_server_grads(monkeypatch, clients, zeroed=(), negated=()):
 
 def server_step(engine, t):
     """Run round ``t``; return its report and the step the server took."""
-    before = flatten(params_arrays(engine.server))
+    before = engine.server_params.copy()
     report = engine.run_round(t)
-    return report, before, flatten(params_arrays(engine.server))
+    return report, before, engine.server_params.copy()
 
 
 def coordination_config(**kw):

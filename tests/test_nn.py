@@ -5,7 +5,6 @@ import pytest
 
 import oracles
 from gapsl.errors import ConfigError, DataError, NumericError, ProtocolError
-from gapsl.geometry import flatten, unflatten
 from gapsl.nn import (
     DenseLayer,
     ModelSpec,
@@ -14,13 +13,13 @@ from gapsl.nn import (
     forward_client,
     forward_hidden,
     forward_server,
-    grads_arrays,
+    layer_views,
     logits_from_activations,
-    params_arrays,
     sgd_state,
     sgd_step,
     split_model,
 )
+from oracles import params_arrays
 
 
 def make_model(dims, cut, seed=0, dtype=np.float64, activation="relu"):
@@ -34,13 +33,11 @@ def full_forward_loss(model, inputs, labels):
 
 
 def flat_params(model):
-    return flatten(params_arrays(model.client) + params_arrays(model.server))
+    return model.params
 
 
 def set_flat_params(model, vec):
-    arrays = params_arrays(model.client) + params_arrays(model.server)
-    for dst, src in zip(arrays, unflatten(vec, [a.shape for a in arrays])):
-        dst[...] = src
+    model.params[...] = vec
 
 
 def evaluate(model, inputs, labels):
@@ -54,11 +51,14 @@ def evaluate(model, inputs, labels):
 
 
 def analytic_flat_grads(model, inputs, labels):
+    """The whole model's gradient in the layout of ``model.params``."""
     acts, ccache = forward_client(model.client, inputs, model.spec.activation)
     _, _, scache = forward_server(model.server, acts, labels, model.spec.activation)
-    sgrads, agrads = backward_server(model.server, scache)
-    cgrads = backward_client(model.client, ccache, agrads)
-    return flatten(grads_arrays(cgrads) + grads_arrays(sgrads))
+    grads = np.empty_like(model.params)
+    cut = model.client_params.size
+    agrads = backward_server(model.server, scache, grads[cut:])
+    backward_client(model.client, ccache, agrads, grads[:cut])
+    return grads
 
 
 class TestForwardClient:
@@ -133,9 +133,11 @@ class TestBackwardServer:
     def test_saturated_predictions_give_near_zero_grads(self):
         layers = [DenseLayer(np.zeros((2, 3)), np.array([50.0, 0.0, 0.0]))]
         _, _, cache = forward_server(layers, np.zeros((4, 2)), np.zeros(4, dtype=int))
-        grads, agrads = backward_server(layers, cache)
-        assert np.linalg.norm(grads[0][0]) <= 1e-6
-        assert np.linalg.norm(grads[0][1]) <= 1e-6
+        grads = np.empty(9)
+        agrads = backward_server(layers, cache, grads)
+        (grad,) = layer_views(grads, (2, 3))
+        assert np.linalg.norm(grad.w) <= 1e-6
+        assert np.linalg.norm(grad.b) <= 1e-6
         assert np.linalg.norm(agrads) <= 1e-6
 
     def test_grad_shapes_mirror_params_and_activations(self):
@@ -143,10 +145,19 @@ class TestBackwardServer:
         rng = np.random.default_rng(0)
         acts, _ = forward_client(model.client, rng.normal(size=(4, 5)), "relu")
         _, _, cache = forward_server(model.server, acts, rng.integers(0, 3, 4))
-        grads, agrads = backward_server(model.server, cache)
-        for layer, (dw, db) in zip(model.server, grads):
-            assert dw.shape == layer.w.shape and db.shape == layer.b.shape
+        grads = np.empty_like(model.server_params)
+        agrads = backward_server(model.server, cache, grads)
+        for layer, grad in zip(model.server, layer_views(grads, (7, 6, 3)), strict=True):
+            assert grad.w.shape == layer.w.shape and grad.b.shape == layer.b.shape
         assert agrads.shape == acts.shape
+
+    def test_gradient_buffer_must_fit_the_layers(self):
+        model = make_model([5, 7, 6, 3], 1, seed=5)
+        acts, _ = forward_client(model.client, np.zeros((4, 5)), "relu")
+        _, _, cache = forward_server(model.server, acts, np.zeros(4, dtype=int))
+        for bad in (np.empty(model.server_params.size - 1), np.empty((2, model.server_params.size))):
+            with pytest.raises(ConfigError):
+                backward_server(model.server, cache, bad)
 
     def test_loss_weight_scaling_scales_grads_linearly(self):
         rng = np.random.default_rng(9)
@@ -156,11 +167,10 @@ class TestBackwardServer:
         labels = rng.integers(0, 4, 6)
         _, _, cache = forward_server(layers, acts, labels)
         w = rng.uniform(0.1, 1.0, size=6)
-        g1, a1 = backward_server(layers, cache, loss_weights=w)
-        g2, a2 = backward_server(layers, cache, loss_weights=2 * w)
-        for (dw1, db1), (dw2, db2) in zip(g1, g2):
-            assert np.allclose(2 * dw1, dw2, atol=1e-9)
-            assert np.allclose(2 * db1, db2, atol=1e-9)
+        g1, g2 = np.empty((2, 3 * 5 + 5 + 5 * 4 + 4))
+        a1 = backward_server(layers, cache, g1, loss_weights=w)
+        a2 = backward_server(layers, cache, g2, loss_weights=2 * w)
+        assert np.allclose(2 * g1, g2, atol=1e-9)
         assert np.allclose(2 * a1, a2, atol=1e-9)
 
     def test_stale_cache_is_protocol_error(self):
@@ -170,15 +180,16 @@ class TestBackwardServer:
         acts, _ = forward_client(model_a.client, rng.normal(size=(2, 4)), "relu")
         _, _, cache = forward_server(model_a.server, acts, np.array([0, 1]))
         with pytest.raises(ProtocolError):
-            backward_server(model_b.server, cache)
+            backward_server(model_b.server, cache, np.empty_like(model_b.server_params))
 
 
 class TestBackwardClient:
     def test_zero_activation_grads_give_zero_client_grads(self):
         model = make_model([4, 6, 5, 3], 2, seed=3)
         acts, cache = forward_client(model.client, np.random.default_rng(0).normal(size=(3, 4)), "relu")
-        grads = backward_client(model.client, cache, np.zeros_like(acts))
-        assert all(np.all(dw == 0) and np.all(db == 0) for dw, db in grads)
+        grads = np.full_like(model.client_params, np.nan)
+        backward_client(model.client, cache, np.zeros_like(acts), grads)
+        assert np.all(grads == 0)
 
     def test_split_forward_equals_unsplit_forward(self):
         # raw layer-stack equivalence, elementwise <= 1e-9 in float64
@@ -238,7 +249,9 @@ class TestEachForwardValueOnce:
         params = params_arrays(model.client)
         want_acts, caches = oracles.client_forward(params, x, activation)
         assert acts.dtype == np.float32 and (acts == want_acts).all()
-        got = grads_arrays(backward_client(model.client, cache, act_grads))
+        grads = np.empty_like(model.client_params)
+        backward_client(model.client, cache, act_grads, grads)
+        got = params_arrays(layer_views(grads, (6, 9, 8, 5)))
         want = oracles.client_backward(params, caches, act_grads, activation)
         assert all(g.dtype == np.float32 and (g == w).all() for g, w in zip(got, want))
 
@@ -252,12 +265,14 @@ class TestEachForwardValueOnce:
         labels = rng.integers(0, 5, batch)
         weights = rng.uniform(0.1, 1.0, batch).astype(np.float32) if weighted else None
         per_example, mean_loss, cache = forward_server(model.server, acts, labels, activation)
-        grads, act_grads = backward_server(model.server, cache, loss_weights=weights)
+        grads = np.empty_like(model.server_params)
+        act_grads = backward_server(model.server, cache, grads, loss_weights=weights)
         want = two_pass_server(model.server, acts, labels, activation, weights)
         assert per_example.dtype == np.float32 and (per_example == want[0]).all()
         assert mean_loss == want[1]
         assert (cache.probs == want[2]).all()
-        assert all((dw == ww).all() and (db == wb).all() for (dw, db), (ww, wb) in zip(grads, want[3]))
+        got = layer_views(grads, (9, 8, 7, 5))
+        assert all((g.w == ww).all() and (g.b == wb).all() for g, (ww, wb) in zip(got, want[3], strict=True))
         assert act_grads.dtype == np.float32 and (act_grads == want[4]).all()
 
     @pytest.mark.parametrize("activation", ["relu", "tanh"])
@@ -265,14 +280,14 @@ class TestEachForwardValueOnce:
         rng = np.random.default_rng(33)
         model = make_model([6, 9, 8, 7, 5], 2, seed=7, dtype=np.float32, activation=activation)
         x = rng.normal(size=(11, 6)).astype(np.float32)
-        before = [p.copy() for p in params_arrays(model.client) + params_arrays(model.server)] + [x.copy()]
+        before = [model.params.copy(), x.copy()]
         acts = forward_hidden(model.client, x, activation)
         assert (acts == forward_client(model.client, x, activation)[0]).all()
         kept = acts.copy()
         logits = logits_from_activations(model.server, acts, activation)
         _, _, cache = forward_server(model.server, kept, np.zeros(11, dtype=int), activation)
         assert (logits == cache.layers[-1].preact).all()
-        after = params_arrays(model.client) + params_arrays(model.server) + [x, acts]
+        after = [model.params, x, acts]
         assert all((a == b).all() for a, b in zip(after, before + [kept]))
 
 
@@ -331,37 +346,54 @@ class TestGradientCorrectness:
 
 class TestSgd:
     def test_plain_step_decrements_by_gradient(self):
-        layers = [DenseLayer(np.ones((2, 2)), np.ones(2))]
-        g = [(np.full((2, 2), 0.25), np.full(2, 0.5))]
-        sgd_step(layers, g, sgd_state(layers, lr=1.0, momentum=0.0))
+        params = np.ones(6)
+        layers = layer_views(params, (2, 2))
+        g = np.array([0.25] * 4 + [0.5] * 2)
+        sgd_step(params, g, sgd_state(layers, lr=1.0, momentum=0.0))
         assert np.allclose(layers[0].w, 0.75)
         assert np.allclose(layers[0].b, 0.5)
 
     def test_momentum_two_steps_closed_form(self):
-        layers = [DenseLayer(np.zeros((1, 1)), np.zeros(1))]
-        g = [(np.array([[1.0]]), np.array([1.0]))]
+        params = np.zeros(2)
+        layers = layer_views(params, (1, 1))
+        g = np.ones(2)
         state = sgd_state(layers, lr=1.0, momentum=0.9)
-        sgd_step(layers, g, state)
-        sgd_step(layers, g, state)
+        sgd_step(params, g, state)
+        sgd_step(params, g, state)
         assert np.allclose(layers[0].w, -(1.0 + 1.9))
 
     def test_matches_scalar_recursion_oracle(self):
         rng = np.random.default_rng(5)
-        layers = [DenseLayer(np.array([[rng.normal()]]), np.array([0.0]))]
+        params = np.array([rng.normal(), 0.0])
+        layers = layer_views(params, (1, 1))
         state = sgd_state(layers, lr=0.3, momentum=0.7)
         p, v = float(layers[0].w[0, 0]), 0.0
         for _ in range(20):
             g = rng.normal()
-            sgd_step(layers, [(np.array([[g]]), np.array([0.0]))], state)
+            sgd_step(params, np.array([g, 0.0]), state)
             v = 0.7 * v + g
             p = p - 0.3 * v
             assert abs(float(layers[0].w[0, 0]) - p) < 1e-9
 
     def test_non_finite_grad_is_numeric_error_naming_tensor(self):
-        layers = [DenseLayer(np.zeros((2, 2)), np.zeros(2))]
-        bad = [(np.array([[np.nan, 0], [0, 0]]), np.zeros(2))]
-        with pytest.raises(NumericError, match="layer0.w"):
-            sgd_step(layers, bad, sgd_state(layers, lr=0.1, momentum=0.0))
+        # one isfinite over the whole vector; the error names the tensor
+        # holding the first non-finite entry, in a part or a bank row, and
+        # nothing is updated
+        widths = (2, 2, 1)  # layer0.w [0, 4), layer0.b [4, 6), layer1.w [6, 8), layer1.b [8]
+        for clients, offset, name in ((None, 0, "layer0.w"), (None, 5, "layer0.b"), (2, 8, "layer1.b")):
+            lead = () if clients is None else (clients,)
+            params = np.zeros((*lead, 9))
+            bad = np.zeros_like(params)
+            bad.reshape(-1, 9)[-1, offset] = np.nan  # the last client's row in a bank
+            with pytest.raises(NumericError, match=rf"tensor {name}\b"):
+                sgd_step(params, bad, sgd_state(layer_views(params, widths), lr=0.1, momentum=0.0))
+            assert not params.any()
+
+    def test_shapes_must_agree(self):
+        params = np.zeros(6)
+        state = sgd_state(layer_views(params, (2, 2)), lr=0.1, momentum=0.0)
+        with pytest.raises(ConfigError, match="shapes differ"):
+            sgd_step(params, np.zeros(5), state)
 
 
 class TestSplitModel:
@@ -406,9 +438,9 @@ class TestSplitModel:
 class TestEvaluate:
     def test_constant_prediction_on_single_class_set(self):
         model = split_model(ModelSpec((3, 4, 2)), 1, seed=0)
-        model.server[-1].b[...] = np.array([10.0, 0.0], dtype=model.dtype)
+        model.server[-1].b[...] = np.array([10.0, 0.0], dtype=model.params.dtype)
         model.server[-1].w[...] = 0
-        inputs = np.random.default_rng(0).normal(size=(10, 3)).astype(model.dtype)
+        inputs = np.random.default_rng(0).normal(size=(10, 3)).astype(model.params.dtype)
         assert evaluate(model, inputs, np.zeros(10, dtype=int)) == 1.0
 
     def test_chance_level_on_random_labels(self):
@@ -451,13 +483,14 @@ class TestDeterminism:
             model = split_model(ModelSpec((5, 7, 3)), 1, seed=77, dtype=np.float32)
             opt_c = sgd_state(model.client, 0.05, 0.9)
             opt_s = sgd_state(model.server, 0.05, 0.9)
+            sg, cg = np.empty_like(model.server_params), np.empty_like(model.client_params)
             for _ in range(10):
                 acts, cc = forward_client(model.client, inputs, "relu")
                 _, _, sc = forward_server(model.server, acts, labels)
-                sg, ag = backward_server(model.server, sc)
-                cg = backward_client(model.client, cc, ag)
-                sgd_step(model.server, sg, opt_s)
-                sgd_step(model.client, cg, opt_c)
+                ag = backward_server(model.server, sc, sg)
+                backward_client(model.client, cc, ag, cg)
+                sgd_step(model.server_params, sg, opt_s)
+                sgd_step(model.client_params, cg, opt_c)
             return flat_params(model)
 
         assert np.array_equal(train(), train())

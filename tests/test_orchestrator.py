@@ -11,8 +11,9 @@ import gapsl.orchestrator as orchestrator
 from gapsl.config import ExperimentConfig
 from gapsl.data import Partition
 from gapsl.errors import ConfigError, ProtocolError
-from gapsl.geometry import Cohort, GradientVector, flatten
-from gapsl.nn import DenseLayer, forward_client, logits_from_activations, params_arrays
+from gapsl.geometry import Cohort, GradientVector
+from gapsl.nn import forward_client, layer_views, logits_from_activations
+from oracles import params_arrays
 from gapsl.orchestrator import (
     STREAM_SHUFFLE,
     ClientBank,
@@ -54,10 +55,8 @@ def client_params(bank):
 
 
 def all_params(engine):
-    arrays = list(params_arrays(engine.server))
-    for client in client_params(engine.clients):
-        arrays.extend(client)
-    return flatten(arrays)
+    """The server's flat parameters, then each client's."""
+    return np.concatenate([engine.server_params, engine.clients.params.ravel()])
 
 
 def clone_cursor_state(engine, src_client, dst_client, seed):
@@ -189,18 +188,19 @@ class TestPsl:
         model = build_model(cfg, seed)
         opt_c = sgd_state(model.client, cfg.lr_client, cfg.momentum)
         opt_s = sgd_state(model.server, cfg.lr_server, cfg.momentum)
+        sg, cg = np.empty_like(model.server_params), np.empty_like(model.client_params)
         cursor = ShardCursor(np.arange(len(train)), substream(seed, STREAM_SHUFFLE, 0), cfg.batch_size)
         for _ in range(15):
             idx = cursor.next()
             acts, cc = forward_client(model.client, train.inputs[idx], cfg.activation)
             _, _, sc = forward_server(model.server, acts, train.labels[idx], cfg.activation)
-            sg, ag = backward_server(model.server, sc)
-            cg = backward_client(model.client, cc, ag)
-            sgd_step(model.server, sg, opt_s)
-            sgd_step(model.client, cg, opt_c)
+            ag = backward_server(model.server, sc, sg)
+            backward_client(model.client, cc, ag, cg)
+            sgd_step(model.server_params, sg, opt_s)
+            sgd_step(model.client_params, cg, opt_c)
 
         got = all_params(engine)
-        want = flatten(params_arrays(model.server) + params_arrays(model.client))
+        want = np.concatenate([model.server_params, model.client_params])
         assert np.max(np.abs(got - want)) <= 1e-6
 
     def test_deterministic_replay(self):
@@ -225,26 +225,27 @@ class TestSfl:
         engine = TrainingEngine(cfg, seed)
         clone_cursor_state(engine, 0, 1, seed)
         engine.run_round(1)
-        p0, p1 = (flatten(p) for p in client_params(engine.clients))
+        p0, p1 = engine.clients.params
         assert np.max(np.abs(p0 - p1)) <= 1e-9
 
     def test_aggregation_synchronizes_client_models(self):
         cfg = small_config(strategy="sfl", rounds=4, sfl_interval=2)
         engine = TrainingEngine(cfg, seed=1)
         engine.run_round(1)
-        params = [flatten(p) for p in client_params(engine.clients)]
+        params = engine.clients.params.copy()
         assert any(np.max(np.abs(params[0] - p)) > 1e-9 for p in params[1:])  # desynced
         engine.run_round(2)  # aggregation round
-        params = [flatten(p) for p in client_params(engine.clients)]
+        params = engine.clients.params.copy()
         assert all(np.max(np.abs(params[0] - p)) <= 1e-9 for p in params[1:])
 
 
 def bank_holding(*stacks):
     """A bank whose client models are ``stacks``: [clients, in, out] weights
-    and [clients, 1, out] biases, layer by layer."""
+    and [clients, 1, out] biases, layer by layer, laid out in one matrix."""
     cfg = small_config(clients=len(stacks[0]))
     bank = ClientBank(cfg, 1, range(cfg.clients), *build_dataset(cfg, 1))
-    bank.layers = [DenseLayer(w, b) for w, b in zip(stacks[::2], stacks[1::2])]
+    bank.params = np.concatenate([s.reshape(cfg.clients, -1) for s in stacks], axis=1)
+    bank.layers = layer_views(bank.params, (stacks[0].shape[1], *(w.shape[2] for w in stacks[::2])))
     return bank
 
 
@@ -367,10 +368,10 @@ class TestRoundShape:
         rows, cohorts, made = [], [], []
         server_pass, prepare, record = TrainingEngine._server_pass, Cohort.__init__, GradientVector.__init__
 
-        def recording(self, acts, labels):
-            out = server_pass(self, acts, labels)
-            rows.append(out[1])
-            return out
+        def recording(self, acts, labels, out):
+            result = server_pass(self, acts, labels, out)
+            rows.append(out.copy())
+            return result
 
         def counting_cohort(self, ids, values, round_t):
             prepare(self, ids, values, round_t)
@@ -478,6 +479,34 @@ class TestRoundShape:
                 assert drawn == (engine.cursors if per_round > 1 else [engine.cursors[(t - 1) % 4]])
 
 
+class TestFlatParameters:
+    def test_layers_stay_views_of_one_buffer_per_part(self, monkeypatch):
+        # sfl averages the bank every other round, and client 1's shard is
+        # cut to one sample, so each of its batches is a one-row recompute
+        models, picked = ClientBank._models, []
+        monkeypatch.setattr(ClientBank, "_models", lambda bank, clients: picked.append(clients) or models(bank, clients))
+        cfg = small_config(strategy="sfl", clients=3, rounds=4, sfl_interval=2, eval_interval=2)
+        engine = TrainingEngine(cfg, seed=1)
+        one_sample = engine.partition.client_indices[1][:1]
+        engine.cursors[1] = ShardCursor(one_sample, substream(1, STREAM_SHUFFLE, 1), cfg.batch_size)
+        bank = engine.clients
+
+        def buffers():
+            return [engine.server_params, engine.server_opt.velocity, bank.params, bank.opt.velocity]
+
+        before = buffers()
+        for t in range(1, 5):
+            engine.run_round(t)
+        assert picked.count([1]) == 8  # forward and backward in each of 4 rounds
+        assert all(a is b for a, b in zip(buffers(), before, strict=True))
+        for layers, params in ((engine.server, engine.server_params), (bank.layers, bank.params)):
+            for layer in layers:
+                assert np.shares_memory(layer.w, params) and np.shares_memory(layer.b, params)
+        assert np.array_equal(oracles.flatten(params_arrays(engine.server)), engine.server_params)
+        for k, params in enumerate(client_params(bank)):
+            assert np.array_equal(oracles.flatten(params), bank.params[k])
+
+
 class TestClientBank:
     def test_stacked_round_equals_per_client_reference_bit_for_bit(self):
         # every batch length from 1 to batch_size, in a ragged cohort that
@@ -507,10 +536,9 @@ class TestClientBank:
                 oracles.sgd_step(params[i], step, velocity[i], cfg.lr_client, cfg.momentum)
 
             got = client_params(bank)
-            stacked_velocity = [v for pair in bank.opt.velocity for v in pair]
             for i in range(cfg.clients):
                 (own,) = client_params(alone[i])
-                moments = [v[i].reshape(r.shape) for v, r in zip(stacked_velocity, params[i])]
+                moments = params_arrays(layer_views(bank.opt.velocity[i], bank.widths))
                 for name, mine in (("bank", got[i]), ("bank of one", own), ("momentum", moments)):
                     want = velocity[i] if name == "momentum" else params[i]
                     assert all((a == b).all() for a, b in zip(mine, want)), (name, n, i)
@@ -525,7 +553,7 @@ class TestClientBank:
         bank = ClientBank(cfg, 1, range(cfg.clients), train, test)
         params = client_params(bank)
         stepped = []
-        monkeypatch.setattr(orchestrator, "sgd_step", lambda layers, grads, state: stepped.append(grads))
+        monkeypatch.setattr(orchestrator, "sgd_step", lambda params, grads, state: stepped.append(grads))
         rng = np.random.default_rng(2)
         lengths = [cfg.batch_size, 1, 5]
         indices = [rng.choice(len(bank.train_inputs), k, replace=False) for k in lengths]
@@ -536,7 +564,7 @@ class TestClientBank:
         for i in range(cfg.clients):
             _, caches = oracles.client_forward(params[i], bank.train_inputs[indices[i]], activation)
             want = oracles.client_backward(params[i], caches, act_grads[i], activation)
-            got = [g for dw, db in grads for g in (dw[i], db[i, 0])]
+            got = params_arrays(layer_views(grads[i], bank.widths))
             assert all(g.dtype == np.float32 and (g == w).all() for g, w in zip(got, want)), i
 
     @pytest.mark.parametrize("activation", ["relu", "tanh"])
@@ -546,7 +574,7 @@ class TestClientBank:
         for t in (1, 2):
             engine.run_round(t)  # the clients' models drift apart
         bank = engine.clients
-        before = [a.copy() for a in [bank.test_inputs, *params_arrays(bank.layers), *params_arrays(engine.server)]]
+        before = [a.copy() for a in (bank.test_inputs, bank.params, engine.server_params)]
         recount = []
         for k, acts in enumerate(bank.eval_activations(3)):
             want = forward_client(bank._models(k), bank.test_inputs, activation)[0]
@@ -554,7 +582,7 @@ class TestClientBank:
             logits = logits_from_activations(engine.server, want, activation)
             recount.append(float((logits.argmax(axis=1) == engine.test.labels).sum()) / len(engine.test))
         assert engine._evaluate(3) == float(np.mean(recount))
-        after = [bank.test_inputs, *params_arrays(bank.layers), *params_arrays(engine.server)]
+        after = [bank.test_inputs, bank.params, engine.server_params]
         assert all((a == b).all() for a, b in zip(after, before))
 
     def test_gradients_before_forward_and_wrong_shapes_are_protocol_errors(self):

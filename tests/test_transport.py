@@ -228,6 +228,41 @@ class TestTcpChannels:
             channel.close()
             far.close()
 
+    @pytest.mark.parametrize("round_t,client_id", [(1, 0), (2, 1)])
+    def test_client_rejects_act_grads_addressed_elsewhere(self, round_t, client_id):
+        # a fake coordinator on a socketpair answers client 1's round-1
+        # activations with ACT_GRADS of the right shape for another client
+        # or another round
+        cfg = ExperimentConfig(
+            strategy="psl", clients=2, rounds=2, batch_size=4, samples_per_class=10,
+            model_dims=(4, 6, 3), cut=1, seeds=(1,),
+        )
+        near, far = socket.socketpair()
+        coordinator, client = FrameChannel(near), FrameChannel(far)
+        errors = []
+
+        def run():
+            try:
+                client_loop(client, 1)
+            except ProtocolError as e:
+                errors.append(str(e))
+
+        worker = threading.Thread(target=run)
+        worker.start()
+        try:
+            assert coordinator.recv(timeout=10) == Hello(1)
+            coordinator.send(ConfigMsg(config_to_text(cfg)))
+            acts = coordinator.recv(timeout=10)
+            assert isinstance(acts, Activations) and (acts.round, acts.client_id) == (1, 1)
+            coordinator.send(ActGrads(round_t, client_id, np.zeros_like(acts.matrix)))
+            worker.join(timeout=10)
+        finally:
+            coordinator.close()
+            worker.join(timeout=10)
+            client.close()
+        assert not worker.is_alive()
+        assert errors == [f"round 1 client 1: ACT_GRADS for round {round_t} client {client_id}"]
+
     def test_channels_disable_nagle(self):
         # an eval round sends ACT_GRADS then EVAL_REQUEST back to back; with
         # Nagle on, the second frame waits for the peer's delayed ACK
