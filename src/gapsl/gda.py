@@ -114,8 +114,8 @@ def alignment_correction(
     """
     g64 = g.astype(np.float64, copy=False)
     l64 = leader.astype(np.float64, copy=False)
-    gn = float(np.linalg.norm(g64))
-    ln = float(np.linalg.norm(l64))
+    gn = math.sqrt(g64.dot(g64))  # np.linalg.norm's bits, without its wrapper
+    ln = math.sqrt(l64.dot(l64))
     if gn <= EPS_NORM or ln <= EPS_NORM:
         log.warning("alignment correction skipped for near-zero vector (norms %.3e, %.3e)", gn, ln)
         return g

@@ -13,6 +13,11 @@ and both squared norms from that Gram: three table lookups, one square
 root and one ``math.acos``. :class:`GradientVector` is the one-client
 record the LGI/GDA entry points also accept; :func:`prepared` turns a
 list of them into a cohort.
+
+The round statistics call ``ufunc.reduce`` and ``dot`` directly, as
+:func:`mean_std` does: ``np.mean``, ``np.std`` and ``np.linalg.norm`` give
+the same bits behind Python wrappers that cost 3-10 us per call on
+16-row arrays.
 """
 
 from __future__ import annotations
@@ -170,8 +175,13 @@ def left_sum(values: Iterable[float]) -> float:
 
 
 def mean_std(values: Sequence[float]) -> tuple[float, float]:
-    """Mean and population standard deviation (divide by n) of a sample."""
+    """Mean and population standard deviation (divide by n) of a sample.
+    These are the steps ``np.mean`` and ``np.std`` take, so the bits are theirs."""
     arr = np.asarray(values, dtype=np.float64)
-    if arr.size == 0:
+    n = arr.size
+    if n == 0:
         raise ValueError("mean_std of an empty sequence")
-    return float(np.mean(arr)), float(np.std(arr))
+    mean = np.add.reduce(arr) / n
+    dev = arr - mean
+    dev *= dev
+    return float(mean), math.sqrt(np.add.reduce(dev) / n)

@@ -155,8 +155,8 @@ def select_consistent(cohort: Cohort, scores: ScoreSet, k_percent: float) -> tup
     if count == len(ids):
         return tuple(ids)
     stack, gram, diag = cohort.stack, cohort.gram, cohort.diag
-    trend = stack.sum(axis=0)
-    trend_norm = float(np.linalg.norm(trend))
+    trend = np.add.reduce(stack, axis=0)
+    trend_norm = math.sqrt(trend.dot(trend))
     if trend_norm <= EPS_NORM:
         return select_top(scores, k_percent, len(cohort.ids))
 
@@ -196,7 +196,7 @@ def leader_gradient(cohort: Cohort, selected: tuple[int, ...]) -> GradientVector
     """
     if not selected:
         raise CoordinationSkipped("empty selection, no leader gradient")
-    values = cohort.values[cohort.rows(sorted(selected))].mean(axis=0)
+    values = np.add.reduce(cohort.values[cohort.rows(sorted(selected))], axis=0) / len(selected)
     leader = GradientVector(client_id=-1, round=cohort.round, values=values)
     if leader.is_degenerate():
         raise CoordinationSkipped("leader gradient is degenerate")

@@ -163,7 +163,7 @@ class ClientBank:
         self.opt = sgd_state(self.layers, cfg.lr_client, cfg.momentum)
         self.train_inputs = train.inputs.astype(np.float32, copy=False)
         self.test_inputs = test.inputs.astype(np.float32, copy=False)
-        self._round = None  # (batch lengths, stacked cache, one-row clients and their cache)
+        self._round = None  # (batch lengths, stacked cache, one-row clients, their layers and cache)
 
     def _models(self, clients) -> list[DenseLayer]:
         """The layers of ``clients``: views for one index, a copied stack for a list."""
@@ -177,22 +177,24 @@ class ClientBank:
         acts, cache = forward_client(self.layers, self.train_inputs[rows], self.activation)
         out = [acts[k, :n] for k, n in enumerate(lengths)]
         one_row = [k for k, n in enumerate(lengths) if n == 1] if rows.shape[1] > 1 else []
-        one_row_cache = None
+        one_row_layers = one_row_cache = None
         if one_row:
             # the stacked cache keeps its own gemm outputs; a one-row
-            # client's activations come from its own stack
+            # client's activations come from its own stack, whose copied
+            # layers the backward pass reuses
+            one_row_layers = self._models(one_row)
             one_row_acts, one_row_cache = forward_client(
-                self._models(one_row), self.train_inputs[rows[one_row, :1]], self.activation
+                one_row_layers, self.train_inputs[rows[one_row, :1]], self.activation
             )
             for k, a in zip(one_row, one_row_acts):
                 out[k] = a
-        self._round = (lengths, cache, one_row, one_row_cache)
+        self._round = (lengths, cache, one_row, one_row_layers, one_row_cache)
         return out
 
     def apply_grads(self, round_t: int, act_grads: list[np.ndarray]) -> None:
         if self._round is None:
             raise ProtocolError("gradients received before any forward pass")
-        lengths, cache, one_row, one_row_cache = self._round
+        lengths, cache, one_row, one_row_layers, one_row_cache = self._round
         self._round = None
         padded = np.zeros(cache.output.shape, dtype=np.float32)
         for k, (g, n) in enumerate(zip(act_grads, lengths)):
@@ -206,7 +208,7 @@ class ClientBank:
         backward_client(self.layers, cache, padded, grads)
         if one_row:
             one_row_grads = np.empty((len(one_row), grads.shape[1]), dtype=grads.dtype)
-            backward_client(self._models(one_row), one_row_cache, padded[one_row, :1], one_row_grads)
+            backward_client(one_row_layers, one_row_cache, padded[one_row, :1], one_row_grads)
             grads[one_row] = one_row_grads
         sgd_step(self.params, grads, self.opt)
 
@@ -394,7 +396,7 @@ class TrainingEngine:
                 rng=self.ablation_rng if cfg.rand_lgi else None,
             )
         except CoordinationSkipped:
-            return cohort.values.mean(axis=0), {"coordination_skipped": True}
+            return np.add.reduce(cohort.values, axis=0) / len(cohort.ids), {"coordination_skipped": True}
 
         fields = {"k_percent": lgi_out.k_percent, "selected_ids": lgi_out.selected}
         if cfg.non_gda:
@@ -416,8 +418,8 @@ class TrainingEngine:
         )
         if gda_out.fallback:
             return lgi_out.leader.values, fields
-        update = np.stack([gda_out.corrected[i] for i in sorted(gda_out.survivors)]).mean(axis=0)
-        return update, fields
+        survivors = np.stack([gda_out.corrected[i] for i in sorted(gda_out.survivors)])
+        return np.add.reduce(survivors, axis=0) / len(survivors), fields
 
     def _evaluate(self, round_t: int) -> float:
         accs = []
@@ -426,7 +428,7 @@ class TrainingEngine:
             logits = logits_from_activations(self.server, acts, self.activation)
             hits = np.count_nonzero(logits.argmax(axis=1) == self.test.labels)
             accs.append(hits / len(self.test.labels))
-        return float(np.mean(accs))
+        return float(np.add.reduce(accs) / len(accs))
 
     # ---- rounds ----------------------------------------------------------
 
@@ -445,6 +447,7 @@ class TrainingEngine:
         labels = [self.train.labels[idx] for idx in batches]
         g = np.empty((len(ids), self.server_params.size), dtype=self.server_params.dtype)
         losses, act_grads = zip(*map(self._server_pass, acts, labels, g))
+        client_losses = np.array(losses)
         cohort = Cohort(ids, g, t)
 
         pairwise = pairwise_mean_deviation(cohort)
@@ -452,7 +455,7 @@ class TrainingEngine:
         if cfg.strategy == "gapsl":
             update, fields = self._coordinate(cohort, dict(zip(ids, losses, strict=True)))
         else:
-            update = cohort.values.mean(axis=0)
+            update = np.add.reduce(cohort.values, axis=0) / len(ids)
         sgd_step(self.server_params, update, self.server_opt)
 
         self.clients.apply_grads(t, act_grads)
@@ -464,8 +467,8 @@ class TrainingEngine:
             round=t,
             epoch_equiv=self.samples_consumed / len(self.train),
             client_ids=tuple(ids),
-            client_losses=np.array(losses),
-            train_loss=float(np.mean(losses)),
+            client_losses=client_losses,
+            train_loss=float(np.add.reduce(client_losses) / len(ids)),
             pairwise_deviation=pairwise,
             **fields,
         )

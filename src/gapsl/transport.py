@@ -236,6 +236,7 @@ class FrameChannel:
     def __init__(self, sock: socket.socket):
         self.sock = sock
         self._buf = bytearray()
+        sock.settimeout(None)  # blocking: a non-blocking read then never polls first
         if sock.family in (socket.AF_INET, socket.AF_INET6):
             sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
 
@@ -246,7 +247,11 @@ class FrameChannel:
             raise ProtocolError(f"send failed: {e}") from e
 
     def recv(self, timeout: float | None = None) -> WireMessage:
-        """The next message; ``timeout`` seconds bound the wait for the whole frame."""
+        """The next message; ``timeout`` seconds bound the wait for the whole frame.
+
+        Bytes already received are read without a wait; only a read that
+        finds none waits, under a socket timeout set for that read alone.
+        """
         deadline = None if timeout is None else time.monotonic() + timeout
         while True:
             parsed = decode(self._buf)
@@ -258,8 +263,14 @@ class FrameChannel:
             try:
                 if left is not None and left <= 0:
                     raise socket.timeout
-                self.sock.settimeout(left)
-                chunk = self.sock.recv(65536)
+                try:
+                    chunk = self.sock.recv(65536, socket.MSG_DONTWAIT)
+                except BlockingIOError:  # nothing there yet: wait, then leave the socket blocking
+                    self.sock.settimeout(left)
+                    try:
+                        chunk = self.sock.recv(65536)
+                    finally:
+                        self.sock.settimeout(None)
             except socket.timeout as e:
                 raise ProtocolError(f"timed out after {timeout}s waiting for a frame") from e
             except OSError as e:
@@ -283,7 +294,6 @@ def connect(address: str, timeout: float = 10.0) -> FrameChannel:
         sock = socket.create_connection((host, port), timeout=timeout)
     except OSError as e:
         raise ProtocolError(f"cannot connect to {address}: {e}") from e
-    sock.settimeout(None)
     return FrameChannel(sock)
 
 

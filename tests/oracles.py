@@ -3,9 +3,12 @@
 Everything here is deliberately written with plain Python loops and the
 math module only -- no numpy vectorization and no imports from the
 package under test -- so agreement with the real implementations is
-meaningful. The one exception is the last section: bit-exact per-client
-references, which use numpy on purpose because the stacked client bank
-must reproduce the bits of the one-client-at-a-time products.
+meaningful. The exceptions are the last three sections, which use numpy
+on purpose: bit-exact per-client references, because the stacked client
+bank must reproduce the bits of the one-client-at-a-time products; the
+per-tensor list helpers; and the wrapped-reduction references, because
+the package's direct ``ufunc.reduce`` calls must reproduce the bits of
+numpy's ``mean``, ``std``, ``sum``, ``max`` and ``linalg.norm``.
 """
 
 from __future__ import annotations
@@ -286,3 +289,56 @@ def unflatten(vector, shapes):
     if pos != vector.size:
         raise ValueError(f"vector length {vector.size} does not match shapes (need {pos})")
     return out
+
+
+# ---- wrapped-reduction references ------------------------------------------
+#
+# The package's hot path calls ufunc.reduce and dot directly. These take the
+# same values through numpy's Python-level wrappers (np.mean, np.std,
+# ndarray.mean/.sum/.max, np.linalg.norm): a package result equal to one of
+# them shows that skipping the wrapper changed no bit.
+
+def mean_std(values):
+    """Mean and population standard deviation by ``np.mean`` and ``np.std``."""
+    arr = np.asarray(values, dtype=np.float64)
+    return float(np.mean(arr)), float(np.std(arr))
+
+
+def server_pass(layers, activations, labels, activation, loss_weights=None):
+    """forward_server then backward_server in a reference form: the softmax
+    reduces each row twice, the residual subtracts a one-hot matrix and the
+    activation derivative is recomputed from each pre-activation. Returns
+    the per-example losses, their mean, the softmax rows, each layer's
+    (dW, db) and the gradient at the incoming activations."""
+    a, caches = client_forward(params_arrays(layers[:-1]), activations, activation)
+    logits = a @ layers[-1].w + layers[-1].b
+    caches.append((a, logits))
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    exp = np.exp(shifted)
+    probs = exp / exp.sum(axis=1, keepdims=True)
+    log_z = np.log(exp.sum(axis=1)) + logits.max(axis=1)
+    per_example = log_z - logits[np.arange(len(labels)), labels]
+    batch = len(labels)
+    if loss_weights is None:
+        loss_weights = np.full(batch, 1.0 / batch, dtype=probs.dtype)
+    onehot = np.zeros_like(probs)
+    onehot[np.arange(batch), labels] = 1
+    delta = (probs - onehot) * loss_weights[:, None]
+    grads = [None] * len(layers)
+    for k in range(len(layers) - 1, -1, -1):
+        grads[k] = (caches[k][0].T @ delta, delta.sum(axis=0))
+        if k:
+            delta = (delta @ layers[k].w.T) * act_grad(caches[k - 1][1], activation)
+    return per_example, float(per_example.mean()), probs, grads, delta @ layers[0].w.T
+
+
+def alignment_correction(g, leader, lambda_g):
+    """``gda.alignment_correction`` for non-degenerate inputs, its norms by ``np.linalg.norm``."""
+    g64 = g.astype(np.float64, copy=False)
+    l64 = leader.astype(np.float64, copy=False)
+    gn = float(np.linalg.norm(g64))
+    ln = float(np.linalg.norm(l64))
+    u_g = g64 / gn
+    u_l = l64 / ln
+    cos_theta = float(np.dot(u_g, u_l))
+    return (g64 + (lambda_g / gn) * (u_l - cos_theta * u_g)).astype(g.dtype)

@@ -246,6 +246,11 @@ ROOT = Path(__file__).resolve().parents[1]
 
 
 class TestReplay:
+    def test_the_test_session_itself_runs_pinned(self):
+        # the root conftest imports gapsl before any test module loads
+        # numpy, so in-process tests run at the thread count a replay pins
+        assert gapsl.BLAS_THREADS == dict.fromkeys(gapsl.BLAS_THREAD_VARS, "1")
+
     def test_metrics_do_not_depend_on_the_blas_thread_count(self, tmp_path):
         # at 100 clients the coordinator's Gram rounds differently on one and
         # two OpenBLAS threads; the package pins the count before numpy loads,

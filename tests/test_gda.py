@@ -207,6 +207,17 @@ class TestAlignmentCorrection:
         assert math.atan(lam * math.sin(theta) / 0.01) > 2 * theta
         assert math.cos(angular_deviation(corrected, np.array([1.0, 0.0]))) < math.cos(theta)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_bits_equal_linalg_norm_form(self, dtype):
+        rng = np.random.default_rng(21)
+        for dim in (1, 2, 7, 264, 1000):
+            for _ in range(20):
+                g, lead = (rng.normal(size=(2, dim)) * rng.uniform(1e-3, 10.0, (2, 1))).astype(dtype)
+                lam_g = float(rng.uniform(0.0, 2.0))
+                out = alignment_correction(g, lead, lam_g)
+                want = oracles.alignment_correction(g, lead, lam_g)
+                assert out.dtype == dtype and (out == want).all()
+
     def test_degenerate_passthrough(self):
         g = np.zeros(3)
         assert np.array_equal(alignment_correction(g, np.ones(3), 1.0), g)

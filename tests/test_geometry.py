@@ -283,6 +283,13 @@ class TestMeanStd:
             assert abs(m - oracles.mean(vals)) <= 1e-12
             assert abs(s - oracles.pop_std(vals)) <= 1e-12
 
+    def test_bits_equal_numpy_mean_and_std(self):
+        rng = np.random.default_rng(17)
+        for n in range(1, 131):
+            samples = (rng.normal(size=n), rng.uniform(0.0, np.pi, n), np.full(n, 0.7), np.full(n, -3.25))
+            for vals in samples:
+                assert mean_std(vals.tolist()) == oracles.mean_std(vals), n
+
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             mean_std([])

@@ -186,6 +186,17 @@ class TestLeaderGradient:
         leader = leader_gradient(matrix_cohort(vs), tuple(range(5)))
         assert np.max(np.abs(leader.values - np.mean(vs, axis=0))) <= 1e-9
 
+    def test_bits_equal_ndarray_mean(self):
+        rng = np.random.default_rng(22)
+        for n in (1, 3, 10, 100):
+            values = rng.normal(size=(n, 264)).astype(np.float32)
+            cohort = Cohort(range(n), values, 1)
+            for size in sorted({1, (n + 1) // 2, n}):
+                selected = tuple(sorted(rng.choice(n, size=size, replace=False).tolist()))
+                leader = leader_gradient(cohort, selected)
+                want = values[list(selected)].mean(axis=0)
+                assert leader.values.dtype == np.float32 and (leader.values == want).all()
+
     def test_empty_selection_skips(self):
         with pytest.raises(CoordinationSkipped):
             leader_gradient(matrix_cohort([[1.0, 0.0]]), ())

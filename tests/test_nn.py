@@ -208,32 +208,6 @@ class TestBackwardClient:
             assert np.max(np.abs(split_logits - unsplit_logits)) <= 1e-9
 
 
-def two_pass_server(layers, acts, labels, activation, loss_weights=None):
-    """forward_server then backward_server in their reference form: the
-    softmax reduces each row twice, the residual subtracts a one-hot matrix
-    and the activation derivative is recomputed from each pre-activation."""
-    a, caches = oracles.client_forward(params_arrays(layers[:-1]), acts, activation)
-    logits = a @ layers[-1].w + layers[-1].b
-    caches.append((a, logits))
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    exp = np.exp(shifted)
-    probs = exp / exp.sum(axis=1, keepdims=True)
-    log_z = np.log(exp.sum(axis=1)) + logits.max(axis=1)
-    per_example = log_z - logits[np.arange(len(labels)), labels]
-    batch = len(labels)
-    if loss_weights is None:
-        loss_weights = np.full(batch, 1.0 / batch, dtype=probs.dtype)
-    onehot = np.zeros_like(probs)
-    onehot[np.arange(batch), labels] = 1
-    delta = (probs - onehot) * loss_weights[:, None]
-    grads = [None] * len(layers)
-    for k in range(len(layers) - 1, -1, -1):
-        grads[k] = (caches[k][0].T @ delta, delta.sum(axis=0))
-        if k:
-            delta = (delta @ layers[k].w.T) * oracles.act_grad(caches[k - 1][1], activation)
-    return per_example, float(per_example.mean()), probs, grads, delta @ layers[0].w.T
-
-
 class TestEachForwardValueOnce:
     """Backward reads stored outputs and the softmax reduces once; every
     result is bit-identical to the form that recomputes them."""
@@ -267,7 +241,7 @@ class TestEachForwardValueOnce:
         per_example, mean_loss, cache = forward_server(model.server, acts, labels, activation)
         grads = np.empty_like(model.server_params)
         act_grads = backward_server(model.server, cache, grads, loss_weights=weights)
-        want = two_pass_server(model.server, acts, labels, activation, weights)
+        want = oracles.server_pass(model.server, acts, labels, activation, weights)
         assert per_example.dtype == np.float32 and (per_example == want[0]).all()
         assert mean_loss == want[1]
         assert (cache.probs == want[2]).all()
@@ -289,6 +263,34 @@ class TestEachForwardValueOnce:
         assert (logits == cache.layers[-1].preact).all()
         after = [model.params, x, acts]
         assert all((a == b).all() for a, b in zip(after, before + [kept]))
+
+
+class TestDirectReductions:
+    """The server pass calls ``ufunc.reduce`` directly, not numpy's wrapped
+    ``max``/``sum``/``mean``; every result keeps the wrapped form's bits."""
+
+    @pytest.mark.parametrize("cut", [1, 3])  # three server layers, or the output layer alone
+    @pytest.mark.parametrize("activation", ["relu", "tanh"])
+    @pytest.mark.parametrize("weighted", [False, True])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("batch", [1, 7, 16])
+    def test_server_pass_equals_wrapped_reduction_form(self, cut, activation, weighted, dtype, batch):
+        rng = np.random.default_rng(34)
+        dims = [6, 9, 8, 7, 5]
+        model = make_model(dims, cut, seed=8, dtype=dtype, activation=activation)
+        acts = rng.normal(size=(batch, dims[cut])).astype(dtype)
+        labels = rng.integers(0, 5, batch)
+        weights = rng.uniform(0.1, 1.0, batch).astype(dtype) if weighted else None
+        per_example, mean_loss, cache = forward_server(model.server, acts, labels, activation)
+        grads = np.empty_like(model.server_params)
+        act_grads = backward_server(model.server, cache, grads, loss_weights=weights)
+        want = oracles.server_pass(model.server, acts, labels, activation, weights)
+        assert per_example.dtype == dtype and (per_example == want[0]).all()
+        assert mean_loss == want[1]
+        assert cache.probs.dtype == dtype and (cache.probs == want[2]).all()
+        got = layer_views(grads, dims[cut:])
+        assert all((g.w == ww).all() and (g.b == wb).all() for g, (ww, wb) in zip(got, want[3], strict=True))
+        assert act_grads.dtype == dtype and (act_grads == want[4]).all()
 
 
 class TestGradientCorrectness:

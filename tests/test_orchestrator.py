@@ -10,7 +10,7 @@ import oracles
 import gapsl.orchestrator as orchestrator
 from gapsl.config import ExperimentConfig
 from gapsl.data import Partition
-from gapsl.errors import ConfigError, ProtocolError
+from gapsl.errors import ConfigError, CoordinationSkipped, ProtocolError
 from gapsl.geometry import Cohort, GradientVector
 from gapsl.nn import forward_client, layer_views, logits_from_activations
 from oracles import params_arrays
@@ -479,6 +479,61 @@ class TestRoundShape:
                 assert drawn == (engine.cursors if per_round > 1 else [engine.cursors[(t - 1) % 4]])
 
 
+class TestRoundMeans:
+    """A round's means reduce with ``ufunc.reduce`` directly; each keeps the
+    bits of numpy's ``mean`` over the same values."""
+
+    def run_spied(self, monkeypatch, cfg, rounds):
+        """Run ``rounds`` rounds; returns the reports, each round's g, the
+        server updates, the GDA outcomes and each eval round's logits."""
+        engine = TrainingEngine(cfg, seed=1)
+        seen = {"g": [], "update": [], "gda": [], "logits": []}
+        step, run_gda = orchestrator.sgd_step, orchestrator.gda_mod.run_gda
+
+        def spy_step(params, grads, state):
+            if params is engine.server_params:
+                seen["update"].append(grads.copy())
+            step(params, grads, state)
+
+        def keep(key, value):
+            seen[key].append(value)
+            return value
+
+        monkeypatch.setattr(orchestrator, "Cohort", lambda ids, g, t: Cohort(ids, keep("g", g), t))
+        monkeypatch.setattr(orchestrator, "sgd_step", spy_step)
+        monkeypatch.setattr(orchestrator.gda_mod, "run_gda", lambda *a, **k: keep("gda", run_gda(*a, **k)))
+        monkeypatch.setattr(orchestrator, "logits_from_activations", lambda *a: keep("logits", logits_from_activations(*a)))
+        return [engine.run_round(t) for t in range(1, rounds + 1)], seen, engine
+
+    @pytest.mark.parametrize("strategy", ["psl", "gapsl-skipped"])
+    def test_mean_update_loss_and_accuracy(self, monkeypatch, strategy):
+        if strategy == "gapsl-skipped":
+            def skip(*a, **k):
+                raise CoordinationSkipped("forced")
+            monkeypatch.setattr(orchestrator.lgi_mod, "run_lgi", skip)
+        cfg = small_config(strategy=strategy.split("-")[0], clients=7)  # 1/7 is inexact
+        reports, seen, engine = self.run_spied(monkeypatch, cfg, rounds=5)
+        for r, g, update in zip(reports, seen["g"], seen["update"], strict=True):
+            assert r.coordination_skipped == (strategy == "gapsl-skipped")
+            assert update.dtype == np.float32 and (update == g.mean(axis=0)).all()
+            assert r.train_loss == float(np.mean(r.client_losses))
+        labels = engine.test.labels
+        assert len(seen["logits"]) == engine.cfg.clients  # round 5 alone evaluates
+        accs = [np.count_nonzero(lg.argmax(axis=1) == labels) / len(labels) for lg in seen["logits"]]
+        assert reports[-1].accuracy == float(np.mean(accs))
+
+    def test_gda_update_is_mean_of_corrected_survivors(self, monkeypatch):
+        # a wide threshold keeps most of the 7 clients, so the sum's order shows
+        cfg = small_config(strategy="gapsl", clients=7, theta_th_override=1.5)
+        reports, seen, _ = self.run_spied(monkeypatch, cfg, rounds=6)
+        assert not any(r.coordination_skipped for r in reports)
+        aligned = [(out, u) for out, u in zip(seen["gda"], seen["update"], strict=True) if not out.fallback]
+        assert any(len(out.survivors) > 2 for out, _ in aligned)
+        for out, update in aligned:
+            want = np.stack([out.corrected[i] for i in out.survivors]).mean(axis=0)
+            assert update.dtype == np.float32 and (update == want).all()
+
+
 class TestFlatParameters:
     def test_layers_stay_views_of_one_buffer_per_part(self, monkeypatch):
         # sfl averages the bank every other round, and client 1's shard is
@@ -497,7 +552,7 @@ class TestFlatParameters:
         before = buffers()
         for t in range(1, 5):
             engine.run_round(t)
-        assert picked.count([1]) == 8  # forward and backward in each of 4 rounds
+        assert picked.count([1]) == 4  # forward only, one copy in each of 4 rounds; backward reuses it
         assert all(a is b for a, b in zip(buffers(), before, strict=True))
         for layers, params in ((engine.server, engine.server_params), (bank.layers, bank.params)):
             for layer in layers:
