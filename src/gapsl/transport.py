@@ -236,7 +236,6 @@ class FrameChannel:
     def __init__(self, sock: socket.socket):
         self.sock = sock
         self._buf = bytearray()
-        sock.settimeout(None)  # blocking: a non-blocking read then never polls first
         if sock.family in (socket.AF_INET, socket.AF_INET6):
             sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
 
@@ -247,11 +246,7 @@ class FrameChannel:
             raise ProtocolError(f"send failed: {e}") from e
 
     def recv(self, timeout: float | None = None) -> WireMessage:
-        """The next message; ``timeout`` seconds bound the wait for the whole frame.
-
-        Bytes already received are read without a wait; only a read that
-        finds none waits, under a socket timeout set for that read alone.
-        """
+        """The next message; ``timeout`` seconds bound the wait for the whole frame."""
         deadline = None if timeout is None else time.monotonic() + timeout
         while True:
             parsed = decode(self._buf)
@@ -263,14 +258,8 @@ class FrameChannel:
             try:
                 if left is not None and left <= 0:
                     raise socket.timeout
-                try:
-                    chunk = self.sock.recv(65536, socket.MSG_DONTWAIT)
-                except BlockingIOError:  # nothing there yet: wait, then leave the socket blocking
-                    self.sock.settimeout(left)
-                    try:
-                        chunk = self.sock.recv(65536)
-                    finally:
-                        self.sock.settimeout(None)
+                self.sock.settimeout(left)
+                chunk = self.sock.recv(65536)
             except socket.timeout as e:
                 raise ProtocolError(f"timed out after {timeout}s waiting for a frame") from e
             except OSError as e:
@@ -294,6 +283,7 @@ def connect(address: str, timeout: float = 10.0) -> FrameChannel:
         sock = socket.create_connection((host, port), timeout=timeout)
     except OSError as e:
         raise ProtocolError(f"cannot connect to {address}: {e}") from e
+    sock.settimeout(None)
     return FrameChannel(sock)
 
 

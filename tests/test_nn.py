@@ -231,23 +231,35 @@ class TestEachForwardValueOnce:
 
     @pytest.mark.parametrize("activation", ["relu", "tanh"])
     @pytest.mark.parametrize("weighted", [False, True])
-    @pytest.mark.parametrize("batch", [1, 7])
-    def test_server_pass_equals_two_pass_one_hot_form(self, activation, weighted, batch):
+    @pytest.mark.parametrize(
+        "batch,dtype,cut",  # cut 1: three server layers; cut 3: the output layer alone
+        [
+            pytest.param(
+                batch, dtype, cut,
+                id=str(batch) if (dtype, cut) == (np.float32, 1) else f"{batch}-{dtype.__name__}-cut{cut}",
+            )
+            for cut in (1, 3) for dtype in (np.float32, np.float64) for batch in (1, 7, 16)
+        ],
+    )
+    def test_server_pass_equals_two_pass_one_hot_form(self, activation, weighted, batch, dtype, cut):
+        # every reduction in the reference goes through numpy's wrapped
+        # max/sum/mean; the direct ufunc.reduce calls keep their bits
         rng = np.random.default_rng(32)
-        model = make_model([6, 9, 8, 7, 5], 1, seed=6, dtype=np.float32, activation=activation)
-        acts = rng.normal(size=(batch, 9)).astype(np.float32)
+        dims = [6, 9, 8, 7, 5]
+        model = make_model(dims, cut, seed=6, dtype=dtype, activation=activation)
+        acts = rng.normal(size=(batch, dims[cut])).astype(dtype)
         labels = rng.integers(0, 5, batch)
-        weights = rng.uniform(0.1, 1.0, batch).astype(np.float32) if weighted else None
+        weights = rng.uniform(0.1, 1.0, batch).astype(dtype) if weighted else None
         per_example, mean_loss, cache = forward_server(model.server, acts, labels, activation)
         grads = np.empty_like(model.server_params)
         act_grads = backward_server(model.server, cache, grads, loss_weights=weights)
         want = oracles.server_pass(model.server, acts, labels, activation, weights)
-        assert per_example.dtype == np.float32 and (per_example == want[0]).all()
+        assert per_example.dtype == dtype and (per_example == want[0]).all()
         assert mean_loss == want[1]
-        assert (cache.probs == want[2]).all()
-        got = layer_views(grads, (9, 8, 7, 5))
+        assert cache.probs.dtype == dtype and (cache.probs == want[2]).all()
+        got = layer_views(grads, dims[cut:])
         assert all((g.w == ww).all() and (g.b == wb).all() for g, (ww, wb) in zip(got, want[3], strict=True))
-        assert act_grads.dtype == np.float32 and (act_grads == want[4]).all()
+        assert act_grads.dtype == dtype and (act_grads == want[4]).all()
 
     @pytest.mark.parametrize("activation", ["relu", "tanh"])
     def test_forward_leaves_its_inputs_and_weights_unchanged(self, activation):
@@ -263,34 +275,6 @@ class TestEachForwardValueOnce:
         assert (logits == cache.layers[-1].preact).all()
         after = [model.params, x, acts]
         assert all((a == b).all() for a, b in zip(after, before + [kept]))
-
-
-class TestDirectReductions:
-    """The server pass calls ``ufunc.reduce`` directly, not numpy's wrapped
-    ``max``/``sum``/``mean``; every result keeps the wrapped form's bits."""
-
-    @pytest.mark.parametrize("cut", [1, 3])  # three server layers, or the output layer alone
-    @pytest.mark.parametrize("activation", ["relu", "tanh"])
-    @pytest.mark.parametrize("weighted", [False, True])
-    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    @pytest.mark.parametrize("batch", [1, 7, 16])
-    def test_server_pass_equals_wrapped_reduction_form(self, cut, activation, weighted, dtype, batch):
-        rng = np.random.default_rng(34)
-        dims = [6, 9, 8, 7, 5]
-        model = make_model(dims, cut, seed=8, dtype=dtype, activation=activation)
-        acts = rng.normal(size=(batch, dims[cut])).astype(dtype)
-        labels = rng.integers(0, 5, batch)
-        weights = rng.uniform(0.1, 1.0, batch).astype(dtype) if weighted else None
-        per_example, mean_loss, cache = forward_server(model.server, acts, labels, activation)
-        grads = np.empty_like(model.server_params)
-        act_grads = backward_server(model.server, cache, grads, loss_weights=weights)
-        want = oracles.server_pass(model.server, acts, labels, activation, weights)
-        assert per_example.dtype == dtype and (per_example == want[0]).all()
-        assert mean_loss == want[1]
-        assert cache.probs.dtype == dtype and (cache.probs == want[2]).all()
-        got = layer_views(grads, dims[cut:])
-        assert all((g.w == ww).all() and (g.b == wb).all() for g, (ww, wb) in zip(got, want[3], strict=True))
-        assert act_grads.dtype == dtype and (act_grads == want[4]).all()
 
 
 class TestGradientCorrectness:

@@ -228,28 +228,6 @@ class TestTcpChannels:
             channel.close()
             far.close()
 
-    def test_buffered_frame_is_read_without_a_socket_timeout(self, monkeypatch):
-        # a read that finds bytes waiting takes them without setting a socket
-        # timeout (CPython would poll first); only a read that must wait sets
-        # one, and it leaves the socket blocking again
-        near, far = socket.socketpair()
-        channel = FrameChannel(near)
-        settimeout, calls = socket.socket.settimeout, []
-        monkeypatch.setattr(socket.socket, "settimeout", lambda s, t: calls.append(t) or settimeout(s, t))
-        try:
-            with pytest.raises(ProtocolError, match="timed out after 0.05s"):
-                channel.recv(timeout=0.05)
-            assert len(calls) == 2 and 0 < calls[0] <= 0.05 and calls[1] is None
-            assert near.gettimeout() is None
-            calls.clear()
-            far.sendall(encode(Bye()) + encode(Hello(4)))
-            assert channel.recv(timeout=10) == Bye()
-            assert channel.recv(timeout=10) == Hello(4)
-            assert calls == []
-        finally:
-            channel.close()
-            far.close()
-
     @pytest.mark.parametrize("round_t,client_id", [(1, 0), (2, 1)])
     def test_client_rejects_act_grads_addressed_elsewhere(self, round_t, client_id):
         # a fake coordinator on a socketpair answers client 1's round-1
