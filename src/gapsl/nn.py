@@ -30,7 +30,15 @@ The client-side functions (:func:`forward_client`, :func:`backward_client`,
 are one ``[clients, P]`` matrix, so every view carries a leading client
 axis (weights ``[clients, fan_in, fan_out]``, biases ``[clients, 1,
 fan_out]``, inputs ``[clients, batch, fan_in]``) and ``np.matmul``
-multiplies client by client.
+multiplies client by client. :func:`backward_server` takes the same
+leading client axis on the server's shared layers: each client's batch
+runs :func:`forward_server` on its own, :func:`stack_caches` pads their
+caches into one stack whose padding rows weigh 0 in the loss, and one
+backward writes every client's gradient into its row of a ``[clients, P]``
+matrix through batched ``np.matmul(..., out=)``, bit for bit as one
+backward per client would. Padding changes how numpy multiplies a one-row
+batch (gemv alone, gemm in the stack), so :func:`one_row_clients` names
+the clients that run as their own stack.
 """
 
 from __future__ import annotations
@@ -125,8 +133,8 @@ class Cache:
     layers: list[LayerCache]  # per layer; the server part's last is its linear output layer
     shapes: list[tuple[tuple[int, ...], tuple[int, ...]]]
     output: np.ndarray | None = None  # client part only: its top layer's activations
-    probs: np.ndarray | None = None   # server part only: softmax rows, [batch, classes]
-    labels: np.ndarray | None = None  # server part only
+    probs: np.ndarray | None = None   # server part only: softmax rows, [batch, classes] or [clients, maxlen, classes]
+    labels: np.ndarray | None = None  # server part only: [batch] or [clients, maxlen]
 
 
 @dataclass
@@ -215,12 +223,21 @@ def _backprop(
 
 
 def _grad_views(layers: list[DenseLayer], cache: Cache, out: np.ndarray) -> list[DenseLayer]:
-    """The per-layer views of ``out``, the flat gradient of ``layers``."""
+    """The per-layer views of ``out``, the flat gradient of ``layers``: one
+    row per leading index of the cache's inputs (a client of a bank or stack)."""
     if _layer_shapes(layers) != cache.shapes:
         raise ProtocolError("cache does not match these layers; it was produced by a different forward pass")
-    if out.shape[:-1] != layers[0].w.shape[:-2]:  # matmul would broadcast into a larger buffer
+    if out.shape[:-1] != cache.layers[0].inputs.shape[:-2]:  # matmul would broadcast into a larger buffer
         raise ConfigError(f"gradient buffer of shape {out.shape} does not fit layers {cache.shapes}")
     return layer_views(out, _widths(layers))
+
+
+def one_row_clients(lengths: Sequence[int]) -> list[int]:
+    """The clients of a stack padded to ``max(lengths)`` rows that must run
+    as their own stack: numpy multiplies a one-row matrix by gemv, which
+    rounds differently from the padded gemm. None when every batch is one
+    row, for then the stack runs gemv too."""
+    return [k for k, n in enumerate(lengths) if n == 1] if max(lengths) > 1 else []
 
 
 def forward_client(
@@ -255,8 +272,10 @@ def forward_server(
     batch = activations.shape[0]
     if labels.shape[0] != batch:
         raise DataError(f"{labels.shape[0]} labels for {batch} examples")
-    if labels.size and (labels.min() < 0 or labels.max() >= num_classes):
-        raise DataError(f"label out of range [0, {num_classes}): {labels.min()}..{labels.max()}")
+    if labels.size:
+        lo, hi = np.minimum.reduce(labels), np.maximum.reduce(labels)
+        if lo < 0 or hi >= num_classes:
+            raise DataError(f"label out of range [0, {num_classes}): {lo}..{hi}")
 
     caches: list[LayerCache] = []
     a = forward_hidden(layers[:-1], activations, activation, caches)
@@ -277,23 +296,63 @@ def forward_server(
     return per_example, float(np.add.reduce(per_example) / batch), cache
 
 
+def stack_caches(caches: Sequence[Cache]) -> tuple[Cache, np.ndarray]:
+    """The per-client caches of :func:`forward_server` as one stacked cache,
+    for one :func:`backward_server` over every client: probs, labels and
+    each layer's inputs become ``[clients, maxlen, ...]`` arrays, padded
+    with zero rows. Also returns the ``[clients, maxlen]`` loss weights:
+    1/batch on each client's rows, so that each gradient is that of its
+    client's mean loss, and 0 on padding."""
+    lengths = [len(c.labels) for c in caches]
+    shape = (len(caches), max(lengths))
+    first = caches[0]
+    # each weight is the float64 1/batch rounded once, as dtype(1.0 / batch)
+    if min(lengths) == shape[1]:
+        real = None
+        weights = np.full(shape, 1.0 / shape[1], dtype=first.probs.dtype)
+    else:
+        counts = np.array(lengths)[:, None]
+        real = np.arange(shape[1]) < counts
+        weights = (1.0 / counts).astype(first.probs.dtype) * real
+
+    def stacked(arrays):
+        rows = np.concatenate(arrays)
+        if real is None:
+            return rows.reshape(*shape, *rows.shape[1:])
+        out = np.zeros((*shape, *rows.shape[1:]), dtype=rows.dtype)
+        out[real] = rows
+        return out
+
+    layers = [LayerCache(stacked([c.layers[k].inputs for c in caches])) for k in range(len(first.layers))]
+    cache = Cache(first.activation, layers, first.shapes, probs=stacked([c.probs for c in caches]),
+                  labels=stacked([c.labels for c in caches]))
+    return cache, weights
+
+
 def backward_server(
     layers: list[DenseLayer], cache: Cache, out: np.ndarray, loss_weights: np.ndarray | None = None
 ) -> np.ndarray:
     """Backprop the (weighted) per-example losses through the server part.
 
-    ``loss_weights`` defaults to 1/batch for every example, i.e. the
+    ``cache`` holds one batch (from :func:`forward_server`) or a stack of
+    clients' batches (from :func:`stack_caches`); then every array has a
+    leading client axis, ``out`` holds one gradient row per client and the
+    stack's loss weights are required. ``loss_weights`` (``[batch]`` or
+    ``[clients, maxlen]``) defaults to 1/batch for every example, i.e. the
     gradient of the mean loss. Writes the parameter gradient into the flat
     buffer ``out`` and returns the gradient w.r.t. the incoming activations.
     """
     grads = _grad_views(layers, cache, out)
-    batch = cache.probs.shape[0]
-    delta = cache.probs.copy()
-    delta[np.arange(batch), cache.labels] -= 1
-    if loss_weights is None:
-        delta *= cache.probs.dtype.type(1.0 / batch)
+    probs = cache.probs
+    delta = probs.copy()
+    rows = delta.reshape(-1, delta.shape[-1])
+    rows[np.arange(len(rows)), cache.labels.ravel()] -= 1
+    if loss_weights is not None:
+        delta = delta * loss_weights[..., None]
+    elif delta.ndim == 2:
+        delta *= probs.dtype.type(1.0 / len(delta))
     else:
-        delta = delta * loss_weights[:, None]
+        raise ConfigError("a stacked cache needs its loss weights: its padding rows weigh 0")
     d0 = _backprop(layers, cache.layers, delta, cache.activation, grads)
     return d0 @ layers[0].w.T
 

@@ -2,10 +2,10 @@
 
 One coordinator owns the shared server-side model and, per round, drives
 three barrier-separated steps: clients forward one batch and ship
-activations; the server runs forward/backward per client, coordinates the
-per-client server-side gradients into one update, and steps the server
-model; every client then receives its activation gradients and updates
-its own client-side model.
+activations; the server runs its forward per client and one backward over
+the stacked clients, coordinates the per-client server-side gradients into
+one update, and steps the server model; every client then receives its
+activation gradients and updates its own client-side model.
 
 Strategies:
   gapsl       leader identification plus direction alignment on the server
@@ -46,9 +46,11 @@ from .nn import (
     forward_server,
     layer_views,
     logits_from_activations,
+    one_row_clients,
     sgd_state,
     sgd_step,
     split_model,
+    stack_caches,
 )
 
 # substream tags: every consumer of randomness gets its own child stream of
@@ -176,7 +178,7 @@ class ClientBank:
             rows[k, : len(b)] = b
         acts, cache = forward_client(self.layers, self.train_inputs[rows], self.activation)
         out = [acts[k, :n] for k, n in enumerate(lengths)]
-        one_row = [k for k, n in enumerate(lengths) if n == 1] if rows.shape[1] > 1 else []
+        one_row = one_row_clients(lengths)
         one_row_layers = one_row_cache = None
         if one_row:
             # the stacked cache keeps its own gemm outputs; a one-row
@@ -370,11 +372,6 @@ class TrainingEngine:
 
     # ---- per-round pieces ------------------------------------------------
 
-    def _server_pass(self, acts: np.ndarray, labels: np.ndarray, out: np.ndarray):
-        """One client's server pass, writing its gradient into ``out``, its row of the round's g."""
-        _, mean_loss, cache = forward_server(self.server, acts, labels, self.activation)
-        return mean_loss, backward_server(self.server, cache, out)
-
     def _check_acts(self, t: int, i: int, phase: str, acts: np.ndarray, rows: int) -> None:
         """Activations from client ``i`` must be ``[rows, fan_in]``: checked
         here so a lying peer is a protocol error, not a model error."""
@@ -442,11 +439,21 @@ class TrainingEngine:
             self._check_acts(t, i, "forward", a, len(idx))
             self.samples_consumed += len(idx)
 
-        # the round's cohort is its g[clients, params] matrix, one row per
-        # server pass, prepared once: its Gram serves the pairwise stat, LGI and GDA
-        labels = [self.train.labels[idx] for idx in batches]
+        # the server forwards client by client, then backprops every client
+        # in one stack, whose rows are the round's g[clients, params] matrix,
+        # its cohort: prepared once, its Gram serves the pairwise stat, LGI and GDA
+        losses, caches = [], []
+        for a, idx in zip(acts, batches):
+            _, loss, cache = forward_server(self.server, a, self.train.labels[idx], self.activation)
+            losses.append(loss)
+            caches.append(cache)
         g = np.empty((len(ids), self.server_params.size), dtype=self.server_params.dtype)
-        losses, act_grads = zip(*map(self._server_pass, acts, labels, g))
+        stack, weights = stack_caches(caches)
+        stacked_grads = backward_server(self.server, stack, g, weights)
+        lengths = [len(idx) for idx in batches]
+        act_grads = [stacked_grads[k, :n] for k, n in enumerate(lengths)]
+        for k in one_row_clients(lengths):
+            act_grads[k] = backward_server(self.server, caches[k], g[k])
         client_losses = np.array(losses)
         cohort = Cohort(ids, g, t)
 

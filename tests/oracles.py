@@ -332,6 +332,23 @@ def server_pass(layers, activations, labels, activation, loss_weights=None):
     return per_example, float(per_example.mean()), probs, grads, delta @ layers[0].w.T
 
 
+def server_passes(layers, batches, activation, loss_weights=None):
+    """The round's server backward as it ran before the stacked call: one
+    :func:`server_pass` per client, in client order. ``batches`` holds each
+    client's (activations, labels), ``loss_weights`` one array per client or
+    None. Returns the ``[clients, params]`` gradient matrix, rows in the
+    layout of the server part's flat vector, and each client's gradient at
+    its activations."""
+    rows, act_grads = [], []
+    for k, (acts, labels) in enumerate(batches):
+        *_, grads, agrads = server_pass(
+            layers, acts, labels, activation, None if loss_weights is None else loss_weights[k]
+        )
+        rows.append(flatten([t for layer in grads for t in layer]))
+        act_grads.append(agrads)
+    return np.stack(rows), act_grads
+
+
 def alignment_correction(g, leader, lambda_g):
     """``gda.alignment_correction`` for non-degenerate inputs, its norms by ``np.linalg.norm``."""
     g64 = g.astype(np.float64, copy=False)

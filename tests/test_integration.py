@@ -56,17 +56,20 @@ class TestIdxExperiment:
 def record_server_grads(monkeypatch, clients, zeroed=(), negated=()):
     """Record each client's flat server gradient as the engine computes it,
     zeroing those of the ``zeroed`` clients and giving the ``negated`` ones the
-    exact negation of the previous client's (server passes run in client order)."""
+    exact negation of the previous client's. Every batch here has more than
+    one row, so one stacked backward writes the round's rows in client order."""
     rows = []
     backward = orch.backward_server
 
-    def recording(layers, cache, out):
-        act_grads = backward(layers, cache, out)
-        if len(rows) % clients in zeroed:
-            out[...] = 0
-        if len(rows) % clients in negated:
-            out[...] = -rows[-1]
-        rows.append(out.copy())
+    def recording(layers, cache, out, loss_weights=None):
+        act_grads = backward(layers, cache, out, loss_weights)
+        assert out.shape == (clients, out.shape[-1])  # the stacked call, not a one-row client's own
+        for k, row in enumerate(out):
+            if k in zeroed:
+                row[...] = 0
+            if k in negated:
+                row[...] = -rows[-1]
+            rows.append(row.copy())
         return act_grads
 
     monkeypatch.setattr(orch, "backward_server", recording)

@@ -15,9 +15,11 @@ from gapsl.nn import (
     forward_server,
     layer_views,
     logits_from_activations,
+    one_row_clients,
     sgd_state,
     sgd_step,
     split_model,
+    stack_caches,
 )
 from oracles import params_arrays
 
@@ -125,8 +127,10 @@ class TestForwardServer:
 
     def test_label_out_of_range_is_data_error(self):
         layers = [DenseLayer(np.zeros((2, 3)), np.zeros(3))]
-        with pytest.raises(DataError):
+        with pytest.raises(DataError, match=r"label out of range \[0, 3\): 3\.\.3"):
             forward_server(layers, np.zeros((1, 2)), np.array([3]))
+        with pytest.raises(DataError, match=r"label out of range \[0, 3\): -1\.\.2"):
+            forward_server(layers, np.zeros((2, 2)), np.array([2, -1]))
 
 
 class TestBackwardServer:
@@ -275,6 +279,53 @@ class TestEachForwardValueOnce:
         assert (logits == cache.layers[-1].preact).all()
         after = [model.params, x, acts]
         assert all((a == b).all() for a, b in zip(after, before + [kept]))
+
+
+class TestStackedServerBackward:
+    """One backward over a stack of clients' batches: every gradient row and
+    every activation-gradient row is bit-identical to the per-client server
+    passes, once the one-row clients are recomputed as their own stack."""
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    @pytest.mark.parametrize("lengths", [(7, 1, 16, 3, 1, 16), (1, 1, 1)], ids=["mixed", "one-row"])
+    @pytest.mark.parametrize("cut", [1, 2])  # cut 1: a hidden server layer; cut 2: the output layer alone
+    @pytest.mark.parametrize("activation", ["relu", "tanh"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_stacked_backward_equals_per_client_passes(self, dtype, activation, cut, lengths, weighted):
+        rng = np.random.default_rng(34)
+        dims = [6, 9, 8, 5]
+        model = make_model(dims, cut, seed=8, dtype=dtype, activation=activation)
+        batches = [(rng.normal(size=(n, dims[cut])).astype(dtype), rng.integers(0, 5, n)) for n in lengths]
+        weights = [rng.uniform(0.1, 1.0, n).astype(dtype) for n in lengths] if weighted else None
+        caches = [forward_server(model.server, a, y, activation)[2] for a, y in batches]
+        stack, stack_weights = stack_caches(caches)
+        assert stack_weights.dtype == dtype and stack_weights.shape == (len(lengths), max(lengths))
+        for k, n in enumerate(lengths):
+            assert (stack_weights[k, :n] == dtype(1.0 / n)).all() and (stack_weights[k, n:] == 0).all()
+            if weighted:
+                stack_weights[k, :n] = weights[k]
+        g = np.empty((len(lengths), model.server_params.size), dtype=dtype)
+        stacked = backward_server(model.server, stack, g, stack_weights)
+        act_grads = [stacked[k, :n] for k, n in enumerate(lengths)]
+        assert all(np.shares_memory(a, stacked) for a in act_grads)
+        for k in one_row_clients(lengths):
+            act_grads[k] = backward_server(model.server, caches[k], g[k], None if weights is None else weights[k])
+        want_g, want_act_grads = oracles.server_passes(model.server, batches, activation, weights)
+        assert g.dtype == dtype and (g == want_g).all()
+        assert all(a.dtype == dtype and (a == w).all() for a, w in zip(act_grads, want_act_grads, strict=True))
+
+    def test_one_row_clients_run_alone_only_beside_a_longer_batch(self):
+        assert one_row_clients([3, 1, 16, 1]) == [1, 3]
+        assert one_row_clients([1, 1, 1]) == []  # the stack multiplies one row per client: gemv too
+        assert one_row_clients([2, 2]) == []
+
+    def test_stack_needs_its_loss_weights(self):
+        model = make_model([5, 7, 3], 1, seed=5)
+        acts = np.random.default_rng(0).normal(size=(4, 7))
+        caches = [forward_server(model.server, acts[:n], np.zeros(n, dtype=int))[2] for n in (4, 2)]
+        stack, _ = stack_caches(caches)
+        with pytest.raises(ConfigError, match="loss weights"):
+            backward_server(model.server, stack, np.empty((2, model.server_params.size)))
 
 
 class TestGradientCorrectness:

@@ -366,11 +366,11 @@ class TestRoundShape:
         # client's server gradient, and the leader is the round's only
         # GradientVector
         rows, cohorts, made = [], [], []
-        server_pass, prepare, record = TrainingEngine._server_pass, Cohort.__init__, GradientVector.__init__
+        backward, prepare, record = orchestrator.backward_server, Cohort.__init__, GradientVector.__init__
 
-        def recording(self, acts, labels, out):
-            result = server_pass(self, acts, labels, out)
-            rows.append(out.copy())
+        def recording(layers, cache, out, loss_weights=None):
+            result = backward(layers, cache, out, loss_weights)
+            rows.extend(out.copy())  # the stacked call: one row per client
             return result
 
         def counting_cohort(self, ids, values, round_t):
@@ -381,7 +381,7 @@ class TestRoundShape:
             record(self, *args, **kwargs)
             made.append(self.client_id)
 
-        monkeypatch.setattr(TrainingEngine, "_server_pass", recording)
+        monkeypatch.setattr(orchestrator, "backward_server", recording)
         monkeypatch.setattr(Cohort, "__init__", counting_cohort)
         monkeypatch.setattr(GradientVector, "__init__", counting_vector)
         cfg = small_config(strategy="gapsl", clients=5, rounds=4, eval_interval=2)
@@ -392,8 +392,40 @@ class TestRoundShape:
             assert not report.coordination_skipped
             [cohort] = cohorts
             assert cohort.ids == list(range(5)) and cohort.round == t
-            assert np.array_equal(cohort.values, np.stack(rows))
+            assert len(rows) == 5 and np.array_equal(cohort.values, np.stack(rows))
             assert made == [-1]
+
+    def test_round_runs_one_server_forward_per_client_and_one_stacked_backward(self, monkeypatch):
+        # the in-process mirror of the benchmark's pin of one server pass
+        # per client: every client's forward, then one backward over the
+        # stack, plus one per one-row client when a longer batch pads the stack
+        calls = []
+        forward, backward = orchestrator.forward_server, orchestrator.backward_server
+
+        def counting_forward(layers, acts, labels, activation):
+            calls.append(("forward", len(labels)))
+            return forward(layers, acts, labels, activation)
+
+        def counting_backward(layers, cache, out, loss_weights=None):
+            calls.append(("backward", cache.probs.shape[:-1]))
+            return backward(layers, cache, out, loss_weights)
+
+        monkeypatch.setattr(orchestrator, "forward_server", counting_forward)
+        monkeypatch.setattr(orchestrator, "backward_server", counting_backward)
+        # 48 training samples over 5 clients: shards of 10 and 9 rows, so
+        # batches of 4 end each epoch with 2- and 1-row batches
+        cfg = small_config(clients=5, rounds=6, batch_size=4, samples_per_class=15, alpha=None)
+        engine = TrainingEngine(cfg, seed=1)
+        shapes = set()
+        for t in range(1, 7):
+            del calls[:]
+            engine.run_round(t)
+            lengths = [n for kind, n in calls[:5] if kind == "forward"]
+            assert len(lengths) == 5
+            one_row = [k for k, n in enumerate(lengths) if n == 1 and max(lengths) > 1]
+            assert calls[5:] == [("backward", (5, max(lengths)))] + [("backward", (1,))] * len(one_row)
+            shapes.add((max(lengths), len(one_row)))
+        assert shapes == {(4, 0), (2, 2)}  # full batches, and two one-row clients in a padded stack
 
     def test_gapsl_round_builds_one_gram(self, monkeypatch):
         # the pairwise stat, LGI scores, LGI selection and GDA's leader
