@@ -306,19 +306,13 @@ def stack_caches(caches: Sequence[Cache]) -> tuple[Cache, np.ndarray]:
     lengths = [len(c.labels) for c in caches]
     shape = (len(caches), max(lengths))
     first = caches[0]
+    counts = np.array(lengths)[:, None]
+    real = np.arange(shape[1]) < counts
     # each weight is the float64 1/batch rounded once, as dtype(1.0 / batch)
-    if min(lengths) == shape[1]:
-        real = None
-        weights = np.full(shape, 1.0 / shape[1], dtype=first.probs.dtype)
-    else:
-        counts = np.array(lengths)[:, None]
-        real = np.arange(shape[1]) < counts
-        weights = (1.0 / counts).astype(first.probs.dtype) * real
+    weights = (1.0 / counts).astype(first.probs.dtype) * real
 
     def stacked(arrays):
         rows = np.concatenate(arrays)
-        if real is None:
-            return rows.reshape(*shape, *rows.shape[1:])
         out = np.zeros((*shape, *rows.shape[1:]), dtype=rows.dtype)
         out[real] = rows
         return out
