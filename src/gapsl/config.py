@@ -88,7 +88,7 @@ def is_eval_round(cfg: ExperimentConfig, t: int) -> bool:
     """Whether round ``t`` ends with an evaluation.
 
     The coordinator and every TCP client follow this one schedule; if they
-    disagreed, a client would block on an EVAL_REQUEST that never comes.
+    disagreed, the run would fail with a ProtocolError instead of blocking.
     """
     return t % cfg.eval_interval == 0 or t == cfg.rounds
 

@@ -3,7 +3,7 @@
 Frame layout (little-endian):
 
     magic   4 bytes  "GPSL"
-    version u8       1
+    version u8       2
     tag     u8       message tag
     length  u32      body length, capped at 64 MiB
     body    length bytes, tag-specific
@@ -16,13 +16,15 @@ in-process runs produce identical results.
 
 Handshake: a client opens with HELLO carrying its id; the server answers
 with CONFIG (the canonical key=value config text) or closes the
-connection to reject it.
+connection to reject it, as it does a HELLO of another version.
 
-TCP channels set ``TCP_NODELAY``: in an eval round the coordinator sends
-ACT_GRADS and then EVAL_REQUEST back to back, and under Nagle's algorithm
-the second frame would wait for the client's delayed ACK (about 40 ms).
-Every frame leaves in a single ``sendall``, so no frame is split into
-small segments.
+In an eval round (``config.is_eval_round``) each client pushes EVAL_RESULT
+unasked once it has applied its ACT_GRADS, so a schedule disagreement fails
+as a :class:`ProtocolError` instead of blocking: the coordinator reads the
+wrong frame, or its deadline runs out. The next ACTIVATIONS follow right
+behind; channels set ``TCP_NODELAY`` because under Nagle's algorithm that
+frame would wait for the coordinator's delayed ACK (about 40 ms). Every
+frame leaves in a single ``sendall``, so no frame is split into small segments.
 
 The coordinator waits at most ``PEER_TIMEOUT_S`` for each frame a client
 owes it (activations, eval results), so a live but silent peer ends the
@@ -37,6 +39,7 @@ import socket
 import struct
 import time
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -44,7 +47,7 @@ from .config import is_eval_round, parse_config_text
 from .errors import ConfigError, ProtocolError
 
 MAGIC = b"GPSL"
-VERSION = 1
+VERSION = 2
 MAX_FRAME = 64 * 1024 * 1024
 HEADER_FMT = "<4sBBI"
 HEADER_SIZE = struct.calcsize(HEADER_FMT)
@@ -53,16 +56,15 @@ MATRIX_HEADER_SIZE = struct.calcsize(MATRIX_FMT)
 # seconds the coordinator waits for one client frame: far above a client's
 # per-seed dataset build plus one round
 PEER_TIMEOUT_S = 300.0
+_NO_PAYLOAD = np.empty(0, dtype="<f4")
 
 TAG_HELLO = 1
 TAG_CONFIG = 2
 TAG_ACTIVATIONS = 3
 TAG_ACT_GRADS = 4
-TAG_EVAL_REQUEST = 5
 TAG_EVAL_RESULT = 6
 TAG_METRICS = 7
-TAG_BYE = 8
-_KNOWN_TAGS = frozenset(range(1, 9))
+TAG_BYE = 8  # tag 5 is retired: version 1's eval request
 
 
 @dataclass
@@ -90,11 +92,6 @@ class ActGrads:
 
 
 @dataclass
-class EvalRequest:
-    round: int
-
-
-@dataclass
 class EvalResult:
     round: int
     client_id: int
@@ -111,33 +108,31 @@ class Bye:
     pass
 
 
-WireMessage = Hello | ConfigMsg | Activations | ActGrads | EvalRequest | EvalResult | Metrics | Bye
+WireMessage = Hello | ConfigMsg | Activations | ActGrads | EvalResult | Metrics | Bye
 
 _MATRIX_TAGS = {Activations: TAG_ACTIVATIONS, ActGrads: TAG_ACT_GRADS, EvalResult: TAG_EVAL_RESULT}
-_TAG_TO_MATRIX = {v: k for k, v in _MATRIX_TAGS.items()}
 
 
-def _matrix_body(msg) -> bytes:
+def _matrix_body(msg) -> tuple[bytes, np.ndarray]:
+    """The matrix header and the float32 payload, which the frame copies once."""
     m = np.ascontiguousarray(msg.matrix, dtype="<f4")
     if m.ndim != 2:
         raise ProtocolError(f"matrix payload must be 2-D, got shape {m.shape}")
     if not np.isfinite(m).all():
         raise ProtocolError("refusing to encode non-finite payload floats")
-    head = struct.pack(MATRIX_FMT, msg.round, msg.client_id, m.shape[0], m.shape[1])
-    return head + m.tobytes()
+    return struct.pack(MATRIX_FMT, msg.round, msg.client_id, *m.shape), m
 
 
 def encode(msg: WireMessage) -> bytes:
     """Serialize one message into a complete frame."""
+    payload = _NO_PAYLOAD
     try:
         if isinstance(msg, Hello):
             tag, body = TAG_HELLO, struct.pack("<H", msg.client_id)
         elif isinstance(msg, ConfigMsg):
             tag, body = TAG_CONFIG, msg.text.encode("utf-8")
         elif isinstance(msg, (Activations, ActGrads, EvalResult)):
-            tag, body = _MATRIX_TAGS[type(msg)], _matrix_body(msg)
-        elif isinstance(msg, EvalRequest):
-            tag, body = TAG_EVAL_REQUEST, struct.pack("<I", msg.round)
+            tag, (body, payload) = _MATRIX_TAGS[type(msg)], _matrix_body(msg)
         elif isinstance(msg, Metrics):
             tag, body = TAG_METRICS, json.dumps(msg.payload, sort_keys=True).encode("utf-8")
         elif isinstance(msg, Bye):
@@ -146,30 +141,63 @@ def encode(msg: WireMessage) -> bytes:
             raise ProtocolError(f"cannot encode {type(msg).__name__}")
     except struct.error as e:
         raise ProtocolError(f"field out of range while encoding {type(msg).__name__}: {e}") from e
-    if len(body) > MAX_FRAME:
-        raise ProtocolError(f"payload of {len(body)} bytes exceeds the {MAX_FRAME} byte cap")
-    return struct.pack(HEADER_FMT, MAGIC, VERSION, tag, len(body)) + body
+    length = len(body) + payload.nbytes
+    if length > MAX_FRAME:
+        raise ProtocolError(f"payload of {length} bytes exceeds the {MAX_FRAME} byte cap")
+    return b"".join((struct.pack(HEADER_FMT, MAGIC, VERSION, tag, length), body, payload))
 
 
-def _decode_matrix(tag: int, body: bytes, base: int):
-    if len(body) < MATRIX_HEADER_SIZE:
-        raise ProtocolError("truncated matrix header", offset=base + len(body))
-    rnd, client_id, rows, cols = struct.unpack_from(MATRIX_FMT, body, 0)
+def _decode_matrix(cls, buf, length: int):
+    if length < MATRIX_HEADER_SIZE:
+        raise ProtocolError("truncated matrix header", offset=HEADER_SIZE + length)
+    rnd, client_id, rows, cols = struct.unpack_from(MATRIX_FMT, buf, HEADER_SIZE)
     expected = MATRIX_HEADER_SIZE + rows * cols * 4
-    if len(body) != expected:
-        raise ProtocolError(
-            f"matrix body is {len(body)} bytes, layout requires {expected}",
-            offset=base + min(len(body), expected),
-        )
-    data = np.frombuffer(body, dtype="<f4", count=rows * cols, offset=MATRIX_HEADER_SIZE)
-    finite = np.isfinite(data)
+    if length != expected:
+        raise ProtocolError(f"matrix body is {length} bytes, layout requires {expected}",
+                            offset=HEADER_SIZE + min(length, expected))
+    start = HEADER_SIZE + MATRIX_HEADER_SIZE
+    matrix = np.frombuffer(buf, dtype="<f4", count=rows * cols, offset=start).reshape(rows, cols).copy()
+    finite = np.isfinite(matrix)
     if not finite.all():
-        bad = int(np.argmin(finite))
-        raise ProtocolError(
-            "non-finite payload float", offset=base + MATRIX_HEADER_SIZE + bad * 4
-        )
-    matrix = data.reshape(rows, cols).copy()
-    return _TAG_TO_MATRIX[tag](rnd, client_id, matrix)
+        raise ProtocolError("non-finite payload float", offset=start + int(np.argmin(finite)) * 4)
+    return cls(rnd, client_id, matrix)
+
+
+def _decode_hello(buf, length: int) -> Hello:
+    if length != 2:
+        raise ProtocolError("HELLO body must be 2 bytes", offset=HEADER_SIZE + length)
+    return Hello(*struct.unpack_from("<H", buf, HEADER_SIZE))
+
+
+def _decode_config(buf, length: int) -> ConfigMsg:
+    try:
+        return ConfigMsg(buf[HEADER_SIZE : HEADER_SIZE + length].decode("utf-8"))
+    except UnicodeDecodeError as e:
+        raise ProtocolError("CONFIG body is not UTF-8", offset=HEADER_SIZE + e.start) from e
+
+
+def _decode_metrics(buf, length: int) -> Metrics:
+    try:
+        return Metrics(json.loads(buf[HEADER_SIZE : HEADER_SIZE + length].decode("utf-8")))
+    except (UnicodeDecodeError, json.JSONDecodeError) as e:
+        raise ProtocolError(f"METRICS body is not JSON: {e}", offset=HEADER_SIZE) from e
+
+
+def _decode_bye(buf, length: int) -> Bye:
+    if length != 0:
+        raise ProtocolError("BYE carries no body", offset=HEADER_SIZE)
+    return Bye()
+
+
+# the known tags, each with the decoder of a body of ``length`` bytes at
+# buf[HEADER_SIZE:]; what a decoder returns owns its bytes, so the frame may go
+_DECODERS = {
+    TAG_HELLO: _decode_hello,
+    TAG_CONFIG: _decode_config,
+    **{tag: partial(_decode_matrix, cls) for cls, tag in _MATRIX_TAGS.items()},
+    TAG_METRICS: _decode_metrics,
+    TAG_BYE: _decode_bye,
+}
 
 
 def decode(buf: bytes | bytearray) -> tuple[WireMessage, int] | None:
@@ -180,43 +208,18 @@ def decode(buf: bytes | bytearray) -> tuple[WireMessage, int] | None:
     """
     if len(buf) < HEADER_SIZE:
         return None
-    magic, version, tag, length = struct.unpack_from(HEADER_FMT, bytes(buf[:HEADER_SIZE]), 0)
+    magic, version, tag, length = struct.unpack_from(HEADER_FMT, buf, 0)
     if magic != MAGIC:
         raise ProtocolError(f"bad magic {magic!r}, expected {MAGIC!r}", offset=0)
     if version != VERSION:
         raise ProtocolError(f"unsupported version {version}", offset=4)
-    if tag not in _KNOWN_TAGS:
+    if tag not in _DECODERS:
         raise ProtocolError(f"unknown tag {tag}", offset=5)
     if length > MAX_FRAME:
         raise ProtocolError(f"declared length {length} exceeds the {MAX_FRAME} byte cap", offset=6)
     if len(buf) < HEADER_SIZE + length:
         return None
-    body = bytes(buf[HEADER_SIZE : HEADER_SIZE + length])
-    consumed = HEADER_SIZE + length
-
-    if tag in _TAG_TO_MATRIX:
-        return _decode_matrix(tag, body, HEADER_SIZE), consumed
-    if tag == TAG_HELLO:
-        if len(body) != 2:
-            raise ProtocolError("HELLO body must be 2 bytes", offset=HEADER_SIZE + len(body))
-        return Hello(struct.unpack("<H", body)[0]), consumed
-    if tag == TAG_CONFIG:
-        try:
-            return ConfigMsg(body.decode("utf-8")), consumed
-        except UnicodeDecodeError as e:
-            raise ProtocolError("CONFIG body is not UTF-8", offset=HEADER_SIZE + e.start) from e
-    if tag == TAG_EVAL_REQUEST:
-        if len(body) != 4:
-            raise ProtocolError("EVAL_REQUEST body must be 4 bytes", offset=HEADER_SIZE + len(body))
-        return EvalRequest(struct.unpack("<I", body)[0]), consumed
-    if tag == TAG_METRICS:
-        try:
-            return Metrics(json.loads(body.decode("utf-8"))), consumed
-        except (UnicodeDecodeError, json.JSONDecodeError) as e:
-            raise ProtocolError(f"METRICS body is not JSON: {e}", offset=HEADER_SIZE) from e
-    if len(body) != 0:
-        raise ProtocolError("BYE carries no body", offset=HEADER_SIZE)
-    return Bye(), consumed
+    return _DECODERS[tag](buf, length), HEADER_SIZE + length
 
 
 def parse_address(address: str) -> tuple[str, int]:
@@ -363,7 +366,6 @@ class RemoteClientProxy:
         self.channel.send(ActGrads(round_t, self.client_id, act_grads))
 
     def eval_activations(self, round_t: int) -> np.ndarray:
-        self.channel.send(EvalRequest(round_t))
         return self._expect_matrix(self.channel.recv(PEER_TIMEOUT_S), EvalResult, round_t)
 
     def finish(self, metrics: dict) -> None:
@@ -406,9 +408,6 @@ def client_loop(channel: FrameChannel, client_id: int, handshake_timeout: float 
                 )
             bank.apply_grads(t, [reply.matrix])
             if is_eval_round(cfg, t):
-                req = channel.recv()
-                if not isinstance(req, EvalRequest) or req.round != t:
-                    raise ProtocolError(f"round {t}: expected EVAL_REQUEST, got {type(req).__name__}")
                 (eval_acts,) = bank.eval_activations(t)
                 channel.send(EvalResult(t, client_id, eval_acts))
 

@@ -394,7 +394,7 @@ class TestC10Transport:
     def test_fixtures_and_fuzzed_round_trips(self):
         from test_transport import assert_messages_equal, random_message
 
-        assert tp.encode(tp.Bye()) == bytes.fromhex("475053" "4c0108" "00000000".replace(" ", ""))
+        assert tp.encode(tp.Bye()) == bytes.fromhex("475053" "4c0208" "00000000".replace(" ", ""))
         frame = tp.encode(tp.Activations(0, 0, np.array([[1.0]], dtype=np.float32)))
         assert frame[10:].hex() == "000000000000" + "01000000" + "01000000" + "0000803f"
 

@@ -1,11 +1,14 @@
 """Wire format and the TCP message layer."""
 
+import dataclasses
 import socket
 import threading
+import time
 
 import numpy as np
 import pytest
 
+import gapsl.transport as tp
 from gapsl.config import ExperimentConfig, config_to_text
 from gapsl.errors import ProtocolError
 from gapsl.orchestrator import TrainingEngine, run_experiment
@@ -15,13 +18,13 @@ from gapsl.transport import (
     Activations,
     Bye,
     ConfigMsg,
-    EvalRequest,
     EvalResult,
     FrameChannel,
     Hello,
     Listener,
     Metrics,
     RemoteClientProxy,
+    VERSION,
     client_loop,
     connect,
     decode,
@@ -30,7 +33,7 @@ from gapsl.transport import (
 
 
 def random_message(rng):
-    kind = int(rng.integers(0, 8))
+    kind = int(rng.integers(0, 7))
     if kind == 0:
         return Hello(int(rng.integers(0, 1 << 16)))
     if kind == 1:
@@ -41,8 +44,6 @@ def random_message(rng):
         cls = (Activations, ActGrads, EvalResult)[kind - 2]
         return cls(int(rng.integers(0, 1 << 31)), int(rng.integers(0, 1 << 16)), matrix)
     if kind == 5:
-        return EvalRequest(int(rng.integers(0, 1 << 31)))
-    if kind == 6:
         return Metrics({"k": float(rng.normal()), "n": int(rng.integers(0, 100))})
     return Bye()
 
@@ -60,7 +61,7 @@ def assert_messages_equal(a, b):
 class TestFixtures:
     def test_bye_frame_is_exactly_ten_bytes(self):
         frame = encode(Bye())
-        assert frame == bytes.fromhex("47 50 53 4c 01 08 00 00 00 00".replace(" ", ""))
+        assert frame == bytes.fromhex("47 50 53 4c 02 08 00 00 00 00".replace(" ", ""))
 
     def test_unit_activation_fixture(self):
         frame = encode(Activations(0, 0, np.array([[1.0]], dtype=np.float32)))
@@ -70,7 +71,7 @@ class TestFixtures:
     def test_header_layout(self):
         frame = encode(Hello(0x0102))
         assert frame[:4] == b"GPSL"
-        assert frame[4] == 1          # version
+        assert frame[4] == VERSION
         assert frame[5] == 1          # tag
         assert frame[6:10] == (2).to_bytes(4, "little")
 
@@ -114,9 +115,10 @@ class TestParserRobustness:
             decode(bytes(frame))
         assert e.value.offset == 4
 
-    def test_unknown_tag_rejected(self):
+    @pytest.mark.parametrize("tag", [99, 5])  # 5: version 1's retired eval request
+    def test_unknown_tag_rejected(self, tag):
         frame = bytearray(encode(Bye()))
-        frame[5] = 99
+        frame[5] = tag
         with pytest.raises(ProtocolError) as e:
             decode(bytes(frame))
         assert e.value.offset == 5
@@ -129,7 +131,7 @@ class TestParserRobustness:
         assert decode(frame[:-1]) is None
 
     def test_oversized_declared_length_rejected(self):
-        header = b"GPSL" + bytes([1, 2]) + (64 * 1024 * 1024 + 1).to_bytes(4, "little")
+        header = b"GPSL" + bytes([VERSION, 2]) + (64 * 1024 * 1024 + 1).to_bytes(4, "little")
         with pytest.raises(ProtocolError) as e:
             decode(header)
         assert e.value.offset == 6
@@ -264,8 +266,9 @@ class TestTcpChannels:
         assert errors == [f"round 1 client 1: ACT_GRADS for round {round_t} client {client_id}"]
 
     def test_channels_disable_nagle(self):
-        # an eval round sends ACT_GRADS then EVAL_REQUEST back to back; with
-        # Nagle on, the second frame waits for the peer's delayed ACK
+        # after an eval round a client sends EVAL_RESULT then the next
+        # ACTIVATIONS back to back; with Nagle on, the second frame waits for
+        # the coordinator's delayed ACK
         listener = Listener("127.0.0.1:0")
         cfg_text = config_to_text(ExperimentConfig())
         clients = []
@@ -292,6 +295,20 @@ class TestTcpChannels:
         finally:
             for ch in [*clients, *accepted.values()]:
                 ch.close()
+
+    def test_version_one_hello_is_refused(self):
+        listener = Listener("127.0.0.1:0")
+        peer = socket.create_connection(tp.parse_address(listener.address), timeout=10)
+        try:
+            hello = bytearray(encode(Hello(0)))
+            hello[4] = 1
+            peer.sendall(hello)
+            with pytest.raises(ProtocolError, match="handshake timed out with 0/1 clients connected"):
+                listener.accept_clients(1, config_to_text(ExperimentConfig()), timeout=0.5)
+            assert peer.recv(16) == b""  # closed without a CONFIG
+        finally:
+            peer.close()
+            listener.close()
 
     def test_handshake_and_duplicate_client_id_rejected(self):
         listener = Listener("127.0.0.1:0")
@@ -370,3 +387,83 @@ class TestTcpChannels:
 
         assert rows_tcp == rows_inproc
         assert all(finals[i] == {"done": 1} for i in range(cfg.clients))
+
+
+class TestEvalPush:
+    """In an eval round each client pushes EVAL_RESULT after its ACT_GRADS,
+    unasked; the coordinator only receives it."""
+
+    CFG = ExperimentConfig(
+        strategy="psl", clients=2, rounds=4, batch_size=8, samples_per_class=20,
+        model_dims=(4, 6, 2), cut=1, eval_interval=2, seeds=(1,), alpha=None,
+    )
+
+    def run_rounds(self, cfg, on_channels=None):
+        """Run every round of ``cfg`` against real ``client_loop`` threads."""
+        listener = Listener("127.0.0.1:0")
+        addr = listener.address
+        errors = []
+
+        def worker(cid):
+            ch = connect(addr)
+            try:
+                client_loop(ch, cid)
+            except ProtocolError as e:
+                errors.append(e)
+            finally:
+                ch.close()
+
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(cfg.clients)]
+        for t in threads:
+            t.start()
+        channels = {}
+        try:
+            channels = listener.accept_clients(cfg.clients, config_to_text(cfg), timeout=10)
+            if on_channels is not None:
+                on_channels(channels)
+            proxies = {i: RemoteClientProxy(ch, i) for i, ch in channels.items()}
+            reports = TrainingEngine(cfg, 1, proxies).run()
+            for i in sorted(proxies):
+                proxies[i].finish({})
+        finally:
+            for ch in channels.values():
+                ch.close()
+            for t in threads:
+                t.join(timeout=10)
+            listener.close()
+        assert not any(t.is_alive() for t in threads) and errors == []
+        return reports
+
+    def test_eval_round_sends_one_frame_per_client(self):
+        sent = []  # every frame the coordinator sends during the rounds
+
+        def record(channels):
+            for ch in channels.values():
+                def send(msg, inner=ch.send):
+                    sent.append(msg)
+                    inner(msg)
+                ch.send = send
+
+        reports = self.run_rounds(self.CFG, record)
+        assert [r.accuracy is not None for r in reports] == [False, True, False, True]
+        clients = range(self.CFG.clients)
+        assert [(type(m), getattr(m, "round", None), getattr(m, "client_id", None)) for m in sent] == [
+            *((ActGrads, t, i) for t in range(1, self.CFG.rounds + 1) for i in clients),
+            *((kind, None, None) for i in clients for kind in (Metrics, Bye)),  # finish
+        ]
+
+    def test_push_in_a_train_round_fails_the_next_forward(self, monkeypatch):
+        # the clients believe every round is an eval round
+        monkeypatch.setattr(tp, "is_eval_round", lambda cfg, t: True)
+        with pytest.raises(ProtocolError, match=r"round 2 client 0 \(forward\): client 0: "
+                                                 r"expected Activations, got EvalResult"):
+            self.run_rounds(self.CFG)
+
+    def test_missing_push_times_out_in_the_eval_phase(self, monkeypatch):
+        # the clients never evaluate; the coordinator's last round does
+        monkeypatch.setattr(tp, "is_eval_round", lambda cfg, t: False)
+        monkeypatch.setattr(tp, "PEER_TIMEOUT_S", 0.5)
+        began = time.monotonic()
+        with pytest.raises(ProtocolError, match=r"round 1 client 0 \(eval\): timed out after 0.5s"):
+            self.run_rounds(dataclasses.replace(self.CFG, rounds=1))
+        assert time.monotonic() - began < 5
