@@ -16,6 +16,9 @@ theta >= pi/4, and a strong shift on a short g overshoots the leader and
 lowers it (see :func:`alignment_correction`). The penalty can also run as a
 loss-value-only variant (no gradient shift) for ablations; the scalar
 penalty and summed global loss are reported either way.
+
+GDA runs over the cohort's usable rows and corrects its survivors as one
+block; the id-keyed dicts of :class:`GdaOutcome` are read off the rows.
 """
 
 from __future__ import annotations
@@ -59,26 +62,24 @@ class GdaOutcome:
     global_loss: float
     corrected: dict[int, np.ndarray]
     fallback: bool  # True when no client survived the filter
+    corrected_rows: np.ndarray  # [survivors, params], ascending id; ``corrected`` keys its rows
 
 
-def deviations_to_leader(cohort: Cohort, leader: GradientVector) -> dict[int, float]:
-    """Angle of each usable client gradient against the leader.
+def deviations_to_leader(cohort: Cohort, leader: GradientVector) -> list[float]:
+    """Angle against the leader of each usable row, in the cohort's order.
 
     One product over the usable rows with the leader appended gives every
     <g, leader> and <leader, leader>; each row's squared norm comes from
-    the cohort's Gram.
+    the cohort's Gram. Raises :class:`CoordinationSkipped` for a degenerate leader.
     """
-    if leader.is_degenerate():
-        raise CoordinationSkipped("leader gradient is degenerate")
-    lead = leader.values.astype(np.float64, copy=False)
+    lead = leader.v64
     # two leader columns: numpy hands a one-column product to gemv, which
     # sums in another order than the gemm behind the Gram
     rows = np.vstack([cohort.stack, lead])
     *dots, ll = (rows @ np.stack([lead, lead], axis=1))[:, 0].tolist()
-    return {
-        cid: angular_deviation(g, lead, aa, ll, ab)
-        for cid, g, aa, ab in zip(cohort.usable, cohort.stack, cohort.diag, dots)
-    }
+    if math.sqrt(ll) <= EPS_NORM:
+        raise CoordinationSkipped("leader gradient is degenerate")
+    return [angular_deviation(g, lead, aa, ll, ab) for g, aa, ab in zip(cohort.stack, cohort.diag, dots)]
 
 
 def adaptive_threshold(deviations: list[float], eta: float) -> float:
@@ -87,9 +88,9 @@ def adaptive_threshold(deviations: list[float], eta: float) -> float:
     return max(min(mu - eta * nu, HALF_PI), 0.0)
 
 
-def filter_clients(deviations: dict[int, float], threshold: float) -> tuple[int, ...]:
-    """Clients at or below the threshold, ascending id; may be empty."""
-    return tuple(sorted(cid for cid, d in deviations.items() if d <= threshold))
+def filter_clients(deviations: list[float], threshold: float) -> tuple[int, ...]:
+    """Positions of the deviations at or below the threshold, ascending; may be empty."""
+    return tuple(k for k, d in enumerate(deviations) if d <= threshold)
 
 
 def regularized_loss(loss: float, deviation: float, lam: float) -> float:
@@ -98,7 +99,7 @@ def regularized_loss(loss: float, deviation: float, lam: float) -> float:
 
 
 def alignment_correction(
-    g: np.ndarray, leader: np.ndarray, lambda_g: float
+    g: np.ndarray, leader: np.ndarray, lambda_g: float | list[float], leader_sq: float | None = None
 ) -> np.ndarray:
     """Shift ``g`` toward the leader direction; identity when already aligned.
 
@@ -109,21 +110,36 @@ def alignment_correction(
     the cosine rises iff phi < 2 * theta, and falls when the turn
     overshoots the leader by more than theta.
 
-    Degenerate inputs pass through unchanged with a warning. The result
-    keeps the dtype of ``g``; the math runs in float64.
+    ``g`` is one vector or an ``[S, P]`` block with one ``lambda_g`` or S of
+    them; each row takes its own dot products, so a block equals S
+    one-vector calls bit for bit. ``leader_sq`` is the leader's float64
+    squared norm, when known. Degenerate rows, or all rows of a degenerate
+    leader, pass through unchanged with a warning each. The result keeps
+    the dtype of ``g``; the math runs in float64.
     """
-    g64 = g.astype(np.float64, copy=False)
     l64 = leader.astype(np.float64, copy=False)
-    gn = math.sqrt(g64.dot(g64))  # np.linalg.norm's bits, without its wrapper
-    ln = math.sqrt(l64.dot(l64))
-    if gn <= EPS_NORM or ln <= EPS_NORM:
-        log.warning("alignment correction skipped for near-zero vector (norms %.3e, %.3e)", gn, ln)
+    ln = math.sqrt(l64.dot(l64) if leader_sq is None else leader_sq)
+    rows = g.astype(np.float64, copy=False).reshape(-1, g.shape[-1])
+    gn = [math.sqrt(r.dot(r)) for r in rows]  # np.linalg.norm's bits, without its wrapper
+    skip = [k for k, n in enumerate(gn) if n <= EPS_NORM or ln <= EPS_NORM]
+    for k in skip:
+        log.warning("alignment correction skipped for near-zero vector (norms %.3e, %.3e)", gn[k], ln)
+    if len(skip) == len(gn):
         return g
-    u_g = g64 / gn
+    gn = np.array(gn)[:, None]
+    if skip:
+        gn[skip] = 1.0  # a skipped row is put back below
+    u_g = rows / gn
     u_l = l64 / ln
-    cos_theta = float(np.dot(u_g, u_l))
-    shifted = g64 + (lambda_g / gn) * (u_l - cos_theta * u_g)
-    return shifted.astype(g.dtype)
+    # g + (lambda_g / ||g||) * (u_l - cos * u_g) in place, each step as the formula rounds it
+    shift = np.array([u.dot(u_l) for u in u_g])[:, None] * u_g
+    np.subtract(u_l, shift, out=shift)
+    shift *= np.asarray(lambda_g, dtype=np.float64).reshape(-1, 1) / gn
+    shift += rows
+    out = shift.astype(g.dtype)
+    if skip:
+        out[skip] = g.reshape(out.shape)[skip]
+    return out.reshape(g.shape)
 
 
 def global_loss(regularized: dict[int, float], survivors: tuple[int, ...]) -> float:
@@ -133,7 +149,7 @@ def global_loss(regularized: dict[int, float], survivors: tuple[int, ...]) -> fl
 
 def run_gda(
     cohort: Cohort | list[GradientVector],
-    losses: dict[int, float],
+    losses: dict[int, float] | np.ndarray,
     leader: GradientVector,
     config: GdaConfig,
     survivor_mode: str = "threshold",
@@ -141,6 +157,7 @@ def run_gda(
 ) -> GdaOutcome:
     """One full alignment pass: deviations, threshold, filter, regularize.
 
+    ``losses`` holds the clients' losses by cohort row, or keyed by id.
     ``survivor_mode`` "random" replaces the threshold-filtered set with a
     uniformly random subset of the same size (ablation); the threshold is
     still computed and reported. The per-client correction strength is
@@ -154,35 +171,33 @@ def run_gda(
     if config.threshold_override is not None:
         threshold = config.threshold_override
     else:
-        threshold = adaptive_threshold(list(deviations.values()), config.eta)
-    survivors = filter_clients(deviations, threshold)
+        threshold = adaptive_threshold(deviations, config.eta)
+    kept = filter_clients(deviations, threshold)  # positions among the usable rows
 
     if survivor_mode == "random":
         if rng is None:
             raise ConfigError("random survivor mode needs an rng")
-        pool = sorted(deviations)
-        picked = rng.choice(len(pool), size=len(survivors), replace=False)
-        survivors = tuple(sorted(pool[i] for i in picked))
+        kept = tuple(sorted(rng.choice(len(deviations), size=len(kept), replace=False).tolist()))
     elif survivor_mode != "threshold":
         raise ConfigError(f"unknown survivor mode {survivor_mode!r}")
 
-    regularized: dict[int, float] = {}
-    corrected: dict[int, np.ndarray] = {}
-    for cid, k in zip(survivors, cohort.rows(survivors)):
-        regularized[cid] = regularized_loss(losses[cid], deviations[cid], config.lam)
-        g = cohort.values[k]
-        if config.apply_correction:
-            lambda_g = config.lam * math.sqrt(cohort.sq[k])
-            corrected[cid] = alignment_correction(g, leader.values, lambda_g)
-        else:
-            corrected[cid] = g
+    rows = [cohort.usable_rows[s] for s in kept]
+    survivors = tuple(cohort.ids[k] for k in rows)
+    keys = survivors if isinstance(losses, dict) else rows
+    penalized = [regularized_loss(losses[key], deviations[s], config.lam) for key, s in zip(keys, kept)]
+    regularized = dict(zip(survivors, penalized))
+    block = cohort.values[rows]
+    if config.apply_correction:
+        lambda_g = [config.lam * math.sqrt(cohort.sq[k]) for k in rows]
+        block = alignment_correction(block, leader.v64, lambda_g, leader.sq)
 
     return GdaOutcome(
-        deviations=deviations,
+        deviations=dict(zip(cohort.usable, deviations)),
         threshold=threshold,
         survivors=survivors,
         regularized_losses=regularized,
         global_loss=global_loss(regularized, survivors),
-        corrected=corrected,
+        corrected=dict(zip(survivors, block)),
         fallback=not survivors,
+        corrected_rows=block,
     )

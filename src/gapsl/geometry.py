@@ -10,9 +10,10 @@ A round's gradients are one ``[clients, params]`` matrix, prepared once
 (:class:`Cohort`): its usable rows are stacked in float64 and their Gram
 matrix taken by one product. Each angle then reads its cross dot product
 and both squared norms from that Gram: three table lookups, one square
-root and one ``math.acos``. :class:`GradientVector` is the one-client
-record the LGI/GDA entry points also accept; :func:`prepared` turns a
-list of them into a cohort.
+root and one ``math.acos``. LGI and GDA run over the cohort's rows; the
+id-keyed dicts of their outcomes, :class:`GradientVector` (one client's
+record, or the round's leader) and :func:`prepared` (a cohort of such
+records) are the API the gates call.
 
 The round statistics call ``ufunc.reduce`` and ``dot`` directly, as
 :func:`mean_std` does: ``np.mean``, ``np.std`` and ``np.linalg.norm`` give
@@ -23,7 +24,7 @@ the same bits behind Python wrappers that cost 3-10 us per call on
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -43,11 +44,17 @@ class GradientVector:
     client_id: int
     round: int
     values: np.ndarray
+    # float64 copy and squared norm, taken once: a round's leader is read three times
+    v64: np.ndarray = field(init=False, repr=False, compare=False)
+    sq: float = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.v64 = self.values.astype(np.float64, copy=False)
+        self.sq = float(self.v64.dot(self.v64))
 
     def norm(self) -> float:
         # np.linalg.norm of a real 1-D vector is sqrt(x.dot(x)): same bits
-        v64 = self.values.astype(np.float64, copy=False)
-        return math.sqrt(float(v64.dot(v64)))
+        return math.sqrt(self.sq)
 
     def is_degenerate(self) -> bool:
         return self.norm() <= EPS_NORM
@@ -60,10 +67,10 @@ class Cohort:
     ``values[k]`` is the gradient of client ``ids[k]``, ids ascending, and
     ``sq[k]`` its squared norm, one float64 dot product per row. A row
     whose norm ``sqrt(sq[k])`` is at most ``EPS_NORM`` is degenerate:
-    ``excluded`` lists those ids and ``usable`` the others. ``stack``
-    holds the usable rows in float64, ``gram`` their Gram matrix
-    ``stack @ stack.T`` (one product) and ``diag`` its diagonal as Python
-    floats. A loop over the Gram takes one row at a time as a list:
+    ``excluded`` lists those ids, ``usable`` the others and ``usable_rows``
+    their rows. ``stack`` holds the usable rows in float64, ``gram`` their
+    Gram matrix ``stack @ stack.T`` (one product) and ``diag`` its
+    diagonal as Python floats. A loop over the Gram takes one row at a time as a list:
     Python floats are what the per-pair arithmetic wants, and all n² of
     them at once would take 32 bytes each (32 MB at 1000 clients).
     """
@@ -75,15 +82,12 @@ class Cohort:
         v64 = values.astype(np.float64, copy=False)
         self.sq = [float(v.dot(v)) for v in v64]
         keep = [math.sqrt(s) > EPS_NORM for s in self.sq]
-        self.usable = [i for i, k in zip(self.ids, keep) if k]
-        self.excluded = tuple(i for i, k in zip(self.ids, keep) if not k)
+        self.usable_rows = [k for k, ok in enumerate(keep) if ok]
+        self.usable = [self.ids[k] for k in self.usable_rows]
+        self.excluded = tuple(i for i, ok in zip(self.ids, keep) if not ok)
         self.stack = v64[keep]
         self.gram = self.stack @ self.stack.T
         self.diag = self.gram.diagonal().tolist()
-
-    def rows(self, ids: Sequence[int]) -> np.ndarray:
-        """Row indices of clients ``ids``, which must be in the cohort."""
-        return np.searchsorted(self.ids, ids)
 
 
 def prepared(cohort: Cohort | Iterable[GradientVector]) -> Cohort:

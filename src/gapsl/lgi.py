@@ -61,6 +61,7 @@ class ScoreSet:
     round: int
     scores: dict[int, float]
     excluded: tuple[int, ...] = ()
+    by_row: list[float] = field(default_factory=list)  # the scores in usable-row order
 
 
 @dataclass
@@ -84,15 +85,15 @@ def consistency_scores(cohort: Cohort) -> ScoreSet:
         )
     rows, gram, diag = list(cohort.stack), cohort.gram, cohort.diag
     n = len(rows)
-    scores: dict[int, float] = {}
-    for i, cid in enumerate(cohort.usable):
+    by_row = []
+    for i in range(n):
         a, aa, row = rows[i], diag[i], gram[i].tolist()
         total = 0.0
         for j in range(n):
             if j != i:
                 total += angular_deviation(a, rows[j], aa, diag[j], row[j])
-        scores[cid] = total / (n - 1)
-    return ScoreSet(round=cohort.round, scores=scores, excluded=cohort.excluded)
+        by_row.append(total / (n - 1))
+    return ScoreSet(cohort.round, dict(zip(cohort.usable, by_row)), cohort.excluded, by_row)
 
 
 def selection_ratio(state: LgiState, config: LgiConfig, scores: ScoreSet) -> float:
@@ -134,7 +135,7 @@ def select_top(scores: ScoreSet, k_percent: float, cohort_size: int) -> tuple[in
 
 
 def select_consistent(cohort: Cohort, scores: ScoreSet, k_percent: float) -> tuple[int, ...]:
-    """The ceil(k% * cohort) clients whose gradients form the leader.
+    """The rows, ascending, of the ceil(k% * cohort) clients that form the leader.
 
     Start from every scored client and drop one client at a time until
     ceil(k% * cohort) remain. A client may be dropped only if the clients
@@ -147,27 +148,28 @@ def select_consistent(cohort: Cohort, scores: ScoreSet, k_percent: float) -> tup
     gradients cancel has no direction and ranks below every other.
 
     When the trend itself is degenerate there is nothing to follow, and
-    the selection falls back to :func:`select_top`. ``scores`` must score
-    the cohort's usable clients.
+    the selection falls back to :func:`select_top`. ``scores`` must be the
+    cohort's :func:`consistency_scores`.
     """
-    ids = cohort.usable  # ascending
-    count = min(selection_count(k_percent, len(cohort.ids)), len(ids))
-    if count == len(ids):
-        return tuple(ids)
+    rows = cohort.usable_rows  # ascending, as are their ids
+    count = min(selection_count(k_percent, len(cohort.ids)), len(rows))
+    if count == len(rows):
+        return tuple(rows)
     stack, gram, diag = cohort.stack, cohort.gram, cohort.diag
     trend = np.add.reduce(stack, axis=0)
     trend_norm = math.sqrt(trend.dot(trend))
     if trend_norm <= EPS_NORM:
-        return select_top(scores, k_percent, len(cohort.ids))
+        top = set(select_top(scores, k_percent, len(cohort.ids)))
+        return tuple(k for k, cid in zip(rows, cohort.usable) if cid in top)
 
     # one drop per step over arrays this short: Python floats are cheaper
     # than a dozen numpy calls per step
     toward_trend = (stack @ trend).tolist()    # <g_i, trend>
     to_kept = list(toward_trend)               # <g_i, sum of kept>
     along = kept_sq = trend_norm * trend_norm  # <sum of kept, trend>, ||sum of kept||^2
-    score = [scores.scores[cid] for cid in ids]
+    score = scores.by_row
     cohort_mean = left_sum(score) / len(score)
-    kept = list(range(len(ids)))
+    kept = list(range(len(rows)))
     while len(kept) > count:
         kept_score = left_sum(score[i] for i in kept)
         worst = max(score[i] for i in kept)
@@ -185,18 +187,18 @@ def select_consistent(cohort: Cohort, scores: ScoreSet, k_percent: float) -> tup
         along -= toward_trend[drop]
         kept_sq += diag[drop] - 2.0 * to_kept[drop]
         to_kept = [a - b for a, b in zip(to_kept, gram[drop].tolist())]
-    return tuple(ids[i] for i in kept)
+    return tuple(rows[i] for i in kept)
 
 
-def leader_gradient(cohort: Cohort, selected: tuple[int, ...]) -> GradientVector:
-    """Unweighted mean of the selected gradients, reduced in ascending id order.
+def leader_gradient(cohort: Cohort, rows: tuple[int, ...]) -> GradientVector:
+    """Unweighted mean of the gradients in ``rows``, reduced in ascending row order.
 
     Raises :class:`CoordinationSkipped` when the selection is empty or its
     gradients cancel: a degenerate leader has no direction to align to.
     """
-    if not selected:
+    if not rows:
         raise CoordinationSkipped("empty selection, no leader gradient")
-    values = np.add.reduce(cohort.values[cohort.rows(sorted(selected))], axis=0) / len(selected)
+    values = np.add.reduce(cohort.values[sorted(rows)], axis=0) / len(rows)
     leader = GradientVector(client_id=-1, round=cohort.round, values=values)
     if leader.is_degenerate():
         raise CoordinationSkipped("leader gradient is degenerate")
@@ -217,33 +219,33 @@ def run_lgi(
     normal selection of :func:`select_consistent`, "all" keeps every usable
     client (no ratio adaptation), "random" keeps the adaptive count but
     draws the members uniformly from ``rng``. The latter two exist for
-    ablations. Raises :class:`ConfigError` when the gradients disagree on
-    length.
+    ablations. ``selected`` names the selected rows' clients. Raises
+    :class:`ConfigError` when the gradients disagree on length.
     """
     cohort = prepared(cohort)
     scores = consistency_scores(cohort)
+    usable = cohort.usable_rows
 
     if mode == "all":
-        selected = tuple(sorted(scores.scores))
+        rows = tuple(usable)
         k_percent = 100.0
     else:
         state.round = round_t
         k_percent = selection_ratio(state, config, scores)
         if mode == "consistent":
-            selected = select_consistent(cohort, scores, k_percent)
+            rows = select_consistent(cohort, scores, k_percent)
         elif mode == "random":
             if rng is None:
                 raise ConfigError("random selection mode needs an rng")
-            count = min(selection_count(k_percent, len(cohort.ids)), len(scores.scores))
-            pool = sorted(scores.scores)
-            picked = rng.choice(len(pool), size=count, replace=False)
-            selected = tuple(sorted(pool[i] for i in picked))
+            count = min(selection_count(k_percent, len(cohort.ids)), len(usable))
+            picked = rng.choice(len(usable), size=count, replace=False)
+            rows = tuple(sorted(usable[i] for i in picked))
         else:
             raise ConfigError(f"unknown selection mode {mode!r}")
 
     return LgiOutcome(
         scores=scores,
         k_percent=k_percent,
-        selected=selected,
-        leader=leader_gradient(cohort, selected),
+        selected=tuple(cohort.ids[k] for k in rows),
+        leader=leader_gradient(cohort, rows),
     )

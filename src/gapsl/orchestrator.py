@@ -378,9 +378,9 @@ class TrainingEngine:
         if acts.shape != (rows, self.fan_in):
             raise client_error(t, i, phase, f"expected activations of shape {(rows, self.fan_in)}, got {acts.shape}")
 
-    def _coordinate(self, cohort: Cohort, losses: dict[int, float]):
-        """GAPSL coordination of the round's cohort; returns (update_vec,
-        the report fields it sets)."""
+    def _coordinate(self, cohort: Cohort, losses: np.ndarray):
+        """GAPSL coordination of the round's cohort, whose clients' losses
+        are ``losses`` by row; returns (update_vec, the report fields it sets)."""
         cfg = self.cfg
         try:
             mode = "all" if cfg.non_lgi else ("random" if cfg.rand_lgi else "consistent")
@@ -415,8 +415,8 @@ class TrainingEngine:
         )
         if gda_out.fallback:
             return lgi_out.leader.values, fields
-        survivors = np.stack([gda_out.corrected[i] for i in sorted(gda_out.survivors)])
-        return np.add.reduce(survivors, axis=0) / len(survivors), fields
+        block = gda_out.corrected_rows
+        return np.add.reduce(block, axis=0) / len(block), fields
 
     def _evaluate(self, round_t: int) -> float:
         accs = []
@@ -460,7 +460,7 @@ class TrainingEngine:
         pairwise = pairwise_mean_deviation(cohort)
         fields = {}
         if cfg.strategy == "gapsl":
-            update, fields = self._coordinate(cohort, dict(zip(ids, losses, strict=True)))
+            update, fields = self._coordinate(cohort, client_losses)
         else:
             update = np.add.reduce(cohort.values, axis=0) / len(ids)
         sgd_step(self.server_params, update, self.server_opt)

@@ -310,30 +310,44 @@ class Listener:
     ) -> dict[int, FrameChannel]:
         """Accept until every client id in [0, num_clients) has checked in.
 
-        A connection that does not open with a fresh, in-range HELLO id is
-        answered with BYE and closed.
+        A connection whose first frame does not parse is closed; one that
+        does not open with a fresh, in-range HELLO id gets BYE and is closed.
+        A timeout closes the admitted clients and names each refused peer.
         """
         channels: dict[int, FrameChannel] = {}
+        refused: list[str] = []
         self._sock.settimeout(timeout)
         while len(channels) < num_clients:
             try:
-                conn, _ = self._sock.accept()
+                conn, peer = self._sock.accept()
             except socket.timeout as e:
+                for ch in channels.values():
+                    ch.close()
                 raise ProtocolError(
                     f"handshake timed out with {len(channels)}/{num_clients} clients connected"
+                    + "".join(f"; refused {r}" for r in refused)
                 ) from e
             ch = FrameChannel(conn)
+            where = f"{peer[0]}:{peer[1]}"
             try:
                 msg = ch.recv(timeout=timeout)
-            except ProtocolError:
+            except ProtocolError as e:
+                refused.append(f"{where}: {e}")
                 ch.close()
                 continue
-            if not isinstance(msg, Hello) or not (0 <= msg.client_id < num_clients) or msg.client_id in channels:
-                ch.send(Bye())
-                ch.close()
+            if not isinstance(msg, Hello):
+                reason = f"opened with {type(msg).__name__}, not Hello"
+            elif not (0 <= msg.client_id < num_clients):
+                reason = f"HELLO id {msg.client_id} outside [0, {num_clients})"
+            elif msg.client_id in channels:
+                reason = f"duplicate HELLO id {msg.client_id}"
+            else:
+                ch.send(ConfigMsg(config_text))
+                channels[msg.client_id] = ch
                 continue
-            ch.send(ConfigMsg(config_text))
-            channels[msg.client_id] = ch
+            refused.append(f"{where}: {reason}")
+            ch.send(Bye())
+            ch.close()
         return channels
 
     def close(self) -> None:

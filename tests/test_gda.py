@@ -56,8 +56,9 @@ class TestDeviationsToLeader:
             deviations_to_leader(matrix_cohort([[1.0, 0.0]]), leader_of([0.0, 0.0]))
 
     def test_degenerate_clients_dropped(self):
-        devs = deviations_to_leader(matrix_cohort([[1.0, 0.0], [0.0, 0.0]]), leader_of([1.0, 0.0]))
-        assert set(devs) == {0}
+        # one angle per usable row: the zero row 1 has none
+        devs = deviations_to_leader(matrix_cohort([[1.0, 0.0], [0.0, 0.0], [0.0, 2.0]]), leader_of([1.0, 0.0]))
+        assert devs == [0.0, math.pi / 2]
 
 
 class TestAdaptiveThreshold:
@@ -93,26 +94,27 @@ class TestAdaptiveThreshold:
 
 
 class TestFilterClients:
+    # deviations come one per usable row; survivors are row positions
     def test_everyone_below_half_pi_survives(self):
-        devs = {0: 0.1, 1: 1.0, 2: 1.5}
+        devs = [0.1, 1.0, 1.5]
         assert filter_clients(devs, math.pi / 2) == (0, 1, 2)
 
     def test_zero_threshold_keeps_only_exactly_aligned(self):
-        devs = {0: 0.0, 1: 0.01}
+        devs = [0.0, 0.01]
         assert filter_clients(devs, 0.0) == (0,)
 
     def test_hand_case_keeps_single_survivor(self):
-        devs = {0: 0.2, 1: 0.6, 2: 1.0}
-        th = adaptive_threshold(list(devs.values()), eta=1.0)
+        devs = [0.2, 0.6, 1.0]
+        th = adaptive_threshold(devs, eta=1.0)
         assert filter_clients(devs, th) == (0,)
 
     def test_membership_is_exactly_the_predicate(self):
         rng = np.random.default_rng(3)
         for _ in range(200):
-            devs = {i: float(rng.uniform(0, math.pi)) for i in range(int(rng.integers(1, 8)))}
+            devs = [float(d) for d in rng.uniform(0, math.pi, size=int(rng.integers(1, 8)))]
             th = float(rng.uniform(0, math.pi / 2))
-            got = set(filter_clients(devs, th))
-            assert got == {i for i, d in devs.items() if d <= th}
+            got = filter_clients(devs, th)
+            assert got == tuple(i for i, d in enumerate(devs) if d <= th)
 
 
 class TestRegularizedLoss:
@@ -221,6 +223,47 @@ class TestAlignmentCorrection:
     def test_degenerate_passthrough(self):
         g = np.zeros(3)
         assert np.array_equal(alignment_correction(g, np.ones(3), 1.0), g)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_block_equals_one_vector_calls(self, dtype):
+        rng = np.random.default_rng(23)
+        for size in (1, 2, 5, 17):
+            for dim in (2, 7, 264):
+                block = (rng.normal(size=(size, dim)) * rng.uniform(1e-3, 10.0, (size, 1))).astype(dtype)
+                before = block.copy()
+                lead = rng.normal(size=dim).astype(dtype)
+                lam_g = rng.uniform(0.0, 2.0, size=size).tolist()
+                want = np.stack([alignment_correction(g, lead, lam) for g, lam in zip(block, lam_g)])
+                out = alignment_correction(block, lead, lam_g)
+                assert out.dtype == dtype and (out == want).all()
+                assert (block == before).all()
+                # the leader as the engine passes it: float64, its squared norm known
+                l64 = lead.astype(np.float64)
+                assert (alignment_correction(block, l64, lam_g, float(l64.dot(l64))) == want).all()
+                # one strength for every row
+                want = np.stack([alignment_correction(g, lead, 0.4) for g in block])
+                assert (alignment_correction(block, lead, 0.4) == want).all()
+
+    @pytest.mark.parametrize("zero", ["row", "leader"])
+    def test_block_passes_degenerate_rows_through_with_their_warnings(self, zero, caplog):
+        rng = np.random.default_rng(24)
+        block = rng.normal(size=(4, 6)).astype(np.float32)
+        lead = rng.normal(size=6).astype(np.float32)
+        if zero == "row":
+            block[2] = 0.0
+        else:
+            lead[:] = 0.0
+        lam_g = [0.3, 0.5, 0.7, 0.9]
+        with caplog.at_level("WARNING", logger="gapsl.gda"):
+            want = np.stack([alignment_correction(g, lead, lam) for g, lam in zip(block, lam_g)])
+            one_by_one = [r.getMessage() for r in caplog.records]
+            caplog.clear()
+            out = alignment_correction(block, lead, lam_g)
+            warned = [r.getMessage() for r in caplog.records]
+        assert (out == want).all()
+        assert (out[2] == block[2]).all() if zero == "row" else (out == block).all()
+        assert warned == one_by_one and len(warned) == (1 if zero == "row" else 4)
+        assert all("alignment correction skipped for near-zero vector" in m for m in warned)
 
     def test_preserves_dtype(self):
         g = np.array([1.0, 0.0], dtype=np.float32)

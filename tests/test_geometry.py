@@ -166,9 +166,7 @@ class TestPreparedCohort:
             assert consistency_scores(cohort).scores == scores
 
             leader = GradientVector(-1, 1, lead)
-            assert deviations_to_leader(cohort, leader) == {
-                i: angular_deviation(v, lead) for i, v in usable
-            }
+            assert deviations_to_leader(cohort, leader) == [angular_deviation(v, lead) for _, v in usable]
 
 
 class TestMatrixCohort:

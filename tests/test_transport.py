@@ -1,6 +1,7 @@
 """Wire format and the TCP message layer."""
 
 import dataclasses
+import re
 import socket
 import threading
 import time
@@ -303,11 +304,31 @@ class TestTcpChannels:
             hello = bytearray(encode(Hello(0)))
             hello[4] = 1
             peer.sendall(hello)
-            with pytest.raises(ProtocolError, match="handshake timed out with 0/1 clients connected"):
+            host, port = peer.getsockname()[:2]
+            refused = re.escape(f"; refused {host}:{port}: unsupported version 1 (byte offset 4)")
+            with pytest.raises(ProtocolError, match="handshake timed out with 0/1 clients connected" + refused):
                 listener.accept_clients(1, config_to_text(ExperimentConfig()), timeout=0.5)
             assert peer.recv(16) == b""  # closed without a CONFIG
         finally:
             peer.close()
+            listener.close()
+
+    def test_handshake_timeout_names_refused_hello_ids(self):
+        listener = Listener("127.0.0.1:0")
+        peers = [socket.create_connection(tp.parse_address(listener.address), timeout=10) for _ in range(3)]
+        try:
+            for peer, cid in zip(peers, (0, 0, 7)):
+                peer.sendall(encode(Hello(cid)))
+            where = ["{}:{}".format(*peer.getsockname()[:2]) for peer in peers]
+            want = (
+                f"handshake timed out with 1/2 clients connected; refused {where[1]}: duplicate HELLO id 0; "
+                f"refused {where[2]}: HELLO id 7 outside [0, 2)"
+            )
+            with pytest.raises(ProtocolError, match=re.escape(want)):
+                listener.accept_clients(2, config_to_text(ExperimentConfig()), timeout=0.5)
+        finally:
+            for peer in peers:
+                peer.close()
             listener.close()
 
     def test_handshake_and_duplicate_client_id_rejected(self):
