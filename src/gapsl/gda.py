@@ -18,7 +18,9 @@ loss-value-only variant (no gradient shift) for ablations; the scalar
 penalty and summed global loss are reported either way.
 
 GDA runs over the cohort's usable rows and corrects its survivors as one
-block; the id-keyed dicts of :class:`GdaOutcome` are read off the rows.
+float64 block, read with their squared norms from the cohort's stack and
+rounded to the gradients' dtype once; the id-keyed dicts of
+:class:`GdaOutcome` are read off the rows.
 """
 
 from __future__ import annotations
@@ -99,7 +101,11 @@ def regularized_loss(loss: float, deviation: float, lam: float) -> float:
 
 
 def alignment_correction(
-    g: np.ndarray, leader: np.ndarray, lambda_g: float | list[float], leader_sq: float | None = None
+    g: np.ndarray,
+    leader: np.ndarray,
+    lambda_g: float | list[float],
+    leader_sq: float | None = None,
+    g_sq: list[float] | None = None,
 ) -> np.ndarray:
     """Shift ``g`` toward the leader direction; identity when already aligned.
 
@@ -113,14 +119,17 @@ def alignment_correction(
     ``g`` is one vector or an ``[S, P]`` block with one ``lambda_g`` or S of
     them; each row takes its own dot products, so a block equals S
     one-vector calls bit for bit. ``leader_sq`` is the leader's float64
-    squared norm, when known. Degenerate rows, or all rows of a degenerate
-    leader, pass through unchanged with a warning each. The result keeps
-    the dtype of ``g``; the math runs in float64.
+    squared norm and ``g_sq`` those of the rows of ``g``, when known: a
+    caller that holds ``g`` in float64 and its ddot squared norms passes
+    both and rounds the result once. Degenerate rows, or all rows of a
+    degenerate leader, pass through unchanged with a warning each. The
+    result keeps the dtype of ``g``; the math runs in float64.
     """
     l64 = leader.astype(np.float64, copy=False)
     ln = math.sqrt(l64.dot(l64) if leader_sq is None else leader_sq)
     rows = g.astype(np.float64, copy=False).reshape(-1, g.shape[-1])
-    gn = [math.sqrt(r.dot(r)) for r in rows]  # np.linalg.norm's bits, without its wrapper
+    # np.linalg.norm's bits, without its wrapper
+    gn = [math.sqrt(r.dot(r)) for r in rows] if g_sq is None else [math.sqrt(s) for s in g_sq]
     skip = [k for k, n in enumerate(gn) if n <= EPS_NORM or ln <= EPS_NORM]
     for k in skip:
         log.warning("alignment correction skipped for near-zero vector (norms %.3e, %.3e)", gn[k], ln)
@@ -186,10 +195,14 @@ def run_gda(
     keys = survivors if isinstance(losses, dict) else rows
     penalized = [regularized_loss(losses[key], deviations[s], config.lam) for key, s in zip(keys, kept)]
     regularized = dict(zip(survivors, penalized))
-    block = cohort.values[rows]
     if config.apply_correction:
-        lambda_g = [config.lam * math.sqrt(cohort.sq[k]) for k in rows]
-        block = alignment_correction(block, leader.v64, lambda_g, leader.sq)
+        # the survivors' float64 rows and squared norms, as the cohort holds them
+        g_sq = [cohort.sq[k] for k in rows]
+        lambda_g = [config.lam * math.sqrt(s) for s in g_sq]
+        block = alignment_correction(cohort.stack[list(kept)], leader.v64, lambda_g, leader.sq, g_sq)
+        block = block.astype(cohort.values.dtype, copy=False)
+    else:
+        block = cohort.values[rows]
 
     return GdaOutcome(
         deviations=dict(zip(cohort.usable, deviations)),

@@ -31,14 +31,17 @@ are one ``[clients, P]`` matrix, so every view carries a leading client
 axis (weights ``[clients, fan_in, fan_out]``, biases ``[clients, 1,
 fan_out]``, inputs ``[clients, batch, fan_in]``) and ``np.matmul``
 multiplies client by client. :func:`backward_server` takes the same
-leading client axis on the server's shared layers: each client's batch
-runs :func:`forward_server` on its own, :func:`stack_caches` pads their
-caches into one stack whose padding rows weigh 0 in the loss, and one
-backward writes every client's gradient into its row of a ``[clients, P]``
-matrix through batched ``np.matmul(..., out=)``, bit for bit as one
-backward per client would. Padding changes how numpy multiplies a one-row
-batch (gemv alone, gemm in the stack), so :func:`one_row_clients` names
-the clients that run as their own stack.
+leading client axis on the server's shared layers: the round's
+activations arrive as one ``[clients, maxlen, cut]`` stack, each client's
+rows ``[k, :batch]`` run :func:`forward_server` on their own,
+:func:`stack_caches` builds one stacked cache around that stack and its
+labels (copying in only the probs and a deeper server's hidden inputs),
+whose padding rows weigh 0 in the loss, and one backward writes every
+client's gradient into its row of a ``[clients, P]`` matrix through
+batched ``np.matmul(..., out=)``, bit for bit as one backward per client
+would. Padding changes how numpy multiplies a one-row batch (gemv alone,
+gemm in the stack), so :func:`one_row_clients` names the clients that run
+as their own stack.
 """
 
 from __future__ import annotations
@@ -296,31 +299,35 @@ def forward_server(
     return per_example, float(np.add.reduce(per_example) / batch), cache
 
 
-def stack_caches(caches: Sequence[Cache]) -> tuple[Cache, np.ndarray]:
+def stack_caches(caches: Sequence[Cache], activations: np.ndarray, labels: np.ndarray) -> tuple[Cache, np.ndarray]:
     """The per-client caches of :func:`forward_server` as one stacked cache,
-    for one :func:`backward_server` over every client: probs, labels and
-    each layer's inputs become ``[clients, maxlen, ...]`` arrays, padded
+    for one :func:`backward_server` over every client. Client k's cache
+    came from the rows ``[k, :batch]`` of ``activations`` and ``labels``,
+    the ``[clients, maxlen, fan_in]`` and ``[clients, maxlen]`` stacks,
+    which the stacked cache takes as they are: their padding rows must be
+    finite and in range, and weigh 0. The probs and a deeper server's
+    hidden inputs are copied into ``[clients, maxlen, ...]`` arrays, padded
     with zero rows. Also returns the ``[clients, maxlen]`` loss weights:
     1/batch on each client's rows, so that each gradient is that of its
     client's mean loss, and 0 on padding."""
-    lengths = [len(c.labels) for c in caches]
-    shape = (len(caches), max(lengths))
+    shape = labels.shape
+    if activations.shape[:2] != shape or len(caches) != shape[0]:
+        raise ConfigError(
+            f"{len(caches)} caches do not fit activations {activations.shape} and labels {shape}"
+        )
     first = caches[0]
-    counts = np.array(lengths)[:, None]
-    real = np.arange(shape[1]) < counts
-    # each weight is the float64 1/batch rounded once, as dtype(1.0 / batch)
-    weights = (1.0 / counts).astype(first.probs.dtype) * real
-
-    def stacked(arrays):
-        rows = np.concatenate(arrays)
-        out = np.zeros((*shape, *rows.shape[1:]), dtype=rows.dtype)
-        out[real] = rows
-        return out
-
-    layers = [LayerCache(stacked([c.layers[k].inputs for c in caches])) for k in range(len(first.layers))]
-    cache = Cache(first.activation, layers, first.shapes, probs=stacked([c.probs for c in caches]),
-                  labels=stacked([c.labels for c in caches]))
-    return cache, weights
+    dtype = first.probs.dtype
+    probs = np.zeros((*shape, first.probs.shape[1]), dtype=dtype)
+    weights = np.zeros(shape, dtype=dtype)
+    hidden = [np.zeros((*shape, l.inputs.shape[1]), dtype=dtype) for l in first.layers[1:]]
+    for k, c in enumerate(caches):
+        n = len(c.probs)
+        probs[k, :n] = c.probs
+        weights[k, :n] = 1.0 / n  # the float64 1/batch rounded once, as dtype(1.0 / batch)
+        for h, l in zip(hidden, c.layers[1:]):
+            h[k, :n] = l.inputs
+    layers = [LayerCache(activations), *map(LayerCache, hidden)]
+    return Cache(first.activation, layers, first.shapes, probs=probs, labels=labels), weights
 
 
 def backward_server(

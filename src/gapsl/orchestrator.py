@@ -17,8 +17,12 @@ Every strategy runs one round function over a list of client ids (all
 of them, or one per round for vanilla_sl). The coordinator draws every
 batch and drives clients through one cohort interface: one stacked
 :class:`ClientBank` in process, a :class:`ProxyCohort` of remote clients
-over TCP. Every random choice comes from a seeded substream, so a
-(config, seed) pair replays bit-identically.
+over TCP. A training round's clients stay one padded ``[clients, maxlen,
+cut]`` stack from the bank's forward through the server to the bank's
+backward; the server forwards each client on its rows of the stack, and
+per-client arrays exist only on the wire and in evaluation. Every random
+choice comes from a seeded substream, so a (config, seed) pair replays
+bit-identically.
 """
 
 from __future__ import annotations
@@ -140,18 +144,29 @@ def shard_cursors(
     ]
 
 
+def padded_rows(batches: Sequence[np.ndarray]) -> tuple[np.ndarray, list[int]]:
+    """The round's batches as one ``[clients, maxlen]`` index matrix, each
+    row padded by reading sample 0, and their lengths."""
+    lengths = [len(b) for b in batches]
+    rows = np.zeros((len(batches), max(lengths)), dtype=np.intp)
+    for k, b in enumerate(batches):
+        rows[k, : len(b)] = b
+    return rows, lengths
+
+
 class ClientBank:
     """Client-side models and optimizers of a set of clients: one ``[clients,
     P]`` parameter matrix, row k client k's, with ``layers`` its views. The
     in-process :class:`ClientCohort`; a TCP client is a bank of one.
 
     Every client starts from the same ``build_model(cfg, seed)``. A round
-    pads each client's batch to the longest one with rows whose activation
-    gradients are zero, then runs one stacked forward, backward and
-    momentum-SGD step. A client whose batch is a single row is recomputed
-    as its own stack: numpy multiplies a one-row matrix by gemv, which
-    rounds differently from the padded gemm. So each client's bits do not
-    depend on its bank.
+    runs one stacked forward over the padded index matrix, returns the
+    ``[clients, maxlen, cut]`` activation stack, and takes back a gradient
+    stack of that shape whose padding rows are zero, for one stacked
+    backward and momentum-SGD step. A client whose batch is a single row is
+    recomputed as its own stack: numpy multiplies a one-row matrix by gemv,
+    which rounds differently from the padded gemm. So each client's bits do
+    not depend on its bank.
     """
 
     def __init__(
@@ -165,52 +180,37 @@ class ClientBank:
         self.opt = sgd_state(self.layers, cfg.lr_client, cfg.momentum)
         self.train_inputs = train.inputs.astype(np.float32, copy=False)
         self.test_inputs = test.inputs.astype(np.float32, copy=False)
-        self._round = None  # (batch lengths, stacked cache, one-row clients, their layers and cache)
+        self._round = None  # (stacked cache, one-row clients, their layers and cache)
 
     def _models(self, clients) -> list[DenseLayer]:
         """The layers of ``clients``: views for one index, a copied stack for a list."""
         return [DenseLayer(l.w[clients], l.b[clients]) for l in self.layers]
 
-    def forward(self, round_t: int, batches: list[np.ndarray]) -> list[np.ndarray]:
-        lengths = [len(b) for b in batches]
-        rows = np.zeros((len(batches), max(lengths)), dtype=np.intp)  # padding reads sample 0
-        for k, b in enumerate(batches):
-            rows[k, : len(b)] = b
+    def forward(self, round_t: int, rows: np.ndarray, lengths: Sequence[int]) -> np.ndarray:
         acts, cache = forward_client(self.layers, self.train_inputs[rows], self.activation)
-        out = [acts[k, :n] for k, n in enumerate(lengths)]
         one_row = one_row_clients(lengths)
         one_row_layers = one_row_cache = None
         if one_row:
-            # the stacked cache keeps its own gemm outputs; a one-row
-            # client's activations come from its own stack, whose copied
-            # layers the backward pass reuses
+            # a one-row client's activations come from its own stack, whose
+            # copied layers the backward pass reuses; they overwrite its row
+            # of the stack, whose stacked gradient is recomputed anyway
             one_row_layers = self._models(one_row)
-            one_row_acts, one_row_cache = forward_client(
+            acts[one_row, :1], one_row_cache = forward_client(
                 one_row_layers, self.train_inputs[rows[one_row, :1]], self.activation
             )
-            for k, a in zip(one_row, one_row_acts):
-                out[k] = a
-        self._round = (lengths, cache, one_row, one_row_layers, one_row_cache)
-        return out
+        self._round = (cache, one_row, one_row_layers, one_row_cache)
+        return acts
 
-    def apply_grads(self, round_t: int, act_grads: list[np.ndarray]) -> None:
+    def apply_grads(self, round_t: int, act_grads: np.ndarray) -> None:
         if self._round is None:
             raise ProtocolError("gradients received before any forward pass")
-        lengths, cache, one_row, one_row_layers, one_row_cache = self._round
+        cache, one_row, one_row_layers, one_row_cache = self._round
         self._round = None
-        padded = np.zeros(cache.output.shape, dtype=np.float32)
-        for k, (g, n) in enumerate(zip(act_grads, lengths)):
-            if g.shape != (n, padded.shape[-1]):
-                raise ProtocolError(
-                    f"client {self.client_ids[k]}: activation grad shape {g.shape} "
-                    f"does not match cut shape {(n, padded.shape[-1])}"
-                )
-            padded[k, :n] = g
         grads = np.empty_like(self.params)
-        backward_client(self.layers, cache, padded, grads)
+        backward_client(self.layers, cache, act_grads, grads)  # refuses a stack of another shape
         if one_row:
             one_row_grads = np.empty((len(one_row), grads.shape[1]), dtype=grads.dtype)
-            backward_client(one_row_layers, one_row_cache, padded[one_row, :1], one_row_grads)
+            backward_client(one_row_layers, one_row_cache, act_grads[one_row, :1], one_row_grads)
             grads[one_row] = one_row_grads
         sgd_step(self.params, grads, self.opt)
 
@@ -235,6 +235,13 @@ def client_error(round_t: int, client_id: int, phase: str, problem) -> ProtocolE
     return ProtocolError(f"round {round_t} client {client_id} ({phase}): {problem}")
 
 
+def check_activations(round_t: int, client_id: int, phase: str, acts: np.ndarray, shape: tuple[int, int]) -> None:
+    """Activations from a client must be ``[rows, fan_in]``: checked so a
+    lying peer is a protocol error, not a model error."""
+    if acts.shape != shape:
+        raise client_error(round_t, client_id, phase, f"expected activations of shape {shape}, got {acts.shape}")
+
+
 class ClientProxy(Protocol):
     """The coordinator's handle on one remote client (a transport.RemoteClientProxy)."""
 
@@ -244,40 +251,59 @@ class ClientProxy(Protocol):
 
 
 class ClientCohort(Protocol):
-    """What the coordinator needs from its clients, one call per round step
-    with one entry per client in id order: a :class:`ClientBank` in process,
-    a :class:`ProxyCohort` over TCP. ``forward`` gets the round's batches."""
+    """What the coordinator needs from its clients, one call per round step:
+    a :class:`ClientBank` in process, a :class:`ProxyCohort` over TCP.
 
-    def forward(self, round_t: int, batches: list[np.ndarray]) -> list[np.ndarray]: ...
-    def apply_grads(self, round_t: int, act_grads: list[np.ndarray]) -> None: ...
+    A training round crosses as stacks: ``forward`` gets the round's batches
+    as :func:`padded_rows` gives them and returns the ``[clients, maxlen,
+    cut]`` activation stack; ``apply_grads`` takes the activation-gradient
+    stack of that shape, zero on padding rows. Evaluation yields one array
+    per client, in id order."""
+
+    def forward(self, round_t: int, rows: np.ndarray, lengths: Sequence[int]) -> np.ndarray: ...
+    def apply_grads(self, round_t: int, act_grads: np.ndarray) -> None: ...
     def eval_activations(self, round_t: int) -> Iterator[np.ndarray]: ...
 
 
 class ProxyCohort:
     """A :class:`ClientCohort` over per-client proxies, called one client at
     a time in id order; a ProtocolError names the round, client and phase.
-    Batches are not sent: each remote client replays its own stream."""
+    Per-client arrays live only here, on the wire: each remote client's
+    activations are checked and copied into a zero-padded stack, and each
+    gets its rows of the gradient stack. Batches are not sent: each remote
+    client replays its own stream."""
 
-    def __init__(self, proxies: dict[int, ClientProxy]):
+    def __init__(self, proxies: dict[int, ClientProxy], fan_in: int):
         self.proxies = proxies
+        self.fan_in = fan_in
+        self._lengths: Sequence[int] = ()  # the batch lengths of the round in progress
 
-    def _each(self, round_t: int, phase: str, call) -> Iterator:
+    def _each(self, round_t: int, phase: str, call) -> Iterator[tuple[int, object]]:
         for i in sorted(self.proxies):
             try:
                 out = call(i, self.proxies[i])
             except ProtocolError as e:
                 raise client_error(round_t, i, phase, e) from e
-            yield out
+            yield i, out
 
-    def forward(self, round_t: int, batches: list[np.ndarray]) -> list[np.ndarray]:
-        return list(self._each(round_t, "forward", lambda i, p: p.forward_round(round_t)))
+    def forward(self, round_t: int, rows: np.ndarray, lengths: Sequence[int]) -> np.ndarray:
+        acts = np.zeros((*rows.shape, self.fan_in), dtype=np.float32)
+        for i, a in self._each(round_t, "forward", lambda i, p: p.forward_round(round_t)):
+            check_activations(round_t, i, "forward", a, (lengths[i], self.fan_in))
+            acts[i, : lengths[i]] = a
+        self._lengths = lengths
+        return acts
 
-    def apply_grads(self, round_t: int, act_grads: list[np.ndarray]) -> None:
-        for _ in self._each(round_t, "backward", lambda i, p: p.apply_grads(round_t, act_grads[i])):
+    def apply_grads(self, round_t: int, act_grads: np.ndarray) -> None:
+        lengths = self._lengths
+        shape = (len(lengths), max(lengths), self.fan_in)
+        if act_grads.shape != shape:
+            raise ProtocolError(f"activation grad shape {act_grads.shape} does not match cut shape {shape}")
+        for _ in self._each(round_t, "backward", lambda i, p: p.apply_grads(round_t, act_grads[i, : lengths[i]])):
             pass
 
     def eval_activations(self, round_t: int) -> Iterator[np.ndarray]:
-        return self._each(round_t, "eval", lambda i, p: p.eval_activations(round_t))
+        return (acts for _, acts in self._each(round_t, "eval", lambda i, p: p.eval_activations(round_t)))
 
 
 @dataclass
@@ -358,7 +384,7 @@ class TrainingEngine:
             ids = [0] if cfg.strategy == "vanilla_sl" else range(cfg.clients)  # vanilla_sl relays one model
             self.clients = ClientBank(cfg, seed, ids, self.train, self.test)
         else:
-            self.clients = ProxyCohort(proxies)
+            self.clients = ProxyCohort(proxies, self.fan_in)
         self.lgi_state = lgi_mod.LgiState()
         self.lgi_cfg = lgi_mod.LgiConfig(total_rounds=cfg.rounds, k_min=cfg.k_min, k_max=cfg.k_max)
         self.gda_cfg = gda_mod.GdaConfig(
@@ -371,12 +397,6 @@ class TrainingEngine:
         self.samples_consumed = 0
 
     # ---- per-round pieces ------------------------------------------------
-
-    def _check_acts(self, t: int, i: int, phase: str, acts: np.ndarray, rows: int) -> None:
-        """Activations from client ``i`` must be ``[rows, fan_in]``: checked
-        here so a lying peer is a protocol error, not a model error."""
-        if acts.shape != (rows, self.fan_in):
-            raise client_error(t, i, phase, f"expected activations of shape {(rows, self.fan_in)}, got {acts.shape}")
 
     def _coordinate(self, cohort: Cohort, losses: np.ndarray):
         """GAPSL coordination of the round's cohort, whose clients' losses
@@ -421,7 +441,7 @@ class TrainingEngine:
     def _evaluate(self, round_t: int) -> float:
         accs = []
         for i, acts in enumerate(self.clients.eval_activations(round_t)):
-            self._check_acts(round_t, i, "eval", acts, len(self.test))
+            check_activations(round_t, i, "eval", acts, (len(self.test), self.fan_in))
             logits = logits_from_activations(self.server, acts, self.activation)
             hits = np.count_nonzero(logits.argmax(axis=1) == self.test.labels)
             accs.append(hits / len(self.test.labels))
@@ -433,27 +453,33 @@ class TrainingEngine:
         """One round over clients ``ids``: every client for the parallel
         strategies, the relay's current client for vanilla_sl."""
         cfg = self.cfg
-        batches = [self.cursors[i].next() for i in ids]
-        acts = self.clients.forward(t, batches)
-        for i, a, idx in zip(ids, acts, batches, strict=True):
-            self._check_acts(t, i, "forward", a, len(idx))
-            self.samples_consumed += len(idx)
+        rows, lengths = padded_rows([self.cursors[i].next() for i in ids])
+        acts = self.clients.forward(t, rows, lengths)
+        shape = (len(ids), rows.shape[1], self.fan_in)
+        if acts.shape != shape:
+            raise ProtocolError(f"round {t} (forward): expected an activation stack of shape {shape}, "
+                                f"got {acts.shape}")
+        self.samples_consumed += sum(lengths)
 
-        # the server forwards client by client, then backprops every client
-        # in one stack, whose rows are the round's g[clients, params] matrix,
-        # its cohort: prepared once, its Gram serves the pairwise stat, LGI and GDA
+        # the server forwards client by client on views of the stack, then
+        # backprops every client in one stack, whose rows are the round's
+        # g[clients, params] matrix, its cohort: prepared once, its Gram
+        # serves the pairwise stat, LGI and GDA
+        labels = self.train.labels[rows]
         losses, caches = [], []
-        for a, idx in zip(acts, batches):
-            _, loss, cache = forward_server(self.server, a, self.train.labels[idx], self.activation)
+        for k, n in enumerate(lengths):
+            _, loss, cache = forward_server(self.server, acts[k, :n], labels[k, :n], self.activation)
             losses.append(loss)
             caches.append(cache)
         g = np.empty((len(ids), self.server_params.size), dtype=self.server_params.dtype)
-        stack, weights = stack_caches(caches)
-        stacked_grads = backward_server(self.server, stack, g, weights)
-        lengths = [len(idx) for idx in batches]
-        act_grads = [stacked_grads[k, :n] for k, n in enumerate(lengths)]
-        for k in one_row_clients(lengths):
-            act_grads[k] = backward_server(self.server, caches[k], g[k])
+        stack, weights = stack_caches(caches, acts, labels)
+        act_grads = backward_server(self.server, stack, g, weights)
+        one_row = one_row_clients(lengths)
+        if one_row:  # one stack of their own, as in the bank
+            stack, weights = stack_caches([caches[k] for k in one_row], acts[one_row, :1], labels[one_row, :1])
+            one_row_g = np.empty((len(one_row), g.shape[1]), dtype=g.dtype)
+            act_grads[one_row, :1] = backward_server(self.server, stack, one_row_g, weights)
+            g[one_row] = one_row_g
         client_losses = np.array(losses)
         cohort = Cohort(ids, g, t)
 

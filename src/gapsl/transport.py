@@ -411,8 +411,9 @@ def client_loop(channel: FrameChannel, client_id: int, handshake_timeout: float 
         (cursor,) = shard_cursors(cfg, seed, build_partition(cfg, seed, train.labels), [client_id])
         bank = ClientBank(cfg, seed, [client_id], train, test)
         for t in range(1, cfg.rounds + 1):
-            (acts,) = bank.forward(t, [cursor.next()])
-            channel.send(Activations(t, client_id, acts))
+            batch = cursor.next()
+            acts = bank.forward(t, batch[None], [len(batch)])
+            channel.send(Activations(t, client_id, acts[0]))
             reply = channel.recv()
             if not isinstance(reply, ActGrads):
                 raise ProtocolError(f"round {t}: expected ACT_GRADS, got {type(reply).__name__}")
@@ -420,7 +421,7 @@ def client_loop(channel: FrameChannel, client_id: int, handshake_timeout: float 
                 raise ProtocolError(
                     f"round {t} client {client_id}: ACT_GRADS for round {reply.round} client {reply.client_id}"
                 )
-            bank.apply_grads(t, [reply.matrix])
+            bank.apply_grads(t, reply.matrix[None])
             if is_eval_round(cfg, t):
                 (eval_acts,) = bank.eval_activations(t)
                 channel.send(EvalResult(t, client_id, eval_acts))

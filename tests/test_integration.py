@@ -176,9 +176,10 @@ class TestTransportFailures:
                 (cursor,) = shard_cursors(cfg, 1, build_partition(cfg, 1, train.labels), [cid])
                 bank = ClientBank(cfg, 1, [cid], train, test)
                 for t in range(1, die_after + 1):
-                    ch.send(Activations(t, cid, bank.forward(t, [cursor.next()])[0]))
+                    batch = cursor.next()
+                    ch.send(Activations(t, cid, bank.forward(t, batch[None], [len(batch)])[0]))
                     reply = ch.recv()
-                    bank.apply_grads(t, [reply.matrix])
+                    bank.apply_grads(t, reply.matrix[None])
             except ProtocolError:
                 pass  # the coordinator aborts once its peer vanishes
             finally:
@@ -249,16 +250,31 @@ class TestTransportFailures:
             strategy="psl", clients=2, rounds=3, batch_size=8, samples_per_class=20,
             model_dims=(4, 6, 2), cut=1, eval_interval=10, seeds=(1,), alpha=None,
         )
+        train, test = build_dataset(cfg, 1)
+        partition = build_partition(cfg, 1, train.labels)
 
-        class WideBank(ClientBank):
-            def forward(self, round_t, batches):
-                acts = super().forward(round_t, batches)
-                if round_t == 2:
-                    acts[1] = np.hstack([acts[1], acts[1]])
-                return acts
+        class WideProxy:
+            """A remote client without the wire, as ``client_loop`` runs one:
+            a bank of one replaying its batch stream. Client 1 answers round
+            2 with activations twice as wide."""
 
-        engine = TrainingEngine(cfg, 1)
-        engine.clients = WideBank(cfg, 1, range(cfg.clients), engine.train, engine.test)
+            def __init__(self, cid):
+                self.cid = cid
+                self.bank = ClientBank(cfg, 1, [cid], train, test)
+                (self.cursor,) = shard_cursors(cfg, 1, partition, [cid])
+
+            def forward_round(self, round_t):
+                batch = self.cursor.next()
+                acts = self.bank.forward(round_t, batch[None], [len(batch)])[0]
+                return np.hstack([acts, acts]) if (round_t, self.cid) == (2, 1) else acts
+
+            def apply_grads(self, round_t, act_grads):
+                self.bank.apply_grads(round_t, act_grads[None])
+
+            def eval_activations(self, round_t):
+                return next(self.bank.eval_activations(round_t))
+
+        engine = TrainingEngine(cfg, 1, {i: WideProxy(i) for i in range(cfg.clients)})
         with pytest.raises(ProtocolError, match=r"round 2 client 1 \(forward\): expected activations of shape \(8, 6\)"):
             engine.run()
 

@@ -286,6 +286,31 @@ class TestStackedServerBackward:
     every activation-gradient row is bit-identical to the per-client server
     passes, once the one-row clients are recomputed as their own stack."""
 
+    @staticmethod
+    def stacked_round(model, acts, labels, lengths, activation, weights=None):
+        """The engine's server step: one forward per client on its rows of
+        the stacks, one stacked backward, and one stack of the one-row clients."""
+        caches = [forward_server(model.server, acts[k, :n], labels[k, :n], activation)[2]
+                  for k, n in enumerate(lengths)]
+        stack, stack_weights = stack_caches(caches, acts, labels)
+        assert stack.layers[0].inputs is acts and stack.labels is labels  # taken as they are
+        assert stack_weights.dtype == acts.dtype and stack_weights.shape == labels.shape
+        for k, n in enumerate(lengths):
+            assert (stack_weights[k, :n] == acts.dtype.type(1.0 / n)).all() and (stack_weights[k, n:] == 0).all()
+            if weights is not None:
+                stack_weights[k, :n] = weights[k]
+        g = np.empty((len(lengths), model.server_params.size), dtype=acts.dtype)
+        act_grads = backward_server(model.server, stack, g, stack_weights)
+        one_row = one_row_clients(lengths)
+        if one_row:
+            stack, stack_weights = stack_caches([caches[k] for k in one_row], acts[one_row, :1], labels[one_row, :1])
+            if weights is not None:
+                stack_weights[:, 0] = [weights[k][0] for k in one_row]
+            one_row_g = np.empty((len(one_row), g.shape[1]), dtype=g.dtype)
+            act_grads[one_row, :1] = backward_server(model.server, stack, one_row_g, stack_weights)
+            g[one_row] = one_row_g
+        return g, act_grads
+
     @pytest.mark.parametrize("weighted", [False, True])
     @pytest.mark.parametrize("lengths", [(7, 1, 16, 3, 1, 16), (1, 1, 1)], ids=["mixed", "one-row"])
     @pytest.mark.parametrize("cut", [1, 2])  # cut 1: a hidden server layer; cut 2: the output layer alone
@@ -295,24 +320,38 @@ class TestStackedServerBackward:
         rng = np.random.default_rng(34)
         dims = [6, 9, 8, 5]
         model = make_model(dims, cut, seed=8, dtype=dtype, activation=activation)
-        batches = [(rng.normal(size=(n, dims[cut])).astype(dtype), rng.integers(0, 5, n)) for n in lengths]
+        shape = (len(lengths), max(lengths))
+        # the padding rows hold finite junk and in-range labels: they weigh 0
+        acts = rng.normal(size=(*shape, dims[cut])).astype(dtype)
+        labels = rng.integers(0, 5, shape)
+        batches = [(acts[k, :n].copy(), labels[k, :n].copy()) for k, n in enumerate(lengths)]
         weights = [rng.uniform(0.1, 1.0, n).astype(dtype) for n in lengths] if weighted else None
-        caches = [forward_server(model.server, a, y, activation)[2] for a, y in batches]
-        stack, stack_weights = stack_caches(caches)
-        assert stack_weights.dtype == dtype and stack_weights.shape == (len(lengths), max(lengths))
-        for k, n in enumerate(lengths):
-            assert (stack_weights[k, :n] == dtype(1.0 / n)).all() and (stack_weights[k, n:] == 0).all()
-            if weighted:
-                stack_weights[k, :n] = weights[k]
-        g = np.empty((len(lengths), model.server_params.size), dtype=dtype)
-        stacked = backward_server(model.server, stack, g, stack_weights)
-        act_grads = [stacked[k, :n] for k, n in enumerate(lengths)]
-        assert all(np.shares_memory(a, stacked) for a in act_grads)
-        for k in one_row_clients(lengths):
-            act_grads[k] = backward_server(model.server, caches[k], g[k], None if weights is None else weights[k])
+        g, act_grads = self.stacked_round(model, acts, labels, lengths, activation, weights)
         want_g, want_act_grads = oracles.server_passes(model.server, batches, activation, weights)
         assert g.dtype == dtype and (g == want_g).all()
-        assert all(a.dtype == dtype and (a == w).all() for a, w in zip(act_grads, want_act_grads, strict=True))
+        assert act_grads.dtype == dtype and act_grads.shape == acts.shape
+        for k, n in enumerate(lengths):
+            assert (act_grads[k, :n] == want_act_grads[k]).all(), k
+            assert (act_grads[k, n:] == 0).all(), k  # the bank backprops the padding rows as they come
+
+    @pytest.mark.parametrize("cut", [1, 2])
+    @pytest.mark.parametrize("activation", ["relu", "tanh"])
+    def test_one_row_stack_equals_one_backward_per_client(self, activation, cut):
+        # numpy multiplies a stack of one-row batches by gemv, as it does
+        # each one-row batch alone
+        rng = np.random.default_rng(35)
+        dims = [6, 9, 8, 5]
+        model = make_model(dims, cut, seed=9, dtype=np.float32, activation=activation)
+        acts = rng.normal(size=(4, 1, dims[cut])).astype(np.float32)
+        labels = rng.integers(0, 5, (4, 1))
+        caches = [forward_server(model.server, a, y, activation)[2] for a, y in zip(acts, labels)]
+        stack, weights = stack_caches(caches, acts, labels)
+        g = np.empty((4, model.server_params.size), dtype=np.float32)
+        act_grads = backward_server(model.server, stack, g, weights)
+        for k, cache in enumerate(caches):
+            row = np.empty_like(model.server_params)
+            assert (backward_server(model.server, cache, row) == act_grads[k]).all(), k
+            assert (row == g[k]).all(), k
 
     def test_one_row_clients_run_alone_only_beside_a_longer_batch(self):
         assert one_row_clients([3, 1, 16, 1]) == [1, 3]
@@ -321,11 +360,22 @@ class TestStackedServerBackward:
 
     def test_stack_needs_its_loss_weights(self):
         model = make_model([5, 7, 3], 1, seed=5)
-        acts = np.random.default_rng(0).normal(size=(4, 7))
-        caches = [forward_server(model.server, acts[:n], np.zeros(n, dtype=int))[2] for n in (4, 2)]
-        stack, _ = stack_caches(caches)
+        acts = np.random.default_rng(0).normal(size=(2, 4, 7))
+        labels = np.zeros((2, 4), dtype=int)
+        caches = [forward_server(model.server, acts[k, :n], labels[k, :n])[2] for k, n in enumerate((4, 2))]
+        stack, _ = stack_caches(caches, acts, labels)
         with pytest.raises(ConfigError, match="loss weights"):
             backward_server(model.server, stack, np.empty((2, model.server_params.size)))
+
+    def test_stack_must_fit_its_caches(self):
+        model = make_model([5, 7, 3], 1, seed=5)
+        acts = np.random.default_rng(0).normal(size=(2, 4, 7))
+        labels = np.zeros((2, 4), dtype=int)
+        caches = [forward_server(model.server, acts[k], labels[k])[2] for k in range(2)]
+        for bad_acts, bad_labels, bad_caches in ((acts[:, :3], labels, caches), (acts, labels[:1], caches),
+                                                 (acts, labels, caches[:1])):
+            with pytest.raises(ConfigError, match="do not fit"):
+                stack_caches(bad_caches, bad_acts, bad_labels)
 
 
 class TestGradientCorrectness:

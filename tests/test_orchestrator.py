@@ -2,6 +2,7 @@
 
 import inspect
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from gapsl.orchestrator import (
     TrainingEngine,
     build_dataset,
     build_partition,
+    padded_rows,
     run_experiment,
     substream,
 )
@@ -52,6 +54,14 @@ def small_config(**kw):
 def client_params(bank):
     """Each client's [w0, b0, w1, b1, ...] in model shapes, copied from the bank's stacks."""
     return [[p.copy() for l in bank.layers for p in (l.w[k], l.b[k, 0])] for k in range(len(bank.client_ids))]
+
+
+def zero_padded(arrays, maxlen):
+    """Per-client ``[rows, width]`` arrays as one stack, zero on padding rows."""
+    out = np.zeros((len(arrays), maxlen, arrays[0].shape[1]), dtype=arrays[0].dtype)
+    for k, a in enumerate(arrays):
+        out[k, : len(a)] = a
+    return out
 
 
 def all_params(engine):
@@ -423,7 +433,9 @@ class TestRoundShape:
             lengths = [n for kind, n in calls[:5] if kind == "forward"]
             assert len(lengths) == 5
             one_row = [k for k, n in enumerate(lengths) if n == 1 and max(lengths) > 1]
-            assert calls[5:] == [("backward", (5, max(lengths)))] + [("backward", (1,))] * len(one_row)
+            # the one-row clients run as one stack of their own
+            one_row_stack = [("backward", (len(one_row), 1))] if one_row else []
+            assert calls[5:] == [("backward", (5, max(lengths)))] + one_row_stack
             shapes.add((max(lengths), len(one_row)))
         assert shapes == {(4, 0), (2, 2)}  # full batches, and two one-row clients in a padded stack
 
@@ -467,6 +479,43 @@ class TestRoundShape:
         assert isinstance(TrainingEngine(small_config(), 1).clients, ClientBank)
         assert isinstance(tcp.clients, ProxyCohort)
 
+    def test_tcp_cohort_pads_with_zeros_and_checks_the_gradient_stack(self):
+        # per-client arrays live on the wire only: the TCP cohort copies each
+        # client's activations into a zero-padded stack and sends each client
+        # its rows of the gradient stack, once the stack's shape is checked
+        class StubProxy:
+            def __init__(self, rows):
+                self.acts = np.full((rows, 6), rows, dtype=np.float32)
+                self.got = []
+
+            def forward_round(self, round_t):
+                return self.acts
+
+            def apply_grads(self, round_t, act_grads):
+                self.got.append(act_grads)
+
+            def eval_activations(self, round_t):
+                return self.acts
+
+        proxies = {0: StubProxy(8), 1: StubProxy(3)}
+        cohort = ProxyCohort(proxies, 6)
+        rows, lengths = padded_rows([np.arange(8), np.arange(3)])
+        for t in (1, 2):
+            acts = cohort.forward(t, rows, lengths)
+            assert acts.dtype == np.float32 and acts.shape == (2, 8, 6)
+            assert (acts[0] == 8).all() and (acts[1, :3] == 3).all() and (acts[1, 3:] == 0).all()
+            grads = np.arange(2 * 8 * 6, dtype=np.float32).reshape(2, 8, 6)
+            if t == 1:
+                with pytest.raises(ProtocolError, match=r"activation grad shape \(2, 8, 5\) does not match "
+                                                         r"cut shape \(2, 8, 6\)"):
+                    cohort.apply_grads(t, grads[..., :5])
+                assert not proxies[0].got and not proxies[1].got
+            else:
+                cohort.apply_grads(t, grads)
+                for k, p in proxies.items():
+                    (got,) = p.got
+                    assert got.shape == (lengths[k], 6) and (got == grads[k, : lengths[k]]).all(), k
+
     @pytest.mark.parametrize("strategy", ["sfl", "vanilla_sl"])
     def test_remote_clients_serve_only_parallel_strategies(self, strategy):
         # sfl would ship client models and vanilla_sl relays one, neither of
@@ -484,11 +533,15 @@ class TestRoundShape:
         with pytest.raises(ConfigError, match=r"one proxy per client 0\.\.2, got \[" + ", ".join(map(str, ids))):
             TrainingEngine(small_config(strategy="gapsl", clients=3), 1, proxies)
 
-    def test_a_short_cohort_answer_fails_the_round(self):
+    @pytest.mark.parametrize("cut", [lambda a: a[:-1], lambda a: a[:, :-1], lambda a: a[..., :-1]],
+                             ids=["clients", "rows", "width"])
+    def test_a_misshaped_activation_stack_fails_the_round(self, cut):
         engine = TrainingEngine(small_config(clients=3), 1)
         forward = engine.clients.forward
-        engine.clients.forward = lambda t, batches: forward(t, batches)[:-1]
-        with pytest.raises(ValueError, match="zip"):
+        engine.clients.forward = lambda t, rows, lengths: cut(forward(t, rows, lengths))
+        shape, got = (3, 16, 16), cut(np.empty((3, 16, 16))).shape
+        with pytest.raises(ProtocolError, match=rf"round 1 \(forward\): expected an activation stack of shape "
+                                                 rf"{re.escape(str(shape))}, got {re.escape(str(got))}"):
             engine.run_round(1)
 
     def test_each_round_draws_each_batch_once(self, monkeypatch):
@@ -608,16 +661,18 @@ class TestClientBank:
         width = cfg.model_dims[cfg.cut]
         rng = np.random.default_rng(0)
         for t, n in enumerate(range(1, cfg.batch_size + 1), start=1):
-            lengths = [n, cfg.batch_size, 1, max(1, n - 1)]
-            indices = [rng.choice(len(bank.train_inputs), k, replace=False) for k in lengths]
+            sizes = [n, cfg.batch_size, 1, max(1, n - 1)]
+            indices = [rng.choice(len(bank.train_inputs), k, replace=False) for k in sizes]
+            rows, lengths = padded_rows(indices)
             grads = [rng.normal(size=(k, width)).astype(np.float32) for k in lengths]
-            acts = bank.forward(t, indices)
-            bank.apply_grads(t, grads)
+            acts = bank.forward(t, rows, lengths)
+            assert acts.shape == (cfg.clients, cfg.batch_size, width)
+            bank.apply_grads(t, zero_padded(grads, cfg.batch_size))
             for i in range(cfg.clients):
-                (one,) = alone[i].forward(t, [indices[i]])
-                alone[i].apply_grads(t, [grads[i]])
+                one = alone[i].forward(t, indices[i][None], [lengths[i]])[0]
+                alone[i].apply_grads(t, grads[i][None])
                 want, caches = oracles.client_forward(params[i], bank.train_inputs[indices[i]], cfg.activation)
-                assert acts[i].dtype == want.dtype and (acts[i] == want).all(), (n, i)
+                assert acts.dtype == want.dtype and (acts[i, : lengths[i]] == want).all(), (n, i)
                 assert (one == want).all(), (n, i)
                 step = oracles.client_backward(params[i], caches, grads[i], cfg.activation)
                 oracles.sgd_step(params[i], step, velocity[i], cfg.lr_client, cfg.momentum)
@@ -642,11 +697,11 @@ class TestClientBank:
         stepped = []
         monkeypatch.setattr(orchestrator, "sgd_step", lambda params, grads, state: stepped.append(grads))
         rng = np.random.default_rng(2)
-        lengths = [cfg.batch_size, 1, 5]
-        indices = [rng.choice(len(bank.train_inputs), k, replace=False) for k in lengths]
+        indices = [rng.choice(len(bank.train_inputs), k, replace=False) for k in [cfg.batch_size, 1, 5]]
+        rows, lengths = padded_rows(indices)
         act_grads = [rng.normal(size=(k, cfg.model_dims[cfg.cut])).astype(np.float32) for k in lengths]
-        bank.forward(1, indices)
-        bank.apply_grads(1, act_grads)
+        bank.forward(1, rows, lengths)
+        bank.apply_grads(1, zero_padded(act_grads, cfg.batch_size))
         (grads,) = stepped
         for i in range(cfg.clients):
             _, caches = oracles.client_forward(params[i], bank.train_inputs[indices[i]], activation)
@@ -676,8 +731,48 @@ class TestClientBank:
         cfg = small_config(clients=2)
         bank = ClientBank(cfg, 1, range(cfg.clients), *build_dataset(cfg, 1))
         with pytest.raises(ProtocolError, match="before any forward pass"):
-            bank.apply_grads(1, [np.zeros((1, 16))] * 2)
-        acts = bank.forward(1, [np.arange(5), np.arange(5, 16)])
-        bad = [np.zeros_like(acts[0]), np.zeros((len(acts[1]), 3), dtype=acts[1].dtype)]
-        with pytest.raises(ProtocolError, match=r"client 1: activation grad shape"):
-            bank.apply_grads(1, bad)
+            bank.apply_grads(1, np.zeros((2, 1, 16), dtype=np.float32))
+        rows, lengths = padded_rows([np.arange(5), np.arange(5, 16)])
+        before = bank.params.copy()
+        for cut in (lambda a: a[:1], lambda a: a[:, :-1], lambda a: a[..., :3]):
+            bad = np.zeros_like(cut(bank.forward(1, rows, lengths)))
+            with pytest.raises(ProtocolError, match=rf"activation grad shape {re.escape(str(bad.shape))} "
+                                                     r"does not match cut shape \(2, 11, 16\)"):
+                bank.apply_grads(1, bad)
+        assert (bank.params == before).all()
+
+    @pytest.mark.parametrize("strategy", ["gapsl", "psl"])
+    def test_padding_rows_do_not_reach_any_bit(self, strategy, monkeypatch):
+        # the bank pads each batch by reading sample 0, the TCP cohort with
+        # zero rows: the padding weighs 0 in the server's loss, so the
+        # server's gradients and every parameter come out the same. Batches
+        # of 4 over shards of 10 and 9 rows give ragged rounds with one-row
+        # clients.
+        cfg = small_config(strategy=strategy, clients=5, rounds=6, batch_size=4, samples_per_class=15, alpha=None)
+        seen, ragged = {}, []
+        cohort = orchestrator.Cohort
+
+        def recording(ids, values, round_t):
+            seen.setdefault(round_t, []).append(values.copy())
+            return cohort(ids, values, round_t)
+
+        monkeypatch.setattr(orchestrator, "Cohort", recording)
+        zeroed = TrainingEngine(cfg, 1)
+        forward = zeroed.clients.forward
+
+        def zero_padding(t, rows, lengths):
+            acts = forward(t, rows, lengths).copy()  # the bank keeps its own stack, as over TCP
+            for k, n in enumerate(lengths):
+                acts[k, n:] = 0
+            ragged.append(sorted(set(lengths)))
+            return acts
+
+        zeroed.clients.forward = zero_padding
+        engines = (TrainingEngine(cfg, 1), zeroed)
+        for t in range(1, cfg.rounds + 1):
+            sample_rows, zero_rows = (metrics_rows(strategy, 1, cfg.alpha, [e.run_round(t)]) for e in engines)
+            assert sample_rows == zero_rows, t
+            sample, zero = seen[t]
+            assert sample.tobytes() == zero.tobytes(), t
+        assert [1, 2] in ragged  # a padded stack with one-row clients
+        assert all_params(engines[0]).tobytes() == all_params(engines[1]).tobytes()
