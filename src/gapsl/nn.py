@@ -39,9 +39,8 @@ labels (copying in only the probs and a deeper server's hidden inputs),
 whose padding rows weigh 0 in the loss, and one backward writes every
 client's gradient into its row of a ``[clients, P]`` matrix through
 batched ``np.matmul(..., out=)``, bit for bit as one backward per client
-would. Padding changes how numpy multiplies a one-row batch (gemv alone,
-gemm in the stack), so :func:`one_row_clients` names the clients that run
-as their own stack.
+on its batch padded to the stack's depth would. The engine pads its
+stacks so that every product in them runs gemm (``orchestrator.padded_rows``).
 """
 
 from __future__ import annotations
@@ -233,14 +232,6 @@ def _grad_views(layers: list[DenseLayer], cache: Cache, out: np.ndarray) -> list
     if out.shape[:-1] != cache.layers[0].inputs.shape[:-2]:  # matmul would broadcast into a larger buffer
         raise ConfigError(f"gradient buffer of shape {out.shape} does not fit layers {cache.shapes}")
     return layer_views(out, _widths(layers))
-
-
-def one_row_clients(lengths: Sequence[int]) -> list[int]:
-    """The clients of a stack padded to ``max(lengths)`` rows that must run
-    as their own stack: numpy multiplies a one-row matrix by gemv, which
-    rounds differently from the padded gemm. None when every batch is one
-    row, for then the stack runs gemv too."""
-    return [k for k, n in enumerate(lengths) if n == 1] if max(lengths) > 1 else []
 
 
 def forward_client(

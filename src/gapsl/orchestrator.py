@@ -50,7 +50,6 @@ from .nn import (
     forward_server,
     layer_views,
     logits_from_activations,
-    one_row_clients,
     sgd_state,
     sgd_step,
     split_model,
@@ -146,9 +145,12 @@ def shard_cursors(
 
 def padded_rows(batches: Sequence[np.ndarray]) -> tuple[np.ndarray, list[int]]:
     """The round's batches as one ``[clients, maxlen]`` index matrix, each
-    row padded by reading sample 0, and their lengths."""
+    row padded by reading sample 0, and their lengths. The matrix is at
+    least two rows deep, even when every batch is one row: numpy multiplies
+    a one-row matrix by gemv, which rounds differently from gemm, so every
+    client's products run gemm whatever its cohort or transport."""
     lengths = [len(b) for b in batches]
-    rows = np.zeros((len(batches), max(lengths)), dtype=np.intp)
+    rows = np.zeros((len(batches), max(2, *lengths)), dtype=np.intp)
     for k, b in enumerate(batches):
         rows[k, : len(b)] = b
     return rows, lengths
@@ -160,13 +162,11 @@ class ClientBank:
     in-process :class:`ClientCohort`; a TCP client is a bank of one.
 
     Every client starts from the same ``build_model(cfg, seed)``. A round
-    runs one stacked forward over the padded index matrix, returns the
-    ``[clients, maxlen, cut]`` activation stack, and takes back a gradient
-    stack of that shape whose padding rows are zero, for one stacked
-    backward and momentum-SGD step. A client whose batch is a single row is
-    recomputed as its own stack: numpy multiplies a one-row matrix by gemv,
-    which rounds differently from the padded gemm. So each client's bits do
-    not depend on its bank.
+    runs one stacked forward over the index matrix of :func:`padded_rows`,
+    returns the ``[clients, maxlen, cut]`` activation stack, and takes back
+    a gradient stack of that shape whose padding rows are zero, for one
+    stacked backward and momentum-SGD step. Padding rows weigh nothing and
+    every product runs gemm, so each client's bits do not depend on its bank.
     """
 
     def __init__(
@@ -180,38 +180,22 @@ class ClientBank:
         self.opt = sgd_state(self.layers, cfg.lr_client, cfg.momentum)
         self.train_inputs = train.inputs.astype(np.float32, copy=False)
         self.test_inputs = test.inputs.astype(np.float32, copy=False)
-        self._round = None  # (stacked cache, one-row clients, their layers and cache)
+        self._cache = None  # the stacked forward's, until its gradients arrive
 
-    def _models(self, clients) -> list[DenseLayer]:
-        """The layers of ``clients``: views for one index, a copied stack for a list."""
-        return [DenseLayer(l.w[clients], l.b[clients]) for l in self.layers]
+    def _models(self, k: int) -> list[DenseLayer]:
+        """Client ``k``'s layers, as views."""
+        return [DenseLayer(l.w[k], l.b[k]) for l in self.layers]
 
     def forward(self, round_t: int, rows: np.ndarray, lengths: Sequence[int]) -> np.ndarray:
-        acts, cache = forward_client(self.layers, self.train_inputs[rows], self.activation)
-        one_row = one_row_clients(lengths)
-        one_row_layers = one_row_cache = None
-        if one_row:
-            # a one-row client's activations come from its own stack, whose
-            # copied layers the backward pass reuses; they overwrite its row
-            # of the stack, whose stacked gradient is recomputed anyway
-            one_row_layers = self._models(one_row)
-            acts[one_row, :1], one_row_cache = forward_client(
-                one_row_layers, self.train_inputs[rows[one_row, :1]], self.activation
-            )
-        self._round = (cache, one_row, one_row_layers, one_row_cache)
+        acts, self._cache = forward_client(self.layers, self.train_inputs[rows], self.activation)
         return acts
 
     def apply_grads(self, round_t: int, act_grads: np.ndarray) -> None:
-        if self._round is None:
+        cache, self._cache = self._cache, None
+        if cache is None:
             raise ProtocolError("gradients received before any forward pass")
-        cache, one_row, one_row_layers, one_row_cache = self._round
-        self._round = None
         grads = np.empty_like(self.params)
         backward_client(self.layers, cache, act_grads, grads)  # refuses a stack of another shape
-        if one_row:
-            one_row_grads = np.empty((len(one_row), grads.shape[1]), dtype=grads.dtype)
-            backward_client(one_row_layers, one_row_cache, act_grads[one_row, :1], one_row_grads)
-            grads[one_row] = one_row_grads
         sgd_step(self.params, grads, self.opt)
 
     def eval_activations(self, round_t: int) -> Iterator[np.ndarray]:
@@ -256,9 +240,9 @@ class ClientCohort(Protocol):
 
     A training round crosses as stacks: ``forward`` gets the round's batches
     as :func:`padded_rows` gives them and returns the ``[clients, maxlen,
-    cut]`` activation stack; ``apply_grads`` takes the activation-gradient
-    stack of that shape, zero on padding rows. Evaluation yields one array
-    per client, in id order."""
+    cut]`` activation stack, as deep as the index matrix; ``apply_grads``
+    takes the activation-gradient stack of that shape, zero on padding rows,
+    once per forward. Evaluation yields one array per client, in id order."""
 
     def forward(self, round_t: int, rows: np.ndarray, lengths: Sequence[int]) -> np.ndarray: ...
     def apply_grads(self, round_t: int, act_grads: np.ndarray) -> None: ...
@@ -270,13 +254,14 @@ class ProxyCohort:
     a time in id order; a ProtocolError names the round, client and phase.
     Per-client arrays live only here, on the wire: each remote client's
     activations are checked and copied into a zero-padded stack, and each
-    gets its rows of the gradient stack. Batches are not sent: each remote
-    client replays its own stream."""
+    gets its rows of the gradient stack, once the stack is checked against
+    the shape of the one its forward built. Batches are not sent: each
+    remote client replays its own stream."""
 
     def __init__(self, proxies: dict[int, ClientProxy], fan_in: int):
         self.proxies = proxies
         self.fan_in = fan_in
-        self._lengths: Sequence[int] = ()  # the batch lengths of the round in progress
+        self._round = None  # (batch lengths, stack shape) of the round in progress
 
     def _each(self, round_t: int, phase: str, call) -> Iterator[tuple[int, object]]:
         for i in sorted(self.proxies):
@@ -291,12 +276,14 @@ class ProxyCohort:
         for i, a in self._each(round_t, "forward", lambda i, p: p.forward_round(round_t)):
             check_activations(round_t, i, "forward", a, (lengths[i], self.fan_in))
             acts[i, : lengths[i]] = a
-        self._lengths = lengths
+        self._round = (lengths, acts.shape)
         return acts
 
     def apply_grads(self, round_t: int, act_grads: np.ndarray) -> None:
-        lengths = self._lengths
-        shape = (len(lengths), max(lengths), self.fan_in)
+        pending, self._round = self._round, None
+        if pending is None:
+            raise ProtocolError("gradients received before any forward pass")
+        lengths, shape = pending
         if act_grads.shape != shape:
             raise ProtocolError(f"activation grad shape {act_grads.shape} does not match cut shape {shape}")
         for _ in self._each(round_t, "backward", lambda i, p: p.apply_grads(round_t, act_grads[i, : lengths[i]])):
@@ -474,12 +461,6 @@ class TrainingEngine:
         g = np.empty((len(ids), self.server_params.size), dtype=self.server_params.dtype)
         stack, weights = stack_caches(caches, acts, labels)
         act_grads = backward_server(self.server, stack, g, weights)
-        one_row = one_row_clients(lengths)
-        if one_row:  # one stack of their own, as in the bank
-            stack, weights = stack_caches([caches[k] for k in one_row], acts[one_row, :1], labels[one_row, :1])
-            one_row_g = np.empty((len(one_row), g.shape[1]), dtype=g.dtype)
-            act_grads[one_row, :1] = backward_server(self.server, stack, one_row_g, weights)
-            g[one_row] = one_row_g
         client_losses = np.array(losses)
         cohort = Cohort(ids, g, t)
 

@@ -396,7 +396,9 @@ def client_loop(channel: FrameChannel, client_id: int, handshake_timeout: float 
     coordinator draws, so labels never cross the wire. Returns the final
     METRICS payload.
     """
-    from .orchestrator import ClientBank, build_dataset, build_partition, shard_cursors  # deps stay one-way
+    from .orchestrator import (  # deps stay one-way
+        ClientBank, build_dataset, build_partition, padded_rows, shard_cursors,
+    )
 
     channel.send(Hello(client_id))
     msg = channel.recv(timeout=handshake_timeout)
@@ -411,9 +413,10 @@ def client_loop(channel: FrameChannel, client_id: int, handshake_timeout: float 
         (cursor,) = shard_cursors(cfg, seed, build_partition(cfg, seed, train.labels), [client_id])
         bank = ClientBank(cfg, seed, [client_id], train, test)
         for t in range(1, cfg.rounds + 1):
-            batch = cursor.next()
-            acts = bank.forward(t, batch[None], [len(batch)])
-            channel.send(Activations(t, client_id, acts[0]))
+            rows, (n,) = padded_rows([cursor.next()])
+            acts = bank.forward(t, rows, [n])
+            sent = acts[0, :n]
+            channel.send(Activations(t, client_id, sent))
             reply = channel.recv()
             if not isinstance(reply, ActGrads):
                 raise ProtocolError(f"round {t}: expected ACT_GRADS, got {type(reply).__name__}")
@@ -421,7 +424,13 @@ def client_loop(channel: FrameChannel, client_id: int, handshake_timeout: float 
                 raise ProtocolError(
                     f"round {t} client {client_id}: ACT_GRADS for round {reply.round} client {reply.client_id}"
                 )
-            bank.apply_grads(t, reply.matrix[None])
+            if reply.matrix.shape != sent.shape:
+                raise ProtocolError(
+                    f"round {t} client {client_id}: ACT_GRADS of shape {reply.matrix.shape}, expected {sent.shape}"
+                )
+            grads = np.zeros_like(acts)
+            grads[0, :n] = reply.matrix
+            bank.apply_grads(t, grads)
             if is_eval_round(cfg, t):
                 (eval_acts,) = bank.eval_activations(t)
                 channel.send(EvalResult(t, client_id, eval_acts))

@@ -7,16 +7,17 @@ overrides named in :data:`MATRIX`. For each one, the command runs seeds
 1-3 and prints one sha256 over:
 
 - every round's server gradient matrix ``g``, as the round's cohort holds it;
-- every GDA pass's deviations to the leader, in float64: the engine's
-  float32 state rounds a change of one ulp in them away;
+- every GDA pass's deviations to the leader, and every alignment
+  correction's result, in float64: the engine's float32 state rounds a
+  change of one ulp in them away;
 - each seed's ``metrics_rows`` and its final server and client-bank
   parameters.
 
 Two checkouts that print the same line for a config replay it bit for bit
 on this host. A ``tcp`` config runs its clients over loopback TCP, each a
 bank of one in its own thread; it hashes the same things as its in-process
-twin (``tcp2`` and ``clients2``, ``tcp10`` and ``desk``), so each pair
-prints the same line.
+twin (``tcp2`` and ``clients2``, ``tcp10`` and ``desk``, ``tcp10_psl`` and
+``psl``), so each pair prints the same line.
 
 No reference hashes are kept: OpenBLAS picks its kernels per CPU at run
 time, so the bits depend on the host as much as on the code. Compare
@@ -59,18 +60,22 @@ MATRIX: dict[str, dict[str, str]] = {
     "non_lgi": {"non_lgi": "true"},
     "psl": {"strategy": "psl"},
     "sfl": {"strategy": "sfl"},
+    "vanilla_sl": {"strategy": "vanilla_sl"},
     "batch5": {"batch_size": "5"},
+    "batch1": {"batch_size": "1"},
     "relu_cut1": {"activation": "relu", "cut": "1"},
     "tcp2": {"clients": "2", "rounds": "20", **TCP},
     "tcp10": TCP,
+    "tcp10_psl": {"strategy": "psl", **TCP},
 }
 
 
 @contextmanager
 def probes(digest):
-    """Hash every round's ``g`` as the round builds its cohort, and every
-    GDA pass's (id, deviation) pairs in float64, into ``digest``."""
-    cohort, run_gda = orchestrator.Cohort, gda_mod.run_gda
+    """Hash every round's ``g`` as the round builds its cohort, every GDA
+    pass's (id, deviation) pairs in float64 and every alignment correction's
+    result, in float64 as ``run_gda`` passes it, into ``digest``."""
+    cohort, run_gda, correct = orchestrator.Cohort, gda_mod.run_gda, gda_mod.alignment_correction
 
     def probed_cohort(ids, values, round_t):
         digest.update(values.tobytes())
@@ -81,11 +86,16 @@ def probes(digest):
         digest.update(np.array(list(out.deviations.items()), dtype=np.float64).tobytes())
         return out
 
-    orchestrator.Cohort, gda_mod.run_gda = probed_cohort, probed_gda
+    def probed_correction(*args, **kwargs):
+        out = correct(*args, **kwargs)
+        digest.update(out.tobytes())
+        return out
+
+    orchestrator.Cohort, gda_mod.run_gda, gda_mod.alignment_correction = probed_cohort, probed_gda, probed_correction
     try:
         yield
     finally:
-        orchestrator.Cohort, gda_mod.run_gda = cohort, run_gda
+        orchestrator.Cohort, gda_mod.run_gda, gda_mod.alignment_correction = cohort, run_gda, correct
 
 
 def run_inproc(cfg):

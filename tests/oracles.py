@@ -4,8 +4,8 @@ Everything here is deliberately written with plain Python loops and the
 math module only -- no numpy vectorization and no imports from the
 package under test -- so agreement with the real implementations is
 meaningful. The exceptions are the last three sections, which use numpy
-on purpose: bit-exact per-client references, because the stacked client
-bank must reproduce the bits of the one-client-at-a-time products; the
+on purpose: bit-exact per-client references, because the stacked passes
+must reproduce the bits of the one-client-at-a-time products; the
 per-tensor list helpers; and the wrapped-reduction references, because
 the package's direct ``ufunc.reduce`` calls must reproduce the bits of
 numpy's ``mean``, ``std``, ``sum``, ``max`` and ``linalg.norm``.
@@ -215,8 +215,20 @@ def param_count(layers):
 #
 # The client-side layer functions for one client: 2-D numpy products on a
 # flat parameter list [w0, b0, w1, b1, ...]. numpy picks the BLAS kernel
-# per product (gemv for a one-row left operand, gemm otherwise), and these
-# are the products whose rounding the client bank must match.
+# per product: gemv for a one-row left operand, gemm otherwise. The
+# engine's stacks are at least two rows deep, so they multiply every
+# client's batch by gemm; with ``padded`` a one-row left operand gains a
+# zero row, so these products run gemm too, and a stacked pass must match
+# them bit for bit. Without it they are the products of nn's unstacked
+# passes on one batch.
+
+def matmul(a, b, padded=False):
+    """``a @ b``; with ``padded`` a one-row ``a`` is multiplied as the top
+    row of a two-row matrix, by gemm."""
+    if padded and len(a) == 1:
+        return (np.vstack([a, np.zeros_like(a)]) @ b)[:1]
+    return a @ b
+
 
 def _act(z, activation):
     return np.maximum(z, 0) if activation == "relu" else np.tanh(z)
@@ -230,17 +242,17 @@ def act_grad(z, activation):
     return 1 - t * t
 
 
-def client_forward(params, inputs, activation):
+def client_forward(params, inputs, activation, padded=False):
     """One client's cut activations and the (input, preactivation) per layer."""
     a, caches = inputs, []
     for w, b in zip(params[::2], params[1::2]):
-        z = a @ w + b
+        z = matmul(a, w, padded) + b
         caches.append((a, z))
         a = _act(z, activation)
     return a, caches
 
 
-def client_backward(params, caches, act_grads, activation):
+def client_backward(params, caches, act_grads, activation, padded=False):
     """One client's parameter gradients, in the order of ``params``."""
     grads = [None] * len(params)
     delta = act_grads
@@ -248,7 +260,7 @@ def client_backward(params, caches, act_grads, activation):
         inputs, z = caches[k]
         delta = delta * act_grad(z, activation)
         grads[2 * k], grads[2 * k + 1] = inputs.T @ delta, delta.sum(axis=0)
-        delta = delta @ params[2 * k].T
+        delta = matmul(delta, params[2 * k].T, padded)
     return grads
 
 
@@ -304,12 +316,14 @@ def mean_std(values):
     return float(np.mean(arr)), float(np.std(arr))
 
 
-def server_pass(layers, activations, labels, activation, loss_weights=None):
+def server_pass(layers, activations, labels, activation, loss_weights=None, padded=False):
     """forward_server then backward_server in a reference form: the softmax
     reduces each row twice, the residual subtracts a one-hot matrix and the
     activation derivative is recomputed from each pre-activation. Returns
     the per-example losses, their mean, the softmax rows, each layer's
-    (dW, db) and the gradient at the incoming activations."""
+    (dW, db) and the gradient at the incoming activations. ``padded``
+    applies to the backward's products only: the engine forwards each
+    client's batch alone, and backprops it in a stack."""
     a, caches = client_forward(params_arrays(layers[:-1]), activations, activation)
     logits = a @ layers[-1].w + layers[-1].b
     caches.append((a, logits))
@@ -328,13 +342,13 @@ def server_pass(layers, activations, labels, activation, loss_weights=None):
     for k in range(len(layers) - 1, -1, -1):
         grads[k] = (caches[k][0].T @ delta, delta.sum(axis=0))
         if k:
-            delta = (delta @ layers[k].w.T) * act_grad(caches[k - 1][1], activation)
-    return per_example, float(per_example.mean()), probs, grads, delta @ layers[0].w.T
+            delta = matmul(delta, layers[k].w.T, padded) * act_grad(caches[k - 1][1], activation)
+    return per_example, float(per_example.mean()), probs, grads, matmul(delta, layers[0].w.T, padded)
 
 
 def server_passes(layers, batches, activation, loss_weights=None):
     """The round's server backward as it ran before the stacked call: one
-    :func:`server_pass` per client, in client order. ``batches`` holds each
+    padded :func:`server_pass` per client, in client order. ``batches`` holds each
     client's (activations, labels), ``loss_weights`` one array per client or
     None. Returns the ``[clients, params]`` gradient matrix, rows in the
     layout of the server part's flat vector, and each client's gradient at
@@ -342,7 +356,7 @@ def server_passes(layers, batches, activation, loss_weights=None):
     rows, act_grads = [], []
     for k, (acts, labels) in enumerate(batches):
         *_, grads, agrads = server_pass(
-            layers, acts, labels, activation, None if loss_weights is None else loss_weights[k]
+            layers, acts, labels, activation, None if loss_weights is None else loss_weights[k], padded=True
         )
         rows.append(flatten([t for layer in grads for t in layer]))
         act_grads.append(agrads)

@@ -56,14 +56,14 @@ class TestIdxExperiment:
 def record_server_grads(monkeypatch, clients, zeroed=(), negated=()):
     """Record each client's flat server gradient as the engine computes it,
     zeroing those of the ``zeroed`` clients and giving the ``negated`` ones the
-    exact negation of the previous client's. Every batch here has more than
-    one row, so one stacked backward writes the round's rows in client order."""
+    exact negation of the previous client's. One stacked backward writes the
+    round's rows in client order."""
     rows = []
     backward = orch.backward_server
 
     def recording(layers, cache, out, loss_weights=None):
         act_grads = backward(layers, cache, out, loss_weights)
-        assert out.shape == (clients, out.shape[-1])  # the stacked call, not a one-row client's own
+        assert out.shape == (clients, out.shape[-1])  # one stacked call per round
         for k, row in enumerate(out):
             if k in zeroed:
                 row[...] = 0

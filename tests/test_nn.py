@@ -15,7 +15,6 @@ from gapsl.nn import (
     forward_server,
     layer_views,
     logits_from_activations,
-    one_row_clients,
     sgd_state,
     sgd_step,
     split_model,
@@ -282,14 +281,15 @@ class TestEachForwardValueOnce:
 
 
 class TestStackedServerBackward:
-    """One backward over a stack of clients' batches: every gradient row and
-    every activation-gradient row is bit-identical to the per-client server
-    passes, once the one-row clients are recomputed as their own stack."""
+    """One backward over a stack of clients' batches, at least two rows deep
+    as the engine builds it: every gradient row and every activation-gradient
+    row is bit-identical to the per-client server passes, whose one-row
+    products are padded to gemm as the stack's are."""
 
     @staticmethod
     def stacked_round(model, acts, labels, lengths, activation, weights=None):
         """The engine's server step: one forward per client on its rows of
-        the stacks, one stacked backward, and one stack of the one-row clients."""
+        the stacks, then one stacked backward."""
         caches = [forward_server(model.server, acts[k, :n], labels[k, :n], activation)[2]
                   for k, n in enumerate(lengths)]
         stack, stack_weights = stack_caches(caches, acts, labels)
@@ -300,16 +300,7 @@ class TestStackedServerBackward:
             if weights is not None:
                 stack_weights[k, :n] = weights[k]
         g = np.empty((len(lengths), model.server_params.size), dtype=acts.dtype)
-        act_grads = backward_server(model.server, stack, g, stack_weights)
-        one_row = one_row_clients(lengths)
-        if one_row:
-            stack, stack_weights = stack_caches([caches[k] for k in one_row], acts[one_row, :1], labels[one_row, :1])
-            if weights is not None:
-                stack_weights[:, 0] = [weights[k][0] for k in one_row]
-            one_row_g = np.empty((len(one_row), g.shape[1]), dtype=g.dtype)
-            act_grads[one_row, :1] = backward_server(model.server, stack, one_row_g, stack_weights)
-            g[one_row] = one_row_g
-        return g, act_grads
+        return g, backward_server(model.server, stack, g, stack_weights)
 
     @pytest.mark.parametrize("weighted", [False, True])
     @pytest.mark.parametrize("lengths", [(7, 1, 16, 3, 1, 16), (1, 1, 1)], ids=["mixed", "one-row"])
@@ -320,7 +311,7 @@ class TestStackedServerBackward:
         rng = np.random.default_rng(34)
         dims = [6, 9, 8, 5]
         model = make_model(dims, cut, seed=8, dtype=dtype, activation=activation)
-        shape = (len(lengths), max(lengths))
+        shape = (len(lengths), max(2, *lengths))
         # the padding rows hold finite junk and in-range labels: they weigh 0
         acts = rng.normal(size=(*shape, dims[cut])).astype(dtype)
         labels = rng.integers(0, 5, shape)
@@ -333,30 +324,6 @@ class TestStackedServerBackward:
         for k, n in enumerate(lengths):
             assert (act_grads[k, :n] == want_act_grads[k]).all(), k
             assert (act_grads[k, n:] == 0).all(), k  # the bank backprops the padding rows as they come
-
-    @pytest.mark.parametrize("cut", [1, 2])
-    @pytest.mark.parametrize("activation", ["relu", "tanh"])
-    def test_one_row_stack_equals_one_backward_per_client(self, activation, cut):
-        # numpy multiplies a stack of one-row batches by gemv, as it does
-        # each one-row batch alone
-        rng = np.random.default_rng(35)
-        dims = [6, 9, 8, 5]
-        model = make_model(dims, cut, seed=9, dtype=np.float32, activation=activation)
-        acts = rng.normal(size=(4, 1, dims[cut])).astype(np.float32)
-        labels = rng.integers(0, 5, (4, 1))
-        caches = [forward_server(model.server, a, y, activation)[2] for a, y in zip(acts, labels)]
-        stack, weights = stack_caches(caches, acts, labels)
-        g = np.empty((4, model.server_params.size), dtype=np.float32)
-        act_grads = backward_server(model.server, stack, g, weights)
-        for k, cache in enumerate(caches):
-            row = np.empty_like(model.server_params)
-            assert (backward_server(model.server, cache, row) == act_grads[k]).all(), k
-            assert (row == g[k]).all(), k
-
-    def test_one_row_clients_run_alone_only_beside_a_longer_batch(self):
-        assert one_row_clients([3, 1, 16, 1]) == [1, 3]
-        assert one_row_clients([1, 1, 1]) == []  # the stack multiplies one row per client: gemv too
-        assert one_row_clients([2, 2]) == []
 
     def test_stack_needs_its_loss_weights(self):
         model = make_model([5, 7, 3], 1, seed=5)

@@ -64,6 +64,24 @@ def zero_padded(arrays, maxlen):
     return out
 
 
+class StubProxy:
+    """A remote client that answers every round with the same ``[rows, 6]``
+    activations and keeps the gradients it is sent."""
+
+    def __init__(self, rows):
+        self.acts = np.full((rows, 6), rows, dtype=np.float32)
+        self.got = []
+
+    def forward_round(self, round_t):
+        return self.acts
+
+    def apply_grads(self, round_t, act_grads):
+        self.got.append(act_grads)
+
+    def eval_activations(self, round_t):
+        return self.acts
+
+
 def all_params(engine):
     """The server's flat parameters, then each client's."""
     return np.concatenate([engine.server_params, engine.clients.params.ravel()])
@@ -408,7 +426,7 @@ class TestRoundShape:
     def test_round_runs_one_server_forward_per_client_and_one_stacked_backward(self, monkeypatch):
         # the in-process mirror of the benchmark's pin of one server pass
         # per client: every client's forward, then one backward over the
-        # stack, plus one per one-row client when a longer batch pads the stack
+        # stack, whatever the batch lengths
         calls = []
         forward, backward = orchestrator.forward_server, orchestrator.backward_server
 
@@ -432,11 +450,8 @@ class TestRoundShape:
             engine.run_round(t)
             lengths = [n for kind, n in calls[:5] if kind == "forward"]
             assert len(lengths) == 5
-            one_row = [k for k, n in enumerate(lengths) if n == 1 and max(lengths) > 1]
-            # the one-row clients run as one stack of their own
-            one_row_stack = [("backward", (len(one_row), 1))] if one_row else []
-            assert calls[5:] == [("backward", (5, max(lengths)))] + one_row_stack
-            shapes.add((max(lengths), len(one_row)))
+            assert calls[5:] == [("backward", (5, max(2, *lengths)))]
+            shapes.add((max(lengths), lengths.count(1)))
         assert shapes == {(4, 0), (2, 2)}  # full batches, and two one-row clients in a padded stack
 
     def test_gapsl_round_builds_one_gram(self, monkeypatch):
@@ -483,20 +498,6 @@ class TestRoundShape:
         # per-client arrays live on the wire only: the TCP cohort copies each
         # client's activations into a zero-padded stack and sends each client
         # its rows of the gradient stack, once the stack's shape is checked
-        class StubProxy:
-            def __init__(self, rows):
-                self.acts = np.full((rows, 6), rows, dtype=np.float32)
-                self.got = []
-
-            def forward_round(self, round_t):
-                return self.acts
-
-            def apply_grads(self, round_t, act_grads):
-                self.got.append(act_grads)
-
-            def eval_activations(self, round_t):
-                return self.acts
-
         proxies = {0: StubProxy(8), 1: StubProxy(3)}
         cohort = ProxyCohort(proxies, 6)
         rows, lengths = padded_rows([np.arange(8), np.arange(3)])
@@ -515,6 +516,25 @@ class TestRoundShape:
                 for k, p in proxies.items():
                     (got,) = p.got
                     assert got.shape == (lengths[k], 6) and (got == grads[k, : lengths[k]]).all(), k
+
+    def test_tcp_cohort_takes_one_gradient_stack_per_forward(self):
+        # the gradient stack must have the shape of the stack the cohort's
+        # forward built, here two rows deep for one-row batches; gradients
+        # before any forward, or twice for one round, are refused
+        proxies = {0: StubProxy(1), 1: StubProxy(1)}
+        cohort = ProxyCohort(proxies, 6)
+        with pytest.raises(ProtocolError, match="gradients received before any forward pass"):
+            cohort.apply_grads(1, np.zeros((2, 2, 6), dtype=np.float32))
+        acts = cohort.forward(1, *padded_rows([np.arange(1), np.arange(1)]))
+        assert acts.shape == (2, 2, 6)
+        with pytest.raises(ProtocolError, match=r"activation grad shape \(2, 1, 6\) does not match "
+                                                 r"cut shape \(2, 2, 6\)"):
+            cohort.apply_grads(1, acts[:, :1])
+        acts = cohort.forward(2, *padded_rows([np.arange(1), np.arange(1)]))
+        cohort.apply_grads(2, acts)
+        with pytest.raises(ProtocolError, match="gradients received before any forward pass"):
+            cohort.apply_grads(2, acts)
+        assert [len(p.got) for p in proxies.values()] == [1, 1]
 
     @pytest.mark.parametrize("strategy", ["sfl", "vanilla_sl"])
     def test_remote_clients_serve_only_parallel_strategies(self, strategy):
@@ -620,11 +640,9 @@ class TestRoundMeans:
 
 
 class TestFlatParameters:
-    def test_layers_stay_views_of_one_buffer_per_part(self, monkeypatch):
+    def test_layers_stay_views_of_one_buffer_per_part(self):
         # sfl averages the bank every other round, and client 1's shard is
-        # cut to one sample, so each of its batches is a one-row recompute
-        models, picked = ClientBank._models, []
-        monkeypatch.setattr(ClientBank, "_models", lambda bank, clients: picked.append(clients) or models(bank, clients))
+        # cut to one sample, so each of its batches is one row in a padded stack
         cfg = small_config(strategy="sfl", clients=3, rounds=4, sfl_interval=2, eval_interval=2)
         engine = TrainingEngine(cfg, seed=1)
         one_sample = engine.partition.client_indices[1][:1]
@@ -637,7 +655,6 @@ class TestFlatParameters:
         before = buffers()
         for t in range(1, 5):
             engine.run_round(t)
-        assert picked.count([1]) == 4  # forward only, one copy in each of 4 rounds; backward reuses it
         assert all(a is b for a, b in zip(buffers(), before, strict=True))
         for layers, params in ((engine.server, engine.server_params), (bank.layers, bank.params)):
             for layer in layers:
@@ -648,10 +665,18 @@ class TestFlatParameters:
 
 
 class TestClientBank:
+    def test_padded_rows_are_at_least_two_deep(self):
+        # padding reads sample 0; one-row batches still stack two rows deep
+        rows, lengths = padded_rows([np.array([7]), np.array([9])])
+        assert lengths == [1, 1] and rows.dtype == np.intp and rows.tolist() == [[7, 0], [9, 0]]
+        rows, lengths = padded_rows([np.array([7, 8, 9]), np.array([5])])
+        assert lengths == [3, 1] and rows.tolist() == [[7, 8, 9], [5, 0, 0]]
+
     def test_stacked_round_equals_per_client_reference_bit_for_bit(self):
         # every batch length from 1 to batch_size, in a ragged cohort that
-        # always holds a full batch and a one-row batch (numpy's gemv case);
-        # two client layers, so the one-row delta @ W.T reaches a gradient
+        # always holds a full batch and a one-row batch (gemv alone, gemm in
+        # a stack); two client layers, so the one-row delta @ W.T reaches a
+        # gradient. A bank of one pads its stack to two rows.
         cfg = small_config(clients=4, cut=2, activation="tanh", momentum=0.9)
         train, test = build_dataset(cfg, 1)
         bank = ClientBank(cfg, 1, range(cfg.clients), train, test)
@@ -669,12 +694,15 @@ class TestClientBank:
             assert acts.shape == (cfg.clients, cfg.batch_size, width)
             bank.apply_grads(t, zero_padded(grads, cfg.batch_size))
             for i in range(cfg.clients):
-                one = alone[i].forward(t, indices[i][None], [lengths[i]])[0]
-                alone[i].apply_grads(t, grads[i][None])
-                want, caches = oracles.client_forward(params[i], bank.train_inputs[indices[i]], cfg.activation)
+                own_rows, own_lengths = padded_rows([indices[i]])
+                assert own_rows.shape == (1, max(2, lengths[i]))
+                one = alone[i].forward(t, own_rows, own_lengths)[0, : lengths[i]]
+                alone[i].apply_grads(t, zero_padded(grads[i : i + 1], own_rows.shape[1]))
+                inputs = bank.train_inputs[indices[i]]
+                want, caches = oracles.client_forward(params[i], inputs, cfg.activation, padded=True)
                 assert acts.dtype == want.dtype and (acts[i, : lengths[i]] == want).all(), (n, i)
                 assert (one == want).all(), (n, i)
-                step = oracles.client_backward(params[i], caches, grads[i], cfg.activation)
+                step = oracles.client_backward(params[i], caches, grads[i], cfg.activation, padded=True)
                 oracles.sgd_step(params[i], step, velocity[i], cfg.lr_client, cfg.momentum)
 
             got = client_params(bank)
@@ -689,7 +717,7 @@ class TestClientBank:
     def test_gradients_equal_the_recomputed_derivative_form(self, activation, monkeypatch):
         # backward reads the outputs forward stored; the per-client oracle
         # recomputes each derivative from the pre-activation. Client 1's
-        # one-row batch is recomputed as its own stack.
+        # one-row batch runs gemm in the padded stack, as in the oracle.
         cfg = small_config(clients=3, cut=2, activation=activation)
         train, test = build_dataset(cfg, 1)
         bank = ClientBank(cfg, 1, range(cfg.clients), train, test)
@@ -704,8 +732,8 @@ class TestClientBank:
         bank.apply_grads(1, zero_padded(act_grads, cfg.batch_size))
         (grads,) = stepped
         for i in range(cfg.clients):
-            _, caches = oracles.client_forward(params[i], bank.train_inputs[indices[i]], activation)
-            want = oracles.client_backward(params[i], caches, act_grads[i], activation)
+            _, caches = oracles.client_forward(params[i], bank.train_inputs[indices[i]], activation, padded=True)
+            want = oracles.client_backward(params[i], caches, act_grads[i], activation, padded=True)
             got = params_arrays(layer_views(grads[i], bank.widths))
             assert all(g.dtype == np.float32 and (g == w).all() for g, w in zip(got, want)), i
 

@@ -12,7 +12,7 @@ import pytest
 import gapsl.transport as tp
 from gapsl.config import ExperimentConfig, config_to_text
 from gapsl.errors import ProtocolError
-from gapsl.orchestrator import TrainingEngine, run_experiment
+from gapsl.orchestrator import TrainingEngine
 from gapsl.reporting import metrics_rows
 from gapsl.transport import (
     ActGrads,
@@ -231,11 +231,11 @@ class TestTcpChannels:
             channel.close()
             far.close()
 
-    @pytest.mark.parametrize("round_t,client_id", [(1, 0), (2, 1)])
-    def test_client_rejects_act_grads_addressed_elsewhere(self, round_t, client_id):
-        # a fake coordinator on a socketpair answers client 1's round-1
-        # activations with ACT_GRADS of the right shape for another client
-        # or another round
+    @staticmethod
+    def answer_first_activations(reply):
+        """Run client 1 against a fake coordinator on a socketpair, which
+        answers its round-1 activations with ``reply(activations)``; returns
+        the activations and the client's ProtocolError messages."""
         cfg = ExperimentConfig(
             strategy="psl", clients=2, rounds=2, batch_size=4, samples_per_class=10,
             model_dims=(4, 6, 3), cut=1, seeds=(1,),
@@ -257,14 +257,31 @@ class TestTcpChannels:
             coordinator.send(ConfigMsg(config_to_text(cfg)))
             acts = coordinator.recv(timeout=10)
             assert isinstance(acts, Activations) and (acts.round, acts.client_id) == (1, 1)
-            coordinator.send(ActGrads(round_t, client_id, np.zeros_like(acts.matrix)))
+            coordinator.send(reply(acts))
             worker.join(timeout=10)
         finally:
             coordinator.close()
             worker.join(timeout=10)
             client.close()
         assert not worker.is_alive()
+        return acts, errors
+
+    @pytest.mark.parametrize("round_t,client_id", [(1, 0), (2, 1)])
+    def test_client_rejects_act_grads_addressed_elsewhere(self, round_t, client_id):
+        # ACT_GRADS of the right shape for another client or another round
+        _, errors = self.answer_first_activations(
+            lambda acts: ActGrads(round_t, client_id, np.zeros_like(acts.matrix))
+        )
         assert errors == [f"round 1 client 1: ACT_GRADS for round {round_t} client {client_id}"]
+
+    @pytest.mark.parametrize("cut", [lambda m: m[:-1], lambda m: np.vstack([m, m]), lambda m: m[:, :-1]],
+                             ids=["short", "long", "narrow"])
+    def test_client_rejects_misshaped_act_grads(self, cut):
+        # the client pads the gradients into its stack only once their shape
+        # is the one its activations had
+        acts, errors = self.answer_first_activations(lambda acts: ActGrads(1, 1, cut(np.ones_like(acts.matrix))))
+        bad = cut(acts.matrix).shape
+        assert errors == [f"round 1 client 1: ACT_GRADS of shape {bad}, expected {acts.matrix.shape}"]
 
     def test_channels_disable_nagle(self):
         # after an eval round a client sends EVAL_RESULT then the next
@@ -372,14 +389,27 @@ class TestTcpChannels:
         for ch in [*admitted, *accepted.values()]:
             ch.close()
 
-    def test_transport_transparency_tcp_equals_inproc(self):
-        cfg = ExperimentConfig(
+    @pytest.mark.parametrize("cfg,one_row", [
+        (ExperimentConfig(
             strategy="gapsl", clients=3, rounds=6, batch_size=16, samples_per_class=40,
             model_dims=(8, 16, 16, 4), cut=1, eval_interval=2, seeds=(1, 2), alpha=0.3,
-        )
-        rows_inproc = []
+        ), False),
+        # shards of 11, 11 and 10 rows: round 4 holds a one-row batch beside
+        # two-row ones; two client and two server layers, so a one-row
+        # delta @ W.T reaches a gradient on both sides
+        (ExperimentConfig(
+            strategy="gapsl", clients=3, rounds=6, batch_size=3, samples_per_class=10,
+            model_dims=(8, 16, 12, 10, 4), cut=2, eval_interval=2, seeds=(1, 2), alpha=None,
+        ), True),
+    ], ids=["ragged", "one-row"])
+    def test_transport_transparency_tcp_equals_inproc(self, cfg, one_row):
+        rows_inproc, lengths = [], []
         for seed in cfg.seeds:
-            rows_inproc += metrics_rows(cfg.strategy, seed, cfg.alpha, run_experiment(cfg, seed))
+            engine = TrainingEngine(cfg, seed)
+            forward = engine.clients.forward
+            engine.clients.forward = lambda t, rows, n, forward=forward: lengths.append(n) or forward(t, rows, n)
+            rows_inproc += metrics_rows(cfg.strategy, seed, cfg.alpha, engine.run())
+        assert any(1 in n and max(n) > 1 for n in lengths) == one_row  # a one-row batch beside a longer one
 
         listener = Listener("127.0.0.1:0")
         addr = listener.address
