@@ -117,31 +117,31 @@ def alignment_correction(
     overshoots the leader by more than theta.
 
     ``g`` is one vector or an ``[S, P]`` block with one ``lambda_g`` or S of
-    them; each row takes its own dot products, so a block equals S
-    one-vector calls bit for bit. ``leader_sq`` is the leader's float64
-    squared norm and ``g_sq`` those of the rows of ``g``, when known: a
-    caller that holds ``g`` in float64 and its ddot squared norms passes
-    both and rounds the result once. Degenerate rows, or all rows of a
-    degenerate leader, pass through unchanged with a warning each. The
-    result keeps the dtype of ``g``; the math runs in float64.
+    them. A matmul of ``[S, 1, P]`` by ``[S, P, 1]`` takes every row's dot
+    product as ``v.dot(w)`` does, so a block equals S one-vector calls bit
+    for bit. ``leader_sq`` is the leader's float64 squared norm and ``g_sq``
+    those of the rows of ``g``, when known: a caller that holds ``g`` in
+    float64 and its squared norms passes both and rounds the result once.
+    Degenerate rows, or all rows of a degenerate leader, pass through
+    unchanged with a warning each. The result keeps the dtype of ``g``; the
+    math runs in float64.
     """
     l64 = leader.astype(np.float64, copy=False)
     ln = math.sqrt(l64.dot(l64) if leader_sq is None else leader_sq)
     rows = g.astype(np.float64, copy=False).reshape(-1, g.shape[-1])
-    # np.linalg.norm's bits, without its wrapper
-    gn = [math.sqrt(r.dot(r)) for r in rows] if g_sq is None else [math.sqrt(s) for s in g_sq]
-    skip = [k for k, n in enumerate(gn) if n <= EPS_NORM or ln <= EPS_NORM]
+    # the row norms as one column, np.linalg.norm's bits
+    gn = np.sqrt((rows[:, None] @ rows[:, :, None])[:, 0] if g_sq is None else np.array(g_sq)[:, None])
+    skip = [k for k, n in enumerate(gn[:, 0].tolist()) if n <= EPS_NORM or ln <= EPS_NORM]
     for k in skip:
-        log.warning("alignment correction skipped for near-zero vector (norms %.3e, %.3e)", gn[k], ln)
+        log.warning("alignment correction skipped for near-zero vector (norms %.3e, %.3e)", gn[k, 0], ln)
     if len(skip) == len(gn):
         return g
-    gn = np.array(gn)[:, None]
     if skip:
         gn[skip] = 1.0  # a skipped row is put back below
     u_g = rows / gn
     u_l = l64 / ln
     # g + (lambda_g / ||g||) * (u_l - cos * u_g) in place, each step as the formula rounds it
-    shift = np.array([u.dot(u_l) for u in u_g])[:, None] * u_g
+    shift = (u_g[:, None] @ u_l) * u_g
     np.subtract(u_l, shift, out=shift)
     shift *= np.asarray(lambda_g, dtype=np.float64).reshape(-1, 1) / gn
     shift += rows

@@ -65,7 +65,8 @@ class Cohort:
     the round takes.
 
     ``values[k]`` is the gradient of client ``ids[k]``, ids ascending, and
-    ``sq[k]`` its squared norm, one float64 dot product per row. A row
+    ``sq[k]`` its float64 squared norm: one stacked matmul of ``[n, 1, P]``
+    by ``[n, P, 1]`` gives every row's ``v.dot(v)``, bit for bit. A row
     whose norm ``sqrt(sq[k])`` is at most ``EPS_NORM`` is degenerate:
     ``excluded`` lists those ids, ``usable`` the others and ``usable_rows``
     their rows. ``stack`` holds the usable rows in float64, ``gram`` their
@@ -80,9 +81,10 @@ class Cohort:
         self.values = values
         self.round = round_t
         v64 = values.astype(np.float64, copy=False)
-        self.sq = [float(v.dot(v)) for v in v64]
-        keep = [math.sqrt(s) > EPS_NORM for s in self.sq]
-        self.usable_rows = [k for k, ok in enumerate(keep) if ok]
+        sq = (v64[:, None] @ v64[:, :, None]).ravel()
+        self.sq = sq.tolist()
+        keep = np.sqrt(sq) > EPS_NORM
+        self.usable_rows = np.flatnonzero(keep).tolist()
         self.usable = [self.ids[k] for k in self.usable_rows]
         self.excluded = tuple(i for i, ok in zip(self.ids, keep) if not ok)
         self.stack = v64[keep]
@@ -112,12 +114,10 @@ def angular_deviation(
 ) -> float:
     """Angle in [0, pi] between two vectors from <a,a>, <b,b> and <a,b>.
 
-    A caller that holds any of the three dot products passes it as ``aa``,
-    ``bb`` or ``ab``; the others are taken here in float64, so a vector
-    whose squared norm is passed must already be float64 (a row of
-    :attr:`Cohort.stack` and its ``diag`` entry). When all three are
-    passed, ``a`` and ``b`` are not read. The cosine <a,b> / sqrt(<a,a> *
-    <b,b>) is clamped into [-1, 1] before ``math.acos``.
+    A caller passes all three float64 dot products as ``aa``, ``bb`` and
+    ``ab`` (read from a :class:`Cohort`'s Gram), and ``a`` and ``b`` are
+    not read; or none, and they are taken here in float64. The cosine
+    <a,b> / sqrt(<a,a> * <b,b>) is clamped into [-1, 1] before ``math.acos``.
 
     Taken here by one dot kernel, the three products share one summation
     order, so a vector and its copy or positive power-of-two multiple give
@@ -127,18 +127,13 @@ def angular_deviation(
     cosine below 1 into about 1e-8 rad. Away from parallel the Gram angle
     agrees with a plain-Python float64 loop to about 1e-15 rad.
     """
-    if aa is None:
-        a = a.astype(np.float64, copy=False)
-        aa = float(a.dot(a))
-    if bb is None:
-        b = b.astype(np.float64, copy=False)
-        bb = float(b.dot(b))
+    if ab is None:
+        a, b = a.astype(np.float64, copy=False), b.astype(np.float64, copy=False)
+        aa, bb, ab = float(a.dot(a)), float(b.dot(b)), float(a.dot(b))
     if aa <= _EPS_SQ or bb <= _EPS_SQ:
         raise DegenerateGradientError(
             f"cosine undefined for near-zero vector (norms {math.sqrt(aa):.3e}, {math.sqrt(bb):.3e})"
         )
-    if ab is None:
-        ab = float(a.dot(b))
     # sqrt(<a,a> * <b,b>), not a product of roots: equal inputs give exactly 1.0
     c = ab / math.sqrt(aa * bb)
     # min(1.0, max(-1.0, c)) without the builtin calls; NaN still maps to -1.0

@@ -193,9 +193,12 @@ class ClientBank:
     def apply_grads(self, round_t: int, act_grads: np.ndarray) -> None:
         cache, self._cache = self._cache, None
         if cache is None:
-            raise ProtocolError("gradients received before any forward pass")
+            raise client_error(round_t, None, "backward", "gradients received before any forward pass")
         grads = np.empty_like(self.params)
-        backward_client(self.layers, cache, act_grads, grads)  # refuses a stack of another shape
+        try:
+            backward_client(self.layers, cache, act_grads, grads)  # refuses a stack of another shape
+        except ProtocolError as e:
+            raise client_error(round_t, None, "backward", e) from e
         sgd_step(self.params, grads, self.opt)
 
     def eval_activations(self, round_t: int) -> Iterator[np.ndarray]:
@@ -214,9 +217,10 @@ class ClientBank:
         self.params[...] = sum(wk * row for wk, row in zip(w, rows)).astype(self.params.dtype)
 
 
-def client_error(round_t: int, client_id: int, phase: str, problem) -> ProtocolError:
-    """A ProtocolError naming the round, the client and the phase."""
-    return ProtocolError(f"round {round_t} client {client_id} ({phase}): {problem}")
+def client_error(round_t: int, client_id: int | None, phase: str, problem) -> ProtocolError:
+    """A ProtocolError naming the round, the client (None: the cohort) and the phase."""
+    who = "" if client_id is None else f" client {client_id}"
+    return ProtocolError(f"round {round_t}{who} ({phase}): {problem}")
 
 
 def check_activations(round_t: int, client_id: int, phase: str, acts: np.ndarray, shape: tuple[int, int]) -> None:
@@ -282,10 +286,11 @@ class ProxyCohort:
     def apply_grads(self, round_t: int, act_grads: np.ndarray) -> None:
         pending, self._round = self._round, None
         if pending is None:
-            raise ProtocolError("gradients received before any forward pass")
+            raise client_error(round_t, None, "backward", "gradients received before any forward pass")
         lengths, shape = pending
         if act_grads.shape != shape:
-            raise ProtocolError(f"activation grad shape {act_grads.shape} does not match cut shape {shape}")
+            raise client_error(round_t, None, "backward",
+                               f"activation grad shape {act_grads.shape} does not match cut shape {shape}")
         for _ in self._each(round_t, "backward", lambda i, p: p.apply_grads(round_t, act_grads[i, : lengths[i]])):
             pass
 
@@ -444,8 +449,7 @@ class TrainingEngine:
         acts = self.clients.forward(t, rows, lengths)
         shape = (len(ids), rows.shape[1], self.fan_in)
         if acts.shape != shape:
-            raise ProtocolError(f"round {t} (forward): expected an activation stack of shape {shape}, "
-                                f"got {acts.shape}")
+            raise client_error(t, None, "forward", f"expected an activation stack of shape {shape}, got {acts.shape}")
         self.samples_consumed += sum(lengths)
 
         # the server forwards client by client on views of the stack, then

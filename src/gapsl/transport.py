@@ -8,11 +8,12 @@ Frame layout (little-endian):
     length  u32      body length, capped at 64 MiB
     body    length bytes, tag-specific
 
-Matrix-bearing bodies (ACTIVATIONS, ACT_GRADS, EVAL_RESULT) are
-``round u32, client_id u16, rows u32, cols u32`` followed by rows*cols
-IEEE-754 single-precision values. Payload floats must be finite; the wire
-carries the experiment's float32 precision losslessly, so TCP runs and
-in-process runs produce identical results.
+Matrix-bearing bodies (ACTIVATIONS, ACT_GRADS, EVAL_RESULT: each a
+:class:`MatrixMessage`) are ``round u32, client_id u16, rows u32, cols
+u32`` followed by rows*cols IEEE-754 single-precision values. Payload
+floats must be finite; the wire carries the experiment's float32
+precision losslessly, so TCP runs and in-process runs produce identical
+results.
 
 Handshake: a client opens with HELLO carrying its id; the server answers
 with CONFIG (the canonical key=value config text) or closes the
@@ -30,6 +31,10 @@ The coordinator waits at most ``PEER_TIMEOUT_S`` for each frame a client
 owes it (activations, eval results), so a live but silent peer ends the
 run with a :class:`ProtocolError` instead of hanging it. A client waits
 on the coordinator without a deadline.
+
+Both ends check a matrix frame with :func:`expect_matrix`. Checks here say
+only what went wrong; each end names a failure inside a round once, as
+``round t client i (phase): problem`` (``orchestrator.client_error``).
 """
 
 from __future__ import annotations
@@ -78,24 +83,24 @@ class ConfigMsg:
 
 
 @dataclass
-class Activations:
+class MatrixMessage:
+    """A float32 matrix for one round and one client; its subclass names the tag."""
+
     round: int
     client_id: int
     matrix: np.ndarray
 
 
-@dataclass
-class ActGrads:
-    round: int
-    client_id: int
-    matrix: np.ndarray
+class Activations(MatrixMessage):
+    """A client's cut-layer activations for its training batch."""
 
 
-@dataclass
-class EvalResult:
-    round: int
-    client_id: int
-    matrix: np.ndarray
+class ActGrads(MatrixMessage):
+    """The server's gradients for those activations."""
+
+
+class EvalResult(MatrixMessage):
+    """A client's cut-layer activations for the test set."""
 
 
 @dataclass
@@ -108,19 +113,9 @@ class Bye:
     pass
 
 
-WireMessage = Hello | ConfigMsg | Activations | ActGrads | EvalResult | Metrics | Bye
+WireMessage = Hello | ConfigMsg | MatrixMessage | Metrics | Bye
 
 _MATRIX_TAGS = {Activations: TAG_ACTIVATIONS, ActGrads: TAG_ACT_GRADS, EvalResult: TAG_EVAL_RESULT}
-
-
-def _matrix_body(msg) -> tuple[bytes, np.ndarray]:
-    """The matrix header and the float32 payload, which the frame copies once."""
-    m = np.ascontiguousarray(msg.matrix, dtype="<f4")
-    if m.ndim != 2:
-        raise ProtocolError(f"matrix payload must be 2-D, got shape {m.shape}")
-    if not np.isfinite(m).all():
-        raise ProtocolError("refusing to encode non-finite payload floats")
-    return struct.pack(MATRIX_FMT, msg.round, msg.client_id, *m.shape), m
 
 
 def encode(msg: WireMessage) -> bytes:
@@ -131,8 +126,13 @@ def encode(msg: WireMessage) -> bytes:
             tag, body = TAG_HELLO, struct.pack("<H", msg.client_id)
         elif isinstance(msg, ConfigMsg):
             tag, body = TAG_CONFIG, msg.text.encode("utf-8")
-        elif isinstance(msg, (Activations, ActGrads, EvalResult)):
-            tag, (body, payload) = _MATRIX_TAGS[type(msg)], _matrix_body(msg)
+        elif type(msg) in _MATRIX_TAGS:
+            payload = np.ascontiguousarray(msg.matrix, dtype="<f4")  # the frame copies it once
+            if payload.ndim != 2:
+                raise ProtocolError(f"matrix payload must be 2-D, got shape {payload.shape}")
+            if not np.isfinite(payload).all():
+                raise ProtocolError("refusing to encode non-finite payload floats")
+            tag, body = _MATRIX_TAGS[type(msg)], struct.pack(MATRIX_FMT, msg.round, msg.client_id, *payload.shape)
         elif isinstance(msg, Metrics):
             tag, body = TAG_METRICS, json.dumps(msg.payload, sort_keys=True).encode("utf-8")
         elif isinstance(msg, Bye):
@@ -220,6 +220,16 @@ def decode(buf: bytes | bytearray) -> tuple[WireMessage, int] | None:
     if len(buf) < HEADER_SIZE + length:
         return None
     return _DECODERS[tag](buf, length), HEADER_SIZE + length
+
+
+def expect_matrix(msg: WireMessage, kind: type[MatrixMessage], round_t: int, client_id: int) -> np.ndarray:
+    """The matrix of ``msg`` if it is a ``kind`` frame for round ``round_t`` and
+    client ``client_id``, else a :class:`ProtocolError` saying what arrived."""
+    if not isinstance(msg, kind):
+        raise ProtocolError(f"expected {kind.__name__}, got {type(msg).__name__}")
+    if msg.round != round_t or msg.client_id != client_id:
+        raise ProtocolError(f"{kind.__name__} for round {msg.round} client {msg.client_id}")
+    return msg.matrix
 
 
 def parse_address(address: str) -> tuple[str, int]:
@@ -361,26 +371,14 @@ class RemoteClientProxy:
         self.channel = channel
         self.client_id = client_id
 
-    def _expect_matrix(self, msg, want_type, round_t: int) -> np.ndarray:
-        if not isinstance(msg, want_type):
-            raise ProtocolError(
-                f"client {self.client_id}: expected {want_type.__name__}, got {type(msg).__name__}"
-            )
-        if msg.round != round_t or msg.client_id != self.client_id:
-            raise ProtocolError(
-                f"client {self.client_id}: frame for round {msg.round} client {msg.client_id}, "
-                f"expected round {round_t}"
-            )
-        return msg.matrix
-
     def forward_round(self, round_t: int) -> np.ndarray:
-        return self._expect_matrix(self.channel.recv(PEER_TIMEOUT_S), Activations, round_t)
+        return expect_matrix(self.channel.recv(PEER_TIMEOUT_S), Activations, round_t, self.client_id)
 
     def apply_grads(self, round_t: int, act_grads: np.ndarray) -> None:
         self.channel.send(ActGrads(round_t, self.client_id, act_grads))
 
     def eval_activations(self, round_t: int) -> np.ndarray:
-        return self._expect_matrix(self.channel.recv(PEER_TIMEOUT_S), EvalResult, round_t)
+        return expect_matrix(self.channel.recv(PEER_TIMEOUT_S), EvalResult, round_t, self.client_id)
 
     def finish(self, metrics: dict) -> None:
         self.channel.send(Metrics(metrics))
@@ -397,7 +395,7 @@ def client_loop(channel: FrameChannel, client_id: int, handshake_timeout: float 
     METRICS payload.
     """
     from .orchestrator import (  # deps stay one-way
-        ClientBank, build_dataset, build_partition, padded_rows, shard_cursors,
+        ClientBank, build_dataset, build_partition, client_error, padded_rows, shard_cursors,
     )
 
     channel.send(Hello(client_id))
@@ -413,27 +411,25 @@ def client_loop(channel: FrameChannel, client_id: int, handshake_timeout: float 
         (cursor,) = shard_cursors(cfg, seed, build_partition(cfg, seed, train.labels), [client_id])
         bank = ClientBank(cfg, seed, [client_id], train, test)
         for t in range(1, cfg.rounds + 1):
-            rows, (n,) = padded_rows([cursor.next()])
-            acts = bank.forward(t, rows, [n])
-            sent = acts[0, :n]
-            channel.send(Activations(t, client_id, sent))
-            reply = channel.recv()
-            if not isinstance(reply, ActGrads):
-                raise ProtocolError(f"round {t}: expected ACT_GRADS, got {type(reply).__name__}")
-            if reply.round != t or reply.client_id != client_id:
-                raise ProtocolError(
-                    f"round {t} client {client_id}: ACT_GRADS for round {reply.round} client {reply.client_id}"
-                )
-            if reply.matrix.shape != sent.shape:
-                raise ProtocolError(
-                    f"round {t} client {client_id}: ACT_GRADS of shape {reply.matrix.shape}, expected {sent.shape}"
-                )
-            grads = np.zeros_like(acts)
-            grads[0, :n] = reply.matrix
-            bank.apply_grads(t, grads)
-            if is_eval_round(cfg, t):
-                (eval_acts,) = bank.eval_activations(t)
-                channel.send(EvalResult(t, client_id, eval_acts))
+            phase = "forward"
+            try:
+                rows, (n,) = padded_rows([cursor.next()])
+                acts = bank.forward(t, rows, [n])
+                sent = acts[0, :n]
+                channel.send(Activations(t, client_id, sent))
+                phase = "backward"
+                got = expect_matrix(channel.recv(), ActGrads, t, client_id)
+                if got.shape != sent.shape:
+                    raise ProtocolError(f"ActGrads of shape {got.shape}, expected {sent.shape}")
+                grads = np.zeros_like(acts)
+                grads[0, :n] = got
+                bank.apply_grads(t, grads)
+                if is_eval_round(cfg, t):
+                    phase = "eval"
+                    (eval_acts,) = bank.eval_activations(t)
+                    channel.send(EvalResult(t, client_id, eval_acts))
+            except ProtocolError as e:
+                raise client_error(t, client_id, phase, e) from e
 
     final: dict = {}
     while True:

@@ -16,8 +16,8 @@ overrides named in :data:`MATRIX`. For each one, the command runs seeds
 Two checkouts that print the same line for a config replay it bit for bit
 on this host. A ``tcp`` config runs its clients over loopback TCP, each a
 bank of one in its own thread; it hashes the same things as its in-process
-twin (``tcp2`` and ``clients2``, ``tcp10`` and ``desk``, ``tcp10_psl`` and
-``psl``), so each pair prints the same line.
+twin in :data:`TWINS`, so each pair prints the same line. The command exits
+1, naming the pair, when both members of a pair ran and their lines differ.
 
 No reference hashes are kept: OpenBLAS picks its kernels per CPU at run
 time, so the bits depend on the host as much as on the code. Compare
@@ -59,6 +59,7 @@ MATRIX: dict[str, dict[str, str]] = {
     "rand_lgi": {"rand_lgi": "true"},
     "non_lgi": {"non_lgi": "true"},
     "psl": {"strategy": "psl"},
+    "psl2": {"strategy": "psl", "clients": "2", "rounds": "20"},
     "sfl": {"strategy": "sfl"},
     "vanilla_sl": {"strategy": "vanilla_sl"},
     "batch5": {"batch_size": "5"},
@@ -67,7 +68,10 @@ MATRIX: dict[str, dict[str, str]] = {
     "tcp2": {"clients": "2", "rounds": "20", **TCP},
     "tcp10": TCP,
     "tcp10_psl": {"strategy": "psl", **TCP},
+    "tcp2_psl": {"strategy": "psl", "clients": "2", "rounds": "20", **TCP},
 }
+# each TCP config and its in-process twin
+TWINS = {"tcp2": "clients2", "tcp10": "desk", "tcp10_psl": "psl", "tcp2_psl": "psl2"}
 
 
 @contextmanager
@@ -174,8 +178,15 @@ def main(names: list[str]) -> int:
     if unknown:
         print(f"unknown config(s) {unknown}; choose from {list(MATRIX)}", file=sys.stderr)
         return 2
+    hashes = {}
     for name in names or MATRIX:
-        print(f"{name:<12} {fingerprint(MATRIX[name])}", flush=True)
+        hashes[name] = fingerprint(MATRIX[name])
+        print(f"{name:<12} {hashes[name]}", flush=True)
+    split = [f"{tcp} != {twin}" for tcp, twin in TWINS.items()
+             if tcp in hashes and twin in hashes and hashes[tcp] != hashes[twin]]
+    if split:
+        print(f"twins differ: {', '.join(split)}", file=sys.stderr)
+        return 1
     return 0
 
 

@@ -536,6 +536,23 @@ class TestRoundShape:
             cohort.apply_grads(2, acts)
         assert [len(p.got) for p in proxies.values()] == [1, 1]
 
+    def test_cohort_refusals_name_the_round(self):
+        # a refusal of the whole gradient stack names the round and phase,
+        # on either cohort; there is no one client to name
+        cfg = small_config(clients=2)
+        rows, lengths = padded_rows([np.arange(5), np.arange(5, 16)])
+        for cohort, width in ((ProxyCohort({0: StubProxy(5), 1: StubProxy(11)}, 6), 6),
+                              (ClientBank(cfg, 1, range(cfg.clients), *build_dataset(cfg, 1)), 16)):
+            acts = np.zeros((2, 11, width), dtype=np.float32)
+            with pytest.raises(ProtocolError) as e:
+                cohort.apply_grads(3, acts)
+            assert str(e.value) == "round 3 (backward): gradients received before any forward pass"
+            cohort.forward(4, rows, lengths)
+            with pytest.raises(ProtocolError) as e:
+                cohort.apply_grads(4, acts[:, :10])
+            assert str(e.value) == (f"round 4 (backward): activation grad shape {acts[:, :10].shape} "
+                                    f"does not match cut shape {acts.shape}")
+
     @pytest.mark.parametrize("strategy", ["sfl", "vanilla_sl"])
     def test_remote_clients_serve_only_parallel_strategies(self, strategy):
         # sfl would ship client models and vanilla_sl relays one, neither of

@@ -12,7 +12,7 @@ import pytest
 import gapsl.transport as tp
 from gapsl.config import ExperimentConfig, config_to_text
 from gapsl.errors import ProtocolError
-from gapsl.orchestrator import TrainingEngine
+from gapsl.orchestrator import ProxyCohort, TrainingEngine, padded_rows
 from gapsl.reporting import metrics_rows
 from gapsl.transport import (
     ActGrads,
@@ -23,6 +23,7 @@ from gapsl.transport import (
     FrameChannel,
     Hello,
     Listener,
+    MatrixMessage,
     Metrics,
     RemoteClientProxy,
     VERSION,
@@ -155,6 +156,15 @@ class TestParserRobustness:
         with pytest.raises(ProtocolError):
             decode(bytes(frame))
 
+    def test_matrix_messages_are_one_class(self):
+        # one dataclass, three tags: equality and encoding still tell them apart
+        m = np.ones((2, 3), dtype=np.float32)
+        assert all(issubclass(cls, MatrixMessage) for cls in (Activations, ActGrads, EvalResult))
+        assert Activations(1, 0, m) != ActGrads(1, 0, m)
+        assert [encode(cls(1, 0, m))[5] for cls in (Activations, ActGrads, EvalResult)] == [3, 4, 6]
+        with pytest.raises(ProtocolError, match="cannot encode MatrixMessage"):
+            encode(MatrixMessage(1, 0, m))
+
     def test_fuzzed_garbage_never_crashes(self):
         rng = np.random.default_rng(2)
         outcomes = {"msg": 0, "more": 0, "err": 0}
@@ -234,8 +244,9 @@ class TestTcpChannels:
     @staticmethod
     def answer_first_activations(reply):
         """Run client 1 against a fake coordinator on a socketpair, which
-        answers its round-1 activations with ``reply(activations)``; returns
-        the activations and the client's ProtocolError messages."""
+        answers its round-1 activations with ``reply(activations)``, or with
+        no reply at all, by closing the socket, when ``reply`` is None;
+        returns the activations and the client's ProtocolError messages."""
         cfg = ExperimentConfig(
             strategy="psl", clients=2, rounds=2, batch_size=4, samples_per_class=10,
             model_dims=(4, 6, 3), cut=1, seeds=(1,),
@@ -257,7 +268,10 @@ class TestTcpChannels:
             coordinator.send(ConfigMsg(config_to_text(cfg)))
             acts = coordinator.recv(timeout=10)
             assert isinstance(acts, Activations) and (acts.round, acts.client_id) == (1, 1)
-            coordinator.send(reply(acts))
+            if reply is None:
+                coordinator.close()
+            else:
+                coordinator.send(reply(acts))
             worker.join(timeout=10)
         finally:
             coordinator.close()
@@ -272,7 +286,7 @@ class TestTcpChannels:
         _, errors = self.answer_first_activations(
             lambda acts: ActGrads(round_t, client_id, np.zeros_like(acts.matrix))
         )
-        assert errors == [f"round 1 client 1: ACT_GRADS for round {round_t} client {client_id}"]
+        assert errors == [f"round 1 client 1 (backward): ActGrads for round {round_t} client {client_id}"]
 
     @pytest.mark.parametrize("cut", [lambda m: m[:-1], lambda m: np.vstack([m, m]), lambda m: m[:, :-1]],
                              ids=["short", "long", "narrow"])
@@ -281,7 +295,33 @@ class TestTcpChannels:
         # is the one its activations had
         acts, errors = self.answer_first_activations(lambda acts: ActGrads(1, 1, cut(np.ones_like(acts.matrix))))
         bad = cut(acts.matrix).shape
-        assert errors == [f"round 1 client 1: ACT_GRADS of shape {bad}, expected {acts.matrix.shape}"]
+        assert errors == [f"round 1 client 1 (backward): ActGrads of shape {bad}, expected {acts.matrix.shape}"]
+
+    def test_client_names_a_coordinator_gone_mid_round(self):
+        # the coordinator vanishes after round 1's activations: the client's
+        # error names the round, itself and the phase it was waiting in
+        _, errors = self.answer_first_activations(None)
+        assert errors == ["round 1 client 1 (backward): connection closed mid-stream"]
+
+    @pytest.mark.parametrize("frame,problem", [
+        (EvalResult(1, 0, np.zeros((3, 6), np.float32)), "expected Activations, got EvalResult"),
+        (Activations(2, 0, np.zeros((3, 6), np.float32)), "Activations for round 2 client 0"),
+        (Activations(1, 1, np.zeros((3, 6), np.float32)), "Activations for round 1 client 1"),
+    ], ids=["type", "round", "client"])
+    def test_coordinator_names_a_wrong_frame_once(self, frame, problem):
+        # the frame check says what arrived; the TCP cohort adds round,
+        # client and phase, once
+        near, far = socket.socketpair()
+        client = FrameChannel(far)
+        cohort = ProxyCohort({0: RemoteClientProxy(FrameChannel(near), 0)}, 6)
+        try:
+            client.send(frame)
+            with pytest.raises(ProtocolError) as e:
+                cohort.forward(1, *padded_rows([np.arange(3)]))
+            assert str(e.value) == f"round 1 client 0 (forward): {problem}"
+        finally:
+            cohort.proxies[0].channel.close()
+            client.close()
 
     def test_channels_disable_nagle(self):
         # after an eval round a client sends EVAL_RESULT then the next
@@ -506,8 +546,8 @@ class TestEvalPush:
     def test_push_in_a_train_round_fails_the_next_forward(self, monkeypatch):
         # the clients believe every round is an eval round
         monkeypatch.setattr(tp, "is_eval_round", lambda cfg, t: True)
-        with pytest.raises(ProtocolError, match=r"round 2 client 0 \(forward\): client 0: "
-                                                 r"expected Activations, got EvalResult"):
+        with pytest.raises(ProtocolError, match=r"^round 2 client 0 \(forward\): "
+                                                 r"expected Activations, got EvalResult$"):
             self.run_rounds(self.CFG)
 
     def test_missing_push_times_out_in_the_eval_phase(self, monkeypatch):
