@@ -69,7 +69,9 @@ class Cohort:
     by ``[n, P, 1]`` gives every row's ``v.dot(v)``, bit for bit. A row
     whose norm ``sqrt(sq[k])`` is at most ``EPS_NORM`` is degenerate:
     ``excluded`` lists those ids, ``usable`` the others and ``usable_rows``
-    their rows. ``stack`` holds the usable rows in float64, ``gram`` their
+    their rows. ``stack`` holds the usable rows in float64: the float64
+    cast of ``values`` itself when every row is usable, so it shares
+    ``values``' memory when ``values`` is float64. ``gram`` is their
     Gram matrix ``stack @ stack.T`` (one product) and ``diag`` its
     diagonal as Python floats. A loop over the Gram takes one row at a time as a list:
     Python floats are what the per-pair arithmetic wants, and all n² of
@@ -87,7 +89,7 @@ class Cohort:
         self.usable_rows = np.flatnonzero(keep).tolist()
         self.usable = [self.ids[k] for k in self.usable_rows]
         self.excluded = tuple(i for i, ok in zip(self.ids, keep) if not ok)
-        self.stack = v64[keep]
+        self.stack = v64 if len(self.usable_rows) == len(self.ids) else v64[keep]
         self.gram = self.stack @ self.stack.T
         self.diag = self.gram.diagonal().tolist()
 

@@ -21,6 +21,7 @@ when the trend can spare it.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field
 
@@ -163,30 +164,42 @@ def select_consistent(cohort: Cohort, scores: ScoreSet, k_percent: float) -> tup
         return tuple(k for k, cid in zip(rows, cohort.usable) if cid in top)
 
     # one drop per step over arrays this short: Python floats are cheaper
-    # than a dozen numpy calls per step
-    toward_trend = (stack @ trend).tolist()    # <g_i, trend>
-    to_kept = list(toward_trend)               # <g_i, sum of kept>
+    # than a dozen numpy calls per step. Only the dots to the kept sum are
+    # updated as one array per drop, then read back as floats.
+    kept_dots = stack @ trend                  # <g_i, sum of kept>
+    toward_trend = kept_dots.tolist()          # <g_i, trend>
+    to_kept = list(toward_trend)               # kept_dots as Python floats
     along = kept_sq = trend_norm * trend_norm  # <sum of kept, trend>, ||sum of kept||^2
     score = scores.by_row
     cohort_mean = left_sum(score) / len(score)
-    kept = list(range(len(rows)))
+    floor, sqrt = EPS_NORM * EPS_NORM, math.sqrt  # locals: the loop below runs O(n^2) times
+    kept = list(range(len(rows)))                  # ascending rows
+    by_score = sorted(kept, key=score.__getitem__)  # the same rows, ascending scores
     while len(kept) > count:
-        kept_score = left_sum(score[i] for i in kept)
-        worst = max(score[i] for i in kept)
+        kept_score, rest = left_sum(map(score.__getitem__, kept)), len(kept) - 1
+        worst = score[by_score[-1]]
+
+        def may_drop(j: int) -> bool:
+            return not (kept_score - score[j]) / rest > cohort_mean or score[j] == worst
+
+        # With kept_score and rest fixed, (kept_score - s) / rest never rises
+        # as s rises (rounding to nearest is monotone), so the rows that may
+        # drop are a tail of by_score: found by bisection, scored in row order
+        tail = by_score[bisect.bisect_left(by_score, True, key=may_drop) :]
         drop, drop_cos = None, -math.inf
-        for j in kept:
-            if (kept_score - score[j]) / (len(kept) - 1) > cohort_mean and score[j] != worst:
-                continue
+        for j in sorted(tail):
             rest_sq = kept_sq - 2.0 * to_kept[j] + diag[j]
             cos = -2.0
-            if rest_sq > EPS_NORM * EPS_NORM:
-                cos = (along - toward_trend[j]) / (math.sqrt(rest_sq) * trend_norm)
+            if rest_sq > floor:
+                cos = (along - toward_trend[j]) / (sqrt(rest_sq) * trend_norm)
             if cos > drop_cos:
                 drop, drop_cos = j, cos
         kept.remove(drop)
+        by_score.remove(drop)
         along -= toward_trend[drop]
         kept_sq += diag[drop] - 2.0 * to_kept[drop]
-        to_kept = [a - b for a, b in zip(to_kept, gram[drop].tolist())]
+        kept_dots -= gram[drop]
+        to_kept = kept_dots.tolist()
     return tuple(rows[i] for i in kept)
 
 

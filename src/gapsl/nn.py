@@ -18,7 +18,9 @@ once; and evaluation runs the forward loop without a cache.
 Each part's parameters are one flat vector whose layers are views
 (:func:`layer_views`). Backward writes each gradient through ``out=`` into
 that layout in a buffer the caller owns, and :func:`sgd_step` steps a part
-as one array. Forward reads only the layers, so standalone arrays work too.
+as one array, in place: it checks the gradient by its two extremes and forms
+lr*v in a buffer its :class:`SgdState` holds, so a step allocates nothing the
+size of the part. Forward reads only the layers, so standalone arrays work too.
 
 The server pass reduces through ``ufunc.reduce`` directly (``np.add.reduce``,
 ``np.maximum.reduce``): numpy's ``mean``/``sum``/``max`` methods run the same
@@ -45,6 +47,7 @@ stacks so that every product in them runs gemm (``orchestrator.padded_rows``).
 
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -53,6 +56,7 @@ import numpy as np
 from .errors import ConfigError, DataError, NumericError, ProtocolError
 
 ACTIVATIONS = ("relu", "tanh")
+_UNSIGNED = {np.dtype(t).itemsize: np.dtype(t) for t in ("u1", "u2", "u4", "u8")}  # by width, to view labels
 
 
 @dataclass(frozen=True)
@@ -142,12 +146,14 @@ class Cache:
 @dataclass
 class SgdState:
     """SGD-with-momentum state of one part's flat parameters: v <- m*v + g;
-    p <- p - lr*v. ``widths`` gives their layout, to name a tensor."""
+    p <- p - lr*v. ``widths`` gives their layout, to name a tensor, and
+    ``step`` is the buffer, shaped like ``velocity``, that holds lr*v."""
 
     lr: float
     momentum: float
     velocity: np.ndarray
     widths: tuple[int, ...]
+    step: np.ndarray
 
 
 def _act(z: np.ndarray, activation: str, out: np.ndarray | None = None) -> np.ndarray:
@@ -266,7 +272,12 @@ def forward_server(
     batch = activations.shape[0]
     if labels.shape[0] != batch:
         raise DataError(f"{labels.shape[0]} labels for {batch} examples")
-    if labels.size:
+    # read as unsigned, a negative integer label is at least num_classes
+    # too: one reduction finds both kinds, and the range is taken only for
+    # the message, or for labels that are not integers
+    if labels.size and (
+        labels.dtype.kind not in "iu" or np.maximum.reduce(labels.view(_UNSIGNED[labels.itemsize])) >= num_classes
+    ):
         lo, hi = np.minimum.reduce(labels), np.maximum.reduce(labels)
         if lo < 0 or hi >= num_classes:
             raise DataError(f"label out of range [0, {num_classes}): {lo}..{hi}")
@@ -370,25 +381,27 @@ def sgd_state(layers: list[DenseLayer], lr: float, momentum: float) -> SgdState:
         raise ConfigError(f"momentum must be in [0, 1), got {momentum}")
     widths, w = _widths(layers), layers[0].w
     size = sum(fan_in * fan_out + fan_out for fan_in, fan_out in zip(widths, widths[1:]))
-    return SgdState(lr, momentum, np.zeros((*w.shape[:-2], size), dtype=w.dtype), widths)
+    shape = (*w.shape[:-2], size)
+    return SgdState(lr, momentum, np.zeros(shape, dtype=w.dtype), widths, np.empty(shape, dtype=w.dtype))
 
 
 def sgd_step(params: np.ndarray, grads: np.ndarray, state: SgdState) -> None:
     """In-place momentum SGD on one part's flat parameters, or a bank's
     whole matrix at once: v <- m*v + g; p <- p - lr*v. A non-finite
     gradient raises :class:`NumericError` naming the first tensor, in
-    layout order, that holds one, before anything is updated."""
+    layout order, that holds one, before anything is updated. Min and max
+    propagate NaN, so the gradient's extremes are finite only when every
+    entry is; lr*v goes into ``state.step``, rounded as ``state.lr * v`` is."""
     if not params.shape == grads.shape == state.velocity.shape:
         raise ConfigError(f"shapes differ: params {params.shape}, grads {grads.shape}, state {state.velocity.shape}")
-    finite = np.isfinite(grads)
-    if not finite.all():
-        layers = layer_views(finite, state.widths)
+    if not (math.isfinite(np.minimum.reduce(grads, axis=None)) and math.isfinite(np.maximum.reduce(grads, axis=None))):
+        layers = layer_views(np.isfinite(grads), state.widths)
         bad = next(f"layer{i}.{n}" for i, l in enumerate(layers) for n in "wb" if not getattr(l, n).all())
         raise NumericError(f"non-finite gradient for tensor {bad}")
     v = state.velocity
     v *= state.momentum
     v += grads
-    params -= state.lr * v
+    params -= np.multiply(v, state.lr, out=state.step)
 
 
 def logits_from_activations(

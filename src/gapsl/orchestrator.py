@@ -165,7 +165,8 @@ class ClientBank:
     runs one stacked forward over the index matrix of :func:`padded_rows`,
     returns the ``[clients, maxlen, cut]`` activation stack, and takes back
     a gradient stack of that shape whose padding rows are zero, for one
-    stacked backward and momentum-SGD step. Padding rows weigh nothing and
+    stacked backward, into a gradient matrix the bank allocates once, and
+    one momentum-SGD step. Padding rows weigh nothing and
     every product runs gemm, so each client's bits do not depend on its bank.
     """
 
@@ -178,6 +179,7 @@ class ClientBank:
         self.params = np.repeat(build_model(cfg, seed).client_params[None], len(self.client_ids), axis=0)
         self.layers = layer_views(self.params, self.widths)
         self.opt = sgd_state(self.layers, cfg.lr_client, cfg.momentum)
+        self.grads = np.empty_like(self.params)  # every round's backward writes here
         self.train_inputs = train.inputs.astype(np.float32, copy=False)
         self.test_inputs = test.inputs.astype(np.float32, copy=False)
         self._cache = None  # the stacked forward's, until its gradients arrive
@@ -194,12 +196,11 @@ class ClientBank:
         cache, self._cache = self._cache, None
         if cache is None:
             raise client_error(round_t, None, "backward", "gradients received before any forward pass")
-        grads = np.empty_like(self.params)
         try:
-            backward_client(self.layers, cache, act_grads, grads)  # refuses a stack of another shape
+            backward_client(self.layers, cache, act_grads, self.grads)  # refuses a stack of another shape
         except ProtocolError as e:
             raise client_error(round_t, None, "backward", e) from e
-        sgd_step(self.params, grads, self.opt)
+        sgd_step(self.params, self.grads, self.opt)
 
     def eval_activations(self, round_t: int) -> Iterator[np.ndarray]:
         # client by client: a stacked pass over the test set would hold

@@ -3,12 +3,14 @@
 Everything here is deliberately written with plain Python loops and the
 math module only -- no numpy vectorization and no imports from the
 package under test -- so agreement with the real implementations is
-meaningful. The exceptions are the last three sections, which use numpy
+meaningful. The exceptions are the last four sections, which use numpy
 on purpose: bit-exact per-client references, because the stacked passes
 must reproduce the bits of the one-client-at-a-time products; the
-per-tensor list helpers; and the wrapped-reduction references, because
+per-tensor list helpers; the wrapped-reduction references, because
 the package's direct ``ufunc.reduce`` calls must reproduce the bits of
-numpy's ``mean``, ``std``, ``sum``, ``max`` and ``linalg.norm``.
+numpy's ``mean``, ``std``, ``sum``, ``max`` and ``linalg.norm``; and the
+selection reference, because LGI's tail search must pick the rows that
+testing every kept row picks.
 """
 
 from __future__ import annotations
@@ -373,3 +375,54 @@ def alignment_correction(g, leader, lambda_g):
     u_l = l64 / ln
     cos_theta = float(np.dot(u_g, u_l))
     return (g64 + (lambda_g / gn) * (u_l - cos_theta * u_g)).astype(g.dtype)
+
+
+# ---- selection reference ----------------------------------------------------
+#
+# ``lgi.select_consistent`` without its tail search: every step tests every
+# kept row against the bar, with the package's formulas and summation
+# order, so the two must return the same rows.
+
+def select_consistent(cohort, scores, k_percent):
+    """The rows ``lgi.select_consistent`` keeps, testing every kept row at every drop."""
+    rows = cohort.usable_rows
+    count = min(max(1, math.ceil(k_percent * len(cohort.ids) / 100.0)), len(rows))
+    score = scores.by_row
+    if count == len(rows):
+        return tuple(rows)
+    stack, gram, diag = cohort.stack, cohort.gram, cohort.diag
+    trend = np.add.reduce(stack, axis=0)
+    trend_norm = math.sqrt(trend.dot(trend))
+    if trend_norm <= 1e-12:
+        return tuple(sorted(rows[i] for i in sorted(range(len(rows)), key=lambda i: (score[i], i))[:count]))
+
+    toward_trend = (stack @ trend).tolist()
+    to_kept = list(toward_trend)
+    along = kept_sq = trend_norm * trend_norm
+
+    def left_sum(values):
+        total = 0.0
+        for x in values:
+            total += x
+        return total
+
+    cohort_mean = left_sum(score) / len(score)
+    kept = list(range(len(rows)))
+    while len(kept) > count:
+        kept_score = left_sum(score[i] for i in kept)
+        worst = max(score[i] for i in kept)
+        drop, drop_cos = None, -math.inf
+        for j in kept:
+            if (kept_score - score[j]) / (len(kept) - 1) > cohort_mean and score[j] != worst:
+                continue
+            rest_sq = kept_sq - 2.0 * to_kept[j] + diag[j]
+            cos = -2.0
+            if rest_sq > 1e-24:
+                cos = (along - toward_trend[j]) / (math.sqrt(rest_sq) * trend_norm)
+            if cos > drop_cos:
+                drop, drop_cos = j, cos
+        kept.remove(drop)
+        along -= toward_trend[drop]
+        kept_sq += diag[drop] - 2.0 * to_kept[drop]
+        to_kept = [a - b for a, b in zip(to_kept, gram[drop].tolist())]
+    return tuple(rows[i] for i in kept)

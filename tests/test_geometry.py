@@ -1,6 +1,7 @@
 """Gradient geometry: the flat layout, angles, pairwise stats."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -198,6 +199,25 @@ class TestMatrixCohort:
             assert np.array_equal(leader_gradient(listed, selected).values, leader.values)
             assert leader.values.dtype == dtype
             assert deviations_to_leader(listed, leader) == deviations_to_leader(matrix, leader)
+
+    def test_all_usable_rows_are_cast_to_float64_once(self):
+        # a float32 round matrix whose rows are all usable: its float64 cast
+        # is the stack, so building the cohort holds one float64 copy of it,
+        # not two; a float64 matrix is its own stack
+        rng = np.random.default_rng(16)
+        g = rng.normal(size=(4, 20000)).astype(np.float32)
+        tracemalloc.start()
+        try:
+            cohort = Cohort(range(4), g, 1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * g.size * 8
+        assert cohort.stack.dtype == np.float64 and np.array_equal(cohort.stack, g)
+        g64 = g.astype(np.float64)
+        assert np.shares_memory(Cohort(range(4), g64, 1).stack, g64)
+        g64[2] = 0.0  # a degenerate row: the usable rows are copied out
+        assert not np.shares_memory(Cohort(range(4), g64, 1).stack, g64)
 
 
 def oracle_angles(rows):

@@ -7,7 +7,7 @@ import pytest
 
 import oracles
 from gapsl.errors import ConfigError, CoordinationSkipped
-from gapsl.geometry import Cohort, GradientVector
+from gapsl.geometry import Cohort, GradientVector, left_sum
 from gapsl.lgi import (
     LgiConfig,
     LgiState,
@@ -167,6 +167,35 @@ class TestSelectConsistent:
         cohort = matrix_cohort([[1.0, 0.0], [-1.0, 0.0], [0.0, 2.0], [0.0, -2.0], [0.5, 0.5], [-0.5, -0.5]])
         scores = consistency_scores(cohort)
         assert select_consistent(cohort, scores, 50.0) == select_top(scores, 50.0, 6)
+
+    def test_tail_search_matches_testing_every_kept_row(self):
+        # cohorts of 3 to 120 clients, some rows duplicated, each under its
+        # own scores; under scores rounded onto a coarse grid (equal scores,
+        # several rows tied at worst); under scores where only the rows
+        # tied at worst clear the bar, low everywhere else, so that dropping
+        # any other row would leave a mean above the cohort's; and under
+        # one score for every row, where for some n rounding sets the bar
+        # below every row and only the rule that worst may always go drops
+        rng = np.random.default_rng(25)
+        shut = 0
+        for n in (*range(3, 41), *range(44, 121, 4)):
+            vs = rng.normal(size=(n, 12)) + rng.normal(size=12)
+            vs[rng.integers(0, n, size=n // 3)] = vs[rng.integers(0, n, size=n // 3)]
+            cohort = matrix_cohort(vs)
+            own = consistency_scores(cohort).by_row
+            worst = rng.choice(n, size=int(rng.integers(1, max(2, n // 4))), replace=False)
+            only_worst = [3.0 if r in worst else 1.0 for r in range(n)]
+            tied = [1.3] * n
+            shut += (left_sum(tied) - 1.3) / (n - 1) > left_sum(tied) / n
+            for by_row in (own, [round(s, 1) for s in own], only_worst, tied):
+                scores = ScoreSet(1, dict(zip(cohort.usable, by_row)), (), by_row)
+                for k_percent in (20.0, 60.0, float(rng.uniform(1.0, 99.0))):
+                    got = select_consistent(cohort, scores, k_percent)
+                    assert got == oracles.select_consistent(cohort, scores, k_percent), (n, k_percent)
+            # at n - 1 clients only one drop is made, and the bar lets only the worst go
+            kept = select_consistent(cohort, ScoreSet(1, {}, (), only_worst), 100.0 * (n - 1.5) / n)
+            assert len(kept) == n - 1 and set(range(n)) - set(kept) <= set(worst.tolist())
+        assert shut
 
 
 class TestLeaderGradient:

@@ -1,5 +1,8 @@
 """Neural-network core: exact forward/backward, split execution, SGD."""
 
+import itertools
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -130,6 +133,10 @@ class TestForwardServer:
             forward_server(layers, np.zeros((1, 2)), np.array([3]))
         with pytest.raises(DataError, match=r"label out of range \[0, 3\): -1\.\.2"):
             forward_server(layers, np.zeros((2, 2)), np.array([2, -1]))
+        with pytest.raises(DataError, match=r"label out of range \[0, 3\): -7\.\.-7"):
+            forward_server(layers, np.zeros((1, 2)), np.array([-7], dtype=np.int8))
+        with pytest.raises(DataError, match=r"label out of range \[0, 3\): 1\.0\.\.5\.0"):
+            forward_server(layers, np.zeros((2, 2)), np.array([5.0, 1.0]))
 
 
 class TestBackwardServer:
@@ -430,18 +437,38 @@ class TestSgd:
             assert abs(float(layers[0].w[0, 0]) - p) < 1e-9
 
     def test_non_finite_grad_is_numeric_error_naming_tensor(self):
-        # one isfinite over the whole vector; the error names the tensor
-        # holding the first non-finite entry, in a part or a bank row, and
-        # nothing is updated
+        # NaN, -inf and +inf each caught by the gradient's extremes; the
+        # error names the tensor holding the first non-finite entry, in a
+        # part or a bank row, and nothing is updated
         widths = (2, 2, 1)  # layer0.w [0, 4), layer0.b [4, 6), layer1.w [6, 8), layer1.b [8]
-        for clients, offset, name in ((None, 0, "layer0.w"), (None, 5, "layer0.b"), (2, 8, "layer1.b")):
+        cases = ((None, 0, "layer0.w"), (None, 5, "layer0.b"), (2, 8, "layer1.b"))
+        for (clients, offset, name), value in itertools.product(cases, (np.nan, -np.inf, np.inf)):
             lead = () if clients is None else (clients,)
             params = np.zeros((*lead, 9))
             bad = np.zeros_like(params)
-            bad.reshape(-1, 9)[-1, offset] = np.nan  # the last client's row in a bank
+            bad.reshape(-1, 9)[-1, offset] = value  # the last client's row in a bank
             with pytest.raises(NumericError, match=rf"tensor {name}\b"):
                 sgd_step(params, bad, sgd_state(layer_views(params, widths), lr=0.1, momentum=0.0))
             assert not params.any()
+
+    def test_bank_step_allocates_nothing_the_size_of_params(self):
+        # tracemalloc sees numpy's buffers: neither a finiteness mask (a
+        # quarter of float32 params) nor a fresh lr * v is allocated
+        rng = np.random.default_rng(8)
+        widths = (16, 32, 32)
+        params = rng.normal(size=(50, 16 * 32 + 32 + 32 * 32 + 32)).astype(np.float32)
+        grads = rng.normal(size=params.shape).astype(np.float32)
+        state = sgd_state(layer_views(params, widths), lr=0.02, momentum=0.5)
+        want_v = 0.5 * state.velocity + grads
+        want = params - 0.02 * want_v
+        tracemalloc.start()
+        try:
+            sgd_step(params, grads, state)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < params.nbytes // 8
+        assert np.array_equal(state.velocity, want_v) and np.array_equal(params, want)
 
     def test_shapes_must_agree(self):
         params = np.zeros(6)

@@ -754,6 +754,30 @@ class TestClientBank:
             got = params_arrays(layer_views(grads[i], bank.widths))
             assert all(g.dtype == np.float32 and (g == w).all() for g, w in zip(got, want)), i
 
+    def test_every_round_writes_one_gradient_buffer(self, monkeypatch):
+        # the bank's [clients, P] gradient matrix is allocated once: every
+        # round's backward writes into it and its SGD step reads it
+        cfg = small_config(clients=3)
+        engine = TrainingEngine(cfg, 1)
+        written, stepped = [], []
+        backward = orchestrator.backward_client
+        step = orchestrator.sgd_step
+
+        def recording_backward(layers, cache, act_grads, out):
+            written.append(out)
+            return backward(layers, cache, act_grads, out)
+
+        def recording_step(params, grads, state):
+            stepped.append(grads)
+            return step(params, grads, state)
+
+        monkeypatch.setattr(orchestrator, "backward_client", recording_backward)
+        monkeypatch.setattr(orchestrator, "sgd_step", recording_step)
+        for t in (1, 2, 3):
+            engine.run_round(t)
+        assert len(written) == 3 and all(out is written[0] for out in written)
+        assert sum(grads is written[0] for grads in stepped) == 3
+
     @pytest.mark.parametrize("activation", ["relu", "tanh"])
     def test_evaluation_keeps_no_cache_and_changes_nothing(self, activation):
         cfg = small_config(clients=3, activation=activation)
