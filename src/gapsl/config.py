@@ -235,7 +235,9 @@ def validate(cfg: ExperimentConfig) -> list[str]:
             v.append(f"{key} must be finite, got {value}")
     if cfg.strategy not in STRATEGIES:
         v.append(f"strategy must be one of {STRATEGIES}, got {cfg.strategy!r}")
-    # one client is centralized split training; gapsl needs two to compare
+    # the run's client-count rule (a partition asks only for one sample per
+    # client): one client runs psl, sfl and vanilla_sl alike, as
+    # centralized split training; gapsl needs two to compare
     if cfg.clients < (2 if cfg.strategy == "gapsl" else 1):
         v.append(f"clients must be >= 2 for gapsl and >= 1 otherwise, got {cfg.clients}")
     if cfg.rounds < 1:

@@ -3,7 +3,12 @@
 The default dataset is a seeded Gaussian mixture (one isotropic blob per
 class around a random unit-norm center). Partitioning is either IID
 round-robin or per-class Dirichlet allocation whose concentration alpha
-controls label skew: smaller alpha, more skew.
+controls label skew: smaller alpha, more skew. A partition is one sorted
+index array per client, disjoint and covering the whole training set.
+
+A :class:`Dataset` owns the label rule: its labels are integers in [0,
+num_classes), checked once when it is built. Everything downstream, the
+server's loss included, indexes by them unchecked.
 
 An IDX reader (the big-endian MNIST container format) is included for
 running on real image files.
@@ -25,7 +30,7 @@ IDX_MAGIC_IMAGES = 0x00000803
 @dataclass
 class Dataset:
     inputs: np.ndarray   # [n, d] float32
-    labels: np.ndarray   # [n] int64
+    labels: np.ndarray   # [n] integers in [0, num_classes)
     num_classes: int
 
     def __post_init__(self):
@@ -34,22 +39,13 @@ class Dataset:
             raise DataError(f"{self.inputs.shape[0]} inputs but {n} labels")
         if n < self.num_classes:
             raise DataError(f"need at least {self.num_classes} samples, got {n}")
+        if self.labels.dtype.kind not in "iu":
+            raise DataError(f"labels must be integers, got dtype {self.labels.dtype}")
         if n and (self.labels.min() < 0 or self.labels.max() >= self.num_classes):
             raise DataError(f"labels out of range [0, {self.num_classes})")
 
     def __len__(self) -> int:
         return len(self.labels)
-
-
-@dataclass
-class Partition:
-    """Disjoint per-client index lists covering the whole training set."""
-
-    client_indices: list[np.ndarray]
-    alpha: float | None  # None marks an IID split
-
-    def sizes(self) -> list[int]:
-        return [len(ix) for ix in self.client_indices]
 
 
 def synth_gaussian_mixture(
@@ -103,7 +99,7 @@ def _largest_remainder(proportions: np.ndarray, total: int) -> np.ndarray:
 
 def dirichlet_partition(
     labels: np.ndarray, num_clients: int, alpha: float, seed: int
-) -> Partition:
+) -> list[np.ndarray]:
     """Per-class Dirichlet allocation of sample indices across clients.
 
     Each class's indices are split according to a Dirichlet(alpha, ...)
@@ -112,12 +108,10 @@ def dirichlet_partition(
     client stays trainable.
     """
     labels = np.asarray(labels)
-    if num_clients < 2:
-        raise DataError(f"need >= 2 clients, got {num_clients}")
+    if not 1 <= num_clients <= len(labels):
+        raise DataError(f"{len(labels)} samples cannot cover {num_clients} clients")
     if alpha <= 0:
         raise DataError(f"alpha must be > 0, got {alpha}")
-    if len(labels) < num_clients:
-        raise DataError(f"{len(labels)} samples cannot cover {num_clients} clients")
 
     rng = np.random.default_rng(seed)
     per_client: list[list[np.ndarray]] = [[] for _ in range(num_clients)]
@@ -142,19 +136,17 @@ def dirichlet_partition(
             donor = int(np.argmax([len(ix) for ix in client_indices]))
             client_indices[k] = client_indices[donor][:1]
             client_indices[donor] = client_indices[donor][1:]
-    return Partition(client_indices, alpha=alpha)
+    return client_indices
 
 
-def iid_partition(labels: np.ndarray, num_clients: int, seed: int) -> Partition:
+def iid_partition(labels: np.ndarray, num_clients: int, seed: int) -> list[np.ndarray]:
     """Shuffled round-robin split; client sizes differ by at most one."""
     labels = np.asarray(labels)
-    if num_clients < 2:
-        raise DataError(f"need >= 2 clients, got {num_clients}")
-    if len(labels) < num_clients:
+    if not 1 <= num_clients <= len(labels):
         raise DataError(f"{len(labels)} samples cannot cover {num_clients} clients")
     rng = np.random.default_rng(seed)
     perm = rng.permutation(len(labels))
-    return Partition([np.sort(perm[k::num_clients]) for k in range(num_clients)], alpha=None)
+    return [np.sort(perm[k::num_clients]) for k in range(num_clients)]
 
 
 def load_idx(path: str) -> np.ndarray:

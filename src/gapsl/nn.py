@@ -56,7 +56,6 @@ import numpy as np
 from .errors import ConfigError, DataError, NumericError, ProtocolError
 
 ACTIVATIONS = ("relu", "tanh")
-_UNSIGNED = {np.dtype(t).itemsize: np.dtype(t) for t in ("u1", "u2", "u4", "u8")}  # by width, to view labels
 
 
 @dataclass(frozen=True)
@@ -124,19 +123,11 @@ class SplitModel:
 
 
 @dataclass
-class LayerCache:
-    """Per-layer forward state: the input the backward pass reads."""
-
-    inputs: np.ndarray                 # layer input a_{k-1}
-    preact: np.ndarray | None = None   # the server part's output layer only: its logits
-
-
-@dataclass
 class Cache:
     """Forward state of one model part, for its backward pass."""
 
     activation: str
-    layers: list[LayerCache]  # per layer; the server part's last is its linear output layer
+    inputs: list[np.ndarray]  # per layer, its input a_{k-1}; the server part's last is its output layer's
     shapes: list[tuple[tuple[int, ...], tuple[int, ...]]]
     output: np.ndarray | None = None  # client part only: its top layer's activations
     probs: np.ndarray | None = None   # server part only: softmax rows, [batch, classes] or [clients, maxlen, classes]
@@ -199,34 +190,33 @@ def split_model(
 
 
 def forward_hidden(
-    layers: list[DenseLayer], a: np.ndarray, activation: str, caches: list[LayerCache] | None = None
+    layers: list[DenseLayer], a: np.ndarray, activation: str, inputs: list[np.ndarray] | None = None
 ) -> np.ndarray:
     """Apply the hidden layers ``layers`` to ``a``, appending each layer's
-    :class:`LayerCache` to ``caches`` when given. Each layer adds its bias
-    and activates in place on its own product."""
+    input to ``inputs`` when given. Each layer adds its bias and activates
+    in place on its own product."""
     for l in layers:
         z = a @ l.w
         z += l.b
-        if caches is not None:
-            caches.append(LayerCache(inputs=a))
+        if inputs is not None:
+            inputs.append(a)
         a = _act(z, activation, out=z)
     return a
 
 
 def _backprop(
-    layers: list[DenseLayer], caches: list[LayerCache], delta: np.ndarray, activation: str, grads: list[DenseLayer]
+    layers: list[DenseLayer], inputs: list[np.ndarray], delta: np.ndarray, activation: str, grads: list[DenseLayer]
 ) -> np.ndarray:
     """Backprop ``delta``, the gradient at the top layer's pre-activation,
     down ``layers``, writing each layer's (dW, db) into ``grads``. Returns
     the gradient at the first layer's pre-activation. Layer k's input is
     layer k-1's output, so it gives the derivative at layer k-1."""
     for k in range(len(layers) - 1, -1, -1):
-        inputs = caches[k].inputs
-        np.matmul(inputs.swapaxes(-1, -2), delta, out=grads[k].w)
+        np.matmul(inputs[k].swapaxes(-1, -2), delta, out=grads[k].w)
         np.add.reduce(delta, axis=-2, keepdims=True, out=grads[k].b.reshape(*delta.shape[:-2], 1, -1))
         if k:
             delta = delta @ layers[k].w.swapaxes(-1, -2)
-            delta *= _act_grad(inputs, activation)
+            delta *= _act_grad(inputs[k], activation)
     return delta
 
 
@@ -235,7 +225,7 @@ def _grad_views(layers: list[DenseLayer], cache: Cache, out: np.ndarray) -> list
     row per leading index of the cache's inputs (a client of a bank or stack)."""
     if _layer_shapes(layers) != cache.shapes:
         raise ProtocolError("cache does not match these layers; it was produced by a different forward pass")
-    if out.shape[:-1] != cache.layers[0].inputs.shape[:-2]:  # matmul would broadcast into a larger buffer
+    if out.shape[:-1] != cache.inputs[0].shape[:-2]:  # matmul would broadcast into a larger buffer
         raise ConfigError(f"gradient buffer of shape {out.shape} does not fit layers {cache.shapes}")
     return layer_views(out, _widths(layers))
 
@@ -251,9 +241,9 @@ def forward_client(
     w = layers[0].w
     if inputs.ndim != w.ndim or inputs.shape[:-2] != w.shape[:-2] or inputs.shape[-1] != w.shape[-2]:
         raise ConfigError(f"input shape {inputs.shape} does not match first layer weights {w.shape}")
-    caches: list[LayerCache] = []
-    a = forward_hidden(layers, inputs, activation, caches)
-    return a, Cache(activation=activation, layers=caches, shapes=_layer_shapes(layers), output=a)
+    cached: list[np.ndarray] = []
+    a = forward_hidden(layers, inputs, activation, cached)
+    return a, Cache(activation=activation, inputs=cached, shapes=_layer_shapes(layers), output=a)
 
 
 def forward_server(
@@ -262,32 +252,26 @@ def forward_server(
     labels: np.ndarray,
     activation: str = "relu",
 ) -> tuple[np.ndarray, float, Cache]:
-    """Run the server part and the loss; returns per-example losses, their mean, and the cache."""
+    """Run the server part and the loss; returns per-example losses, their mean, and the cache.
+
+    ``labels`` are integers in [0, classes), one per row of ``activations``:
+    they index the logits unchecked, since the :class:`~gapsl.data.Dataset`
+    they come from checks its labels once, when it is built."""
     if activations.ndim != 2 or activations.shape[1] != layers[0].w.shape[0]:
         raise ConfigError(
             f"activation shape {activations.shape} does not match server fan-in {layers[0].w.shape[0]}"
         )
-    num_classes = layers[-1].w.shape[1]
     labels = np.asarray(labels)
     batch = activations.shape[0]
     if labels.shape[0] != batch:
         raise DataError(f"{labels.shape[0]} labels for {batch} examples")
-    # read as unsigned, a negative integer label is at least num_classes
-    # too: one reduction finds both kinds, and the range is taken only for
-    # the message, or for labels that are not integers
-    if labels.size and (
-        labels.dtype.kind not in "iu" or np.maximum.reduce(labels.view(_UNSIGNED[labels.itemsize])) >= num_classes
-    ):
-        lo, hi = np.minimum.reduce(labels), np.maximum.reduce(labels)
-        if lo < 0 or hi >= num_classes:
-            raise DataError(f"label out of range [0, {num_classes}): {lo}..{hi}")
 
-    caches: list[LayerCache] = []
-    a = forward_hidden(layers[:-1], activations, activation, caches)
+    inputs: list[np.ndarray] = []
+    a = forward_hidden(layers[:-1], activations, activation, inputs)
+    inputs.append(a)
     last = layers[-1]
     logits = a @ last.w
     logits += last.b
-    caches.append(LayerCache(inputs=a, preact=logits))
 
     # softmax in one buffer: subtract the row max, exp, divide by the row sum
     top = np.maximum.reduce(logits, axis=1, keepdims=True)
@@ -297,7 +281,7 @@ def forward_server(
     probs /= total
     log_z = np.log(total[:, 0]) + top[:, 0]
     per_example = log_z - logits[np.arange(batch), labels]
-    cache = Cache(activation=activation, layers=caches, shapes=_layer_shapes(layers), probs=probs, labels=labels)
+    cache = Cache(activation=activation, inputs=inputs, shapes=_layer_shapes(layers), probs=probs, labels=labels)
     return per_example, float(np.add.reduce(per_example) / batch), cache
 
 
@@ -321,15 +305,14 @@ def stack_caches(caches: Sequence[Cache], activations: np.ndarray, labels: np.nd
     dtype = first.probs.dtype
     probs = np.zeros((*shape, first.probs.shape[1]), dtype=dtype)
     weights = np.zeros(shape, dtype=dtype)
-    hidden = [np.zeros((*shape, l.inputs.shape[1]), dtype=dtype) for l in first.layers[1:]]
+    hidden = [np.zeros((*shape, a.shape[1]), dtype=dtype) for a in first.inputs[1:]]
     for k, c in enumerate(caches):
         n = len(c.probs)
         probs[k, :n] = c.probs
         weights[k, :n] = 1.0 / n  # the float64 1/batch rounded once, as dtype(1.0 / batch)
-        for h, l in zip(hidden, c.layers[1:]):
-            h[k, :n] = l.inputs
-    layers = [LayerCache(activations), *map(LayerCache, hidden)]
-    return Cache(first.activation, layers, first.shapes, probs=probs, labels=labels), weights
+        for h, a in zip(hidden, c.inputs[1:]):
+            h[k, :n] = a
+    return Cache(first.activation, [activations, *hidden], first.shapes, probs=probs, labels=labels), weights
 
 
 def backward_server(
@@ -356,7 +339,7 @@ def backward_server(
         delta *= probs.dtype.type(1.0 / len(delta))
     else:
         raise ConfigError("a stacked cache needs its loss weights: its padding rows weigh 0")
-    d0 = _backprop(layers, cache.layers, delta, cache.activation, grads)
+    d0 = _backprop(layers, cache.inputs, delta, cache.activation, grads)
     return d0 @ layers[0].w.T
 
 
@@ -370,7 +353,7 @@ def backward_client(layers: list[DenseLayer], cache: Cache, activation_grads: np
             f"activation grad shape {activation_grads.shape} does not match cut shape {top.shape}"
         )
     delta = activation_grads * _act_grad(top, cache.activation)
-    _backprop(layers, cache.layers, delta, cache.activation, grads)  # the inputs take no gradient
+    _backprop(layers, cache.inputs, delta, cache.activation, grads)  # the inputs take no gradient
 
 
 def sgd_state(layers: list[DenseLayer], lr: float, momentum: float) -> SgdState:

@@ -36,7 +36,7 @@ import numpy as np
 from . import gda as gda_mod
 from . import lgi as lgi_mod
 from .config import TCP_STRATEGIES, ExperimentConfig, is_eval_round, require_valid
-from .data import Dataset, Partition, dirichlet_partition, iid_partition, load_idx_dataset, synth_gaussian_mixture
+from .data import Dataset, dirichlet_partition, iid_partition, load_idx_dataset, synth_gaussian_mixture
 from .errors import ConfigError, CoordinationSkipped, ProtocolError
 from .geometry import Cohort, pairwise_mean_deviation
 from .nn import (
@@ -96,7 +96,7 @@ def build_dataset(cfg: ExperimentConfig, seed: int) -> tuple[Dataset, Dataset]:
     )
 
 
-def build_partition(cfg: ExperimentConfig, seed: int, labels: np.ndarray) -> Partition:
+def build_partition(cfg: ExperimentConfig, seed: int, labels: np.ndarray) -> list[np.ndarray]:
     rng = substream(seed, STREAM_PARTITION)
     if cfg.alpha is None:
         return iid_partition(labels, cfg.clients, rng)
@@ -134,13 +134,10 @@ class ShardCursor:
 
 
 def shard_cursors(
-    cfg: ExperimentConfig, seed: int, partition: Partition, ids: Iterable[int]
+    cfg: ExperimentConfig, seed: int, partition: list[np.ndarray], ids: Iterable[int]
 ) -> list[ShardCursor]:
     """The batch streams of clients ``ids``; a TCP client replays its own."""
-    return [
-        ShardCursor(partition.client_indices[i], substream(seed, STREAM_SHUFFLE, i), cfg.batch_size)
-        for i in ids
-    ]
+    return [ShardCursor(partition[i], substream(seed, STREAM_SHUFFLE, i), cfg.batch_size) for i in ids]
 
 
 def padded_rows(batches: Sequence[np.ndarray]) -> tuple[np.ndarray, list[int]]:
@@ -352,7 +349,7 @@ class TrainingEngine:
         cfg: ExperimentConfig,
         seed: int,
         proxies: dict[int, ClientProxy] | None = None,
-        data: tuple[Dataset, Dataset, Partition] | None = None,
+        data: tuple[Dataset, Dataset, list[np.ndarray]] | None = None,
     ):
         require_valid(cfg)
         if proxies is not None and cfg.strategy not in TCP_STRATEGIES:
@@ -480,7 +477,7 @@ class TrainingEngine:
         self.clients.apply_grads(t, act_grads)
 
         if cfg.strategy == "sfl" and t % cfg.sfl_interval == 0:  # in process only: a ClientBank
-            self.clients.average([len(self.partition.client_indices[i]) for i in ids])
+            self.clients.average([len(self.partition[i]) for i in ids])
 
         return RoundReport(
             round=t,

@@ -11,9 +11,11 @@ Frame layout (little-endian):
 Matrix-bearing bodies (ACTIVATIONS, ACT_GRADS, EVAL_RESULT: each a
 :class:`MatrixMessage`) are ``round u32, client_id u16, rows u32, cols
 u32`` followed by rows*cols IEEE-754 single-precision values. Payload
-floats must be finite; the wire carries the experiment's float32
-precision losslessly, so TCP runs and in-process runs produce identical
-results.
+floats must be finite, and the receiver alone checks them, once per hop:
+it refuses a non-finite float, naming its byte offset, and its end names
+the round, the client and the phase. The wire carries the experiment's
+float32 precision losslessly, so TCP runs and in-process runs produce
+identical results.
 
 Handshake: a client opens with HELLO carrying its id; the server answers
 with CONFIG (the canonical key=value config text) or closes the
@@ -130,8 +132,6 @@ def encode(msg: WireMessage) -> bytes:
             payload = np.ascontiguousarray(msg.matrix, dtype="<f4")  # the frame copies it once
             if payload.ndim != 2:
                 raise ProtocolError(f"matrix payload must be 2-D, got shape {payload.shape}")
-            if not np.isfinite(payload).all():
-                raise ProtocolError("refusing to encode non-finite payload floats")
             tag, body = _MATRIX_TAGS[type(msg)], struct.pack(MATRIX_FMT, msg.round, msg.client_id, *payload.shape)
         elif isinstance(msg, Metrics):
             tag, body = TAG_METRICS, json.dumps(msg.payload, sort_keys=True).encode("utf-8")

@@ -267,7 +267,8 @@ class TestC06GradientCorrectness:
             for layer in stack[:-1]:
                 a = np.maximum(a @ layer.w + layer.b, 0)
             unsplit = a @ stack[-1].w + stack[-1].b
-            assert np.max(np.abs(cache.layers[-1].preact - unsplit)) <= 1e-9
+            split = cache.inputs[-1] @ stack[-1].w + stack[-1].b  # the server's logits, as its forward takes them
+            assert np.max(np.abs(split - unsplit)) <= 1e-9
         report("C6 gradient-correctness", True, "3 architectures, rel err <= 1e-6")
 
 

@@ -8,12 +8,15 @@ import os
 import re
 import subprocess
 import sys
+import threading
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import gapsl
+import gapsl.cli as cli
 from gapsl.cli import _build_parser, _collect_overrides, main
 from gapsl.config import ExperimentConfig, config_to_text, parse_config, parse_config_text, validate
 from gapsl.errors import ConfigError, DataError
@@ -240,6 +243,52 @@ class TestRunCommand:
         out = tmp_path / "out"
         run_cli("run", "--config", str(cfg), "--out", str(out))
         assert all(r["wall_ms"] == 0 for r in read_metrics_csv(out / "metrics.csv"))
+
+
+class TestOneClient:
+    """One client runs psl, sfl and vanilla_sl alike, as centralized split
+    training; psl also runs it over TCP."""
+
+    @staticmethod
+    def run_one(tmp_path, name, *flags):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(FAST)
+        out = tmp_path / name
+        assert run_cli("run", "--config", str(cfg), "--clients", "1", "--rounds", "6", "--out", str(out), *flags) == 0
+        return (out / "metrics.csv").read_text().splitlines()
+
+    @pytest.mark.parametrize("alpha", ["0.1", "iid"])
+    def test_strategies_write_the_same_rows_bar_the_strategy(self, tmp_path, alpha):
+        rows = {}
+        for strategy in ("psl", "sfl", "vanilla_sl"):
+            lines = self.run_one(tmp_path, strategy, "--strategy", strategy, "--alpha", alpha)
+            assert len(lines) == 1 + 2 * 6 and all(line.startswith(f"{strategy},") for line in lines[1:])
+            rows[strategy] = [line.split(",", 1)[1] for line in lines[1:]]
+        assert rows["sfl"] == rows["psl"] and rows["vanilla_sl"] == rows["psl"]
+
+    def test_psl_over_tcp_writes_the_in_process_rows(self, tmp_path, monkeypatch):
+        listeners = []
+
+        class Recorded(cli.Listener):
+            def __init__(self, address):
+                super().__init__(address)
+                listeners.append(self)
+
+        monkeypatch.setattr(cli, "Listener", Recorded)
+        tcp_lines = []
+        coordinator = threading.Thread(target=lambda: tcp_lines.append(self.run_one(
+            tmp_path, "tcp", "--transport", "tcp", "--listen", "127.0.0.1:0")))
+        coordinator.start()
+        try:
+            deadline = time.monotonic() + 10
+            while not listeners and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert listeners, "the coordinator never listened"
+            assert run_cli("client", "--connect", listeners[0].address, "--client-id", "0") == 0
+        finally:
+            coordinator.join(timeout=30)
+        assert not coordinator.is_alive()
+        assert tcp_lines == [self.run_one(tmp_path, "inproc")]
 
 
 ROOT = Path(__file__).resolve().parents[1]

@@ -7,7 +7,6 @@ import pytest
 
 from gapsl.data import (
     Dataset,
-    Partition,
     dirichlet_partition,
     iid_partition,
     load_idx,
@@ -24,22 +23,22 @@ def label_distribution(labels: np.ndarray, num_classes: int) -> np.ndarray:
     return hist / max(1, len(labels))
 
 
-def heterogeneity(dataset_labels: np.ndarray, partition: Partition, num_classes: int) -> float:
+def heterogeneity(dataset_labels: np.ndarray, partition: list[np.ndarray], num_classes: int) -> float:
     """Mean per-client total-variation distance from the global label distribution."""
     global_dist = label_distribution(dataset_labels, num_classes)
     tv = [
         0.5 * np.abs(label_distribution(dataset_labels[ix], num_classes) - global_dist).sum()
-        for ix in partition.client_indices
+        for ix in partition
     ]
     return float(np.mean(tv))
 
 
 def assert_valid_partition(partition, n):
-    all_idx = np.concatenate(partition.client_indices)
+    all_idx = np.concatenate(partition)
     assert len(all_idx) == n
     assert len(np.unique(all_idx)) == n  # disjoint
     assert set(all_idx.tolist()) == set(range(n))  # coverage
-    assert all(len(ix) >= 1 for ix in partition.client_indices)
+    assert all(len(ix) >= 1 for ix in partition)
 
 
 class TestGaussianMixture:
@@ -76,7 +75,7 @@ class TestDirichletPartition:
         labels = rng.integers(0, 5, 2000)
         part = dirichlet_partition(labels, 4, alpha=1e6, seed=3)
         global_dist = np.bincount(labels, minlength=5) / len(labels)
-        for ix in part.client_indices:
+        for ix in part:
             dist = np.bincount(labels[ix], minlength=5) / len(ix)
             assert np.max(np.abs(dist - global_dist)) < 0.05
 
@@ -117,18 +116,24 @@ class TestDirichletPartition:
         with pytest.raises(DataError):
             dirichlet_partition(np.zeros(10, dtype=int), 2, -0.5, 0)
         with pytest.raises(DataError):
-            dirichlet_partition(np.zeros(10, dtype=int), 1, 0.5, 0)
+            dirichlet_partition(np.zeros(10, dtype=int), 0, 0.5, 0)
+
+    def test_one_client_gets_every_index(self):
+        # the config decides which strategies may run one client; the split is whole
+        for part in (dirichlet_partition(np.arange(10) % 3, 1, 0.5, 0), iid_partition(np.zeros(10, dtype=int), 1, 0)):
+            assert len(part) == 1 and np.array_equal(part[0], np.arange(10))
 
 
 class TestIidPartition:
     def test_even_sizes(self):
         part = iid_partition(np.zeros(100, dtype=int), 10, seed=0)
-        assert part.sizes() == [10] * 10
+        assert [len(ix) for ix in part] == [10] * 10
         assert_valid_partition(part, 100)
 
     def test_sizes_differ_by_at_most_one(self):
         part = iid_partition(np.zeros(103, dtype=int), 10, seed=0)
-        assert max(part.sizes()) - min(part.sizes()) <= 1
+        sizes = [len(ix) for ix in part]
+        assert max(sizes) - min(sizes) <= 1
         assert_valid_partition(part, 103)
 
     def test_class_histograms_near_global(self):
@@ -136,7 +141,7 @@ class TestIidPartition:
         labels = rng.integers(0, 4, 4000)
         part = iid_partition(labels, 4, seed=2)
         global_dist = np.bincount(labels, minlength=4) / len(labels)
-        for ix in part.client_indices:
+        for ix in part:
             dist = np.bincount(labels[ix], minlength=4) / len(ix)
             assert np.max(np.abs(dist - global_dist)) < 0.05
 
@@ -144,7 +149,7 @@ class TestIidPartition:
         labels = np.zeros(57, dtype=int)
         a = iid_partition(labels, 5, seed=11)
         b = iid_partition(labels, 5, seed=11)
-        assert all(np.array_equal(x, y) for x, y in zip(a.client_indices, b.client_indices))
+        assert all(np.array_equal(x, y) for x, y in zip(a, b))
 
 
 def idx_images_bytes(images):
@@ -243,8 +248,13 @@ class TestLoadIdx:
 
 class TestDatasetInvariants:
     def test_label_range_enforced(self):
-        with pytest.raises(DataError):
-            Dataset(np.zeros((4, 2), dtype=np.float32), np.array([0, 1, 2, 5]), 3)
+        # the server's loss indexes by a dataset's labels unchecked
+        inputs = np.zeros((4, 2), dtype=np.float32)
+        for labels in ([0, 1, 2, 5], [0, 1, 2, -1], np.array([0, 1, 2, -7], dtype=np.int8)):
+            with pytest.raises(DataError, match=r"labels out of range \[0, 3\)"):
+                Dataset(inputs, np.asarray(labels), 3)
+        with pytest.raises(DataError, match="labels must be integers, got dtype float64"):
+            Dataset(inputs, np.array([0.0, 1.0, 2.0, 1.0]), 3)
 
     def test_minimum_size_enforced(self):
         with pytest.raises(DataError):

@@ -10,7 +10,6 @@ import pytest
 import oracles
 import gapsl.orchestrator as orchestrator
 from gapsl.config import ExperimentConfig
-from gapsl.data import Partition
 from gapsl.errors import ConfigError, CoordinationSkipped, ProtocolError
 from gapsl.geometry import Cohort, GradientVector
 from gapsl.nn import forward_client, layer_views, logits_from_activations
@@ -89,8 +88,8 @@ def all_params(engine):
 
 def clone_cursor_state(engine, src_client, dst_client, seed):
     """Make dst client consume exactly src client's shard and batch order."""
-    shared_indices = engine.partition.client_indices[src_client]
-    engine.partition.client_indices[dst_client] = shared_indices
+    shared_indices = engine.partition[src_client]
+    engine.partition[dst_client] = shared_indices
     engine.cursors[dst_client] = ShardCursor(
         shared_indices, substream(seed, STREAM_SHUFFLE, src_client), engine.cfg.batch_size
     )
@@ -142,7 +141,7 @@ class TestGapslBehavior:
         seed = 2
         train, test = build_dataset(cfg, seed)
         partition = build_partition(cfg, seed, train.labels)
-        flipped = partition.client_indices[2]
+        flipped = partition[2]
         train.labels[flipped] = (cfg.num_classes - 1) - train.labels[flipped]
         engine = TrainingEngine(cfg, seed, data=(train, test, partition))
         counts = {0: 0, 1: 0, 2: 0}
@@ -198,7 +197,9 @@ class TestPsl:
         cfg = small_config(strategy="psl", clients=1, rounds=15)
         seed = 7
         train, test = build_dataset(cfg, seed)
-        partition = Partition([np.arange(len(train))], alpha=None)
+        partition = build_partition(cfg, seed, train.labels)
+        (shard,) = partition
+        assert np.array_equal(shard, np.arange(len(train)))  # the one client holds every sample
         engine = TrainingEngine(cfg, seed, data=(train, test, partition))
         engine.run()
 
@@ -346,7 +347,7 @@ class TestRoundAccounting:
         reports = run_experiment(cfg, seed=1)
         n_train = len(train)
         # a fresh epoch serves min(batch, shard) samples per client
-        first_round = sum(min(16, len(ix)) for ix in part.client_indices)
+        first_round = sum(min(16, len(ix)) for ix in part)
         assert reports[0].epoch_equiv == pytest.approx(first_round / n_train)
         assert reports[-1].epoch_equiv <= 4 * 4 * 16 / n_train + 1e-9
         assert all(a < b for a, b in zip(
@@ -662,7 +663,7 @@ class TestFlatParameters:
         # cut to one sample, so each of its batches is one row in a padded stack
         cfg = small_config(strategy="sfl", clients=3, rounds=4, sfl_interval=2, eval_interval=2)
         engine = TrainingEngine(cfg, seed=1)
-        one_sample = engine.partition.client_indices[1][:1]
+        one_sample = engine.partition[1][:1]
         engine.cursors[1] = ShardCursor(one_sample, substream(1, STREAM_SHUFFLE, 1), cfg.batch_size)
         bank = engine.clients
 

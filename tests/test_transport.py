@@ -139,16 +139,11 @@ class TestParserRobustness:
         assert e.value.offset == 6
 
     def test_nan_payload_rejected_with_offset(self):
+        # the sender frames any float; the receiver refuses a non-finite one
         m = np.array([[1.0, np.inf], [0.0, 2.0]], dtype=np.float32)
-        frame = bytearray(encode(Activations(1, 2, np.ones((2, 2), dtype=np.float32))))
-        frame[10 + 14 : 10 + 14 + 16] = m.tobytes()
         with pytest.raises(ProtocolError) as e:
-            decode(bytes(frame))
+            decode(encode(Activations(1, 2, m)))
         assert e.value.offset == 10 + 14 + 4  # second float
-
-    def test_encode_refuses_non_finite(self):
-        with pytest.raises(ProtocolError):
-            encode(Activations(0, 0, np.array([[np.nan]], dtype=np.float32)))
 
     def test_matrix_length_mismatch_rejected(self):
         frame = bytearray(encode(Activations(0, 0, np.ones((2, 2), dtype=np.float32))))
@@ -288,6 +283,15 @@ class TestTcpChannels:
         )
         assert errors == [f"round 1 client 1 (backward): ActGrads for round {round_t} client {client_id}"]
 
+    def test_client_rejects_non_finite_act_grads(self):
+        def poisoned(acts):
+            grads = np.zeros_like(acts.matrix)
+            grads[0, 1] = np.nan
+            return ActGrads(1, 1, grads)
+
+        _, errors = self.answer_first_activations(poisoned)
+        assert errors == ["round 1 client 1 (backward): non-finite payload float (byte offset 28)"]
+
     @pytest.mark.parametrize("cut", [lambda m: m[:-1], lambda m: np.vstack([m, m]), lambda m: m[:, :-1]],
                              ids=["short", "long", "narrow"])
     def test_client_rejects_misshaped_act_grads(self, cut):
@@ -307,7 +311,8 @@ class TestTcpChannels:
         (EvalResult(1, 0, np.zeros((3, 6), np.float32)), "expected Activations, got EvalResult"),
         (Activations(2, 0, np.zeros((3, 6), np.float32)), "Activations for round 2 client 0"),
         (Activations(1, 1, np.zeros((3, 6), np.float32)), "Activations for round 1 client 1"),
-    ], ids=["type", "round", "client"])
+        (Activations(1, 0, np.full((3, 6), -np.inf, np.float32)), "non-finite payload float (byte offset 24)"),
+    ], ids=["type", "round", "client", "non-finite"])
     def test_coordinator_names_a_wrong_frame_once(self, frame, problem):
         # the frame check says what arrived; the TCP cohort adds round,
         # client and phase, once
