@@ -19,8 +19,8 @@ penalty and summed global loss are reported either way.
 
 GDA runs over the cohort's usable rows and corrects its survivors as one
 float64 block, read with their squared norms from the cohort's stack and
-rounded to the gradients' dtype once; the id-keyed dicts of
-:class:`GdaOutcome` are read off the rows.
+rounded to the gradients' dtype once. :class:`GdaOutcome` holds only the
+survivors' rows; the id-keyed views the gates read are built on each read.
 """
 
 from __future__ import annotations
@@ -57,14 +57,20 @@ class GdaConfig:
 
 @dataclass
 class GdaOutcome:
-    deviations: dict[int, float]
     threshold: float
-    survivors: tuple[int, ...]
-    regularized_losses: dict[int, float]
+    survivors: tuple[int, ...]  # ascending; the rows below are theirs
+    losses: list[float]  # regularized
     global_loss: float
-    corrected: dict[int, np.ndarray]
+    corrected_rows: np.ndarray  # [survivors, params]
     fallback: bool  # True when no client survived the filter
-    corrected_rows: np.ndarray  # [survivors, params], ascending id; ``corrected`` keys its rows
+
+    @property
+    def regularized_losses(self) -> dict[int, float]:
+        return dict(zip(self.survivors, self.losses))
+
+    @property
+    def corrected(self) -> dict[int, np.ndarray]:
+        return dict(zip(self.survivors, self.corrected_rows))
 
 
 def deviations_to_leader(cohort: Cohort, leader: GradientVector) -> list[float]:
@@ -151,11 +157,6 @@ def alignment_correction(
     return out.reshape(g.shape)
 
 
-def global_loss(regularized: dict[int, float], survivors: tuple[int, ...]) -> float:
-    """Sum of the regularized losses over the surviving clients."""
-    return float(left_sum(regularized[cid] for cid in survivors))
-
-
 def run_gda(
     cohort: Cohort | list[GradientVector],
     losses: dict[int, float] | np.ndarray,
@@ -194,7 +195,6 @@ def run_gda(
     survivors = tuple(cohort.ids[k] for k in rows)
     keys = survivors if isinstance(losses, dict) else rows
     penalized = [regularized_loss(losses[key], deviations[s], config.lam) for key, s in zip(keys, kept)]
-    regularized = dict(zip(survivors, penalized))
     if config.apply_correction:
         # the survivors' float64 rows and squared norms, as the cohort holds them
         g_sq = [cohort.sq[k] for k in rows]
@@ -205,12 +205,10 @@ def run_gda(
         block = cohort.values[rows]
 
     return GdaOutcome(
-        deviations=dict(zip(cohort.usable, deviations)),
         threshold=threshold,
         survivors=survivors,
-        regularized_losses=regularized,
-        global_loss=global_loss(regularized, survivors),
-        corrected=dict(zip(survivors, block)),
-        fallback=not survivors,
+        losses=penalized,
+        global_loss=float(left_sum(penalized)),  # the engine's losses are np.float64
         corrected_rows=block,
+        fallback=not survivors,
     )

@@ -10,10 +10,10 @@ A round's gradients are one ``[clients, params]`` matrix, prepared once
 (:class:`Cohort`): its usable rows are stacked in float64 and their Gram
 matrix taken by one product. Each angle then reads its cross dot product
 and both squared norms from that Gram: three table lookups, one square
-root and one ``math.acos``. LGI and GDA run over the cohort's rows; the
-id-keyed dicts of their outcomes, :class:`GradientVector` (one client's
-record, or the round's leader) and :func:`prepared` (a cohort of such
-records) are the API the gates call.
+root and one ``math.acos``. LGI and GDA run over the cohort's rows and
+hold each result once, by row. The id-keyed views read off those rows,
+:class:`GradientVector` (one client's record, or the round's leader) and
+:func:`prepared` (a cohort of such records) are the API the gates call.
 
 The round statistics call ``ufunc.reduce`` and ``dot`` directly, as
 :func:`mean_std` does: ``np.mean``, ``np.std`` and ``np.linalg.norm`` give
@@ -66,16 +66,16 @@ class Cohort:
 
     ``values[k]`` is the gradient of client ``ids[k]``, ids ascending, and
     ``sq[k]`` its float64 squared norm: one stacked matmul of ``[n, 1, P]``
-    by ``[n, P, 1]`` gives every row's ``v.dot(v)``, bit for bit. A row
-    whose norm ``sqrt(sq[k])`` is at most ``EPS_NORM`` is degenerate:
-    ``excluded`` lists those ids, ``usable`` the others and ``usable_rows``
-    their rows. ``stack`` holds the usable rows in float64: the float64
-    cast of ``values`` itself when every row is usable, so it shares
-    ``values``' memory when ``values`` is float64. ``gram`` is their
-    Gram matrix ``stack @ stack.T`` (one product) and ``diag`` its
-    diagonal as Python floats. A loop over the Gram takes one row at a time as a list:
-    Python floats are what the per-pair arithmetic wants, and all n² of
-    them at once would take 32 bytes each (32 MB at 1000 clients).
+    by ``[n, P, 1]`` gives every row's ``v.dot(v)``, bit for bit. A row whose
+    norm ``sqrt(sq[k])`` is at most ``EPS_NORM`` is degenerate; ``usable``
+    lists the other ids and ``usable_rows`` their rows. ``stack`` holds the
+    usable rows in float64: the float64 cast of ``values`` itself when every
+    row is usable, so it shares ``values``' memory when ``values`` is
+    float64. ``gram`` is their Gram matrix ``stack @ stack.T`` (one product)
+    and ``diag`` its diagonal as Python floats. A loop over the Gram takes
+    one row at a time as a list: Python floats are what the per-pair
+    arithmetic wants, and all n² of them at once would take 32 bytes each
+    (32 MB at 1000 clients).
     """
 
     def __init__(self, ids: Sequence[int], values: np.ndarray, round_t: int):
@@ -88,7 +88,6 @@ class Cohort:
         keep = np.sqrt(sq) > EPS_NORM
         self.usable_rows = np.flatnonzero(keep).tolist()
         self.usable = [self.ids[k] for k in self.usable_rows]
-        self.excluded = tuple(i for i, ok in zip(self.ids, keep) if not ok)
         self.stack = v64 if len(self.usable_rows) == len(self.ids) else v64[keep]
         self.gram = self.stack @ self.stack.T
         self.diag = self.gram.diagonal().tolist()

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -57,12 +57,14 @@ class LgiState:
 
 @dataclass
 class ScoreSet:
-    """Per-client consistency scores; degenerate clients are listed separately."""
+    """Per-client consistency scores, keyed by client id."""
 
     round: int
     scores: dict[int, float]
-    excluded: tuple[int, ...] = ()
-    by_row: list[float] = field(default_factory=list)  # the scores in usable-row order
+
+    @property
+    def by_row(self) -> list[float]:  # by ascending id: the cohort's usable-row order
+        return [s for _, s in sorted(self.scores.items())]
 
 
 @dataclass
@@ -94,7 +96,7 @@ def consistency_scores(cohort: Cohort) -> ScoreSet:
             if j != i:
                 total += angular_deviation(a, rows[j], aa, diag[j], row[j])
         by_row.append(total / (n - 1))
-    return ScoreSet(cohort.round, dict(zip(cohort.usable, by_row)), cohort.excluded, by_row)
+    return ScoreSet(cohort.round, dict(zip(cohort.usable, by_row)))
 
 
 def selection_ratio(state: LgiState, config: LgiConfig, scores: ScoreSet) -> float:
@@ -110,7 +112,7 @@ def selection_ratio(state: LgiState, config: LgiConfig, scores: ScoreSet) -> flo
         raise ConfigError(
             f"round {state.round} outside [1, {config.total_rounds}]"
         )
-    _, nu = mean_std(list(scores.scores.values()))
+    _, nu = mean_std(scores.by_row)
     state.nu_min = nu if state.nu_min is None else min(state.nu_min, nu)
     state.nu_max = nu if state.nu_max is None else max(state.nu_max, nu)
 
@@ -149,8 +151,8 @@ def select_consistent(cohort: Cohort, scores: ScoreSet, k_percent: float) -> tup
     gradients cancel has no direction and ranks below every other.
 
     When the trend itself is degenerate there is nothing to follow, and
-    the selection falls back to :func:`select_top`. ``scores`` must be the
-    cohort's :func:`consistency_scores`.
+    the selection falls back to :func:`select_top`. ``scores`` holds one
+    score per usable client, as :func:`consistency_scores` builds it.
     """
     rows = cohort.usable_rows  # ascending, as are their ids
     count = min(selection_count(k_percent, len(cohort.ids)), len(rows))

@@ -7,9 +7,10 @@ overrides named in :data:`MATRIX`. For each one, the command runs seeds
 1-3 and prints one sha256 over:
 
 - every round's server gradient matrix ``g``, as the round's cohort holds it;
-- every GDA pass's deviations to the leader, and every alignment
-  correction's result, in float64: the engine's float32 state rounds a
-  change of one ulp in them away;
+- every GDA pass's deviations to the leader, caught from
+  ``gda.deviations_to_leader``, and every alignment correction's result,
+  in float64: the engine's float32 state rounds a change of one ulp in
+  them away;
 - each seed's ``metrics_rows`` and its final server and client-bank
   parameters.
 
@@ -78,16 +79,27 @@ TWINS = {"tcp2": "clients2", "tcp10": "desk", "tcp10_psl": "psl", "tcp2_psl": "p
 def probes(digest):
     """Hash every round's ``g`` as the round builds its cohort, every GDA
     pass's (id, deviation) pairs in float64 and every alignment correction's
-    result, in float64 as ``run_gda`` passes it, into ``digest``."""
-    cohort, run_gda, correct = orchestrator.Cohort, gda_mod.run_gda, gda_mod.alignment_correction
+    result, in float64 as ``run_gda`` passes it, into ``digest``.
+
+    The deviations are caught as ``deviations_to_leader`` returns them and
+    hashed once ``run_gda`` returns, after that pass's correction, so each
+    pass feeds the digest in the same order as when the outcome held them."""
+    cohort, run_gda = orchestrator.Cohort, gda_mod.run_gda
+    deviations, correct = gda_mod.deviations_to_leader, gda_mod.alignment_correction
+    caught = []
 
     def probed_cohort(ids, values, round_t):
         digest.update(values.tobytes())
         return cohort(ids, values, round_t)
 
+    def probed_deviations(gradients, leader):
+        out = deviations(gradients, leader)
+        caught.append(list(zip(gradients.usable, out)))
+        return out
+
     def probed_gda(*args, **kwargs):
         out = run_gda(*args, **kwargs)
-        digest.update(np.array(list(out.deviations.items()), dtype=np.float64).tobytes())
+        digest.update(np.array(caught.pop(), dtype=np.float64).tobytes())
         return out
 
     def probed_correction(*args, **kwargs):
@@ -95,11 +107,13 @@ def probes(digest):
         digest.update(out.tobytes())
         return out
 
-    orchestrator.Cohort, gda_mod.run_gda, gda_mod.alignment_correction = probed_cohort, probed_gda, probed_correction
+    probed = (probed_cohort, probed_gda, probed_deviations, probed_correction)
+    saved = (cohort, run_gda, deviations, correct)
+    orchestrator.Cohort, gda_mod.run_gda, gda_mod.deviations_to_leader, gda_mod.alignment_correction = probed
     try:
         yield
     finally:
-        orchestrator.Cohort, gda_mod.run_gda, gda_mod.alignment_correction = cohort, run_gda, correct
+        orchestrator.Cohort, gda_mod.run_gda, gda_mod.deviations_to_leader, gda_mod.alignment_correction = saved
 
 
 def run_inproc(cfg):

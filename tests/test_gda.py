@@ -13,7 +13,6 @@ from gapsl.gda import (
     alignment_correction,
     deviations_to_leader,
     filter_clients,
-    global_loss,
     regularized_loss,
     run_gda,
 )
@@ -269,21 +268,6 @@ class TestAlignmentCorrection:
         g = np.array([1.0, 0.0], dtype=np.float32)
         out = alignment_correction(g, np.array([0.0, 1.0], dtype=np.float32), 0.5)
         assert out.dtype == np.float32
-
-
-class TestGlobalLoss:
-    def test_singleton(self):
-        assert global_loss({3: 1.25}, (3,)) == 1.25
-
-    def test_two_clients(self):
-        assert global_loss({0: 1.0, 1: 2.5}, (0, 1)) == 3.5
-
-    def test_matches_sum_oracle_fuzz(self):
-        rng = np.random.default_rng(6)
-        for _ in range(100):
-            losses = {i: float(rng.uniform(0, 5)) for i in range(int(rng.integers(1, 9)))}
-            ids = tuple(sorted(rng.choice(list(losses), size=int(rng.integers(1, len(losses) + 1)), replace=False)))
-            assert abs(global_loss(losses, ids) - sum(losses[i] for i in ids)) <= 1e-12
 
 
 class TestRunGda:

@@ -187,8 +187,8 @@ class TestMatrixCohort:
 
             assert listed.ids == matrix.ids == ids
             assert listed.sq == matrix.sq
-            assert matrix.excluded == tuple(i for i, v in zip(ids, vs) if GradientVector(i, 1, v).is_degenerate())
-            assert matrix.excluded == listed.excluded and 0 < len(matrix.excluded) < len(ids) - 2
+            assert matrix.usable == [i for i, v in zip(ids, vs) if not GradientVector(i, 1, v).is_degenerate()]
+            assert matrix.usable == listed.usable and 2 < len(matrix.usable) < len(ids)
             assert pairwise_mean_deviation(listed) == pairwise_mean_deviation(matrix)
             scores = consistency_scores(matrix)
             assert consistency_scores(listed).scores == scores.scores

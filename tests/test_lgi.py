@@ -57,7 +57,6 @@ class TestConsistencyScores:
     def test_degenerate_clients_excluded(self):
         cohort = matrix_cohort([[1.0, 0.0], [0.0, 0.0], [0.0, 1.0]])
         scores = consistency_scores(cohort)
-        assert scores.excluded == (1,)
         assert set(scores.scores) == {0, 2}
         # remaining pair scores against each other only
         assert abs(scores.scores[0] - math.pi / 2) < 1e-12
@@ -122,7 +121,7 @@ class TestSelectionRatio:
 class TestSelectTop:
     def test_k_100_selects_everyone(self):
         scores = ScoreSet(1, {0: 0.3, 1: 0.1, 2: 0.2})
-        assert select_top(scores, 100.0, 3) == (1, 2, 0)[0:3] or set(select_top(scores, 100.0, 3)) == {0, 1, 2}
+        assert select_top(scores, 100.0, 3) == (0, 1, 2)
 
     def test_hand_case_selects_most_consistent(self):
         scores = ScoreSet(1, {0: 3 * math.pi / 8, 1: 3 * math.pi / 8, 2: math.pi / 4})
@@ -175,25 +174,32 @@ class TestSelectConsistent:
         # tied at worst clear the bar, low everywhere else, so that dropping
         # any other row would leave a mean above the cohort's; and under
         # one score for every row, where for some n rounding sets the bar
-        # below every row and only the rule that worst may always go drops
+        # below every row and only the rule that worst may always go drops.
+        # Each score set is built from its scores alone, as the gates build it
         rng = np.random.default_rng(25)
         shut = 0
         for n in (*range(3, 41), *range(44, 121, 4)):
             vs = rng.normal(size=(n, 12)) + rng.normal(size=12)
             vs[rng.integers(0, n, size=n // 3)] = vs[rng.integers(0, n, size=n // 3)]
             cohort = matrix_cohort(vs)
-            own = consistency_scores(cohort).by_row
+            own_set = consistency_scores(cohort)
+            own = own_set.by_row
             worst = rng.choice(n, size=int(rng.integers(1, max(2, n // 4))), replace=False)
             only_worst = [3.0 if r in worst else 1.0 for r in range(n)]
             tied = [1.3] * n
             shut += (left_sum(tied) - 1.3) / (n - 1) > left_sum(tied) / n
             for by_row in (own, [round(s, 1) for s in own], only_worst, tied):
-                scores = ScoreSet(1, dict(zip(cohort.usable, by_row)), (), by_row)
+                scores = ScoreSet(1, dict(zip(cohort.usable, by_row)))
                 for k_percent in (20.0, 60.0, float(rng.uniform(1.0, 99.0))):
                     got = select_consistent(cohort, scores, k_percent)
                     assert got == oracles.select_consistent(cohort, scores, k_percent), (n, k_percent)
+                    if by_row is own:  # an equal set, whatever order its dict was filled in
+                        reversed_set = ScoreSet(1, dict(reversed(own_set.scores.items())))
+                        for same in (own_set, reversed_set):
+                            assert got == select_consistent(cohort, same, k_percent), (n, k_percent)
             # at n - 1 clients only one drop is made, and the bar lets only the worst go
-            kept = select_consistent(cohort, ScoreSet(1, {}, (), only_worst), 100.0 * (n - 1.5) / n)
+            worst_set = ScoreSet(1, dict(zip(cohort.usable, only_worst)))
+            kept = select_consistent(cohort, worst_set, 100.0 * (n - 1.5) / n)
             assert len(kept) == n - 1 and set(range(n)) - set(kept) <= set(worst.tolist())
         assert shut
 
