@@ -270,6 +270,39 @@ class TestAlignmentCorrection:
         assert out.dtype == np.float32
 
 
+class TestGlobalLoss:
+    """run_gda's global_loss: its survivors' regularized losses summed, as a float."""
+
+    @staticmethod
+    def outcome(losses, kept):
+        # kept clients lie on the leader, the rest opposite it; lam 0 leaves each loss as it is
+        vectors = [GradientVector(i, 1, np.array([1.0, 0.0] if i in kept else [-1.0, 0.0])) for i in losses]
+        cfg = GdaConfig(lam=0.0, threshold_override=math.pi / 4)
+        return run_gda(vectors, losses, leader_of([1.0, 0.0]), cfg)
+
+    def test_singleton(self):
+        out = self.outcome({3: 1.25}, (3,))
+        assert out.survivors == (3,)
+        assert out.global_loss == 1.25
+
+    def test_two_clients(self):
+        out = self.outcome({0: 1.0, 1: 2.5}, (0, 1))
+        assert out.survivors == (0, 1)
+        assert out.global_loss == 3.5
+
+    def test_matches_sum_oracle_fuzz(self):
+        # the engine's losses are np.float64; the outcome holds a plain float
+        rng = np.random.default_rng(6)
+        for _ in range(100):
+            losses = {i: np.float64(rng.uniform(0, 5)) for i in range(int(rng.integers(1, 9)))}
+            picked = rng.choice(list(losses), size=int(rng.integers(1, len(losses) + 1)), replace=False)
+            ids = tuple(sorted(int(i) for i in picked))
+            out = self.outcome(losses, ids)
+            assert out.survivors == ids
+            assert type(out.global_loss) is float
+            assert abs(out.global_loss - sum(losses[i] for i in ids)) <= 1e-12
+
+
 class TestRunGda:
     def test_fully_aligned_cohort_keeps_everyone_unchanged(self):
         vs = [[1.0, 1.0], [2.0, 2.0], [0.5, 0.5]]
