@@ -14,30 +14,45 @@ overrides named in :data:`MATRIX`. For each one, the command runs seeds
 - each seed's ``metrics_rows`` and its final server and client-bank
   parameters.
 
-Two checkouts that print the same line for a config replay it bit for bit
-on this host. A ``tcp`` config runs its clients over loopback TCP, each a
-bank of one in its own thread; it hashes the same things as its in-process
-twin in :data:`TWINS`, so each pair prints the same line. The command exits
-1, naming the pair, when both members of a pair ran and their lines differ.
+A ``tcp`` config runs its clients over loopback TCP, each a bank of one in
+its own thread; it hashes the same things as its in-process twin in
+:data:`TWINS`, so each pair prints the same line.
 
-No reference hashes are kept: OpenBLAS picks its kernels per CPU at run
-time, so the bits depend on the host as much as on the code. Compare
-two checkouts on one machine instead. Pytest does not collect this file
-(its name does not start with ``test_``).
+OpenBLAS picks its kernels per CPU at run time, so the bits depend on the
+build and the host as much as on the code. ``FINGERPRINTS.json`` keeps the
+reference lines per build, keyed by :func:`build_key`: the numpy version,
+the BLAS build string ``manifest.json`` records and the OpenBLAS core
+picked at run time. The command exits
+
+- 0 when every line it printed equals this build's reference;
+- 1 when a line differs from it (the line is marked ``moved``), or when
+  both members of a twin pair ran and their lines differ;
+- 3 with "no reference for this build" when the file holds no entry for
+  this build's key, so the lines can be compared across two checkouts on
+  one machine only.
+
+Whenever a line moved or no reference exists, it prints this build's
+entry with the new lines to stderr, as JSON: a change that moves bits on
+purpose puts that entry in the file and names every moved row.
+``tests/test_fingerprints.py`` runs the command under pytest. Pytest does
+not collect this file (its name does not start with ``test_``).
 """
 
 from __future__ import annotations
 
+import ctypes
 import hashlib
+import json
 import sys
 import threading
 from contextlib import contextmanager
 from pathlib import Path
 
-import numpy as np
-
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
+
+import gapsl  # noqa: E402,F401  (before numpy: it pins the BLAS thread pools)
+import numpy as np  # noqa: E402
 
 from gapsl import gda as gda_mod  # noqa: E402
 from gapsl import orchestrator  # noqa: E402
@@ -47,6 +62,8 @@ from gapsl.reporting import metrics_rows  # noqa: E402
 from gapsl.transport import Listener, RemoteClientProxy, client_loop, connect  # noqa: E402
 
 DESK = ROOT / "configs" / "desk_noniid.cfg"
+REFERENCE = ROOT / "FINGERPRINTS.json"
+NO_REFERENCE = 3  # exit status when the file holds no entry for this build
 SEEDS = (1, 2, 3)
 TCP = {"transport": "tcp", "listen": "127.0.0.1:0"}
 MATRIX: dict[str, dict[str, str]] = {
@@ -59,6 +76,7 @@ MATRIX: dict[str, dict[str, str]] = {
     "rand_gda": {"rand_gda": "true"},
     "rand_lgi": {"rand_lgi": "true"},
     "non_lgi": {"non_lgi": "true"},
+    "iid": {"alpha": "iid"},
     "psl": {"strategy": "psl"},
     "psl2": {"strategy": "psl", "clients": "2", "rounds": "20"},
     "sfl": {"strategy": "sfl"},
@@ -187,20 +205,52 @@ def fingerprint(overrides: dict[str, str]) -> str:
     return digest.hexdigest()
 
 
+def openblas_core() -> str:
+    """The kernel set OpenBLAS picked for this CPU, as the loaded library
+    names it, or "unknown" where numpy's bundled library does not say."""
+    for lib in sorted((Path(np.__file__).parents[1] / "numpy.libs").glob("*openblas*")):
+        for symbol in ("scipy_openblas_get_corename64_", "scipy_openblas_get_corename", "openblas_get_corename"):
+            corename = getattr(ctypes.CDLL(str(lib)), symbol, None)
+            if corename is not None:
+                corename.restype = ctypes.c_char_p
+                return corename().decode()
+    return "unknown"
+
+
+def build_key() -> str:
+    """The numpy version, the BLAS build as ``manifest.json`` records it,
+    and the OpenBLAS core picked at run time."""
+    blas = "{name} {version}".format(**np.show_config(mode="dicts")["Build Dependencies"]["blas"])
+    return f"numpy {np.__version__} | {blas} | {openblas_core()}"
+
+
 def main(names: list[str]) -> int:
     unknown = [n for n in names if n not in MATRIX]
     if unknown:
         print(f"unknown config(s) {unknown}; choose from {list(MATRIX)}", file=sys.stderr)
         return 2
+    key = build_key()
+    reference = json.loads(REFERENCE.read_text(encoding="utf-8")).get(key)
     hashes = {}
     for name in names or MATRIX:
         hashes[name] = fingerprint(MATRIX[name])
-        print(f"{name:<12} {hashes[name]}", flush=True)
+        moved = reference is not None and reference.get(name) != hashes[name]
+        print(f"{name:<12} {hashes[name]}{'  moved' if moved else ''}", flush=True)
     split = [f"{tcp} != {twin}" for tcp, twin in TWINS.items()
              if tcp in hashes and twin in hashes and hashes[tcp] != hashes[twin]]
+    moved = [n for n in hashes if reference is not None and reference.get(n) != hashes[n]]
+    if reference is None or moved:
+        entry = {key: {**(reference or {}), **hashes}}
+        print(f"this build's entry with these lines:\n{json.dumps(entry, indent=2)}", file=sys.stderr)
     if split:
         print(f"twins differ: {', '.join(split)}", file=sys.stderr)
+    if moved:
+        print(f"moved from the reference: {', '.join(moved)}", file=sys.stderr)
+    if split or moved:
         return 1
+    if reference is None:
+        print(f"no reference for this build: {key}", file=sys.stderr)
+        return NO_REFERENCE
     return 0
 
 
