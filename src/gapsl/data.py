@@ -3,8 +3,9 @@
 The default dataset is a seeded Gaussian mixture (one isotropic blob per
 class around a random unit-norm center). Partitioning is either IID
 round-robin or per-class Dirichlet allocation whose concentration alpha
-controls label skew: smaller alpha, more skew. A partition is one sorted
-index array per client, disjoint and covering the whole training set.
+controls label skew: smaller alpha, more skew. Both record the client
+that owns each sample; a partition is one sorted index array per client
+cut from those owners, disjoint and covering the whole training set.
 
 A :class:`Dataset` owns the label rule: its labels are integers in [0,
 num_classes), checked once when it is built. Everything downstream, the
@@ -114,29 +115,13 @@ def dirichlet_partition(
         raise DataError(f"alpha must be > 0, got {alpha}")
 
     rng = np.random.default_rng(seed)
-    per_client: list[list[np.ndarray]] = [[] for _ in range(num_clients)]
+    owner = np.empty(len(labels), dtype=np.int64)
     for c in np.unique(labels):
         idx = np.flatnonzero(labels == c)
         rng.shuffle(idx)
         props = rng.dirichlet(np.full(num_clients, alpha))
-        counts = _largest_remainder(props, len(idx))
-        start = 0
-        for k, cnt in enumerate(counts):
-            if cnt:
-                per_client[k].append(idx[start : start + cnt])
-            start += cnt
-
-    client_indices = [
-        np.sort(np.concatenate(parts)) if parts else np.empty(0, dtype=np.int64)
-        for parts in per_client
-    ]
-    # empty-client repair: steal one sample from the largest client
-    for k in range(num_clients):
-        while len(client_indices[k]) == 0:
-            donor = int(np.argmax([len(ix) for ix in client_indices]))
-            client_indices[k] = client_indices[donor][:1]
-            client_indices[donor] = client_indices[donor][1:]
-    return client_indices
+        owner[idx] = np.repeat(np.arange(num_clients), _largest_remainder(props, len(idx)))
+    return _shards(owner, num_clients)
 
 
 def iid_partition(labels: np.ndarray, num_clients: int, seed: int) -> list[np.ndarray]:
@@ -145,8 +130,28 @@ def iid_partition(labels: np.ndarray, num_clients: int, seed: int) -> list[np.nd
     if not 1 <= num_clients <= len(labels):
         raise DataError(f"{len(labels)} samples cannot cover {num_clients} clients")
     rng = np.random.default_rng(seed)
-    perm = rng.permutation(len(labels))
-    return [np.sort(perm[k::num_clients]) for k in range(num_clients)]
+    owner = np.empty(len(labels), dtype=np.int64)
+    owner[rng.permutation(len(labels))] = np.arange(len(labels)) % num_clients
+    return _shards(owner, num_clients)
+
+
+def _shards(owner: np.ndarray, num_clients: int) -> list[np.ndarray]:
+    """Each client's sorted sample indices, from the client that owns each sample.
+
+    Empty-client repair: in ascending order, each client that owns nothing
+    takes the smallest sample of the currently largest client (ties: the
+    smaller id). ``owner`` is updated in place.
+    """
+    sizes = np.bincount(owner, minlength=num_clients)
+    for k in np.flatnonzero(sizes == 0).tolist():
+        donor = np.argmax(sizes)
+        owner[np.argmax(owner == donor)] = k
+        sizes[donor] -= 1
+        sizes[k] += 1
+    # in the smallest dtype that holds every id: up to 16 bits a stable argsort is a radix sort
+    order = np.argsort(owner.astype(np.min_scalar_type(num_clients - 1)), kind="stable")
+    ends = np.cumsum(sizes).tolist()
+    return [order[start:end] for start, end in zip([0, *ends], ends)]
 
 
 def load_idx(path: str) -> np.ndarray:

@@ -18,8 +18,9 @@ loss-value-only variant (no gradient shift) for ablations; the scalar
 penalty and summed global loss are reported either way.
 
 GDA runs over the cohort's usable rows and corrects its survivors as one
-float64 block, read with their squared norms from the cohort's stack and
-rounded to the gradients' dtype once. :class:`GdaOutcome` holds only the
+float64 block, read from the cohort's stack and rounded to the gradients'
+dtype once; the correction takes the block's and the leader's norms in
+the forms the cohort takes them. :class:`GdaOutcome` holds only the
 survivors' rows; the id-keyed views the gates read are built on each read.
 """
 
@@ -106,13 +107,7 @@ def regularized_loss(loss: float, deviation: float, lam: float) -> float:
     return loss + lam * (1.0 - math.cos(deviation))
 
 
-def alignment_correction(
-    g: np.ndarray,
-    leader: np.ndarray,
-    lambda_g: float | list[float],
-    leader_sq: float | None = None,
-    g_sq: list[float] | None = None,
-) -> np.ndarray:
+def alignment_correction(g: np.ndarray, leader: np.ndarray, lambda_g: float | list[float]) -> np.ndarray:
     """Shift ``g`` toward the leader direction; identity when already aligned.
 
     With w the unit vector orthogonal to g in the plane of g and the
@@ -125,18 +120,16 @@ def alignment_correction(
     ``g`` is one vector or an ``[S, P]`` block with one ``lambda_g`` or S of
     them. A matmul of ``[S, 1, P]`` by ``[S, P, 1]`` takes every row's dot
     product as ``v.dot(w)`` does, so a block equals S one-vector calls bit
-    for bit. ``leader_sq`` is the leader's float64 squared norm and ``g_sq``
-    those of the rows of ``g``, when known: a caller that holds ``g`` in
-    float64 and its squared norms passes both and rounds the result once.
-    Degenerate rows, or all rows of a degenerate leader, pass through
-    unchanged with a warning each. The result keeps the dtype of ``g``; the
-    math runs in float64.
+    for bit, and its squared norms are those ``GradientVector.sq`` and
+    ``Cohort.sq`` hold. Degenerate rows, or all rows of a degenerate
+    leader, pass through unchanged with a warning each. The result keeps
+    the dtype of ``g``; the math runs in float64.
     """
     l64 = leader.astype(np.float64, copy=False)
-    ln = math.sqrt(l64.dot(l64) if leader_sq is None else leader_sq)
+    ln = math.sqrt(l64.dot(l64))
     rows = g.astype(np.float64, copy=False).reshape(-1, g.shape[-1])
     # the row norms as one column, np.linalg.norm's bits
-    gn = np.sqrt((rows[:, None] @ rows[:, :, None])[:, 0] if g_sq is None else np.array(g_sq)[:, None])
+    gn = np.sqrt((rows[:, None] @ rows[:, :, None])[:, 0])
     skip = [k for k, n in enumerate(gn[:, 0].tolist()) if n <= EPS_NORM or ln <= EPS_NORM]
     for k in skip:
         log.warning("alignment correction skipped for near-zero vector (norms %.3e, %.3e)", gn[k, 0], ln)
@@ -196,10 +189,9 @@ def run_gda(
     keys = survivors if isinstance(losses, dict) else rows
     penalized = [regularized_loss(losses[key], deviations[s], config.lam) for key, s in zip(keys, kept)]
     if config.apply_correction:
-        # the survivors' float64 rows and squared norms, as the cohort holds them
-        g_sq = [cohort.sq[k] for k in rows]
-        lambda_g = [config.lam * math.sqrt(s) for s in g_sq]
-        block = alignment_correction(cohort.stack[list(kept)], leader.v64, lambda_g, leader.sq, g_sq)
+        # the survivors' float64 rows, as the cohort holds them: rounded to the gradients' dtype once
+        lambda_g = [config.lam * math.sqrt(cohort.sq[k]) for k in rows]
+        block = alignment_correction(cohort.stack[list(kept)], leader.v64, lambda_g)
         block = block.astype(cohort.values.dtype, copy=False)
     else:
         block = cohort.values[rows]

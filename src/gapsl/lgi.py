@@ -127,16 +127,6 @@ def selection_count(k_percent: float, cohort_size: int) -> int:
     return max(1, math.ceil(k_percent * cohort_size / 100.0))
 
 
-def select_top(scores: ScoreSet, k_percent: float, cohort_size: int) -> tuple[int, ...]:
-    """Client ids holding the ceil(k% * cohort) smallest scores, never empty.
-
-    Ties break toward the smaller client id so reruns are reproducible.
-    """
-    count = min(selection_count(k_percent, cohort_size), len(scores.scores))
-    ranked = sorted(scores.scores.items(), key=lambda kv: (kv[1], kv[0]))
-    return tuple(sorted(cid for cid, _ in ranked[:count]))
-
-
 def select_consistent(cohort: Cohort, scores: ScoreSet, k_percent: float) -> tuple[int, ...]:
     """The rows, ascending, of the ceil(k% * cohort) clients that form the leader.
 
@@ -151,19 +141,22 @@ def select_consistent(cohort: Cohort, scores: ScoreSet, k_percent: float) -> tup
     gradients cancel has no direction and ranks below every other.
 
     When the trend itself is degenerate there is nothing to follow, and
-    the selection falls back to :func:`select_top`. ``scores`` holds one
-    score per usable client, as :func:`consistency_scores` builds it.
+    the selection keeps the ceil(k% * cohort) smallest scores, ties going
+    to the smaller client id. ``scores`` holds one score per usable
+    client, as :func:`consistency_scores` builds it.
     """
     rows = cohort.usable_rows  # ascending, as are their ids
     count = min(selection_count(k_percent, len(cohort.ids)), len(rows))
     if count == len(rows):
         return tuple(rows)
+    score = scores.by_row
+    kept = list(range(len(rows)))                  # ascending rows
+    by_score = sorted(kept, key=score.__getitem__)  # the same rows, ascending scores; ties keep row order
     stack, gram, diag = cohort.stack, cohort.gram, cohort.diag
     trend = np.add.reduce(stack, axis=0)
     trend_norm = math.sqrt(trend.dot(trend))
     if trend_norm <= EPS_NORM:
-        top = set(select_top(scores, k_percent, len(cohort.ids)))
-        return tuple(k for k, cid in zip(rows, cohort.usable) if cid in top)
+        return tuple(rows[i] for i in sorted(by_score[:count]))
 
     # one drop per step over arrays this short: Python floats are cheaper
     # than a dozen numpy calls per step. Only the dots to the kept sum are
@@ -172,11 +165,8 @@ def select_consistent(cohort: Cohort, scores: ScoreSet, k_percent: float) -> tup
     toward_trend = kept_dots.tolist()          # <g_i, trend>
     to_kept = list(toward_trend)               # kept_dots as Python floats
     along = kept_sq = trend_norm * trend_norm  # <sum of kept, trend>, ||sum of kept||^2
-    score = scores.by_row
     cohort_mean = left_sum(score) / len(score)
     floor, sqrt = EPS_NORM * EPS_NORM, math.sqrt  # locals: the loop below runs O(n^2) times
-    kept = list(range(len(rows)))                  # ascending rows
-    by_score = sorted(kept, key=score.__getitem__)  # the same rows, ascending scores
     while len(kept) > count:
         kept_score, rest = left_sum(map(score.__getitem__, kept)), len(kept) - 1
         worst = score[by_score[-1]]

@@ -322,13 +322,19 @@ class Listener:
 
         A connection whose first frame does not parse is closed; one that
         does not open with a fresh, in-range HELLO id gets BYE and is closed.
-        A timeout closes the admitted clients and names each refused peer.
+        ``timeout`` bounds the whole handshake: each accept and each first
+        frame waits only for what is left of it. A timeout closes the
+        admitted clients and names each refused peer.
         """
         channels: dict[int, FrameChannel] = {}
         refused: list[str] = []
-        self._sock.settimeout(timeout)
+        deadline = time.monotonic() + timeout
         while len(channels) < num_clients:
             try:
+                left = deadline - time.monotonic()
+                if left <= 0:
+                    raise socket.timeout
+                self._sock.settimeout(left)
                 conn, peer = self._sock.accept()
             except socket.timeout as e:
                 for ch in channels.values():
@@ -340,7 +346,7 @@ class Listener:
             ch = FrameChannel(conn)
             where = f"{peer[0]}:{peer[1]}"
             try:
-                msg = ch.recv(timeout=timeout)
+                msg = ch.recv(timeout=round(deadline - time.monotonic(), 3))  # to the ms, for the message
             except ProtocolError as e:
                 refused.append(f"{where}: {e}")
                 ch.close()

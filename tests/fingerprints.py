@@ -231,14 +231,14 @@ def main(names: list[str]) -> int:
         return 2
     key = build_key()
     reference = json.loads(REFERENCE.read_text(encoding="utf-8")).get(key)
-    hashes = {}
+    hashes, moved = {}, []
     for name in names or MATRIX:
         hashes[name] = fingerprint(MATRIX[name])
-        moved = reference is not None and reference.get(name) != hashes[name]
-        print(f"{name:<12} {hashes[name]}{'  moved' if moved else ''}", flush=True)
+        if reference is not None and reference.get(name) != hashes[name]:
+            moved.append(name)
+        print(f"{name:<12} {hashes[name]}" + ("  moved" if name in moved else ""), flush=True)
     split = [f"{tcp} != {twin}" for tcp, twin in TWINS.items()
              if tcp in hashes and twin in hashes and hashes[tcp] != hashes[twin]]
-    moved = [n for n in hashes if reference is not None and reference.get(n) != hashes[n]]
     if reference is None or moved:
         entry = {key: {**(reference or {}), **hashes}}
         print(f"this build's entry with these lines:\n{json.dumps(entry, indent=2)}", file=sys.stderr)

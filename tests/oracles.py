@@ -3,14 +3,15 @@
 Everything here is deliberately written with plain Python loops and the
 math module only -- no numpy vectorization and no imports from the
 package under test -- so agreement with the real implementations is
-meaningful. The exceptions are the last four sections, which use numpy
+meaningful. The exceptions are the last five sections, which use numpy
 on purpose: bit-exact per-client references, because the stacked passes
 must reproduce the bits of the one-client-at-a-time products; the
 per-tensor list helpers; the wrapped-reduction references, because
 the package's direct ``ufunc.reduce`` calls must reproduce the bits of
-numpy's ``mean``, ``std``, ``sum``, ``max`` and ``linalg.norm``; and the
+numpy's ``mean``, ``std``, ``sum``, ``max`` and ``linalg.norm``; the
 selection reference, because LGI's tail search must pick the rows that
-testing every kept row picks.
+testing every kept row picks; and the partition reference, because the
+package's shards must replay the same random draws.
 """
 
 from __future__ import annotations
@@ -426,3 +427,57 @@ def select_consistent(cohort, scores, k_percent):
         kept_sq += diag[drop] - 2.0 * to_kept[drop]
         to_kept = [a - b for a, b in zip(to_kept, gram[drop].tolist())]
     return tuple(rows[i] for i in kept)
+
+
+# ---- partition reference ----------------------------------------------------
+#
+# ``data.dirichlet_partition`` and ``data.iid_partition`` as loops over the
+# clients: each client's shard is concatenated from its per-class parts, and
+# the empty-client repair rescans every shard's length. The package builds
+# the same shards from one owner per sample, so the two must return equal
+# arrays, values and dtype.
+
+def _largest_remainder(proportions, total):
+    raw = proportions * total
+    counts = np.floor(raw).astype(np.int64)
+    deficit = total - int(counts.sum())
+    if deficit > 0:
+        remainders = raw - counts
+        order = np.lexsort((np.arange(len(raw)), -remainders))
+        counts[order[:deficit]] += 1
+    return counts
+
+
+def dirichlet_partition(labels, num_clients, alpha, seed):
+    """Per-class Dirichlet shards, one client at a time."""
+    labels = np.asarray(labels)
+    rng = np.random.default_rng(seed)
+    per_client = [[] for _ in range(num_clients)]
+    for c in np.unique(labels):
+        idx = np.flatnonzero(labels == c)
+        rng.shuffle(idx)
+        props = rng.dirichlet(np.full(num_clients, alpha))
+        counts = _largest_remainder(props, len(idx))
+        start = 0
+        for k, cnt in enumerate(counts):
+            if cnt:
+                per_client[k].append(idx[start : start + cnt])
+            start += cnt
+
+    client_indices = [
+        np.sort(np.concatenate(parts)) if parts else np.empty(0, dtype=np.int64)
+        for parts in per_client
+    ]
+    # empty-client repair: steal one sample from the largest client
+    for k in range(num_clients):
+        while len(client_indices[k]) == 0:
+            donor = int(np.argmax([len(ix) for ix in client_indices]))
+            client_indices[k] = client_indices[donor][:1]
+            client_indices[donor] = client_indices[donor][1:]
+    return client_indices
+
+
+def iid_partition(labels, num_clients, seed):
+    """Shuffled round-robin shards, one client at a time."""
+    perm = np.random.default_rng(seed).permutation(len(labels))
+    return [np.sort(perm[k::num_clients]) for k in range(num_clients)]

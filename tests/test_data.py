@@ -5,6 +5,7 @@ import struct
 import numpy as np
 import pytest
 
+import oracles
 from gapsl.data import (
     Dataset,
     dirichlet_partition,
@@ -150,6 +151,50 @@ class TestIidPartition:
         a = iid_partition(labels, 5, seed=11)
         b = iid_partition(labels, 5, seed=11)
         assert all(np.array_equal(x, y) for x, y in zip(a, b))
+
+
+class TestPartitionOracle:
+    """Both partitions equal the per-client loops of ``tests/oracles.py``,
+    array for array, in values and dtype."""
+
+    DESK_LABELS = synth_gaussian_mixture(8, 16, 400, 0.2, seed=1)[0].labels  # 2560 samples
+    SEEDS = (0, 1, 7, 2**31 - 1)
+
+    @staticmethod
+    def label_sets(clients):
+        # the desk labels, and as many samples as clients: every client ends
+        # with one sample, so the empty-client repair moves many of them
+        return TestPartitionOracle.DESK_LABELS, np.arange(clients) % 8
+
+    @staticmethod
+    def emptied(labels, clients, alpha, seed):
+        """Clients the Dirichlet draws leave empty, before the repair."""
+        rng, counts = np.random.default_rng(seed), 0
+        for c in np.unique(labels):
+            idx = np.flatnonzero(labels == c)
+            rng.shuffle(idx)
+            counts = counts + oracles._largest_remainder(rng.dirichlet(np.full(clients, alpha)), len(idx))
+        return int(np.count_nonzero(counts == 0))
+
+    @pytest.mark.parametrize("clients", [1, 2, 10, 100, 1000])
+    @pytest.mark.parametrize("alpha", [0.05, 0.1, 1.0, None], ids=["0.05", "0.1", "1.0", "iid"])
+    def test_equals_the_per_client_loops(self, clients, alpha):
+        for labels in self.label_sets(clients):
+            for seed in self.SEEDS:
+                if alpha is None:
+                    got, want = iid_partition(labels, clients, seed), oracles.iid_partition(labels, clients, seed)
+                else:
+                    got = dirichlet_partition(labels, clients, alpha, seed)
+                    want = oracles.dirichlet_partition(labels, clients, alpha, seed)
+                assert len(got) == len(want) == clients
+                for a, b in zip(got, want):
+                    assert a.dtype == b.dtype and np.array_equal(a, b)
+
+    @pytest.mark.parametrize("clients", [2, 10, 100, 1000])
+    @pytest.mark.parametrize("alpha", [0.05, 0.1, 1.0])
+    def test_every_dirichlet_case_above_runs_the_repair(self, clients, alpha):
+        labels = self.label_sets(clients)[1]
+        assert any(self.emptied(labels, clients, alpha, seed) for seed in self.SEEDS)
 
 
 def idx_images_bytes(images):

@@ -16,7 +16,6 @@ from gapsl.lgi import (
     leader_gradient,
     run_lgi,
     select_consistent,
-    select_top,
     selection_ratio,
 )
 
@@ -118,27 +117,46 @@ class TestSelectionRatio:
             selection_ratio(LgiState(round=6), cfg, ScoreSet(6, {0: 1.0}))
 
 
-class TestSelectTop:
+def ranked(scores, count):
+    """The ids of the ``count`` smallest scores, ascending; ties go to the smaller id."""
+    return tuple(sorted(sorted(scores.scores, key=lambda i: (scores.scores[i], i))[:count]))
+
+
+class TestDegenerateTrend:
+    """A cohort whose usable gradients cancel has no trend to follow:
+    ``select_consistent`` keeps the smallest scores."""
+
+    @staticmethod
+    def cancelling(n):
+        # integer rows, the last one minus the sum of the rest: the sum is exactly zero
+        vs = [[i + 1, i * i % 5 + 1] for i in range(n - 1)]
+        cohort = matrix_cohort([*vs, [-sum(col) for col in zip(*vs)]])
+        assert not np.add.reduce(cohort.stack, axis=0).any()
+        return cohort
+
     def test_k_100_selects_everyone(self):
         scores = ScoreSet(1, {0: 0.3, 1: 0.1, 2: 0.2})
-        assert select_top(scores, 100.0, 3) == (0, 1, 2)
+        assert select_consistent(self.cancelling(3), scores, 100.0) == (0, 1, 2)
 
     def test_hand_case_selects_most_consistent(self):
         scores = ScoreSet(1, {0: 3 * math.pi / 8, 1: 3 * math.pi / 8, 2: math.pi / 4})
-        assert select_top(scores, 30.0, 3) == (2,)  # ceil(0.9) = 1
+        assert select_consistent(self.cancelling(3), scores, 30.0) == (2,)  # ceil(0.9) = 1
 
     def test_tie_breaks_by_client_id(self):
         scores = ScoreSet(1, {0: 0.5, 1: 0.5, 2: 0.5})
-        assert select_top(scores, 20.0, 3) == (0,)
+        assert select_consistent(self.cancelling(3), scores, 20.0) == (0,)
+        scores = ScoreSet(1, {0: 0.7, 1: 0.5, 2: 0.6, 3: 0.5})
+        assert select_consistent(self.cancelling(4), scores, 50.0) == (1, 3)
+        assert select_consistent(self.cancelling(4), scores, 25.0) == (1,)
 
     def test_ceiling_count(self):
-        scores = ScoreSet(1, {i: float(i) for i in range(10)})
-        assert len(select_top(scores, 35.0, 10)) == 4  # ceil(3.5)
-        assert len(select_top(scores, 20.0, 10)) == 2
+        scores = ScoreSet(1, {i: float(9 - i) for i in range(10)})
+        assert select_consistent(self.cancelling(10), scores, 35.0) == (6, 7, 8, 9)  # ceil(3.5)
+        assert select_consistent(self.cancelling(10), scores, 20.0) == (8, 9)
 
     def test_floor_of_one(self):
-        scores = ScoreSet(1, {0: 0.5, 1: 0.6})
-        assert len(select_top(scores, 1.0, 2)) == 1
+        scores = ScoreSet(1, {0: 0.6, 1: 0.5})
+        assert select_consistent(self.cancelling(2), scores, 1.0) == (1,)
 
 
 class TestSelectConsistent:
@@ -149,7 +167,7 @@ class TestSelectConsistent:
         vs = [[1.0, 0.1], [1.0, 0.0], [1.0, -0.1], [0.2, 5.0], [-0.2, 5.0]]
         cohort = matrix_cohort(vs)
         scores = consistency_scores(cohort)
-        assert select_top(scores, 60.0, 5) == (0, 1, 2)
+        assert ranked(scores, 3) == (0, 1, 2)
         assert select_consistent(cohort, scores, 60.0) == (0, 1, 4)
         trend = list(np.sum(vs, axis=0))
         by_rank = list(leader_gradient(cohort, (0, 1, 2)).values)
@@ -165,7 +183,7 @@ class TestSelectConsistent:
     def test_cancelling_cohort_falls_back_to_ranking(self):
         cohort = matrix_cohort([[1.0, 0.0], [-1.0, 0.0], [0.0, 2.0], [0.0, -2.0], [0.5, 0.5], [-0.5, -0.5]])
         scores = consistency_scores(cohort)
-        assert select_consistent(cohort, scores, 50.0) == select_top(scores, 50.0, 6)
+        assert select_consistent(cohort, scores, 50.0) == ranked(scores, 3)
 
     def test_tail_search_matches_testing_every_kept_row(self):
         # cohorts of 3 to 120 clients, some rows duplicated, each under its

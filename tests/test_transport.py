@@ -393,6 +393,23 @@ class TestTcpChannels:
                 peer.close()
             listener.close()
 
+    def test_silent_peers_share_one_handshake_deadline(self):
+        # one deadline for the whole handshake: the second silent peer gets
+        # no accept or first-frame wait of its own
+        timeout, margin = 0.5, 0.25
+        listener = Listener("127.0.0.1:0")
+        peers = [socket.create_connection(tp.parse_address(listener.address), timeout=10) for _ in range(2)]
+        try:
+            start = time.monotonic()
+            with pytest.raises(ProtocolError, match=r"handshake timed out with 0/2 clients connected; refused "
+                               r"[\d.]+:\d+: timed out after [\d.]+s waiting for a frame$"):
+                listener.accept_clients(2, config_to_text(ExperimentConfig()), timeout=timeout)
+            assert time.monotonic() - start < timeout + margin
+        finally:
+            for peer in peers:
+                peer.close()
+            listener.close()
+
     def test_handshake_and_duplicate_client_id_rejected(self):
         listener = Listener("127.0.0.1:0")
         cfg_text = config_to_text(ExperimentConfig())
