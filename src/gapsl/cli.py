@@ -91,15 +91,20 @@ def _cmd_run(args: argparse.Namespace) -> int:
     rows: list[list[str]] = []
     if cfg.transport == "tcp":
         listener = Listener(cfg.listen)
-        print(f"listening on {listener.address}, waiting for {cfg.clients} clients", file=sys.stderr)
-        channels = listener.accept_clients(cfg.clients, config_mod.config_to_text(cfg))
-        proxies = {i: RemoteClientProxy(ch, i) for i, ch in channels.items()}
+        channels, clean = {}, False
         try:
+            print(f"listening on {listener.address}, waiting for {cfg.clients} clients", file=sys.stderr)
+            channels = listener.accept_clients(cfg.clients, config_mod.config_to_text(cfg))
+            proxies = {i: RemoteClientProxy(ch, i) for i, ch in channels.items()}
             for seed in cfg.seeds:
                 reports = TrainingEngine(cfg, seed, proxies).run()
                 rows.extend(metrics_rows(cfg.strategy, seed, cfg.alpha, reports))
+            clean = True
         finally:
             listener.close()
+            if not clean:  # the run failed: no farewell will close the admitted channels
+                for ch in channels.values():
+                    ch.close()
     else:
         for seed in cfg.seeds:
             reports = run_experiment(cfg, seed)

@@ -4,6 +4,8 @@ The file format is line-oriented ``key = value`` with ``#`` comments.
 Values given on the command line override file values; the environment
 variable ``GAPSL_SEED`` is the seed of last resort. Validation collects
 every violation before failing so a bad config is reported in one shot.
+:func:`validate` is the only place a config rule is checked: the data, model,
+optimizers, LGI and GDA built from a valid config take their arguments as given.
 """
 
 from __future__ import annotations
@@ -15,8 +17,8 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .errors import ConfigError
-from .nn import ACTIVATIONS
 
+ACTIVATIONS = ("relu", "tanh")
 STRATEGIES = ("gapsl", "psl", "sfl", "vanilla_sl")
 DATASETS = ("gaussian", "idx")
 TRANSPORTS = ("inproc", "tcp")

@@ -60,10 +60,9 @@ def synth_gaussian_mixture(
 
     Class c is an isotropic Gaussian (std = spread) around a random
     unit-norm center. Exactly 80% of each class's samples land in the
-    train set, the rest in the test set.
+    train set, the rest in the test set. ``config.validate`` checks the
+    sizes (every class lands in both sets) and ``spread`` >= 0.
     """
-    if min(num_classes, dim, samples_per_class) < 1 or spread < 0:
-        raise DataError("num_classes, dim, samples_per_class must be >= 1 and spread >= 0")
     rng = np.random.default_rng(seed)
     centers = rng.standard_normal((num_classes, dim))
     centers /= np.linalg.norm(centers, axis=1, keepdims=True)
@@ -106,13 +105,11 @@ def dirichlet_partition(
     Each class's indices are split according to a Dirichlet(alpha, ...)
     draw over clients, using largest-remainder rounding. A client left
     with no samples steals one from the currently largest client so every
-    client stays trainable.
+    client stays trainable. ``alpha`` > 0, as ``config.validate`` checks.
     """
     labels = np.asarray(labels)
     if not 1 <= num_clients <= len(labels):
         raise DataError(f"{len(labels)} samples cannot cover {num_clients} clients")
-    if alpha <= 0:
-        raise DataError(f"alpha must be > 0, got {alpha}")
 
     rng = np.random.default_rng(seed)
     owner = np.empty(len(labels), dtype=np.int64)

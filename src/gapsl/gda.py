@@ -42,18 +42,13 @@ HALF_PI = math.pi / 2
 
 @dataclass(frozen=True)
 class GdaConfig:
-    """Threshold sensitivity, penalty coefficient, and realization switches."""
+    """Threshold sensitivity and penalty coefficient (both >= 0, as
+    ``config.validate`` checks them), and realization switches."""
 
     eta: float = 1.0
     lam: float = 5e-4
     apply_correction: bool = True       # False = loss-value-only ablation variant
     threshold_override: float | None = None  # force a fixed threshold (reduction tests)
-
-    def __post_init__(self):
-        if self.eta < 0:
-            raise ConfigError(f"eta must be >= 0, got {self.eta}")
-        if self.lam < 0:
-            raise ConfigError(f"lambda must be >= 0, got {self.lam}")
 
 
 @dataclass

@@ -33,17 +33,12 @@ from .geometry import EPS_NORM, Cohort, GradientVector, angular_deviation, left_
 
 @dataclass(frozen=True)
 class LgiConfig:
-    """Selection-ratio bounds (percent) and the total round budget."""
+    """Selection-ratio bounds (percent, 0 < k_min <= k_max <= 100) and the
+    total round budget (>= 1), as ``config.validate`` checks them."""
 
     total_rounds: int
     k_min: float = 20.0
     k_max: float = 80.0
-
-    def __post_init__(self):
-        if not (0 < self.k_min <= self.k_max <= 100):
-            raise ConfigError(f"need 0 < k_min <= k_max <= 100, got {self.k_min}, {self.k_max}")
-        if self.total_rounds < 1:
-            raise ConfigError(f"total_rounds must be >= 1, got {self.total_rounds}")
 
 
 @dataclass

@@ -55,27 +55,13 @@ import numpy as np
 
 from .errors import ConfigError, DataError, NumericError, ProtocolError
 
-ACTIVATIONS = ("relu", "tanh")
-
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """Layer widths plus the hidden activation."""
+    """Layer widths: input, hidden layers, classes (at least three, each >= 1,
+    as ``config.validate`` checks). The hidden activation is an argument of each pass."""
 
     layer_dims: tuple[int, ...]
-    activation: str = "relu"
-
-    def __post_init__(self):
-        if len(self.layer_dims) < 3:
-            raise ConfigError(f"need >= 3 layer dims for a nontrivial cut, got {self.layer_dims}")
-        if any(d < 1 for d in self.layer_dims):
-            raise ConfigError(f"layer dims must be >= 1, got {self.layer_dims}")
-        if self.activation not in ACTIVATIONS:
-            raise ConfigError(f"unknown activation {self.activation!r}, expected one of {ACTIVATIONS}")
-
-    @property
-    def num_layers(self) -> int:
-        return len(self.layer_dims) - 1
 
 
 @dataclass
@@ -176,11 +162,8 @@ def split_model(
     Weights are Glorot-uniform (uniform in [-a, a], a = sqrt(6/(fan_in+fan_out)))
     drawn layer by layer from a generator seeded with ``seed``; biases start
     at zero. The same (spec, cut_index, seed) always yields identical bits.
+    ``cut_index`` is in [1, len(layer_dims) - 2], as ``config.validate`` checks.
     """
-    if not (1 <= cut_index <= spec.num_layers - 1):
-        raise ConfigError(
-            f"cut_index {cut_index} out of range [1, {spec.num_layers - 1}] for dims {spec.layer_dims}"
-        )
     rng = np.random.default_rng(seed)
     tensors = []
     for fan_in, fan_out in zip(spec.layer_dims[:-1], spec.layer_dims[1:]):
@@ -357,11 +340,8 @@ def backward_client(layers: list[DenseLayer], cache: Cache, activation_grads: np
 
 
 def sgd_state(layers: list[DenseLayer], lr: float, momentum: float) -> SgdState:
-    """Zero momentum for the flat parameters that ``layers`` view."""
-    if lr <= 0:
-        raise ConfigError(f"learning rate must be > 0, got {lr}")
-    if not (0 <= momentum < 1):
-        raise ConfigError(f"momentum must be in [0, 1), got {momentum}")
+    """Zero momentum for the flat parameters that ``layers`` view; ``lr`` > 0
+    and ``momentum`` in [0, 1), as ``config.validate`` checks."""
     widths, w = _widths(layers), layers[0].w
     size = sum(fan_in * fan_out + fan_out for fan_in, fan_out in zip(widths, widths[1:]))
     shape = (*w.shape[:-2], size)

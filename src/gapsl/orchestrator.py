@@ -105,8 +105,7 @@ def build_partition(cfg: ExperimentConfig, seed: int, labels: np.ndarray) -> lis
 
 def build_model(cfg: ExperimentConfig, seed: int) -> SplitModel:
     """The run's initial float32 model: the engine trains in the wire's precision."""
-    spec = ModelSpec(tuple(cfg.model_dims), cfg.activation)
-    return split_model(spec, cfg.cut, substream(seed, STREAM_INIT))
+    return split_model(ModelSpec(tuple(cfg.model_dims)), cfg.cut, substream(seed, STREAM_INIT))
 
 
 class ShardCursor:
@@ -344,13 +343,7 @@ class TrainingEngine:
     psl only; without them the clients are one in-process :class:`ClientBank`.
     """
 
-    def __init__(
-        self,
-        cfg: ExperimentConfig,
-        seed: int,
-        proxies: dict[int, ClientProxy] | None = None,
-        data: tuple[Dataset, Dataset, list[np.ndarray]] | None = None,
-    ):
+    def __init__(self, cfg: ExperimentConfig, seed: int, proxies: dict[int, ClientProxy] | None = None):
         require_valid(cfg)
         if proxies is not None and cfg.strategy not in TCP_STRATEGIES:
             raise ConfigError(f"tcp transport supports only gapsl and psl, got {cfg.strategy}")
@@ -358,11 +351,8 @@ class TrainingEngine:
             raise ConfigError(f"tcp transport needs one proxy per client 0..{cfg.clients - 1}, got {sorted(proxies)}")
         self.cfg = cfg
         self.seed = seed
-        if data is None:
-            self.train, self.test = build_dataset(cfg, seed)
-            self.partition = build_partition(cfg, seed, self.train.labels)
-        else:
-            self.train, self.test, self.partition = data
+        self.train, self.test = build_dataset(cfg, seed)
+        self.partition = build_partition(cfg, seed, self.train.labels)
         model = build_model(cfg, seed)
         self.activation = cfg.activation
         self.server, self.server_params = model.server, model.server_params

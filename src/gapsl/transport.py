@@ -301,14 +301,18 @@ def connect(address: str, timeout: float = 10.0) -> FrameChannel:
 
 
 class Listener:
-    """Coordinator-side listener implementing the HELLO/CONFIG handshake."""
+    """Coordinator-side listener for the HELLO/CONFIG handshake; a failed bind or listen is a ConfigError."""
 
     def __init__(self, bind_address: str):
         host, port = parse_address(bind_address)
         self._sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        self._sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        self._sock.bind((host, port))
-        self._sock.listen()
+        try:
+            self._sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+            self._sock.bind((host, port))
+            self._sock.listen()
+        except OSError as e:
+            self._sock.close()
+            raise ConfigError(f"cannot listen on {bind_address}: {e}") from e
 
     @property
     def address(self) -> str:

@@ -6,6 +6,7 @@ import json
 import math
 import os
 import re
+import socket
 import subprocess
 import sys
 import threading
@@ -20,7 +21,9 @@ import gapsl.cli as cli
 from gapsl.cli import _build_parser, _collect_overrides, main
 from gapsl.config import ExperimentConfig, config_to_text, parse_config, parse_config_text, validate
 from gapsl.errors import ConfigError, DataError
+from gapsl.orchestrator import TrainingEngine
 from gapsl.reporting import CSV_COLUMNS, compare_table, read_metrics_csv
+from gapsl.transport import Hello, connect
 
 
 def run_cli(*args):
@@ -167,6 +170,36 @@ class TestValidation:
         assert run_cli("run", "--seeds", "1,1", "--rounds", "2", "--out", str(tmp_path / "x")) == 2
         assert "seeds must not repeat" in capsys.readouterr().err
 
+    # one bad value per rule that the data, the model, its optimizers, LGI
+    # and GDA leave to validate: (field, value, validate's message)
+    @pytest.mark.parametrize("name, value, message", [
+        ("model_dims", (16, 32), "model_dims needs >= 3 entries, got (16, 32)"),
+        ("model_dims", (16, 0, 8), "model_dims entries must be >= 1, got (16, 0, 8)"),
+        ("activation", "gelu", "activation must be relu or tanh, got 'gelu'"),
+        ("cut", 0, "cut must be in [1, 2], got 0"),
+        ("cut", 3, "cut must be in [1, 2], got 3"),
+        ("lr_client", 0.0, "lr_client must be > 0, got 0.0"),
+        ("lr_server", -1.0, "lr_server must be > 0, got -1.0"),
+        ("momentum", 1.0, "momentum must be in [0, 1), got 1.0"),
+        ("k_min", 0.0, "k_min must be in (0, 100], got 0.0"),
+        ("k_max", 101.0, "k_max must be in (0, 100], got 101.0"),
+        ("k_min", 90.0, "k_min (90.0) must be <= k_max (80.0)"),
+        ("rounds", 0, "rounds must be >= 1, got 0"),
+        ("eta", -0.1, "eta must be >= 0, got -0.1"),
+        ("lam", -1.0, "lambda must be >= 0, got -1.0"),
+        ("samples_per_class", 4, "samples_per_class must be >= 5, got 4"),
+        ("spread", -1.0, "spread must be >= 0, got -1.0"),
+        ("alpha", -0.5, "alpha must be > 0 or 'iid', got -0.5"),
+    ])
+    def test_rule_is_checked_by_validate(self, name, value, message):
+        cfg = ExperimentConfig(**{name: value})
+        want = f"invalid configuration:\n  {message}"
+        with pytest.raises(ConfigError) as parsed:
+            parse_config_text(config_to_text(cfg))
+        with pytest.raises(ConfigError) as built:
+            TrainingEngine(cfg, 1)
+        assert str(parsed.value) == str(built.value) == want
+
 
 FAST = (
     "strategy = psl\nclients = 3\nrounds = 3\nbatch_size = 8\n"
@@ -245,6 +278,34 @@ class TestRunCommand:
         assert all(r["wall_ms"] == 0 for r in read_metrics_csv(out / "metrics.csv"))
 
 
+def record_tcp(monkeypatch):
+    """Make ``gapsl run`` record its listener (built or not) and the channels it admits."""
+    listeners, admitted = [], []
+
+    class Recorded(cli.Listener):
+        def __init__(self, address):
+            try:
+                super().__init__(address)
+            finally:
+                listeners.append(self)
+
+        def accept_clients(self, *args, **kwargs):
+            channels = super().accept_clients(*args, **kwargs)
+            admitted.extend(channels.values())
+            return channels
+
+    monkeypatch.setattr(cli, "Listener", Recorded)
+    return listeners, admitted
+
+
+def listening_address(listeners):
+    deadline = time.monotonic() + 10
+    while not listeners and time.monotonic() < deadline:
+        time.sleep(0.01)
+    assert listeners, "the coordinator never listened"
+    return listeners[0].address
+
+
 class TestOneClient:
     """One client runs psl, sfl and vanilla_sl alike, as centralized split
     training; psl also runs it over TCP."""
@@ -267,28 +328,53 @@ class TestOneClient:
         assert rows["sfl"] == rows["psl"] and rows["vanilla_sl"] == rows["psl"]
 
     def test_psl_over_tcp_writes_the_in_process_rows(self, tmp_path, monkeypatch):
-        listeners = []
-
-        class Recorded(cli.Listener):
-            def __init__(self, address):
-                super().__init__(address)
-                listeners.append(self)
-
-        monkeypatch.setattr(cli, "Listener", Recorded)
+        listeners, _ = record_tcp(monkeypatch)
         tcp_lines = []
         coordinator = threading.Thread(target=lambda: tcp_lines.append(self.run_one(
             tmp_path, "tcp", "--transport", "tcp", "--listen", "127.0.0.1:0")))
         coordinator.start()
         try:
-            deadline = time.monotonic() + 10
-            while not listeners and time.monotonic() < deadline:
-                time.sleep(0.01)
-            assert listeners, "the coordinator never listened"
-            assert run_cli("client", "--connect", listeners[0].address, "--client-id", "0") == 0
+            assert run_cli("client", "--connect", listening_address(listeners), "--client-id", "0") == 0
         finally:
             coordinator.join(timeout=30)
         assert not coordinator.is_alive()
         assert tcp_lines == [self.run_one(tmp_path, "inproc")]
+
+
+class TestTcpRunFailures:
+    """A TCP run that fails exits with its documented code and leaves no socket open."""
+
+    def test_peer_gone_after_hello_closes_every_socket(self, tmp_path, monkeypatch, capsys):
+        listeners, admitted = record_tcp(monkeypatch)
+        codes = []
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(FAST)
+        coordinator = threading.Thread(target=lambda: codes.append(run_cli(
+            "run", "--config", str(cfg), "--clients", "1", "--transport", "tcp",
+            "--listen", "127.0.0.1:0", "--out", str(tmp_path / "out"))))
+        coordinator.start()
+        try:
+            peer = connect(listening_address(listeners))
+            peer.send(Hello(0))
+            peer.recv(timeout=10)  # the CONFIG: the coordinator has admitted this peer
+            peer.close()
+        finally:
+            coordinator.join(timeout=30)
+        assert codes == [3]
+        assert "round 1 client 0 (forward): connection closed mid-stream" in capsys.readouterr().err
+        assert len(admitted) == 1
+        assert admitted[0].sock.fileno() == -1 and listeners[0]._sock.fileno() == -1
+
+    def test_busy_listen_port_is_a_config_error(self, tmp_path, monkeypatch, capsys):
+        listeners, _ = record_tcp(monkeypatch)
+        with socket.socket() as busy:
+            busy.bind(("127.0.0.1", 0))
+            busy.listen()
+            address = f"127.0.0.1:{busy.getsockname()[1]}"
+            assert run_cli("run", "--clients", "1", "--strategy", "psl", "--transport", "tcp",
+                           "--listen", address, "--out", str(tmp_path / "out")) == 2
+        assert f"error: cannot listen on {address}: " in capsys.readouterr().err
+        assert listeners[0]._sock.fileno() == -1
 
 
 ROOT = Path(__file__).resolve().parents[1]

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import oracles
-from gapsl.errors import ConfigError, CoordinationSkipped
+from gapsl.errors import CoordinationSkipped
 from gapsl.gda import (
     GdaConfig,
     adaptive_threshold,
@@ -384,9 +384,3 @@ class TestRunGda:
         rand = run_gda(cohort_of(vs), losses, leader_of(lead), GdaConfig(),
                        survivor_mode="random", rng=np.random.default_rng(1))
         assert len(rand.survivors) == len(base.survivors)
-
-    def test_config_validation(self):
-        with pytest.raises(ConfigError):
-            GdaConfig(eta=-0.1)
-        with pytest.raises(ConfigError):
-            GdaConfig(lam=-1.0)

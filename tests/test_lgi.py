@@ -364,11 +364,3 @@ class TestRunLgi:
         cohort = [GradientVector(0, 1, np.ones(3)), GradientVector(1, 1, np.ones(4))]
         with pytest.raises(ConfigError):
             run_lgi(cohort, LgiState(), LgiConfig(total_rounds=5), round_t=1)
-
-    def test_config_validation(self):
-        with pytest.raises(ConfigError):
-            LgiConfig(total_rounds=10, k_min=0.0)
-        with pytest.raises(ConfigError):
-            LgiConfig(total_rounds=10, k_min=60, k_max=40)
-        with pytest.raises(ConfigError):
-            LgiConfig(total_rounds=0)

@@ -139,11 +139,9 @@ class TestGapslBehavior:
     def test_label_flipped_client_selected_least(self):
         cfg = small_config(strategy="gapsl", clients=3, rounds=50, alpha=None, spread=0.4)
         seed = 2
-        train, test = build_dataset(cfg, seed)
-        partition = build_partition(cfg, seed, train.labels)
-        flipped = partition[2]
-        train.labels[flipped] = (cfg.num_classes - 1) - train.labels[flipped]
-        engine = TrainingEngine(cfg, seed, data=(train, test, partition))
+        engine = TrainingEngine(cfg, seed)
+        labels, flipped = engine.train.labels, engine.partition[2]
+        labels[flipped] = (cfg.num_classes - 1) - labels[flipped]  # every round reads engine.train's labels
         counts = {0: 0, 1: 0, 2: 0}
         for t in range(1, 51):
             report = engine.run_round(t)
@@ -196,11 +194,9 @@ class TestPsl:
     def test_single_client_equals_centralized_split_training(self):
         cfg = small_config(strategy="psl", clients=1, rounds=15)
         seed = 7
-        train, test = build_dataset(cfg, seed)
-        partition = build_partition(cfg, seed, train.labels)
-        (shard,) = partition
+        engine = TrainingEngine(cfg, seed)
+        train, (shard,) = engine.train, engine.partition
         assert np.array_equal(shard, np.arange(len(train)))  # the one client holds every sample
-        engine = TrainingEngine(cfg, seed, data=(train, test, partition))
         engine.run()
 
         # centralized reference: same init, same batch stream, plain SGD
