@@ -1,8 +1,7 @@
 """Experiment configuration: flat key=value files, flag overrides, validation.
 
 The file format is line-oriented ``key = value`` with ``#`` comments.
-Values given on the command line override file values; the environment
-variable ``GAPSL_SEED`` is the seed of last resort. Validation collects
+Values given on the command line override file values. Validation collects
 every violation before failing so a bad config is reported in one shot.
 :func:`validate` is the only place a config rule is checked: the data, model,
 optimizers, LGI and GDA built from a valid config take their arguments as given.
@@ -12,7 +11,6 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import os
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -191,12 +189,6 @@ def parse_config_text(
 
     for key, raw in (overrides or {}).items():
         absorb(key, raw, "override")
-
-    if "seeds" not in values and os.environ.get("GAPSL_SEED"):
-        try:
-            values["seeds"] = (int(os.environ["GAPSL_SEED"]),)
-        except ValueError:
-            violations.append(f"GAPSL_SEED is not an integer: {os.environ['GAPSL_SEED']!r}")
 
     # build from whatever parsed cleanly so semantic violations surface
     # alongside parse-level ones in a single report

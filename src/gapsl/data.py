@@ -17,6 +17,7 @@ running on real image files.
 
 from __future__ import annotations
 
+import heapq
 import struct
 from dataclasses import dataclass
 
@@ -137,18 +138,22 @@ def _shards(owner: np.ndarray, num_clients: int) -> list[np.ndarray]:
 
     Empty-client repair: in ascending order, each client that owns nothing
     takes the smallest sample of the currently largest client (ties: the
-    smaller id). ``owner`` is updated in place.
+    smaller id), the head of its shard, found in a heap of the sizes. While
+    any client is empty the largest holds two or more, so a client that
+    took one is never the largest and its heap entry may go stale.
     """
     sizes = np.bincount(owner, minlength=num_clients)
-    for k in np.flatnonzero(sizes == 0).tolist():
-        donor = np.argmax(sizes)
-        owner[np.argmax(owner == donor)] = k
-        sizes[donor] -= 1
-        sizes[k] += 1
     # in the smallest dtype that holds every id: up to 16 bits a stable argsort is a radix sort
     order = np.argsort(owner.astype(np.min_scalar_type(num_clients - 1)), kind="stable")
     ends = np.cumsum(sizes).tolist()
-    return [order[start:end] for start, end in zip([0, *ends], ends)]
+    shards = [order[start:end] for start, end in zip([0, *ends], ends)]
+    largest = [(-n, i) for i, n in enumerate(sizes.tolist())]
+    heapq.heapify(largest)
+    for k in np.flatnonzero(sizes == 0).tolist():
+        n, donor = largest[0]
+        shards[k], shards[donor] = shards[donor][:1], shards[donor][1:]
+        heapq.heapreplace(largest, (n + 1, donor))
+    return shards
 
 
 def load_idx(path: str) -> np.ndarray:
@@ -193,6 +198,8 @@ def load_idx_dataset(images_path: str, labels_path: str) -> Dataset:
         raise FormatError(f"{images_path}: expected an image file, got a label file")
     if labels.ndim != 1:
         raise FormatError(f"{labels_path}: expected a label file, got an image file")
+    if images.size == 0:
+        raise DataError(f"{images_path}: no pixels to train on, images of shape {images.shape}")
     if len(images) != len(labels):
         raise DataError(f"{len(images)} images but {len(labels)} labels")
     inputs = images.reshape(len(images), -1).astype(np.float32)

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, CoordinationSkipped
+from .errors import CoordinationSkipped
 from .geometry import EPS_NORM, Cohort, GradientVector, angular_deviation, left_sum, mean_std, prepared
 
 log = logging.getLogger(__name__)
@@ -157,12 +157,13 @@ def run_gda(
 
     ``losses`` holds the clients' losses by cohort row, or keyed by id.
     ``survivor_mode`` "random" replaces the threshold-filtered set with a
-    uniformly random subset of the same size (ablation); the threshold is
-    still computed and reported. The per-client correction strength is
-    lambda_g = lambda * ||g||, so the gradient shift has magnitude
-    lambda * sin(theta) whatever ||g|| is, and it raises the cosine to the
-    leader iff atan(lambda * sin(theta) / ||g||) < 2 * theta. On a short g
-    with a large lambda it can lower it.
+    uniformly random subset of the same size, drawn from ``rng`` (ablation);
+    the threshold is still computed and reported. Any other mode keeps the
+    filtered set; the engine passes only "threshold". The per-client
+    correction strength is lambda_g = lambda * ||g||, so the gradient shift
+    has magnitude lambda * sin(theta) whatever ||g|| is, and it raises the
+    cosine to the leader iff atan(lambda * sin(theta) / ||g||) < 2 * theta.
+    On a short g with a large lambda it can lower it.
     """
     cohort = prepared(cohort)
     deviations = deviations_to_leader(cohort, leader)
@@ -173,11 +174,7 @@ def run_gda(
     kept = filter_clients(deviations, threshold)  # positions among the usable rows
 
     if survivor_mode == "random":
-        if rng is None:
-            raise ConfigError("random survivor mode needs an rng")
         kept = tuple(sorted(rng.choice(len(deviations), size=len(kept), replace=False).tolist()))
-    elif survivor_mode != "threshold":
-        raise ConfigError(f"unknown survivor mode {survivor_mode!r}")
 
     rows = [cohort.usable_rows[s] for s in kept]
     survivors = tuple(cohort.ids[k] for k in rows)

@@ -218,8 +218,9 @@ def run_lgi(
     ``mode`` picks the cohort used for the leader: "consistent" is the
     normal selection of :func:`select_consistent`, "all" keeps every usable
     client (no ratio adaptation), "random" keeps the adaptive count but
-    draws the members uniformly from ``rng``. The latter two exist for
-    ablations. ``selected`` names the selected rows' clients. Raises
+    draws the members uniformly from ``rng``, which it requires. The latter
+    two exist for ablations; the engine, the one caller, passes no other
+    mode. ``selected`` names the selected rows' clients. Raises
     :class:`ConfigError` when the gradients disagree on length.
     """
     cohort = prepared(cohort)
@@ -234,14 +235,10 @@ def run_lgi(
         k_percent = selection_ratio(state, config, scores)
         if mode == "consistent":
             rows = select_consistent(cohort, scores, k_percent)
-        elif mode == "random":
-            if rng is None:
-                raise ConfigError("random selection mode needs an rng")
+        else:  # "random"
             count = min(selection_count(k_percent, len(cohort.ids)), len(usable))
             picked = rng.choice(len(usable), size=count, replace=False)
             rows = tuple(sorted(usable[i] for i in picked))
-        else:
-            raise ConfigError(f"unknown selection mode {mode!r}")
 
     return LgiOutcome(
         scores=scores,

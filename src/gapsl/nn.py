@@ -43,6 +43,13 @@ client's gradient into its row of a ``[clients, P]`` matrix through
 batched ``np.matmul(..., out=)``, bit for bit as one backward per client
 on its batch padded to the stack's depth would. The engine pads its
 stacks so that every product in them runs gemm (``orchestrator.padded_rows``).
+
+Each shape is checked once, where its data enters the engine: a dataset's
+width by ``orchestrator.build_dataset``, a peer's activations by
+``orchestrator.check_activations`` and its activation gradients by
+``transport.client_loop``; the engine builds every other matrix itself. So
+the functions here take shapes as given, each saying what it assumes, and
+check only stored values: a cache or buffer that does not fit its layers.
 """
 
 from __future__ import annotations
@@ -53,7 +60,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DataError, NumericError, ProtocolError
+from .errors import ConfigError, NumericError, ProtocolError
 
 
 @dataclass(frozen=True)
@@ -219,11 +226,9 @@ def forward_client(
     """Run the client part; returns cut-layer activations and the backward cache.
 
     ``inputs`` is ``[batch, fan_in]`` for one model and
-    ``[clients, batch, fan_in]`` for a bank.
+    ``[clients, batch, fan_in]`` for a bank: the engine indexes them from a
+    dataset whose width ``build_dataset`` checks against ``model_dims[0]``.
     """
-    w = layers[0].w
-    if inputs.ndim != w.ndim or inputs.shape[:-2] != w.shape[:-2] or inputs.shape[-1] != w.shape[-2]:
-        raise ConfigError(f"input shape {inputs.shape} does not match first layer weights {w.shape}")
     cached: list[np.ndarray] = []
     a = forward_hidden(layers, inputs, activation, cached)
     return a, Cache(activation=activation, inputs=cached, shapes=_layer_shapes(layers), output=a)
@@ -237,18 +242,11 @@ def forward_server(
 ) -> tuple[np.ndarray, float, Cache]:
     """Run the server part and the loss; returns per-example losses, their mean, and the cache.
 
+    ``activations`` is ``[batch, fan_in]``: a bank built it, or ``check_activations`` checked a peer's.
     ``labels`` are integers in [0, classes), one per row of ``activations``:
     they index the logits unchecked, since the :class:`~gapsl.data.Dataset`
     they come from checks its labels once, when it is built."""
-    if activations.ndim != 2 or activations.shape[1] != layers[0].w.shape[0]:
-        raise ConfigError(
-            f"activation shape {activations.shape} does not match server fan-in {layers[0].w.shape[0]}"
-        )
-    labels = np.asarray(labels)
     batch = activations.shape[0]
-    if labels.shape[0] != batch:
-        raise DataError(f"{labels.shape[0]} labels for {batch} examples")
-
     inputs: list[np.ndarray] = []
     a = forward_hidden(layers[:-1], activations, activation, inputs)
     inputs.append(a)
@@ -278,12 +276,9 @@ def stack_caches(caches: Sequence[Cache], activations: np.ndarray, labels: np.nd
     hidden inputs are copied into ``[clients, maxlen, ...]`` arrays, padded
     with zero rows. Also returns the ``[clients, maxlen]`` loss weights:
     1/batch on each client's rows, so that each gradient is that of its
-    client's mean loss, and 0 on padding."""
+    client's mean loss, and 0 on padding. The engine builds the stacks and
+    the caches from one index matrix, one cache per row, so they fit."""
     shape = labels.shape
-    if activations.shape[:2] != shape or len(caches) != shape[0]:
-        raise ConfigError(
-            f"{len(caches)} caches do not fit activations {activations.shape} and labels {shape}"
-        )
     first = caches[0]
     dtype = first.probs.dtype
     probs = np.zeros((*shape, first.probs.shape[1]), dtype=dtype)
@@ -298,43 +293,33 @@ def stack_caches(caches: Sequence[Cache], activations: np.ndarray, labels: np.nd
     return Cache(first.activation, [activations, *hidden], first.shapes, probs=probs, labels=labels), weights
 
 
-def backward_server(
-    layers: list[DenseLayer], cache: Cache, out: np.ndarray, loss_weights: np.ndarray | None = None
-) -> np.ndarray:
-    """Backprop the (weighted) per-example losses through the server part.
+def backward_server(layers: list[DenseLayer], cache: Cache, out: np.ndarray, loss_weights: np.ndarray) -> np.ndarray:
+    """Backprop the weighted per-example losses through the server part.
 
     ``cache`` holds one batch (from :func:`forward_server`) or a stack of
     clients' batches (from :func:`stack_caches`); then every array has a
-    leading client axis, ``out`` holds one gradient row per client and the
-    stack's loss weights are required. ``loss_weights`` (``[batch]`` or
-    ``[clients, maxlen]``) defaults to 1/batch for every example, i.e. the
-    gradient of the mean loss. Writes the parameter gradient into the flat
-    buffer ``out`` and returns the gradient w.r.t. the incoming activations.
+    leading client axis and ``out`` holds one gradient row per client.
+    ``loss_weights`` (``[batch]`` or ``[clients, maxlen]``) weigh each
+    example's loss; :func:`stack_caches` gives 1/batch, the mean loss's, and
+    0 on padding. Writes the parameter gradient into the flat buffer ``out``
+    and returns the gradient w.r.t. the incoming activations.
     """
     grads = _grad_views(layers, cache, out)
-    probs = cache.probs
-    delta = probs.copy()
+    delta = cache.probs.copy()
     rows = delta.reshape(-1, delta.shape[-1])
     rows[np.arange(len(rows)), cache.labels.ravel()] -= 1
-    if loss_weights is not None:
-        delta = delta * loss_weights[..., None]
-    elif delta.ndim == 2:
-        delta *= probs.dtype.type(1.0 / len(delta))
-    else:
-        raise ConfigError("a stacked cache needs its loss weights: its padding rows weigh 0")
+    delta = delta * loss_weights[..., None]
     d0 = _backprop(layers, cache.inputs, delta, cache.activation, grads)
     return d0 @ layers[0].w.T
 
 
 def backward_client(layers: list[DenseLayer], cache: Cache, activation_grads: np.ndarray, out: np.ndarray) -> None:
     """Backprop activation gradients through the client part (one model or
-    a bank), writing the parameter gradient into the flat buffer ``out``."""
+    a bank), writing the parameter gradient into the flat buffer ``out``.
+    ``activation_grads`` has the cut activations' shape: the server's
+    backward built it, or ``client_loop`` checked the ACT_GRADS frame."""
     grads = _grad_views(layers, cache, out)
     top = cache.output
-    if activation_grads.shape != top.shape:
-        raise ProtocolError(
-            f"activation grad shape {activation_grads.shape} does not match cut shape {top.shape}"
-        )
     delta = activation_grads * _act_grad(top, cache.activation)
     _backprop(layers, cache.inputs, delta, cache.activation, grads)  # the inputs take no gradient
 
@@ -354,9 +339,9 @@ def sgd_step(params: np.ndarray, grads: np.ndarray, state: SgdState) -> None:
     gradient raises :class:`NumericError` naming the first tensor, in
     layout order, that holds one, before anything is updated. Min and max
     propagate NaN, so the gradient's extremes are finite only when every
-    entry is; lr*v goes into ``state.step``, rounded as ``state.lr * v`` is."""
-    if not params.shape == grads.shape == state.velocity.shape:
-        raise ConfigError(f"shapes differ: params {params.shape}, grads {grads.shape}, state {state.velocity.shape}")
+    entry is; lr*v goes into ``state.step``, rounded as ``state.lr * v`` is.
+    ``grads`` has the shape of ``params``: the engine allocates each
+    gradient buffer like the parameters it steps."""
     if not (math.isfinite(np.minimum.reduce(grads, axis=None)) and math.isfinite(np.maximum.reduce(grads, axis=None))):
         layers = layer_views(np.isfinite(grads), state.widths)
         bad = next(f"layer{i}.{n}" for i, l in enumerate(layers) for n in "wb" if not getattr(l, n).all())

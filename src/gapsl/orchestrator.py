@@ -192,10 +192,7 @@ class ClientBank:
         cache, self._cache = self._cache, None
         if cache is None:
             raise client_error(round_t, None, "backward", "gradients received before any forward pass")
-        try:
-            backward_client(self.layers, cache, act_grads, self.grads)  # refuses a stack of another shape
-        except ProtocolError as e:
-            raise client_error(round_t, None, "backward", e) from e
+        backward_client(self.layers, cache, act_grads, self.grads)
         sgd_step(self.params, self.grads, self.opt)
 
     def eval_activations(self, round_t: int) -> Iterator[np.ndarray]:
@@ -255,14 +252,14 @@ class ProxyCohort:
     a time in id order; a ProtocolError names the round, client and phase.
     Per-client arrays live only here, on the wire: each remote client's
     activations are checked and copied into a zero-padded stack, and each
-    gets its rows of the gradient stack, once the stack is checked against
-    the shape of the one its forward built. Batches are not sent: each
-    remote client replays its own stream."""
+    gets its rows of the gradient stack, which the server's backward built
+    in the shape of that stack. Batches are not sent: each remote client
+    replays its own stream."""
 
     def __init__(self, proxies: dict[int, ClientProxy], fan_in: int):
         self.proxies = proxies
         self.fan_in = fan_in
-        self._round = None  # (batch lengths, stack shape) of the round in progress
+        self._lengths = None  # the batch lengths of the round in progress
 
     def _each(self, round_t: int, phase: str, call) -> Iterator[tuple[int, object]]:
         for i in sorted(self.proxies):
@@ -277,17 +274,13 @@ class ProxyCohort:
         for i, a in self._each(round_t, "forward", lambda i, p: p.forward_round(round_t)):
             check_activations(round_t, i, "forward", a, (lengths[i], self.fan_in))
             acts[i, : lengths[i]] = a
-        self._round = (lengths, acts.shape)
+        self._lengths = lengths
         return acts
 
     def apply_grads(self, round_t: int, act_grads: np.ndarray) -> None:
-        pending, self._round = self._round, None
-        if pending is None:
+        lengths, self._lengths = self._lengths, None
+        if lengths is None:
             raise client_error(round_t, None, "backward", "gradients received before any forward pass")
-        lengths, shape = pending
-        if act_grads.shape != shape:
-            raise client_error(round_t, None, "backward",
-                               f"activation grad shape {act_grads.shape} does not match cut shape {shape}")
         for _ in self._each(round_t, "backward", lambda i, p: p.apply_grads(round_t, act_grads[i, : lengths[i]])):
             pass
 
@@ -434,10 +427,7 @@ class TrainingEngine:
         strategies, the relay's current client for vanilla_sl."""
         cfg = self.cfg
         rows, lengths = padded_rows([self.cursors[i].next() for i in ids])
-        acts = self.clients.forward(t, rows, lengths)
-        shape = (len(ids), rows.shape[1], self.fan_in)
-        if acts.shape != shape:
-            raise client_error(t, None, "forward", f"expected an activation stack of shape {shape}, got {acts.shape}")
+        acts = self.clients.forward(t, rows, lengths)  # [clients, maxlen, cut]: built by the bank, or checked per peer
         self.samples_consumed += sum(lengths)
 
         # the server forwards client by client on views of the stack, then

@@ -7,6 +7,7 @@ import math
 import os
 import re
 import socket
+import struct
 import subprocess
 import sys
 import threading
@@ -70,12 +71,6 @@ class TestParseConfig:
     def test_comments_and_blank_lines_ignored(self):
         cfg = parse_config_text("# a comment\n\nrounds = 7\n")
         assert cfg.rounds == 7
-
-    def test_env_seed_fallback(self, monkeypatch):
-        monkeypatch.setenv("GAPSL_SEED", "123")
-        assert parse_config_text("").seeds == (123,)
-        # explicit seeds win over the environment
-        assert parse_config_text("seeds = 4,5\n").seeds == (4, 5)
 
     def test_round_trip_through_canonical_text(self):
         cfg = ExperimentConfig(strategy="sfl", alpha=None, seeds=(3, 9), lam=1e-3,
@@ -261,6 +256,19 @@ class TestRunCommand:
         cfg.write_text("rounds = 0\n")
         assert run_cli("run", "--config", str(cfg), "--out", str(tmp_path / "x")) == 2
         assert "rounds" in capsys.readouterr().err
+
+    def test_idx_set_without_pixels_exits_2_naming_the_file(self, tmp_path, capsys):
+        # a zero-image file; the other three files are well formed
+        paths = {k: tmp_path / f"{k}.idx" for k in ("train_images", "train_labels", "test_images", "test_labels")}
+        paths["train_images"].write_bytes(struct.pack(">IIII", 0x803, 0, 2, 2))
+        paths["train_labels"].write_bytes(struct.pack(">II", 0x801, 0))
+        paths["test_images"].write_bytes(struct.pack(">IIII", 0x803, 4, 2, 2) + bytes(16))
+        paths["test_labels"].write_bytes(struct.pack(">II", 0x801, 4) + bytes([0, 1, 2, 3]))
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(FAST.replace("model_dims = 8,12,4", "model_dims = 4,12,4") + "dataset = idx\nalpha = iid\n"
+                       + "".join(f"{k} = {v}\n" for k, v in paths.items()))
+        assert run_cli("run", "--config", str(cfg), "--out", str(tmp_path / "x")) == 2
+        assert f"{paths['train_images']}: no pixels to train on" in capsys.readouterr().err
 
     def test_tcp_without_listen_fails_before_writing_anything(self, tmp_path, capsys):
         cfg = tmp_path / "exp.cfg"

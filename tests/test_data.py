@@ -1,5 +1,6 @@
 """Datasets, partitions, and the IDX reader."""
 
+import re
 import struct
 
 import numpy as np
@@ -247,6 +248,15 @@ class TestLoadIdx:
         img.write_bytes(idx_images_bytes(np.zeros((3, 2, 2))))
         lab.write_bytes(idx_labels_bytes([0, 1]))
         with pytest.raises(DataError):
+            load_idx_dataset(str(img), str(lab))
+
+    @pytest.mark.parametrize("shape", [(0, 2, 2), (3, 0, 2), (3, 2, 0)], ids=["no-images", "no-rows", "no-cols"])
+    def test_a_set_without_pixels_is_a_data_error_naming_the_file(self, tmp_path, shape):
+        img, lab = tmp_path / "img.idx", tmp_path / "lab.idx"
+        img.write_bytes(idx_images_bytes(np.zeros(shape)))
+        lab.write_bytes(idx_labels_bytes(np.arange(shape[0]) % 3))
+        with pytest.raises(DataError, match=rf"{re.escape(str(img))}: no pixels to train on, "
+                                            rf"images of shape {re.escape(str(shape))}"):
             load_idx_dataset(str(img), str(lab))
 
     @pytest.mark.parametrize(

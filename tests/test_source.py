@@ -73,3 +73,15 @@ def test_every_dataclass_field_is_read_in_src():
     allow, fields = allowed(), definitions()[1]
     unread = [q for q, name in sorted(fields.items()) if name not in read and q not in allow]
     assert fields and unread == []
+
+
+def test_every_name_a_module_imports_is_used_in_it():
+    # deleting a check must not leave its error class imported behind it
+    unused = []
+    for stem, tree in modules():
+        used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__":
+                names = [alias.asname or alias.name.split(".")[0] for alias in node.names]
+                unused += [f"{stem}: {name}" for name in names if name not in used]
+    assert unused == []
