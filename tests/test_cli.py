@@ -72,6 +72,12 @@ class TestParseConfig:
         cfg = parse_config_text("# a comment\n\nrounds = 7\n")
         assert cfg.rounds == 7
 
+    def test_the_environment_sets_no_seed(self, monkeypatch):
+        # seeds come from the seeds key or --seed/--seeds alone
+        for value in ("123", "not a seed"):
+            monkeypatch.setenv("GAPSL_SEED", value)
+            assert parse_config_text("").seeds == ExperimentConfig().seeds == (1,)
+
     def test_round_trip_through_canonical_text(self):
         cfg = ExperimentConfig(strategy="sfl", alpha=None, seeds=(3, 9), lam=1e-3,
                                model_dims=(4, 8, 4), cut=1, listen="127.0.0.1:9000")

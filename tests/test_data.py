@@ -9,6 +9,7 @@ import pytest
 import oracles
 from gapsl.data import (
     Dataset,
+    _shards,
     dirichlet_partition,
     iid_partition,
     load_idx,
@@ -188,6 +189,23 @@ class TestPartitionOracle:
     def test_every_dirichlet_case_above_runs_the_repair(self, clients, alpha):
         labels = self.label_sets(clients)[1]
         assert any(self.emptied(labels, clients, alpha, seed) for seed in self.SEEDS)
+
+
+class TestEmptyClientRepair:
+    """``_shards`` on hand-worked owners: each empty client, in ascending
+    order, takes the smallest sample of the currently largest client."""
+
+    @pytest.mark.parametrize("owner,clients,want", [
+        ([0, 0, 0, 1, 1, 0], 4, [[2, 5], [3, 4], [0], [1]]),
+        ([1, 1, 0, 0], 3, [[3], [0, 1], [2]]),
+        ([1, 0, 1, 0, 1, 0], 4, [[3, 5], [2, 4], [1], [0]]),
+        ([2, 0, 1, 0], 3, [[1, 3], [2], [0]]),
+    ], ids=["one-donor-gives-twice", "a-tie-goes-to-the-smaller-id", "the-donor-moves-once-it-shrinks",
+            "no-client-empty"])
+    def test_each_empty_client_takes_the_largest_clients_smallest_sample(self, owner, clients, want):
+        got = _shards(np.array(owner, dtype=np.int64), clients)
+        assert [a.tolist() for a in got] == want
+        assert all(a.dtype == np.int64 for a in got)
 
 
 def idx_images_bytes(images):
