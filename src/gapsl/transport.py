@@ -29,10 +29,18 @@ behind; channels set ``TCP_NODELAY`` because under Nagle's algorithm that
 frame would wait for the coordinator's delayed ACK (about 40 ms). Every
 frame leaves in a single ``sendall``, so no frame is split into small segments.
 
-The coordinator waits at most ``PEER_TIMEOUT_S`` for each frame a client
-owes it (activations, eval results), so a live but silent peer ends the
-run with a :class:`ProtocolError` instead of hanging it. A client waits
-on the coordinator without a deadline.
+Every read waits under a deadline, so a live but silent peer on either
+end ends the run with a :class:`ProtocolError` instead of hanging it.
+Handshake reads wait at most ``HANDSHAKE_TIMEOUT_S``. The coordinator
+waits at most ``PEER_TIMEOUT_S`` for each frame a client owes it
+(activations, eval results). Before it answers a client it may read every
+client's eval frame, then every client's next activations, so a client
+waits at most ``(2 * clients + 1) * PEER_TIMEOUT_S`` for each frame the
+coordinator owes it (gradients, METRICS, BYE); the extra term covers the
+coordinator's own work, such as a seed's set-up. A send blocks only once
+the peer stops reading; it then waits at most what the last read on its
+socket left of that read's deadline, or for a client's HELLO
+``HANDSHAKE_TIMEOUT_S``.
 
 Both ends check a matrix frame with :func:`expect_matrix`. Checks here say
 only what went wrong; each end names a failure inside a round once, as
@@ -63,6 +71,8 @@ MATRIX_HEADER_SIZE = struct.calcsize(MATRIX_FMT)
 # seconds the coordinator waits for one client frame: far above a client's
 # per-seed dataset build plus one round
 PEER_TIMEOUT_S = 300.0
+# seconds for a client's connect and CONFIG, and for the coordinator's whole handshake
+HANDSHAKE_TIMEOUT_S = 10.0
 _NO_PAYLOAD = np.empty(0, dtype="<f4")
 
 TAG_HELLO = 1
@@ -258,18 +268,18 @@ class FrameChannel:
         except OSError as e:
             raise ProtocolError(f"send failed: {e}") from e
 
-    def recv(self, timeout: float | None = None) -> WireMessage:
+    def recv(self, timeout: float) -> WireMessage:
         """The next message; ``timeout`` seconds bound the wait for the whole frame."""
-        deadline = None if timeout is None else time.monotonic() + timeout
+        deadline = time.monotonic() + timeout
         while True:
             parsed = decode(self._buf)
             if parsed is not None:
                 msg, consumed = parsed
                 del self._buf[:consumed]
                 return msg
-            left = None if deadline is None else deadline - time.monotonic()
+            left = deadline - time.monotonic()
             try:
-                if left is not None and left <= 0:
+                if left <= 0:
                     raise socket.timeout
                 self.sock.settimeout(left)
                 chunk = self.sock.recv(65536)
@@ -289,14 +299,14 @@ class FrameChannel:
         self.sock.close()
 
 
-def connect(address: str, timeout: float = 10.0) -> FrameChannel:
-    """Open a TCP connection; raises ProtocolError when the peer is unreachable."""
+def connect(address: str) -> FrameChannel:
+    """Open a TCP connection within ``HANDSHAKE_TIMEOUT_S``; raises
+    ProtocolError when the peer is unreachable."""
     host, port = parse_address(address)
     try:
-        sock = socket.create_connection((host, port), timeout=timeout)
+        sock = socket.create_connection((host, port), timeout=HANDSHAKE_TIMEOUT_S)
     except OSError as e:
         raise ProtocolError(f"cannot connect to {address}: {e}") from e
-    sock.settimeout(None)
     return FrameChannel(sock)
 
 
@@ -320,7 +330,7 @@ class Listener:
         return f"{host}:{port}"
 
     def accept_clients(
-        self, num_clients: int, config_text: str, timeout: float = 10.0
+        self, num_clients: int, config_text: str, timeout: float = HANDSHAKE_TIMEOUT_S
     ) -> dict[int, FrameChannel]:
         """Accept until every client id in [0, num_clients) has checked in.
 
@@ -396,7 +406,7 @@ class RemoteClientProxy:
         self.channel.close()
 
 
-def client_loop(channel: FrameChannel, client_id: int, handshake_timeout: float = 10.0) -> dict:
+def client_loop(channel: FrameChannel, client_id: int) -> dict:
     """Worker-side protocol driver: handshake, train every seed, wind down.
 
     The server's CONFIG text is authoritative; it determines the data,
@@ -409,12 +419,13 @@ def client_loop(channel: FrameChannel, client_id: int, handshake_timeout: float 
     )
 
     channel.send(Hello(client_id))
-    msg = channel.recv(timeout=handshake_timeout)
+    msg = channel.recv(HANDSHAKE_TIMEOUT_S)
     if isinstance(msg, Bye):
         raise ProtocolError(f"server rejected client {client_id} during handshake")
     if not isinstance(msg, ConfigMsg):
         raise ProtocolError(f"expected CONFIG after HELLO, got {type(msg).__name__}")
     cfg = parse_config_text(msg.text, source="<server config>")
+    owed_s = (2 * cfg.clients + 1) * PEER_TIMEOUT_S  # the bound the module docstring derives
 
     for seed in cfg.seeds:
         train, test = build_dataset(cfg, seed)
@@ -428,7 +439,7 @@ def client_loop(channel: FrameChannel, client_id: int, handshake_timeout: float 
                 sent = acts[0, :n]
                 channel.send(Activations(t, client_id, sent))
                 phase = "backward"
-                got = expect_matrix(channel.recv(), ActGrads, t, client_id)
+                got = expect_matrix(channel.recv(owed_s), ActGrads, t, client_id)
                 if got.shape != sent.shape:
                     raise ProtocolError(f"ActGrads of shape {got.shape}, expected {sent.shape}")
                 grads = np.zeros_like(acts)
@@ -442,11 +453,14 @@ def client_loop(channel: FrameChannel, client_id: int, handshake_timeout: float 
                 raise client_error(t, client_id, phase, e) from e
 
     final: dict = {}
-    while True:
-        msg = channel.recv()
-        if isinstance(msg, Metrics):
-            final = msg.payload
-        elif isinstance(msg, Bye):
-            return final
-        else:
-            raise ProtocolError(f"unexpected {type(msg).__name__} after training finished")
+    try:
+        while True:
+            msg = channel.recv(owed_s)
+            if isinstance(msg, Metrics):
+                final = msg.payload
+            elif isinstance(msg, Bye):
+                return final
+            else:
+                raise ProtocolError(f"unexpected {type(msg).__name__} after training finished")
+    except ProtocolError as e:
+        raise client_error(cfg.rounds, client_id, "wind-down", e) from e

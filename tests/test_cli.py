@@ -19,9 +19,10 @@ import pytest
 
 import gapsl
 import gapsl.cli as cli
+import gapsl.transport as tp
 from gapsl.cli import _build_parser, _collect_overrides, main
 from gapsl.config import ExperimentConfig, config_to_text, parse_config, parse_config_text, validate
-from gapsl.errors import ConfigError, DataError
+from gapsl.errors import ConfigError, DataError, ProtocolError
 from gapsl.orchestrator import TrainingEngine
 from gapsl.reporting import CSV_COLUMNS, compare_table, read_metrics_csv
 from gapsl.transport import Hello, connect
@@ -378,6 +379,43 @@ class TestTcpRunFailures:
         assert "round 1 client 0 (forward): connection closed mid-stream" in capsys.readouterr().err
         assert len(admitted) == 1
         assert admitted[0].sock.fileno() == -1 and listeners[0]._sock.fileno() == -1
+
+    def test_client_of_a_stalled_coordinator_exits_3(self, monkeypatch, capsys):
+        # the coordinator answers HELLO with CONFIG, then reads on and says
+        # nothing: the client gives up after (2 * 2 + 1) * 0.1 s
+        monkeypatch.setattr(tp, "PEER_TIMEOUT_S", 0.1)
+        monkeypatch.setattr(tp, "HANDSHAKE_TIMEOUT_S", 1.0)
+        margin = 0.5
+        server = socket.create_server(("127.0.0.1", 0))
+        server.settimeout(10)
+        cfg = ExperimentConfig(strategy="psl", clients=2, rounds=2, batch_size=4, samples_per_class=10,
+                               model_dims=(4, 6, 3), cut=1, seeds=(1,))
+
+        def stalled():
+            conn, _ = server.accept()
+            channel = tp.FrameChannel(conn)
+            try:
+                channel.recv(timeout=10)  # the HELLO
+                channel.send(tp.ConfigMsg(config_to_text(cfg)))
+                while True:
+                    channel.recv(timeout=10)  # the activations, then the client's hang-up
+            except ProtocolError:
+                pass
+            finally:
+                channel.close()
+
+        coordinator = threading.Thread(target=stalled)
+        coordinator.start()
+        try:
+            began = time.monotonic()
+            assert run_cli("client", "--connect", "{}:{}".format(*server.getsockname()[:2]), "--client-id", "0") == 3
+            assert time.monotonic() - began < 0.5 + margin
+        finally:
+            coordinator.join(timeout=10)
+            server.close()
+        assert not coordinator.is_alive()
+        assert ("protocol error: round 1 client 0 (backward): timed out after 0.5s waiting for a frame"
+                in capsys.readouterr().err)
 
     def test_busy_listen_port_is_a_config_error(self, tmp_path, monkeypatch, capsys):
         listeners, _ = record_tcp(monkeypatch)

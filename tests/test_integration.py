@@ -178,7 +178,7 @@ class TestTransportFailures:
                 for t in range(1, die_after + 1):
                     batch = cursor.next()
                     ch.send(Activations(t, cid, bank.forward(t, batch[None], [len(batch)])[0]))
-                    reply = ch.recv()
+                    reply = ch.recv(timeout=10)
                     bank.apply_grads(t, reply.matrix[None])
             except ProtocolError:
                 pass  # the coordinator aborts once its peer vanishes

@@ -50,6 +50,17 @@ def random_message(rng):
     return Bye()
 
 
+# the fake coordinator's reply that sends nothing and keeps the socket open
+SILENT = object()
+# seconds a stalled client may take beyond its deadline to end
+STALL_MARGIN_S = 0.5
+
+
+def client_deadline(cfg):
+    """The seconds a client waits for a frame the coordinator owes it."""
+    return (2 * cfg.clients + 1) * tp.PEER_TIMEOUT_S
+
+
 def assert_messages_equal(a, b):
     assert type(a) is type(b)
     if hasattr(a, "matrix"):
@@ -237,24 +248,31 @@ class TestTcpChannels:
             far.close()
 
     @staticmethod
-    def answer_first_activations(reply):
-        """Run client 1 against a fake coordinator on a socketpair, which
-        answers its round-1 activations with ``reply(activations)``, or with
-        no reply at all, by closing the socket, when ``reply`` is None;
-        returns the activations and the client's ProtocolError messages."""
+    def answer_first_activations(reply, rounds=2):
+        """Run client 1 of 2 against a fake coordinator on a socketpair, which
+        answers its round-1 activations with ``reply(activations)``, then
+        says nothing more. A ``reply`` of None closes the socket instead; one
+        of SILENT sends nothing and keeps the socket open. Returns the
+        activations, the client's ProtocolError messages and the seconds
+        from the activations' arrival to the client's end.
+
+        The coordinator waits for the client's end at most the client's
+        deadline plus STALL_MARGIN_S, and at most 10 s, so a client without
+        a deadline fails the caller instead of hanging it."""
         cfg = ExperimentConfig(
-            strategy="psl", clients=2, rounds=2, batch_size=4, samples_per_class=10,
+            strategy="psl", clients=2, rounds=rounds, batch_size=4, samples_per_class=10,
             model_dims=(4, 6, 3), cut=1, seeds=(1,),
         )
         near, far = socket.socketpair()
         coordinator, client = FrameChannel(near), FrameChannel(far)
-        errors = []
+        errors, ended = [], []
 
         def run():
             try:
                 client_loop(client, 1)
             except ProtocolError as e:
                 errors.append(str(e))
+            ended.append(time.monotonic())
 
         worker = threading.Thread(target=run)
         worker.start()
@@ -262,23 +280,24 @@ class TestTcpChannels:
             assert coordinator.recv(timeout=10) == Hello(1)
             coordinator.send(ConfigMsg(config_to_text(cfg)))
             acts = coordinator.recv(timeout=10)
+            arrived = time.monotonic()
             assert isinstance(acts, Activations) and (acts.round, acts.client_id) == (1, 1)
             if reply is None:
                 coordinator.close()
-            else:
+            elif reply is not SILENT:
                 coordinator.send(reply(acts))
-            worker.join(timeout=10)
+            worker.join(timeout=min(client_deadline(cfg) + STALL_MARGIN_S, 10))
         finally:
             coordinator.close()
             worker.join(timeout=10)
             client.close()
         assert not worker.is_alive()
-        return acts, errors
+        return acts, errors, ended[0] - arrived
 
     @pytest.mark.parametrize("round_t,client_id", [(1, 0), (2, 1)])
     def test_client_rejects_act_grads_addressed_elsewhere(self, round_t, client_id):
         # ACT_GRADS of the right shape for another client or another round
-        _, errors = self.answer_first_activations(
+        _, errors, _ = self.answer_first_activations(
             lambda acts: ActGrads(round_t, client_id, np.zeros_like(acts.matrix))
         )
         assert errors == [f"round 1 client 1 (backward): ActGrads for round {round_t} client {client_id}"]
@@ -289,7 +308,7 @@ class TestTcpChannels:
             grads[0, 1] = np.nan
             return ActGrads(1, 1, grads)
 
-        _, errors = self.answer_first_activations(poisoned)
+        _, errors, _ = self.answer_first_activations(poisoned)
         assert errors == ["round 1 client 1 (backward): non-finite payload float (byte offset 28)"]
 
     @pytest.mark.parametrize("cut", [lambda m: m[:-1], lambda m: np.vstack([m, m]), lambda m: m[:, :-1]],
@@ -297,15 +316,49 @@ class TestTcpChannels:
     def test_client_rejects_misshaped_act_grads(self, cut):
         # the client pads the gradients into its stack only once their shape
         # is the one its activations had
-        acts, errors = self.answer_first_activations(lambda acts: ActGrads(1, 1, cut(np.ones_like(acts.matrix))))
+        acts, errors, _ = self.answer_first_activations(lambda acts: ActGrads(1, 1, cut(np.ones_like(acts.matrix))))
         bad = cut(acts.matrix).shape
         assert errors == [f"round 1 client 1 (backward): ActGrads of shape {bad}, expected {acts.matrix.shape}"]
 
     def test_client_names_a_coordinator_gone_mid_round(self):
         # the coordinator vanishes after round 1's activations: the client's
         # error names the round, itself and the phase it was waiting in
-        _, errors = self.answer_first_activations(None)
+        _, errors, _ = self.answer_first_activations(None)
         assert errors == ["round 1 client 1 (backward): connection closed mid-stream"]
+
+    def test_client_of_a_coordinator_stalled_mid_round_times_out(self, monkeypatch):
+        # the coordinator stays alive and says nothing after round 1's
+        # activations: the client gives up after the deadline derived from
+        # PEER_TIMEOUT_S, (2 * 2 + 1) * 0.1 s
+        monkeypatch.setattr(tp, "PEER_TIMEOUT_S", 0.1)
+        _, errors, elapsed = self.answer_first_activations(SILENT)
+        assert errors == ["round 1 client 1 (backward): timed out after 0.5s waiting for a frame"]
+        assert elapsed < 0.5 + STALL_MARGIN_S
+
+    def test_client_of_a_coordinator_stalled_at_wind_down_times_out(self, monkeypatch):
+        # a one-round run: the client applies its gradients and pushes its
+        # eval result, then no METRICS or BYE follows
+        monkeypatch.setattr(tp, "PEER_TIMEOUT_S", 0.1)
+        _, errors, elapsed = self.answer_first_activations(
+            lambda acts: ActGrads(1, 1, np.zeros_like(acts.matrix)), rounds=1
+        )
+        assert errors == ["round 1 client 1 (wind-down): timed out after 0.5s waiting for a frame"]
+        assert elapsed < 0.5 + STALL_MARGIN_S
+
+    def test_client_of_a_coordinator_stalled_at_the_handshake_times_out(self, monkeypatch):
+        # no CONFIG follows the HELLO; the handshake names no round
+        monkeypatch.setattr(tp, "HANDSHAKE_TIMEOUT_S", 0.2)
+        near, far = socket.socketpair()
+        coordinator, client = FrameChannel(near), FrameChannel(far)
+        began = time.monotonic()
+        try:
+            with pytest.raises(ProtocolError, match=r"^timed out after 0.2s waiting for a frame$"):
+                client_loop(client, 1)
+            assert time.monotonic() - began < 0.2 + STALL_MARGIN_S
+            assert coordinator.recv(timeout=10) == Hello(1)
+        finally:
+            coordinator.close()
+            client.close()
 
     @pytest.mark.parametrize("frame,problem", [
         (EvalResult(1, 0, np.zeros((3, 6), np.float32)), "expected Activations, got EvalResult"),
