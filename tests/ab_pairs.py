@@ -42,17 +42,20 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def bench_run(checkout: Path, workload: str, seed: int) -> dict:
-    """One ``bench/run.py`` run in ``checkout``; returns its JSON result line."""
+def bench_run(checkout: Path, workload: str, seed: int, trace: int) -> dict:
+    """One ``bench/run.py`` run in ``checkout``; returns the record it wrote,
+    less ``spans_file``: that file goes with the temporary directory."""
     with tempfile.TemporaryDirectory() as out:
-        cmd = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed), "--out", out]
-        done = subprocess.run(cmd, cwd=checkout, stdout=subprocess.PIPE, text=True)
-    lines = done.stdout.strip().splitlines()
-    try:
-        return json.loads(lines[-1])  # a failed output check still prints its result, and exits 1
-    except (IndexError, json.JSONDecodeError):
-        raise SystemExit(f"bench/run.py in {checkout} (seed {seed}) exited with status {done.returncode} "
-                         "and printed no result") from None
+        cmd = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
+               "--trace", str(trace), "--out", out]
+        done = subprocess.run(cmd, cwd=checkout, stdout=subprocess.DEVNULL)
+        path = Path(out) / f"{workload}-seed{seed}-trace{trace}.json"
+        if not path.exists():  # a failed output check still writes its record, and exits 1
+            raise SystemExit(f"bench/run.py in {checkout} (workload {workload}, seed {seed}, trace {trace}) "
+                             f"exited with status {done.returncode} and wrote no record")
+        rec = json.loads(path.read_text(encoding="utf-8"))
+    rec.pop("spans_file", None)
+    return rec
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -98,7 +101,7 @@ def main(argv: list[str]) -> int:
     for seed in range(1, args.pairs + 1):
         order = [("other", args.other), ("this", ROOT)]
         for side, checkout in order if seed % 2 else order[::-1]:
-            runs[side].append(bench_run(checkout, args.workload, seed))
+            runs[side].append(bench_run(checkout, args.workload, seed, trace=0))
         print(f"pair {seed}/{args.pairs} done", file=sys.stderr, flush=True)
 
     print(f"{args.workload}: {args.pairs} pairs, this tree {ROOT} against {args.other}")
@@ -106,8 +109,8 @@ def main(argv: list[str]) -> int:
           f"{'change':>8} {'wins':>6}  claim  bound")
     for metric in spec["end_to_end"]:
         name = metric["name"]
-        this = [r["metrics"][name]["value"] for r in runs["this"]]
-        other = [r["metrics"][name]["value"] for r in runs["other"]]
+        this = [r["end_to_end"][name]["value"] for r in runs["this"]]
+        other = [r["end_to_end"][name]["value"] for r in runs["other"]]
         row = verdicts(this, other, metric["better"], metric["bound"])
         cols = [f"{m:.6g} [{q1:.6g}, {q3:.6g}]" for q1, m, q3 in (row["other"], row["this"])]
         print(f"{name:<20} {metric['unit']:<10} {cols[0]:>34} {cols[1]:>34} {row['change']:>+8.2%} "

@@ -1,19 +1,19 @@
 """Record a benchmark baseline of this tree: every workload, untraced and traced.
 
-    python tests/bench_record.py --host "2-vCPU shared host" [--seeds N]
+    python tests/bench_record.py --host "2-vCPU shared host"
 
-For each workload BENCHMARK.json lists, each seed n = 1..N (default 3) and
-each of ``--trace 0`` and ``--trace 1``, runs the unchanged ``bench/run.py
---workload W --seed n`` with the run length BENCHMARK.json sets, writing to
-a temporary directory. It then writes ``BENCH_<git describe>.json`` at the
-repo root with:
+For each workload BENCHMARK.json lists, each seed n in SEEDS (1, 2 and 3)
+and each of ``--trace 0`` and ``--trace 1``, runs the unchanged
+``bench/run.py --workload W --seed n`` with the run length BENCHMARK.json
+sets, through ``tests/ab_pairs.py``'s ``bench_run``. It then writes
+``BENCH_<git describe>.json`` at the repo root with:
 
 - ``command``: this command line;
 - ``host``: the ``--host`` description, the CPU count, and for every
   workload each end-to-end metric's min, median and max over its untraced
   runs (so a later pair can tell this host's spread from a change);
 - ``records``: every record ``bench/run.py`` wrote, as it wrote it, less
-  ``spans_file``: that file goes with the temporary directory.
+  ``spans_file``: that file goes with the run's temporary directory.
 
 The exit code is nonzero when any run failed an output check; the file is
 written all the same. Pytest does not collect this file (its name does not
@@ -29,10 +29,10 @@ import os
 import statistics
 import subprocess
 import sys
-import tempfile
-from pathlib import Path
 
-ROOT = Path(__file__).resolve().parents[1]
+from ab_pairs import ROOT, bench_run
+
+SEEDS = range(1, 4)
 
 
 def describe() -> str:
@@ -40,21 +40,6 @@ def describe() -> str:
     done = subprocess.run(["git", "describe", "--always", "--dirty", "--tags"],
                           cwd=ROOT, capture_output=True, text=True, check=True)
     return done.stdout.strip()
-
-
-def record(workload: str, seed: int, trace: int) -> dict:
-    """One ``bench/run.py`` run of this tree; returns the record it wrote."""
-    with tempfile.TemporaryDirectory() as out:
-        cmd = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
-               "--trace", str(trace), "--out", out]
-        done = subprocess.run(cmd, cwd=ROOT, stdout=subprocess.DEVNULL)
-        path = Path(out) / f"{workload}-seed{seed}-trace{trace}.json"
-        if not path.exists():
-            raise SystemExit(f"bench/run.py (workload {workload}, seed {seed}, trace {trace}) exited with "
-                             f"status {done.returncode} and wrote no record")
-        rec = json.loads(path.read_text(encoding="utf-8"))
-    rec.pop("spans_file", None)
-    return rec
 
 
 def spread(records: list[dict]) -> dict:
@@ -74,18 +59,15 @@ def spread(records: list[dict]) -> dict:
 def main(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--host", required=True, help="what the host is, as 'N-vCPU shared host'")
-    parser.add_argument("--seeds", type=int, default=3, help="seeds 1..N per workload and trace (default 3)")
     args = parser.parse_args(argv)
-    if args.seeds < 1:
-        parser.error("--seeds must be at least 1")
     spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
 
     name = describe()
     records = []
     for workload in (w["name"] for w in spec["workloads"]):
-        for seed in range(1, args.seeds + 1):
+        for seed in SEEDS:
             for trace in (0, 1):
-                records.append(record(workload, seed, trace))
+                records.append(bench_run(ROOT, workload, seed, trace))
                 print(f"{workload} seed {seed} trace {trace} done", file=sys.stderr, flush=True)
     baseline = {
         "command": ["python", "tests/bench_record.py", *argv],

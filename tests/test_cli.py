@@ -382,7 +382,8 @@ class TestTcpRunFailures:
 
     def test_client_of_a_stalled_coordinator_exits_3(self, monkeypatch, capsys):
         # the coordinator answers HELLO with CONFIG, then reads on and says
-        # nothing: the client gives up after (2 * 2 + 1) * 0.1 s
+        # nothing: the client gives up (2 * 2 + 1) * 0.1 s after sending
+        # round 1's activations
         monkeypatch.setattr(tp, "PEER_TIMEOUT_S", 0.1)
         monkeypatch.setattr(tp, "HANDSHAKE_TIMEOUT_S", 1.0)
         margin = 0.5
@@ -390,6 +391,7 @@ class TestTcpRunFailures:
         server.settimeout(10)
         cfg = ExperimentConfig(strategy="psl", clients=2, rounds=2, batch_size=4, samples_per_class=10,
                                model_dims=(4, 6, 3), cut=1, seeds=(1,))
+        arrived = []
 
         def stalled():
             conn, _ = server.accept()
@@ -397,8 +399,10 @@ class TestTcpRunFailures:
             try:
                 channel.recv(timeout=10)  # the HELLO
                 channel.send(tp.ConfigMsg(config_to_text(cfg)))
+                channel.recv(timeout=10)  # round 1's activations
+                arrived.append(time.monotonic())
                 while True:
-                    channel.recv(timeout=10)  # the activations, then the client's hang-up
+                    channel.recv(timeout=10)  # the client's hang-up
             except ProtocolError:
                 pass
             finally:
@@ -407,9 +411,8 @@ class TestTcpRunFailures:
         coordinator = threading.Thread(target=stalled)
         coordinator.start()
         try:
-            began = time.monotonic()
             assert run_cli("client", "--connect", "{}:{}".format(*server.getsockname()[:2]), "--client-id", "0") == 3
-            assert time.monotonic() - began < 0.5 + margin
+            assert time.monotonic() - arrived[0] < 0.5 + margin
         finally:
             coordinator.join(timeout=10)
             server.close()

@@ -250,8 +250,8 @@ class TestTcpChannels:
     @staticmethod
     def answer_first_activations(reply, rounds=2):
         """Run client 1 of 2 against a fake coordinator on a socketpair, which
-        answers its round-1 activations with ``reply(activations)``, then
-        says nothing more. A ``reply`` of None closes the socket instead; one
+        answers its round-1 activations with ``reply(activations)``, a
+        frame or a tuple of frames sent in order, then says nothing more. A ``reply`` of None closes the socket instead; one
         of SILENT sends nothing and keeps the socket open. Returns the
         activations, the client's ProtocolError messages and the seconds
         from the activations' arrival to the client's end.
@@ -285,7 +285,9 @@ class TestTcpChannels:
             if reply is None:
                 coordinator.close()
             elif reply is not SILENT:
-                coordinator.send(reply(acts))
+                frames = reply(acts)
+                for frame in frames if isinstance(frames, tuple) else (frames,):
+                    coordinator.send(frame)
             worker.join(timeout=min(client_deadline(cfg) + STALL_MARGIN_S, 10))
         finally:
             coordinator.close()
@@ -344,6 +346,14 @@ class TestTcpChannels:
         )
         assert errors == ["round 1 client 1 (wind-down): timed out after 0.5s waiting for a frame"]
         assert elapsed < 0.5 + STALL_MARGIN_S
+
+    def test_client_names_an_unexpected_frame_at_wind_down(self):
+        # a one-round run: after the ACT_GRADS the coordinator sends
+        # activations where METRICS or BYE belong
+        _, errors, _ = self.answer_first_activations(
+            lambda acts: (ActGrads(1, 1, np.zeros_like(acts.matrix)), acts), rounds=1
+        )
+        assert errors == ["round 1 client 1 (wind-down): unexpected Activations after training finished"]
 
     def test_client_of_a_coordinator_stalled_at_the_handshake_times_out(self, monkeypatch):
         # no CONFIG follows the HELLO; the handshake names no round
