@@ -337,23 +337,19 @@ class TestTcpChannels:
         assert errors == ["round 1 client 1 (backward): timed out after 0.5s waiting for a frame"]
         assert elapsed < 0.5 + STALL_MARGIN_S
 
-    def test_client_of_a_coordinator_stalled_at_wind_down_times_out(self, monkeypatch):
+    @pytest.mark.parametrize("then,problem", [
+        ((), "timed out after 0.5s waiting for a frame"),
+        ((Activations(1, 1, np.zeros((3, 6), np.float32)),), "unexpected Activations after training finished"),
+    ], ids=["stalled", "unexpected-frame"])
+    def test_client_names_the_last_round_at_wind_down(self, monkeypatch, then, problem):
         # a one-round run: the client applies its gradients and pushes its
-        # eval result, then no METRICS or BYE follows
+        # eval result, then ``then`` follows where METRICS or BYE belong
         monkeypatch.setattr(tp, "PEER_TIMEOUT_S", 0.1)
         _, errors, elapsed = self.answer_first_activations(
-            lambda acts: ActGrads(1, 1, np.zeros_like(acts.matrix)), rounds=1
+            lambda acts: (ActGrads(1, 1, np.zeros_like(acts.matrix)), *then), rounds=1
         )
-        assert errors == ["round 1 client 1 (wind-down): timed out after 0.5s waiting for a frame"]
+        assert errors == [f"round 1 client 1 (wind-down): {problem}"]
         assert elapsed < 0.5 + STALL_MARGIN_S
-
-    def test_client_names_an_unexpected_frame_at_wind_down(self):
-        # a one-round run: after the ACT_GRADS the coordinator sends
-        # activations where METRICS or BYE belong
-        _, errors, _ = self.answer_first_activations(
-            lambda acts: (ActGrads(1, 1, np.zeros_like(acts.matrix)), acts), rounds=1
-        )
-        assert errors == ["round 1 client 1 (wind-down): unexpected Activations after training finished"]
 
     def test_client_of_a_coordinator_stalled_at_the_handshake_times_out(self, monkeypatch):
         # no CONFIG follows the HELLO; the handshake names no round
