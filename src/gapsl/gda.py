@@ -17,25 +17,21 @@ lowers it (see :func:`alignment_correction`). The penalty can also run as a
 loss-value-only variant (no gradient shift) for ablations; the scalar
 penalty and summed global loss are reported either way.
 
-GDA runs over the cohort's usable rows and corrects its survivors as one
-float64 block, read from the cohort's stack and rounded to the gradients'
-dtype once; the correction takes the block's and the leader's norms in
-the forms the cohort takes them. :class:`GdaOutcome` holds only the
+GDA runs over the cohort's usable rows (``sqrt(sq) > EPS_NORM``, ``Cohort``'s
+rule) and the leader that ``lgi.leader_gradient`` checked, so no norm it
+divides by is degenerate. It corrects its survivors as one float64 block,
+rounded to the gradients' dtype once. :class:`GdaOutcome` holds only the
 survivors' rows; the id-keyed views the gates read are built on each read.
 """
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CoordinationSkipped
-from .geometry import EPS_NORM, Cohort, GradientVector, angular_deviation, left_sum, mean_std, prepared
-
-log = logging.getLogger(__name__)
+from .geometry import Cohort, GradientVector, angular_deviation, left_sum, mean_std, prepared
 
 HALF_PI = math.pi / 2
 
@@ -74,15 +70,13 @@ def deviations_to_leader(cohort: Cohort, leader: GradientVector) -> list[float]:
 
     One product over the usable rows with the leader appended gives every
     <g, leader> and <leader, leader>; each row's squared norm comes from
-    the cohort's Gram. Raises :class:`CoordinationSkipped` for a degenerate leader.
+    the cohort's Gram; ``lgi.leader_gradient`` checked the leader's norm.
     """
     lead = leader.v64
     # two leader columns: numpy hands a one-column product to gemv, which
     # sums in another order than the gemm behind the Gram
     rows = np.vstack([cohort.stack, lead])
     *dots, ll = (rows @ np.stack([lead, lead], axis=1))[:, 0].tolist()
-    if math.sqrt(ll) <= EPS_NORM:
-        raise CoordinationSkipped("leader gradient is degenerate")
     return [angular_deviation(g, lead, aa, ll, ab) for g, aa, ab in zip(cohort.stack, cohort.diag, dots)]
 
 
@@ -116,22 +110,15 @@ def alignment_correction(g: np.ndarray, leader: np.ndarray, lambda_g: float | li
     them. A matmul of ``[S, 1, P]`` by ``[S, P, 1]`` takes every row's dot
     product as ``v.dot(w)`` does, so a block equals S one-vector calls bit
     for bit, and its squared norms are those ``GradientVector.sq`` and
-    ``Cohort.sq`` hold. Degenerate rows, or all rows of a degenerate
-    leader, pass through unchanged with a warning each. The result keeps
-    the dtype of ``g``; the math runs in float64.
+    ``Cohort.sq`` hold. ``run_gda`` passes usable rows and the leader
+    ``lgi.leader_gradient`` checked, so no norm is degenerate. The result
+    keeps the dtype of ``g``; the math runs in float64.
     """
     l64 = leader.astype(np.float64, copy=False)
     ln = math.sqrt(l64.dot(l64))
     rows = g.astype(np.float64, copy=False).reshape(-1, g.shape[-1])
     # the row norms as one column, np.linalg.norm's bits
     gn = np.sqrt((rows[:, None] @ rows[:, :, None])[:, 0])
-    skip = [k for k, n in enumerate(gn[:, 0].tolist()) if n <= EPS_NORM or ln <= EPS_NORM]
-    for k in skip:
-        log.warning("alignment correction skipped for near-zero vector (norms %.3e, %.3e)", gn[k, 0], ln)
-    if len(skip) == len(gn):
-        return g
-    if skip:
-        gn[skip] = 1.0  # a skipped row is put back below
     u_g = rows / gn
     u_l = l64 / ln
     # g + (lambda_g / ||g||) * (u_l - cos * u_g) in place, each step as the formula rounds it
@@ -139,10 +126,7 @@ def alignment_correction(g: np.ndarray, leader: np.ndarray, lambda_g: float | li
     np.subtract(u_l, shift, out=shift)
     shift *= np.asarray(lambda_g, dtype=np.float64).reshape(-1, 1) / gn
     shift += rows
-    out = shift.astype(g.dtype)
-    if skip:
-        out[skip] = g.reshape(out.shape)[skip]
-    return out.reshape(g.shape)
+    return shift.astype(g.dtype).reshape(g.shape)
 
 
 def run_gda(
@@ -161,9 +145,9 @@ def run_gda(
     the threshold is still computed and reported. Any other mode keeps the
     filtered set; the engine passes only "threshold". The per-client
     correction strength is lambda_g = lambda * ||g||, so the gradient shift
-    has magnitude lambda * sin(theta) whatever ||g|| is, and it raises the
-    cosine to the leader iff atan(lambda * sin(theta) / ||g||) < 2 * theta.
-    On a short g with a large lambda it can lower it.
+    has magnitude lambda * sin(theta) whatever ||g|| is (see
+    :func:`alignment_correction`). ``leader`` is one that
+    ``lgi.leader_gradient`` checked, as the engine passes it.
     """
     cohort = prepared(cohort)
     deviations = deviations_to_leader(cohort, leader)

@@ -116,9 +116,10 @@ def angular_deviation(
     """Angle in [0, pi] between two vectors from <a,a>, <b,b> and <a,b>.
 
     A caller passes all three float64 dot products as ``aa``, ``bb`` and
-    ``ab`` (read from a :class:`Cohort`'s Gram), and ``a`` and ``b`` are
-    not read; or none, and they are taken here in float64. The cosine
-    <a,b> / sqrt(<a,a> * <b,b>) is clamped into [-1, 1] before ``math.acos``.
+    ``ab``, of a :class:`Cohort`'s usable rows and GDA's checked leader, and
+    ``a`` and ``b`` are not read; or none: they are taken here in float64,
+    and a near-zero vector raises :class:`DegenerateGradientError`. The
+    cosine <a,b> / sqrt(<a,a> * <b,b>) is clamped into [-1, 1] before ``math.acos``.
 
     Taken here by one dot kernel, the three products share one summation
     order, so a vector and its copy or positive power-of-two multiple give
@@ -131,10 +132,10 @@ def angular_deviation(
     if ab is None:
         a, b = a.astype(np.float64, copy=False), b.astype(np.float64, copy=False)
         aa, bb, ab = float(a.dot(a)), float(b.dot(b)), float(a.dot(b))
-    if aa <= _EPS_SQ or bb <= _EPS_SQ:
-        raise DegenerateGradientError(
-            f"cosine undefined for near-zero vector (norms {math.sqrt(aa):.3e}, {math.sqrt(bb):.3e})"
-        )
+        if aa <= _EPS_SQ or bb <= _EPS_SQ:
+            raise DegenerateGradientError(
+                f"cosine undefined for near-zero vector (norms {math.sqrt(aa):.3e}, {math.sqrt(bb):.3e})"
+            )
     # sqrt(<a,a> * <b,b>), not a product of roots: equal inputs give exactly 1.0
     c = ab / math.sqrt(aa * bb)
     # min(1.0, max(-1.0, c)) without the builtin calls; NaN still maps to -1.0

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, CoordinationSkipped
+from .errors import CoordinationSkipped
 from .geometry import EPS_NORM, Cohort, GradientVector, angular_deviation, left_sum, mean_std, prepared
 
 
@@ -99,14 +99,10 @@ def selection_ratio(state: LgiState, config: LgiConfig, scores: ScoreSet) -> flo
 
     The dispersion extremes are updated with the current value first, then
     the ratio interpolates between k_min and k_max with the product of the
-    time fraction t/T and the relative stability of the current dispersion.
-    When no dispersion range has opened yet (always true in round one) the
-    stability factor is taken as 1, leaving the pure temporal schedule.
+    time fraction t/T and the relative stability of the current dispersion
+    (1 until a dispersion range opens, as in round one), clamped into
+    [k_min, k_max]. The engine passes its rounds t = 1..T.
     """
-    if not (1 <= state.round <= config.total_rounds):
-        raise ConfigError(
-            f"round {state.round} outside [1, {config.total_rounds}]"
-        )
     _, nu = mean_std(scores.by_row)
     state.nu_min = nu if state.nu_min is None else min(state.nu_min, nu)
     state.nu_max = nu if state.nu_max is None else max(state.nu_max, nu)
@@ -193,11 +189,10 @@ def select_consistent(cohort: Cohort, scores: ScoreSet, k_percent: float) -> tup
 def leader_gradient(cohort: Cohort, rows: tuple[int, ...]) -> GradientVector:
     """Unweighted mean of the gradients in ``rows``, reduced in ascending row order.
 
-    Raises :class:`CoordinationSkipped` when the selection is empty or its
-    gradients cancel: a degenerate leader has no direction to align to.
+    ``rows`` is not empty: ``selection_count`` is at least 1 and
+    :func:`consistency_scores` found two usable rows. Raises
+    :class:`CoordinationSkipped` when they cancel, the one check GDA relies on.
     """
-    if not rows:
-        raise CoordinationSkipped("empty selection, no leader gradient")
     values = np.add.reduce(cohort.values[sorted(rows)], axis=0) / len(rows)
     leader = GradientVector(client_id=-1, round=cohort.round, values=values)
     if leader.is_degenerate():
