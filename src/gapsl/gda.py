@@ -2,10 +2,11 @@
 
 Given the leader gradient, each client's angular deviation from it is
 measured, a mean-minus-scaled-std threshold (clamped into [0, pi/2])
-decides which clients participate, and surviving updates get a
-direction-aware treatment: their loss is penalized by lambda*(1 - cos
-theta) and their server-side gradient is nudged toward the leader by the
-first-order correction
+decides which clients participate, as exact arithmetic decides it (see
+:func:`filter_clients`), and surviving updates get a direction-aware
+treatment: their loss is penalized by lambda*(1 - cos theta) and their
+server-side gradient is nudged toward the leader by the first-order
+correction
 
     g~ = g + (lambda_g / ||g||) * (u_leader - cos(theta) * u_g)
 
@@ -86,9 +87,67 @@ def adaptive_threshold(deviations: list[float], eta: float) -> float:
     return max(min(mu - eta * nu, HALF_PI), 0.0)
 
 
-def filter_clients(deviations: list[float], threshold: float) -> tuple[int, ...]:
-    """Positions of the deviations at or below the threshold, ascending; may be empty."""
-    return tuple(k for k, d in enumerate(deviations) if d <= threshold)
+def threshold_band(n: int, eta: float) -> float:
+    """A bound on how far :func:`adaptive_threshold` of n deviations in
+    [0, pi] lies from the exact max(min(mu - eta*nu, pi/2), 0).
+
+    With u = 2^-53 and g = gamma_{n+5} = (n+5)u / (1 - (n+5)u), any
+    summation order errs by at most gamma_{n-1} * n * pi, so the float
+    mean errs by at most g*pi; the float std, of the float mean, by at most
+    that plus g*nu (nu <= pi/2), so 2g*pi; eta*nu and mu - eta*nu add a
+    rounding each, at most g*pi*eta and g*pi*(1 + eta). The clamp moves
+    neither bound. So the error is at most g*pi*(2 + 4*eta), which
+    4*pi*(1 + eta)*g covers with room for the rounding of ``d - threshold``.
+    It holds for every finite eta >= 0 and every client count.
+    """
+    m = (n + 5) * 2.0**-53
+    return 4.0 * math.pi * (1.0 + eta) * m / (1.0 - m)
+
+
+def exactly_kept(deviations: list[float], eta: float):
+    """The predicate d <= max(min(mu - eta*nu, pi/2), 0) over ``deviations``,
+    for d among them, in exact arithmetic: d <= 0, or d <= pi/2 and
+    mu - d >= 0 and (mu - d)^2 >= eta^2 * var.
+
+    Every float is an integer over a power of two, so the largest
+    denominator D is common to all. With A = d*D, s = sum(A) and n the
+    count, n*D*(mu - d) = s - n*A and n^2*D^2*var = n*sum(A^2) - s^2, and
+    the last test compares integers.
+    """
+    ratios = [float(d).as_integer_ratio() for d in deviations]
+    den = max(b for _, b in ratios)
+    nums = [a * (den // b) for a, b in ratios]
+    n, s = len(nums), sum(nums)
+    spread = n * sum(a * a for a in nums) - s * s
+    p, q = float(eta).as_integer_ratio()
+
+    def kept(d: float) -> bool:
+        if d <= 0.0 or d > HALF_PI:
+            return d <= 0.0
+        a, b = float(d).as_integer_ratio()
+        gap = s - n * a * (den // b)
+        return gap >= 0 and (gap * q) ** 2 >= p * p * spread
+
+    return kept
+
+
+def filter_clients(deviations: list[float], threshold: float, eta: float | None = None) -> tuple[int, ...]:
+    """Positions of the deviations at or below the threshold, ascending; may be empty.
+
+    Given ``eta``, ``threshold`` is ``adaptive_threshold(deviations, eta)``
+    and membership is decided as exact arithmetic decides it: in float for
+    a deviation farther than :func:`threshold_band` from the threshold,
+    by :func:`exactly_kept` within it. So a 2-client round at eta = 1, whose
+    exact threshold is the nearer deviation, keeps that client whenever it
+    is within pi/2. Without ``eta`` (a fixed threshold) the float
+    comparison decides.
+    """
+    if eta is None:
+        return tuple(k for k, d in enumerate(deviations) if d <= threshold)
+    band = threshold_band(len(deviations), eta)
+    near = [abs(d - threshold) <= band for d in deviations]
+    kept = exactly_kept(deviations, eta) if any(near) else None
+    return tuple(k for k, (d, n) in enumerate(zip(deviations, near)) if (kept(d) if n else d < threshold))
 
 
 def regularized_loss(loss: float, deviation: float, lam: float) -> float:
@@ -143,7 +202,9 @@ def run_gda(
     ``survivor_mode`` "random" replaces the threshold-filtered set with a
     uniformly random subset of the same size, drawn from ``rng`` (ablation);
     the threshold is still computed and reported. Any other mode keeps the
-    filtered set; the engine passes only "threshold". The per-client
+    filtered set; the engine passes only "threshold". The adaptive
+    threshold's members are decided exactly (:func:`filter_clients`); a
+    ``threshold_override`` is compared in float. The per-client
     correction strength is lambda_g = lambda * ||g||, so the gradient shift
     has magnitude lambda * sin(theta) whatever ||g|| is (see
     :func:`alignment_correction`). ``leader`` is one that
@@ -151,11 +212,9 @@ def run_gda(
     """
     cohort = prepared(cohort)
     deviations = deviations_to_leader(cohort, leader)
-    if config.threshold_override is not None:
-        threshold = config.threshold_override
-    else:
-        threshold = adaptive_threshold(deviations, config.eta)
-    kept = filter_clients(deviations, threshold)  # positions among the usable rows
+    eta = config.eta if config.threshold_override is None else None
+    threshold = config.threshold_override if eta is None else adaptive_threshold(deviations, eta)
+    kept = filter_clients(deviations, threshold, eta)  # positions among the usable rows
 
     if survivor_mode == "random":
         kept = tuple(sorted(rng.choice(len(deviations), size=len(kept), replace=False).tolist()))

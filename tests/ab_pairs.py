@@ -1,6 +1,6 @@
 """Alternating benchmark pairs: this tree against another checkout.
 
-    python tests/ab_pairs.py OTHER_CHECKOUT --workload W [--pairs N]
+    python tests/ab_pairs.py OTHER_CHECKOUT --workload W [--pairs N] [--records PATH]
 
 Pair i (i = 1..N, default N = 10) runs ``bench/run.py --workload W --seed
 i`` once in this tree and once in OTHER_CHECKOUT, each with its own
@@ -24,8 +24,15 @@ each row:
   and not every run of this tree reads better than every run of the other,
   else "ok".
 
-It also prints each side's failed share of attempted rounds. Pytest does
-not collect this file (its name does not start with ``test_``).
+It also prints each side's failed share of attempted rounds. With
+``--records PATH`` it writes both sides' records to PATH in
+``tests/bench_record.py``'s layout: ``command``, ``host`` (the CPU count)
+and ``records``, each record as ``bench/run.py`` wrote it plus its
+``side`` ("this" or "other"). So a perf change can commit its before/after
+pair, under a name such as ``PAIRS_<workload>.json``: a ``BENCH_*.json``
+name would read as a baseline of every workload to
+``tests/test_bench_baseline.py``, and is refused. Pytest does not collect
+this file (its name does not start with ``test_``).
 """
 
 from __future__ import annotations
@@ -33,6 +40,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import statistics
 import subprocess
 import sys
@@ -88,6 +96,7 @@ def main(argv: list[str]) -> int:
     parser.add_argument("other", type=Path, help="the checkout to compare against (its root)")
     parser.add_argument("--workload", required=True, help="a workload BENCHMARK.json lists")
     parser.add_argument("--pairs", type=int, default=10, help="pairs to run, seeds 1..N (default 10)")
+    parser.add_argument("--records", type=Path, help="write both sides' records to this file")
     args = parser.parse_args(argv)
     spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     if args.workload not in [w["name"] for w in spec["workloads"]]:
@@ -96,6 +105,8 @@ def main(argv: list[str]) -> int:
         parser.error("--pairs must be at least 2: quartiles need two runs a side")
     if not (args.other / "bench" / "run.py").is_file():
         parser.error(f"{args.other} holds no bench/run.py")
+    if args.records and args.records.match("BENCH_*.json"):
+        parser.error("--records: a BENCH_*.json name is a baseline's; name the pair file otherwise")
 
     runs: dict[str, list[dict]] = {"this": [], "other": []}
     for seed in range(1, args.pairs + 1):
@@ -103,6 +114,11 @@ def main(argv: list[str]) -> int:
         for side, checkout in order if seed % 2 else order[::-1]:
             runs[side].append(bench_run(checkout, args.workload, seed, trace=0))
         print(f"pair {seed}/{args.pairs} done", file=sys.stderr, flush=True)
+    if args.records:
+        records = [{**r, "side": side} for side in ("other", "this") for r in runs[side]]
+        pairs = {"command": ["python", "tests/ab_pairs.py", *argv], "host": {"nproc": os.cpu_count()},
+                 "records": records}
+        args.records.write_text(json.dumps(pairs, indent=2) + "\n", encoding="utf-8")
 
     print(f"{args.workload}: {args.pairs} pairs, this tree {ROOT} against {args.other}")
     print(f"{'metric':<20} {'unit':<10} {'other median [q1, q3]':>34} {'this median [q1, q3]':>34} "

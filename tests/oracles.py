@@ -1,22 +1,24 @@
 """Independent brute-force oracles used to check the package.
 
-Everything here is deliberately written with plain Python loops and the
-math module only -- no numpy vectorization and no imports from the
-package under test -- so agreement with the real implementations is
-meaningful. The exceptions are the last five sections, which use numpy
-on purpose: bit-exact per-client references, because the stacked passes
-must reproduce the bits of the one-client-at-a-time products; the
-per-tensor list helpers; the wrapped-reduction references, because
-the package's direct ``ufunc.reduce`` calls must reproduce the bits of
-numpy's ``mean``, ``std``, ``sum``, ``max`` and ``linalg.norm``; the
-selection reference, because LGI's tail search must pick the rows that
-testing every kept row picks; and the partition reference, because the
-package's shards must replay the same random draws.
+Everything here is deliberately written with plain Python loops, the
+math module and ``fractions`` only -- no numpy vectorization and no
+imports from the package under test -- so agreement with the real
+implementations is meaningful. The exceptions are the last five
+sections, which use numpy on purpose: bit-exact per-client references,
+because the stacked passes must reproduce the bits of the
+one-client-at-a-time products; the per-tensor list helpers; the
+wrapped-reduction references, because the package's direct
+``ufunc.reduce`` calls must reproduce the bits of numpy's ``mean``,
+``std``, ``sum``, ``max`` and ``linalg.norm``; the selection reference,
+because LGI's tail search must pick the rows that testing every kept row
+picks; and the partition reference, because the package's shards must
+replay the same random draws.
 """
 
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -134,13 +136,25 @@ def lgi_reference(vectors_by_id, nu_min, nu_max, t, total_rounds, k_min, k_max):
 
 # ---- direction alignment (naive reimplementation) --------------------------
 
+def exact_at_or_below_threshold(d, devs, eta):
+    """d <= max(min(mean - eta*std, pi/2), 0) over ``devs``, in exact
+    rational arithmetic: d <= 0, or d <= pi/2 and mean - d >= 0 and
+    (mean - d)^2 >= eta^2 * var (the population variance)."""
+    d, xs = Fraction(d), [Fraction(x) for x in devs]
+    mu = sum(xs) / len(xs)
+    var = sum((x - mu) ** 2 for x in xs) / len(xs)
+    if d <= 0 or d > Fraction(math.pi / 2):
+        return d <= 0
+    return mu - d >= 0 and (mu - d) ** 2 >= Fraction(eta) ** 2 * var
+
+
 def gda_reference(vectors_by_id, losses_by_id, leader, eta, lam):
     """Full alignment pass from first principles."""
     ids = sorted(vectors_by_id)
     deviations = {i: angle(vectors_by_id[i], leader) for i in ids}
     devs = [deviations[i] for i in ids]
     threshold = max(min(mean(devs) - eta * pop_std(devs), math.pi / 2), 0.0)
-    survivors = sorted(i for i in ids if deviations[i] <= threshold)
+    survivors = [i for i in ids if exact_at_or_below_threshold(deviations[i], devs, eta)]
 
     regularized = {}
     corrected = {}

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import oracles
+from gapsl import gda
 from gapsl.gda import (
     GdaConfig,
     adaptive_threshold,
@@ -102,13 +103,101 @@ class TestFilterClients:
         th = adaptive_threshold(devs, eta=1.0)
         assert filter_clients(devs, th) == (0,)
 
-    def test_membership_is_exactly_the_predicate(self):
+    def test_membership_is_exactly_the_predicate(self, exact_calls):
+        # a fixed threshold is compared in float, never exactly
         rng = np.random.default_rng(3)
         for _ in range(200):
             devs = [float(d) for d in rng.uniform(0, math.pi, size=int(rng.integers(1, 8)))]
             th = float(rng.uniform(0, math.pi / 2))
             got = filter_clients(devs, th)
             assert got == tuple(i for i, d in enumerate(devs) if d <= th)
+        # the float threshold of [0.1, 0.5] at eta = 1 lies an ulp below 0.1
+        assert filter_clients([0.1, 0.5], adaptive_threshold([0.1, 0.5], 1.0)) == ()
+        assert exact_calls == []
+
+
+def adaptive_members(devs, eta):
+    return filter_clients(devs, adaptive_threshold(devs, eta), eta)
+
+
+def fraction_members(devs, eta):
+    return tuple(k for k, d in enumerate(devs) if oracles.exact_at_or_below_threshold(d, devs, eta))
+
+
+@pytest.fixture
+def exact_calls(monkeypatch):
+    """How often filter_clients builds the exact predicate."""
+    calls = []
+    real = gda.exactly_kept
+
+    def counted(deviations, eta):
+        calls.append(len(deviations))
+        return real(deviations, eta)
+
+    monkeypatch.setattr(gda, "exactly_kept", counted)
+    return calls
+
+
+class TestExactMembership:
+    """The adaptive threshold's members, as exact arithmetic decides them."""
+
+    def test_nearer_of_two_survives_within_half_pi(self, exact_calls):
+        # at eta = 1 the exact threshold of [a, b] is min(a, b); at eta < 1 above it
+        rng = np.random.default_rng(11)
+        float_drops = 0
+        for _ in range(2000):
+            devs = [float(d) for d in rng.uniform(0, math.pi, size=2)]
+            if rng.random() < 0.2:
+                devs[1] = devs[0]  # an exact tie
+            near = min(range(2), key=devs.__getitem__)
+            for eta in (0.0, 0.5, 1.0):
+                kept = adaptive_members(devs, eta)
+                assert (near in kept) == (devs[near] <= math.pi / 2)
+            float_drops += devs[near] <= math.pi / 2 and adaptive_threshold(devs, 1.0) < devs[near]
+        assert float_drops > 100  # pairs the float comparison alone would leave without a survivor
+        assert adaptive_members([0.1, 0.5], 1.0) == (0,)
+        assert exact_calls
+
+    def test_matches_a_fraction_reference(self):
+        rng = np.random.default_rng(12)
+        for _ in range(400):
+            devs = [float(d) for d in rng.uniform(0, math.pi, size=int(rng.integers(1, 13)))]
+            for eta in (0.0, 0.5, 1.0, 2.0):
+                assert adaptive_members(devs, eta) == fraction_members(devs, eta)
+
+    def test_matches_a_fraction_reference_on_ties(self, exact_calls):
+        # lists with a deviation at, or an ulp from, their exact threshold
+        cases = [([0.25, 0.75, 1.25], 0.0), ([0.5] * 5, 2.0), ([0.3, 1.1, 1.1, 1.1, 1.1], 2.0),
+                 ([math.pi / 2] * 3, 1.0), ([0.0, 0.0], 1.0), ([0.4, 1.3], 1.0)]
+        rng = np.random.default_rng(13)
+        for _ in range(200):
+            devs = [float(d) for d in rng.uniform(0, math.pi / 2, size=int(rng.integers(2, 9)))]
+            eta = float(rng.choice([0.0, 0.5, 1.0, 2.0]))
+            for _ in range(60):  # move devs[0] onto the threshold it sets with the others
+                devs[0] = adaptive_threshold(devs, eta)
+            cases += [([math.nextafter(devs[0], to), *devs[1:]], eta) for to in (0.0, math.pi)]
+            cases.append((devs, eta))
+        for devs, eta in cases:
+            assert adaptive_members(devs, eta) == fraction_members(devs, eta)
+        assert len(exact_calls) > 0.9 * len(cases)
+
+    def test_band_covers_the_float_threshold(self):
+        rng = np.random.default_rng(14)
+        for _ in range(500):
+            devs = [float(d) for d in rng.uniform(0, math.pi, size=int(rng.integers(1, 101)))]
+            eta = float(rng.choice([0.0, 0.5, 1.0, 2.0, rng.uniform(0, 10)]))
+            th, band = adaptive_threshold(devs, eta), gda.threshold_band(len(devs), eta)
+            assert oracles.exact_at_or_below_threshold(th - band, devs, eta)
+            assert not oracles.exact_at_or_below_threshold(th + band, devs, eta)
+
+    def test_random_deviations_never_take_the_exact_path(self, exact_calls):
+        rng = np.random.default_rng(15)
+        for _ in range(50):
+            devs = [float(d) for d in rng.uniform(0, math.pi, size=100)]
+            assert adaptive_members(devs, 1.0) == tuple(
+                k for k, d in enumerate(devs) if d <= adaptive_threshold(devs, 1.0)
+            )
+        assert exact_calls == []
 
 
 class TestRegularizedLoss:
@@ -298,9 +387,9 @@ class TestRunGda:
 
     def test_fuzz_matches_independent_reimplementation(self):
         # cases with a deviation within 1e-9 of the threshold are skipped:
-        # there the <= membership test is a float knife-edge (for two
-        # clients at eta=1 the threshold IS the smaller deviation), so set
-        # equality across implementations is ill-posed
+        # the engine and the oracle sum their angles in different orders,
+        # so there an ulp of angle can flip membership (for two clients at
+        # eta=1 the threshold IS the smaller deviation)
         rng = np.random.default_rng(7)
         cfg = GdaConfig(eta=1.0, lam=5e-4)
         checked = 0

@@ -5,6 +5,7 @@ import math
 import struct
 import threading
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -104,6 +105,35 @@ class TestCoordinationSkip:
         assert not rows[0].any() and not rows[1].any() and rows[2].any()
         # first step from zero momentum: p <- p - lr * update
         assert np.array_equal(after, before - cfg.lr_server * np.stack(rows).mean(axis=0))
+
+    @pytest.mark.parametrize("zero", range(4))
+    def test_a_zero_gradient_is_left_out_of_coordination(self, monkeypatch, caplog, zero):
+        # one of four server gradients is zero: LGI and GDA run over the three
+        # usable rows, and nothing the cohort left out reaches a norm they divide by
+        cfg = coordination_config(clients=4, theta_th_override=1.5)
+        rows = record_server_grads(monkeypatch, cfg.clients, zeroed=(zero,))
+        seen = []
+        run_gda = gda.run_gda
+
+        def spied(cohort, *args, **kwargs):
+            seen.append((cohort.usable, run_gda(cohort, *args, **kwargs)))
+            return seen[-1][1]
+
+        monkeypatch.setattr(orch.gda_mod, "run_gda", spied)
+        caplog.set_level("DEBUG")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report, before, after = server_step(TrainingEngine(cfg, seed=1), 1)
+        assert caplog.records == []
+        usable = [i for i in range(4) if i != zero]
+        assert not rows[zero].any() and all(rows[i].any() for i in usable)
+        [(gda_rows, out)] = seen
+        assert gda_rows == usable
+        assert not report.coordination_skipped and not report.gda_fallback
+        assert zero not in report.selected_ids and zero not in report.survivor_ids
+        assert report.survivor_ids == out.survivors and len(out.survivors) > 1
+        want = np.stack([out.corrected[i] for i in out.survivors]).mean(axis=0)
+        assert np.array_equal(after, before - cfg.lr_server * want)
 
     @pytest.mark.parametrize("leader", [
         dict(non_lgi=True),
