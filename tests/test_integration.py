@@ -127,8 +127,8 @@ class TestCoordinationSkip:
         assert caplog.records == []
         usable = [i for i in range(4) if i != zero]
         assert not rows[zero].any() and all(rows[i].any() for i in usable)
-        [(gda_rows, out)] = seen
-        assert gda_rows == usable
+        [(gda_ids, out)] = seen
+        assert gda_ids == usable
         assert not report.coordination_skipped and not report.gda_fallback
         assert zero not in report.selected_ids and zero not in report.survivor_ids
         assert report.survivor_ids == out.survivors and len(out.survivors) > 1
