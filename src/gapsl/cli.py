@@ -136,6 +136,8 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
 
 def _cmd_client(args: argparse.Namespace) -> int:
+    if not 0 <= args.client_id < config_mod.MAX_TCP_CLIENTS:  # HELLO carries it as u16
+        raise ConfigError(f"--client-id must be in [0, {config_mod.MAX_TCP_CLIENTS}), got {args.client_id}")
     channel = connect(args.connect)
     try:
         final = client_loop(channel, args.client_id)

@@ -5,12 +5,14 @@ Values given on the command line override file values. Validation collects
 every violation before failing so a bad config is reported in one shot.
 :func:`validate` is the only place a config rule is checked: the data, model,
 optimizers, LGI and GDA built from a valid config take their arguments as given.
+The wire's limits live here too; a TCP engine checks its seed's frames against them.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
+import struct
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -22,6 +24,10 @@ DATASETS = ("gaussian", "idx")
 TRANSPORTS = ("inproc", "tcp")
 TCP_STRATEGIES = ("gapsl", "psl")  # the wire carries no client models
 MAX_TCP_CLIENTS = 0xFFFF  # HELLO and the matrix headers carry the client id as u16
+MAX_TCP_ROUNDS = 0xFFFFFFFF  # the matrix headers carry the round as u32
+MAX_FRAME = 64 * 1024 * 1024  # a frame body's cap, in bytes
+MATRIX_FMT = "<IHII"  # a matrix body's header: round, client_id, rows, cols
+MATRIX_HEADER_SIZE = struct.calcsize(MATRIX_FMT)
 GDA_MODES = ("gradient", "loss_only")
 
 
@@ -307,4 +313,8 @@ def validate(cfg: ExperimentConfig) -> list[str]:
     if cfg.transport == "tcp" and cfg.clients > MAX_TCP_CLIENTS:
         v.append(f"tcp transport carries client ids as u16: clients must be <= {MAX_TCP_CLIENTS}, "
                  f"got {cfg.clients}")
+    if cfg.transport == "tcp" and cfg.rounds > MAX_TCP_ROUNDS:
+        v.append(f"tcp transport carries the round as u32: rounds must be <= {MAX_TCP_ROUNDS}, got {cfg.rounds}")
+    if cfg.transport == "tcp" and len(config_to_text(cfg).encode("utf-8")) > MAX_FRAME:
+        v.append(f"tcp transport sends the config as one frame: its text must fit {MAX_FRAME} bytes")
     return v

@@ -48,8 +48,8 @@ Each shape is checked once, where its data enters the engine: a dataset's
 width by ``orchestrator.build_dataset``, a peer's activations by
 ``orchestrator.check_activations`` and its activation gradients by
 ``transport.client_loop``; the engine builds every other matrix itself. So
-the functions here take shapes as given, each saying what it assumes, and
-check only stored values: a cache or buffer that does not fit its layers.
+the functions here take shapes as given, each saying what it assumes, bar a
+gradient buffer's leading axes, which ``np.matmul(..., out=)`` would broadcast into.
 """
 
 from __future__ import annotations
@@ -60,7 +60,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, NumericError, ProtocolError
+from .errors import ConfigError, NumericError
 
 
 @dataclass(frozen=True)
@@ -121,7 +121,6 @@ class Cache:
 
     activation: str
     inputs: list[np.ndarray]  # per layer, its input a_{k-1}; the server part's last is its output layer's
-    shapes: list[tuple[tuple[int, ...], tuple[int, ...]]]
     output: np.ndarray | None = None  # client part only: its top layer's activations
     probs: np.ndarray | None = None   # server part only: softmax rows, [batch, classes] or [clients, maxlen, classes]
     labels: np.ndarray | None = None  # server part only: [batch] or [clients, maxlen]
@@ -152,10 +151,6 @@ def _act_grad(a: np.ndarray, activation: str) -> np.ndarray:
         return a > 0
     g = a * a
     return np.subtract(1, g, out=g)
-
-
-def _layer_shapes(layers: list[DenseLayer]) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
-    return [(tuple(l.w.shape), tuple(l.b.shape)) for l in layers]
 
 
 def split_model(
@@ -213,10 +208,8 @@ def _backprop(
 def _grad_views(layers: list[DenseLayer], cache: Cache, out: np.ndarray) -> list[DenseLayer]:
     """The per-layer views of ``out``, the flat gradient of ``layers``: one
     row per leading index of the cache's inputs (a client of a bank or stack)."""
-    if _layer_shapes(layers) != cache.shapes:
-        raise ProtocolError("cache does not match these layers; it was produced by a different forward pass")
     if out.shape[:-1] != cache.inputs[0].shape[:-2]:  # matmul would broadcast into a larger buffer
-        raise ConfigError(f"gradient buffer of shape {out.shape} does not fit layers {cache.shapes}")
+        raise ConfigError(f"gradient buffer of shape {out.shape} does not fit inputs of shape {cache.inputs[0].shape}")
     return layer_views(out, _widths(layers))
 
 
@@ -231,7 +224,7 @@ def forward_client(
     """
     cached: list[np.ndarray] = []
     a = forward_hidden(layers, inputs, activation, cached)
-    return a, Cache(activation=activation, inputs=cached, shapes=_layer_shapes(layers), output=a)
+    return a, Cache(activation=activation, inputs=cached, output=a)
 
 
 def forward_server(
@@ -262,7 +255,7 @@ def forward_server(
     probs /= total
     log_z = np.log(total[:, 0]) + top[:, 0]
     per_example = log_z - logits[np.arange(batch), labels]
-    cache = Cache(activation=activation, inputs=inputs, shapes=_layer_shapes(layers), probs=probs, labels=labels)
+    cache = Cache(activation=activation, inputs=inputs, probs=probs, labels=labels)
     return per_example, float(np.add.reduce(per_example) / batch), cache
 
 
@@ -290,7 +283,7 @@ def stack_caches(caches: Sequence[Cache], activations: np.ndarray, labels: np.nd
         weights[k, :n] = 1.0 / n  # the float64 1/batch rounded once, as dtype(1.0 / batch)
         for h, a in zip(hidden, c.inputs[1:]):
             h[k, :n] = a
-    return Cache(first.activation, [activations, *hidden], first.shapes, probs=probs, labels=labels), weights
+    return Cache(first.activation, [activations, *hidden], probs=probs, labels=labels), weights
 
 
 def backward_server(layers: list[DenseLayer], cache: Cache, out: np.ndarray, loss_weights: np.ndarray) -> np.ndarray:

@@ -35,7 +35,7 @@ import numpy as np
 
 from . import gda as gda_mod
 from . import lgi as lgi_mod
-from .config import TCP_STRATEGIES, ExperimentConfig, is_eval_round, require_valid
+from .config import MATRIX_HEADER_SIZE, MAX_FRAME, TCP_STRATEGIES, ExperimentConfig, is_eval_round, require_valid
 from .data import Dataset, dirichlet_partition, iid_partition, load_idx_dataset, synth_gaussian_mixture
 from .errors import ConfigError, CoordinationSkipped, ProtocolError
 from .geometry import Cohort, pairwise_mean_deviation
@@ -190,8 +190,6 @@ class ClientBank:
 
     def apply_grads(self, round_t: int, act_grads: np.ndarray) -> None:
         cache, self._cache = self._cache, None
-        if cache is None:
-            raise client_error(round_t, None, "backward", "gradients received before any forward pass")
         backward_client(self.layers, cache, act_grads, self.grads)
         sgd_step(self.params, self.grads, self.opt)
 
@@ -211,10 +209,9 @@ class ClientBank:
         self.params[...] = sum(wk * row for wk, row in zip(w, rows)).astype(self.params.dtype)
 
 
-def client_error(round_t: int, client_id: int | None, phase: str, problem) -> ProtocolError:
-    """A ProtocolError naming the round, the client (None: the cohort) and the phase."""
-    who = "" if client_id is None else f" client {client_id}"
-    return ProtocolError(f"round {round_t}{who} ({phase}): {problem}")
+def client_error(round_t: int, client_id: int, phase: str, problem) -> ProtocolError:
+    """A ProtocolError naming the round, the client and the phase."""
+    return ProtocolError(f"round {round_t} client {client_id} ({phase}): {problem}")
 
 
 def check_activations(round_t: int, client_id: int, phase: str, acts: np.ndarray, shape: tuple[int, int]) -> None:
@@ -259,7 +256,7 @@ class ProxyCohort:
     def __init__(self, proxies: dict[int, ClientProxy], fan_in: int):
         self.proxies = proxies
         self.fan_in = fan_in
-        self._lengths = None  # the batch lengths of the round in progress
+        self._lengths = None  # the batch lengths of the last forward
 
     def _each(self, round_t: int, phase: str, call) -> Iterator[tuple[int, object]]:
         for i in sorted(self.proxies):
@@ -278,9 +275,7 @@ class ProxyCohort:
         return acts
 
     def apply_grads(self, round_t: int, act_grads: np.ndarray) -> None:
-        lengths, self._lengths = self._lengths, None
-        if lengths is None:
-            raise client_error(round_t, None, "backward", "gradients received before any forward pass")
+        lengths = self._lengths
         for _ in self._each(round_t, "backward", lambda i, p: p.apply_grads(round_t, act_grads[i, : lengths[i]])):
             pass
 
@@ -333,7 +328,8 @@ class TrainingEngine:
     Raises :class:`ConfigError` listing every rule ``cfg`` breaks, or when
     :func:`build_dataset`'s train or test set does not fit the model.
     ``proxies`` are the remote clients of a TCP run, which serves gapsl and
-    psl only; without them the clients are one in-process :class:`ClientBank`.
+    psl only, and whose largest training batch and test set must each fit
+    one frame; without them the clients are one in-process :class:`ClientBank`.
     """
 
     def __init__(self, cfg: ExperimentConfig, seed: int, proxies: dict[int, ClientProxy] | None = None):
@@ -357,6 +353,11 @@ class TrainingEngine:
             ids = [0] if cfg.strategy == "vanilla_sl" else range(cfg.clients)  # vanilla_sl relays one model
             self.clients = ClientBank(cfg, seed, ids, self.train, self.test)
         else:
+            batch = min(cfg.batch_size, max(len(shard) for shard in self.partition))  # the largest sent
+            for what, rows in (("a training batch", batch), ("the test set", len(self.test))):
+                if MATRIX_HEADER_SIZE + 4 * rows * self.fan_in > MAX_FRAME:
+                    raise ConfigError(f"tcp transport cannot carry {what} of {rows} rows x {self.fan_in} "
+                                      f"floats: its frame would pass the {MAX_FRAME} byte cap")
             self.clients = ProxyCohort(proxies, self.fan_in)
         self.lgi_state = lgi_mod.LgiState()
         self.lgi_cfg = lgi_mod.LgiConfig(total_rounds=cfg.rounds, k_min=cfg.k_min, k_max=cfg.k_max)

@@ -10,12 +10,16 @@ Frame layout (little-endian):
 
 Matrix-bearing bodies (ACTIVATIONS, ACT_GRADS, EVAL_RESULT: each a
 :class:`MatrixMessage`) are ``round u32, client_id u16, rows u32, cols
-u32`` followed by rows*cols IEEE-754 single-precision values. Payload
-floats must be finite, and the receiver alone checks them, once per hop:
-it refuses a non-finite float, naming its byte offset, and its end names
-the round, the client and the phase. The wire carries the experiment's
-float32 precision losslessly, so TCP runs and in-process runs produce
-identical results.
+u32`` followed by rows*cols IEEE-754 single-precision values. The wire
+carries the experiment's float32 precision losslessly, so TCP runs and
+in-process runs produce identical results.
+
+The sender checks nothing: ``config`` holds the wire's limits, and
+``config.validate``, the TCP ``TrainingEngine``'s set-up and ``gapsl
+client`` refuse a run whose ids, rounds or frames would not fit them. The
+receiver checks every frame, once per hop: it refuses one that breaks the
+layout or holds a non-finite float, naming its byte offset, and its end names
+the round, the client and the phase.
 
 Handshake: a client opens with HELLO carrying its id; the server answers
 with CONFIG (the canonical key=value config text) or closes the
@@ -58,16 +62,13 @@ from functools import partial
 
 import numpy as np
 
-from .config import is_eval_round, parse_config_text
+from .config import MATRIX_FMT, MATRIX_HEADER_SIZE, MAX_FRAME, is_eval_round, parse_config_text
 from .errors import ConfigError, ProtocolError
 
 MAGIC = b"GPSL"
 VERSION = 2
-MAX_FRAME = 64 * 1024 * 1024
 HEADER_FMT = "<4sBBI"
 HEADER_SIZE = struct.calcsize(HEADER_FMT)
-MATRIX_FMT = "<IHII"
-MATRIX_HEADER_SIZE = struct.calcsize(MATRIX_FMT)
 # seconds the coordinator waits for one client frame: far above a client's
 # per-seed dataset build plus one round
 PEER_TIMEOUT_S = 300.0
@@ -131,30 +132,22 @@ _MATRIX_TAGS = {Activations: TAG_ACTIVATIONS, ActGrads: TAG_ACT_GRADS, EvalResul
 
 
 def encode(msg: WireMessage) -> bytes:
-    """Serialize one message into a complete frame."""
+    """Serialize one message into a complete frame, unchecked (see the module docstring)."""
     payload = _NO_PAYLOAD
-    try:
-        if isinstance(msg, Hello):
-            tag, body = TAG_HELLO, struct.pack("<H", msg.client_id)
-        elif isinstance(msg, ConfigMsg):
-            tag, body = TAG_CONFIG, msg.text.encode("utf-8")
-        elif type(msg) in _MATRIX_TAGS:
-            payload = np.ascontiguousarray(msg.matrix, dtype="<f4")  # the frame copies it once
-            if payload.ndim != 2:
-                raise ProtocolError(f"matrix payload must be 2-D, got shape {payload.shape}")
-            tag, body = _MATRIX_TAGS[type(msg)], struct.pack(MATRIX_FMT, msg.round, msg.client_id, *payload.shape)
-        elif isinstance(msg, Metrics):
-            tag, body = TAG_METRICS, json.dumps(msg.payload, sort_keys=True).encode("utf-8")
-        elif isinstance(msg, Bye):
-            tag, body = TAG_BYE, b""
-        else:
-            raise ProtocolError(f"cannot encode {type(msg).__name__}")
-    except struct.error as e:
-        raise ProtocolError(f"field out of range while encoding {type(msg).__name__}: {e}") from e
-    length = len(body) + payload.nbytes
-    if length > MAX_FRAME:
-        raise ProtocolError(f"payload of {length} bytes exceeds the {MAX_FRAME} byte cap")
-    return b"".join((struct.pack(HEADER_FMT, MAGIC, VERSION, tag, length), body, payload))
+    if isinstance(msg, Hello):
+        tag, body = TAG_HELLO, struct.pack("<H", msg.client_id)
+    elif isinstance(msg, ConfigMsg):
+        tag, body = TAG_CONFIG, msg.text.encode("utf-8")
+    elif type(msg) in _MATRIX_TAGS:
+        payload = np.ascontiguousarray(msg.matrix, dtype="<f4")  # the frame copies it once
+        tag, body = _MATRIX_TAGS[type(msg)], struct.pack(MATRIX_FMT, msg.round, msg.client_id, *payload.shape)
+    elif isinstance(msg, Metrics):
+        tag, body = TAG_METRICS, json.dumps(msg.payload, sort_keys=True).encode("utf-8")
+    elif isinstance(msg, Bye):
+        tag, body = TAG_BYE, b""
+    else:
+        raise ProtocolError(f"cannot encode {type(msg).__name__}")
+    return b"".join((struct.pack(HEADER_FMT, MAGIC, VERSION, tag, len(body) + payload.nbytes), body, payload))
 
 
 def _decode_matrix(cls, buf, length: int):

@@ -99,6 +99,24 @@ class TestParseConfig:
         assert validate(ExperimentConfig(transport="tcp", clients=65535, listen="127.0.0.1:0")) == []
         assert validate(ExperimentConfig(transport="inproc", clients=65536)) == []
 
+    def test_tcp_rounds_must_fit_u32(self):
+        # the matrix headers carry the round as u32; in process any count runs
+        with pytest.raises(ConfigError, match="rounds must be <= 4294967295, got 4294967296"):
+            parse_config_text("transport = tcp\nlisten = 127.0.0.1:0\nrounds = 4294967296\n")
+        assert validate(ExperimentConfig(transport="tcp", rounds=0xFFFFFFFF, listen="127.0.0.1:0")) == []
+        assert TrainingEngine(parse_config_text("rounds = 4294967296\n"), 1).cfg.rounds == 1 << 32
+
+    def test_tcp_config_text_must_fit_one_frame(self, monkeypatch):
+        # CONFIG carries the canonical text in one frame
+        text = "transport = tcp\nlisten = 127.0.0.1:0\n"
+        size = len(config_to_text(parse_config_text(text)))
+        monkeypatch.setattr(gapsl.config, "MAX_FRAME", size)
+        assert parse_config_text(text).listen == "127.0.0.1:0"
+        monkeypatch.setattr(gapsl.config, "MAX_FRAME", size - 1)
+        with pytest.raises(ConfigError, match=f"its text must fit {size - 1} bytes"):
+            parse_config_text(text)
+        assert parse_config_text("listen = 127.0.0.1:0\n").transport == "inproc"  # nothing to frame
+
 
 def config_keys():
     """Every config-file key, read from the canonical serialization."""
@@ -419,6 +437,41 @@ class TestTcpRunFailures:
         assert not coordinator.is_alive()
         assert ("protocol error: round 1 client 0 (backward): timed out after 0.5s waiting for a frame"
                 in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("client_id", ["-1", "65535", "70000"])
+    def test_client_id_outside_the_tcp_ids_exits_2_before_connecting(self, client_id, monkeypatch, capsys):
+        # HELLO carries the id as u16, and an admitted id is below MAX_TCP_CLIENTS
+        monkeypatch.setattr(cli, "connect", lambda address: pytest.fail("connected"))
+        assert run_cli("client", "--connect", "127.0.0.1:1", "--client-id", client_id) == 2
+        assert f"error: --client-id must be in [0, 65535), got {client_id}" in capsys.readouterr().err
+
+    def test_rounds_beyond_u32_exit_2_before_listening(self, tmp_path, monkeypatch, capsys):
+        listeners, _ = record_tcp(monkeypatch)
+        assert run_cli("run", "--clients", "1", "--strategy", "psl", "--rounds", str(1 << 32), "--transport", "tcp",
+                       "--listen", "127.0.0.1:0", "--out", str(tmp_path / "out")) == 2
+        assert "rounds must be <= 4294967295, got 4294967296" in capsys.readouterr().err
+        assert listeners == [] and not (tmp_path / "out").exists()
+
+    def test_a_test_set_past_the_frame_cap_exits_2_before_round_1(self, tmp_path, monkeypatch, capsys):
+        # 4096 test rows x 4096 cut floats: the EVAL_RESULT body would be 14
+        # bytes over the cap. The coordinator refuses the seed at set-up,
+        # before it reads a frame, and closes the client's socket.
+        listeners, admitted = record_tcp(monkeypatch)
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("strategy = psl\nclients = 1\nrounds = 2\nmodel_dims = 16,4096,8\ncut = 1\n"
+                       "samples_per_class = 2560\n")
+        codes = []
+        coordinator = threading.Thread(target=lambda: codes.append(run_cli(
+            "run", "--config", str(cfg), "--transport", "tcp", "--listen", "127.0.0.1:0", "--out", str(tmp_path / "out"))))
+        coordinator.start()
+        try:
+            assert run_cli("client", "--connect", listening_address(listeners), "--client-id", "0") == 3
+        finally:
+            coordinator.join(timeout=30)
+        assert codes == [2]
+        assert ("error: tcp transport cannot carry the test set of 4096 rows x 4096 floats"
+                in capsys.readouterr().err)
+        assert len(admitted) == 1 and admitted[0].sock.fileno() == -1
 
     def test_busy_listen_port_is_a_config_error(self, tmp_path, monkeypatch, capsys):
         listeners, _ = record_tcp(monkeypatch)

@@ -411,6 +411,27 @@ class TestRunGda:
                 assert np.max(np.abs(out.corrected[i] - np.array(ref["corrected"][i]))) <= 1e-9
             checked += 1
 
+    def test_fuzz_survivors_are_the_exact_members_of_the_engines_deviations(self):
+        # run_gda on random 2- to 6-client float32 cohorts, as a round builds
+        # them, a fifth with a copied client (a tie), against the exact
+        # predicate on its own deviations_to_leader output; no draw is
+        # skipped, so the 2-client draws, whose exact threshold at eta = 1 is
+        # the nearer deviation, count as well
+        rng = np.random.default_rng(16)
+        pairs = 0
+        for _ in range(600):
+            size, dim = int(rng.integers(2, 7)), int(rng.integers(3, 9))
+            g = rng.normal(size=(size, dim)).astype(np.float32)
+            if rng.random() < 0.2:
+                g[-1] = g[0]
+            eta = float(rng.choice([0.5, 1.0, 1.0, 2.0]))
+            cohort, leader = Cohort(range(size), g, 1), leader_of(rng.normal(size=dim))
+            devs = deviations_to_leader(cohort, leader)
+            want = tuple(k for k, d in enumerate(devs) if oracles.exact_at_or_below_threshold(d, devs, eta))
+            assert run_gda(cohort, np.ones(size), leader, GdaConfig(eta=eta)).survivors == want
+            pairs += size == 2
+        assert pairs > 100
+
     def test_empty_survivors_sets_fallback(self):
         # two clients on either side of the leader, tight threshold via large eta
         vs = [[1.0, 0.4], [1.0, -0.4]]

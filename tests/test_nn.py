@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import oracles
-from gapsl.errors import ConfigError, DataError, NumericError, ProtocolError
+from gapsl.errors import ConfigError, DataError, NumericError
 from gapsl.nn import (
     DenseLayer,
     ModelSpec,
@@ -172,15 +172,6 @@ class TestBackwardServer:
         a2 = backward_server(layers, cache, g2, loss_weights=2 * w)
         assert np.allclose(2 * g1, g2, atol=1e-9)
         assert np.allclose(2 * a1, a2, atol=1e-9)
-
-    def test_stale_cache_is_protocol_error(self):
-        model_a = make_model([4, 6, 3], 1, seed=1)
-        model_b = make_model([4, 5, 3], 1, seed=2)
-        rng = np.random.default_rng(0)
-        acts, _ = forward_client(model_a.client, rng.normal(size=(2, 4)), "relu")
-        _, _, cache = forward_server(model_a.server, acts, np.array([0, 1]))
-        with pytest.raises(ProtocolError):
-            backward_server(model_b.server, cache, np.empty_like(model_b.server_params), mean_weights(cache))
 
 
 class TestBackwardClient:

@@ -1,5 +1,6 @@
 """Training strategies: reduction, symmetry, ablations, determinism."""
 
+import dataclasses
 import inspect
 import itertools
 
@@ -9,7 +10,7 @@ import pytest
 import oracles
 import gapsl.orchestrator as orchestrator
 from gapsl.config import ExperimentConfig
-from gapsl.errors import ConfigError, CoordinationSkipped, ProtocolError
+from gapsl.errors import ConfigError, CoordinationSkipped
 from gapsl.geometry import Cohort, GradientVector
 from gapsl.nn import forward_client, layer_views, logits_from_activations
 from oracles import params_arrays
@@ -64,19 +65,23 @@ def zero_padded(arrays, maxlen):
 
 class StubProxy:
     """A remote client that answers every round with the same ``[rows, 6]``
-    activations and keeps the gradients it is sent."""
+    activations, keeps the gradients it is sent and records every call."""
 
     def __init__(self, rows):
         self.acts = np.full((rows, 6), rows, dtype=np.float32)
         self.got = []
+        self.asked = []
 
     def forward_round(self, round_t):
+        self.asked.append("forward_round")
         return self.acts
 
     def apply_grads(self, round_t, act_grads):
+        self.asked.append("apply_grads")
         self.got.append(act_grads)
 
     def eval_activations(self, round_t):
+        self.asked.append("eval_activations")
         return self.acts
 
 
@@ -507,28 +512,13 @@ class TestRoundShape:
             assert got.shape == (lengths[k], 6) and (got == grads[k, : lengths[k]]).all(), k
 
     def test_tcp_cohort_takes_one_gradient_stack_per_forward(self):
-        # the stack is two rows deep for one-row batches; gradients before
-        # any forward, or twice for one round, are refused
+        # the stack is two rows deep for one-row batches
         proxies = {0: StubProxy(1), 1: StubProxy(1)}
         cohort = ProxyCohort(proxies, 6)
-        with pytest.raises(ProtocolError, match="gradients received before any forward pass"):
-            cohort.apply_grads(1, np.zeros((2, 2, 6), dtype=np.float32))
         acts = cohort.forward(1, *padded_rows([np.arange(1), np.arange(1)]))
         assert acts.shape == (2, 2, 6)
         cohort.apply_grads(1, acts)
-        with pytest.raises(ProtocolError, match="gradients received before any forward pass"):
-            cohort.apply_grads(1, acts)
         assert [len(p.got) for p in proxies.values()] == [1, 1]
-
-    def test_cohort_refusals_name_the_round(self):
-        # a refusal of the whole gradient stack names the round and phase,
-        # on either cohort; there is no one client to name
-        cfg = small_config(clients=2)
-        for cohort, width in ((ProxyCohort({0: StubProxy(5), 1: StubProxy(11)}, 6), 6),
-                              (ClientBank(cfg, 1, range(cfg.clients), *build_dataset(cfg, 1)), 16)):
-            with pytest.raises(ProtocolError) as e:
-                cohort.apply_grads(3, np.zeros((2, 11, width), dtype=np.float32))
-            assert str(e.value) == "round 3 (backward): gradients received before any forward pass"
 
     @pytest.mark.parametrize("strategy", ["sfl", "vanilla_sl"])
     def test_remote_clients_serve_only_parallel_strategies(self, strategy):
@@ -537,6 +527,31 @@ class TestRoundShape:
         proxies = {i: RemoteClientProxy(None, i) for i in range(2)}
         with pytest.raises(ConfigError, match=f"supports only gapsl and psl, got {strategy}"):
             TrainingEngine(small_config(strategy=strategy, clients=2), 1, proxies)
+
+    @pytest.mark.parametrize("overrides, refused", [
+        # 4096 test rows x 4096 cut floats: EVAL_RESULT
+        (dict(samples_per_class=2560), "the test set of 4096 rows x 4096 floats"),
+        # one client's shard of 4096 rows, all in one batch: ACTIVATIONS and ACT_GRADS
+        (dict(samples_per_class=640, batch_size=4096), "a training batch of 4096 rows x 4096 floats"),
+    ])
+    def test_frames_past_the_cap_are_refused_at_set_up(self, overrides, refused):
+        # a body of 14 header bytes plus 4096 * 4096 floats is 14 bytes over
+        # the 64 MiB cap; the engine refuses the seed before it asks any
+        # client for a frame, and the same config builds in process
+        cfg = ExperimentConfig(strategy="psl", clients=1, model_dims=(16, 4096, 8), cut=1, seeds=(1,),
+                               transport="tcp", listen="127.0.0.1:0", **overrides)
+        proxy = StubProxy(1)
+        with pytest.raises(ConfigError, match=f"cannot carry {refused}: its frame would pass the 67108864 byte cap"):
+            TrainingEngine(cfg, 1, {0: proxy})
+        assert proxy.asked == []
+        assert isinstance(TrainingEngine(dataclasses.replace(cfg, transport="inproc"), 1).clients, ClientBank)
+
+    def test_the_largest_batch_is_capped_by_the_largest_shard(self):
+        # batch_size 4096 over two IID shards of 2048 rows: 32 MiB frames
+        cfg = ExperimentConfig(strategy="psl", clients=2, model_dims=(16, 4096, 8), cut=1, seeds=(1,), alpha=None,
+                               samples_per_class=640, batch_size=4096, transport="tcp", listen="127.0.0.1:0")
+        engine = TrainingEngine(cfg, 1, {i: RemoteClientProxy(None, i) for i in range(2)})
+        assert max(len(s) for s in engine.partition) == 2048 and isinstance(engine.clients, ProxyCohort)
 
     @pytest.mark.parametrize("ids", [[0, 1], [1, 2, 3], [0, 1, 3], [0, 1, 2, 3]])
     def test_remote_clients_must_be_the_cohort(self, ids):
@@ -762,14 +777,6 @@ class TestClientBank:
         assert engine._evaluate(3) == float(np.mean(recount))
         after = [bank.test_inputs, bank.params, engine.server_params]
         assert all((a == b).all() for a, b in zip(after, before))
-
-    def test_gradients_before_forward_are_a_protocol_error(self):
-        cfg = small_config(clients=2)
-        bank = ClientBank(cfg, 1, range(cfg.clients), *build_dataset(cfg, 1))
-        before = bank.params.copy()
-        with pytest.raises(ProtocolError, match="before any forward pass"):
-            bank.apply_grads(1, np.zeros((2, 1, 16), dtype=np.float32))
-        assert (bank.params == before).all()
 
     @pytest.mark.parametrize("strategy", ["gapsl", "psl"])
     def test_padding_rows_do_not_reach_any_bit(self, strategy, monkeypatch):

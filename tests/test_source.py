@@ -251,3 +251,35 @@ def test_the_field_rule_counts_a_shared_name_only_for_its_owner():
     )
     # x resolves to nothing, so its reads count only for the unshared size
     assert unread_fields([("m", tree)]) == ["A.tag", "B.round"]
+
+
+# where peer bytes (transport) and peer matrices (orchestrator) enter: a
+# ProtocolError, and so exit code 3, then always means a peer's fault
+PEER_MODULES = {"transport", "orchestrator"}
+
+
+def protocol_error_sources(trees):
+    """The modules of ``trees`` that construct a ProtocolError: call it, as
+    ``ProtocolError(...)`` or ``errors.ProtocolError(...)``, or raise the class."""
+    def names_it(node):
+        return getattr(node, "id", getattr(node, "attr", None)) == "ProtocolError"
+
+    return sorted({
+        stem for stem, tree in trees for node in ast.walk(tree)
+        if (isinstance(node, ast.Call) and names_it(node.func)) or (isinstance(node, ast.Raise) and names_it(node.exc))
+    })
+
+
+def test_only_the_peer_facing_modules_construct_a_protocol_error():
+    assert protocol_error_sources(modules()) == sorted(PEER_MODULES)
+
+
+def test_the_protocol_error_rule_sees_every_form():
+    sources = {
+        "called": "raise ProtocolError('x')\n",
+        "qualified": "from . import errors\nerr = errors.ProtocolError('x')\n",
+        "bare": "raise ProtocolError\n",
+        "caught": "try:\n    f()\nexcept ProtocolError as e:\n    raise ValueError(e) from e\n",
+    }
+    trees = [(stem, ast.parse(text)) for stem, text in sources.items()]
+    assert protocol_error_sources(trees) == ["bare", "called", "qualified"]
