@@ -5,14 +5,14 @@ Values given on the command line override file values. Validation collects
 every violation before failing so a bad config is reported in one shot.
 :func:`validate` is the only place a config rule is checked: the data, model,
 optimizers, LGI and GDA built from a valid config take their arguments as given.
-The wire's limits live here too; a TCP engine checks its seed's frames against them.
+The wire's limits a config can break live here too; ``transport`` holds the
+frame layout, and refuses a seed whose matrix frames would pass the cap.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
-import struct
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -26,8 +26,6 @@ TCP_STRATEGIES = ("gapsl", "psl")  # the wire carries no client models
 MAX_TCP_CLIENTS = 0xFFFF  # HELLO and the matrix headers carry the client id as u16
 MAX_TCP_ROUNDS = 0xFFFFFFFF  # the matrix headers carry the round as u32
 MAX_FRAME = 64 * 1024 * 1024  # a frame body's cap, in bytes
-MATRIX_FMT = "<IHII"  # a matrix body's header: round, client_id, rows, cols
-MATRIX_HEADER_SIZE = struct.calcsize(MATRIX_FMT)
 GDA_MODES = ("gradient", "loss_only")
 
 
@@ -97,6 +95,17 @@ def is_eval_round(cfg: ExperimentConfig, t: int) -> bool:
     disagreed, the run would fail with a ProtocolError instead of blocking.
     """
     return t % cfg.eval_interval == 0 or t == cfg.rounds
+
+
+def parse_address(address: str) -> tuple[str, int]:
+    """Split a host:port string; a ConfigError refuses any port but a decimal
+    number in [0, 65535], the range a socket takes without an OverflowError."""
+    host, sep, port = address.rpartition(":")
+    if not sep or not host:
+        raise ConfigError(f"address must be host:port, got {address!r}")
+    if not port.isdecimal() or int(port) > 0xFFFF:
+        raise ConfigError(f"port must be in [0, 65535], got {port!r} in address {address!r}")
+    return host, int(port)
 
 
 def _parse_bool(v: str) -> bool:
@@ -308,6 +317,11 @@ def validate(cfg: ExperimentConfig) -> list[str]:
         v.append(f"transport must be one of {TRANSPORTS}, got {cfg.transport!r}")
     if cfg.transport == "tcp" and not cfg.listen:
         v.append("tcp transport needs listen HOST:PORT")
+    elif cfg.transport == "tcp":
+        try:
+            parse_address(cfg.listen)
+        except ConfigError as e:
+            v.append(f"listen: {e}")
     if cfg.transport == "tcp" and cfg.strategy not in TCP_STRATEGIES:
         v.append("tcp transport supports only gapsl and psl (no client-model shipping)")
     if cfg.transport == "tcp" and cfg.clients > MAX_TCP_CLIENTS:

@@ -45,9 +45,8 @@ on its batch padded to the stack's depth would. The engine pads its
 stacks so that every product in them runs gemm (``orchestrator.padded_rows``).
 
 Each shape is checked once, where its data enters the engine: a dataset's
-width by ``orchestrator.build_dataset``, a peer's activations by
-``orchestrator.check_activations`` and its activation gradients by
-``transport.client_loop``; the engine builds every other matrix itself. So
+width by ``orchestrator.build_dataset``, every matrix a peer sends by
+``transport.expect_matrix``; the engine builds every other matrix itself. So
 the functions here take shapes as given, each saying what it assumes, bar a
 gradient buffer's leading axes, which ``np.matmul(..., out=)`` would broadcast into.
 """
@@ -235,7 +234,7 @@ def forward_server(
 ) -> tuple[np.ndarray, float, Cache]:
     """Run the server part and the loss; returns per-example losses, their mean, and the cache.
 
-    ``activations`` is ``[batch, fan_in]``: a bank built it, or ``check_activations`` checked a peer's.
+    ``activations`` is ``[batch, fan_in]``: a bank built it, or ``transport.expect_matrix`` checked a peer's.
     ``labels`` are integers in [0, classes), one per row of ``activations``:
     they index the logits unchecked, since the :class:`~gapsl.data.Dataset`
     they come from checks its labels once, when it is built."""

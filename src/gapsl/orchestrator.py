@@ -16,13 +16,13 @@ Strategies:
 Every strategy runs one round function over a list of client ids (all
 of them, or one per round for vanilla_sl). The coordinator draws every
 batch and drives clients through one cohort interface: one stacked
-:class:`ClientBank` in process, a :class:`ProxyCohort` of remote clients
-over TCP. A training round's clients stay one padded ``[clients, maxlen,
-cut]`` stack from the bank's forward through the server to the bank's
-backward; the server forwards each client on its rows of the stack, and
-per-client arrays exist only on the wire and in evaluation. Every random
-choice comes from a seeded substream, so a (config, seed) pair replays
-bit-identically.
+:class:`ClientBank` in process, a ``transport.ProxyCohort`` over TCP,
+which checks every matrix a peer sends. A training round's clients stay
+one padded ``[clients, maxlen, cut]`` stack from the bank's forward
+through the server to the bank's backward; the server forwards each
+client on its rows of the stack, and per-client arrays exist only on the
+wire and in evaluation. Every random choice comes from a seeded
+substream, so a (config, seed) pair replays bit-identically.
 """
 
 from __future__ import annotations
@@ -35,9 +35,9 @@ import numpy as np
 
 from . import gda as gda_mod
 from . import lgi as lgi_mod
-from .config import MATRIX_HEADER_SIZE, MAX_FRAME, TCP_STRATEGIES, ExperimentConfig, is_eval_round, require_valid
+from .config import TCP_STRATEGIES, ExperimentConfig, is_eval_round, require_valid
 from .data import Dataset, dirichlet_partition, iid_partition, load_idx_dataset, synth_gaussian_mixture
-from .errors import ConfigError, CoordinationSkipped, ProtocolError
+from .errors import ConfigError, CoordinationSkipped
 from .geometry import Cohort, pairwise_mean_deviation
 from .nn import (
     DenseLayer,
@@ -55,6 +55,7 @@ from .nn import (
     split_model,
     stack_caches,
 )
+from .transport import ProxyCohort, RemoteClientProxy
 
 # substream tags: every consumer of randomness gets its own child stream of
 # the run seed, so strategies never perturb each other's draws
@@ -209,26 +210,6 @@ class ClientBank:
         self.params[...] = sum(wk * row for wk, row in zip(w, rows)).astype(self.params.dtype)
 
 
-def client_error(round_t: int, client_id: int, phase: str, problem) -> ProtocolError:
-    """A ProtocolError naming the round, the client and the phase."""
-    return ProtocolError(f"round {round_t} client {client_id} ({phase}): {problem}")
-
-
-def check_activations(round_t: int, client_id: int, phase: str, acts: np.ndarray, shape: tuple[int, int]) -> None:
-    """Activations from a client must be ``[rows, fan_in]``: checked so a
-    lying peer is a protocol error, not a model error."""
-    if acts.shape != shape:
-        raise client_error(round_t, client_id, phase, f"expected activations of shape {shape}, got {acts.shape}")
-
-
-class ClientProxy(Protocol):
-    """The coordinator's handle on one remote client (a transport.RemoteClientProxy)."""
-
-    def forward_round(self, round_t: int) -> np.ndarray: ...
-    def apply_grads(self, round_t: int, act_grads: np.ndarray) -> None: ...
-    def eval_activations(self, round_t: int) -> np.ndarray: ...
-
-
 class ClientCohort(Protocol):
     """What the coordinator needs from its clients, one call per round step:
     a :class:`ClientBank` in process, a :class:`ProxyCohort` over TCP.
@@ -242,45 +223,6 @@ class ClientCohort(Protocol):
     def forward(self, round_t: int, rows: np.ndarray, lengths: Sequence[int]) -> np.ndarray: ...
     def apply_grads(self, round_t: int, act_grads: np.ndarray) -> None: ...
     def eval_activations(self, round_t: int) -> Iterator[np.ndarray]: ...
-
-
-class ProxyCohort:
-    """A :class:`ClientCohort` over per-client proxies, called one client at
-    a time in id order; a ProtocolError names the round, client and phase.
-    Per-client arrays live only here, on the wire: each remote client's
-    activations are checked and copied into a zero-padded stack, and each
-    gets its rows of the gradient stack, which the server's backward built
-    in the shape of that stack. Batches are not sent: each remote client
-    replays its own stream."""
-
-    def __init__(self, proxies: dict[int, ClientProxy], fan_in: int):
-        self.proxies = proxies
-        self.fan_in = fan_in
-        self._lengths = None  # the batch lengths of the last forward
-
-    def _each(self, round_t: int, phase: str, call) -> Iterator[tuple[int, object]]:
-        for i in sorted(self.proxies):
-            try:
-                out = call(i, self.proxies[i])
-            except ProtocolError as e:
-                raise client_error(round_t, i, phase, e) from e
-            yield i, out
-
-    def forward(self, round_t: int, rows: np.ndarray, lengths: Sequence[int]) -> np.ndarray:
-        acts = np.zeros((*rows.shape, self.fan_in), dtype=np.float32)
-        for i, a in self._each(round_t, "forward", lambda i, p: p.forward_round(round_t)):
-            check_activations(round_t, i, "forward", a, (lengths[i], self.fan_in))
-            acts[i, : lengths[i]] = a
-        self._lengths = lengths
-        return acts
-
-    def apply_grads(self, round_t: int, act_grads: np.ndarray) -> None:
-        lengths = self._lengths
-        for _ in self._each(round_t, "backward", lambda i, p: p.apply_grads(round_t, act_grads[i, : lengths[i]])):
-            pass
-
-    def eval_activations(self, round_t: int) -> Iterator[np.ndarray]:
-        return (acts for _, acts in self._each(round_t, "eval", lambda i, p: p.eval_activations(round_t)))
 
 
 @dataclass
@@ -332,7 +274,7 @@ class TrainingEngine:
     one frame; without them the clients are one in-process :class:`ClientBank`.
     """
 
-    def __init__(self, cfg: ExperimentConfig, seed: int, proxies: dict[int, ClientProxy] | None = None):
+    def __init__(self, cfg: ExperimentConfig, seed: int, proxies: dict[int, RemoteClientProxy] | None = None):
         require_valid(cfg)
         if proxies is not None and cfg.strategy not in TCP_STRATEGIES:
             raise ConfigError(f"tcp transport supports only gapsl and psl, got {cfg.strategy}")
@@ -345,20 +287,15 @@ class TrainingEngine:
         model = build_model(cfg, seed)
         self.activation = cfg.activation
         self.server, self.server_params = model.server, model.server_params
-        self.fan_in = self.server[0].w.shape[0]
         self.server_opt = sgd_state(self.server, cfg.lr_server, cfg.momentum)
         self.cursors = shard_cursors(cfg, seed, self.partition, range(cfg.clients))
         self.clients: ClientCohort
         if proxies is None:
             ids = [0] if cfg.strategy == "vanilla_sl" else range(cfg.clients)  # vanilla_sl relays one model
             self.clients = ClientBank(cfg, seed, ids, self.train, self.test)
-        else:
-            batch = min(cfg.batch_size, max(len(shard) for shard in self.partition))  # the largest sent
-            for what, rows in (("a training batch", batch), ("the test set", len(self.test))):
-                if MATRIX_HEADER_SIZE + 4 * rows * self.fan_in > MAX_FRAME:
-                    raise ConfigError(f"tcp transport cannot carry {what} of {rows} rows x {self.fan_in} "
-                                      f"floats: its frame would pass the {MAX_FRAME} byte cap")
-            self.clients = ProxyCohort(proxies, self.fan_in)
+        else:  # a client's largest batch is at most its shard
+            batch = min(cfg.batch_size, max(map(len, self.partition)))
+            self.clients = ProxyCohort(proxies, cfg.model_dims[cfg.cut], batch, len(self.test))
         self.lgi_state = lgi_mod.LgiState()
         self.lgi_cfg = lgi_mod.LgiConfig(total_rounds=cfg.rounds, k_min=cfg.k_min, k_max=cfg.k_max)
         self.gda_cfg = gda_mod.GdaConfig(
@@ -414,8 +351,7 @@ class TrainingEngine:
 
     def _evaluate(self, round_t: int) -> float:
         accs = []
-        for i, acts in enumerate(self.clients.eval_activations(round_t)):
-            check_activations(round_t, i, "eval", acts, (len(self.test), self.fan_in))
+        for acts in self.clients.eval_activations(round_t):
             logits = logits_from_activations(self.server, acts, self.activation)
             hits = np.count_nonzero(logits.argmax(axis=1) == self.test.labels)
             accs.append(hits / len(self.test.labels))

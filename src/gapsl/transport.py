@@ -14,12 +14,12 @@ u32`` followed by rows*cols IEEE-754 single-precision values. The wire
 carries the experiment's float32 precision losslessly, so TCP runs and
 in-process runs produce identical results.
 
-The sender checks nothing: ``config`` holds the wire's limits, and
-``config.validate``, the TCP ``TrainingEngine``'s set-up and ``gapsl
-client`` refuse a run whose ids, rounds or frames would not fit them. The
-receiver checks every frame, once per hop: it refuses one that breaks the
-layout or holds a non-finite float, naming its byte offset, and its end names
-the round, the client and the phase.
+The sender checks nothing: ``config.validate`` refuses a run whose ids,
+rounds, config text or address the wire cannot carry, :class:`ProxyCohort`
+a seed whose frames would pass the cap, and ``gapsl client`` an id outside
+HELLO's range. The receiver checks every frame, once per hop: it refuses
+one that breaks the layout or holds a non-finite float, naming its byte
+offset, and its end names the round, the client and the phase.
 
 Handshake: a client opens with HELLO carrying its id; the server answers
 with CONFIG (the canonical key=value config text) or closes the
@@ -46,9 +46,12 @@ the peer stops reading; it then waits at most what the last read on its
 socket left of that read's deadline, or for a client's HELLO
 ``HANDSHAKE_TIMEOUT_S``.
 
-Both ends check a matrix frame with :func:`expect_matrix`. Checks here say
-only what went wrong; each end names a failure inside a round once, as
-``round t client i (phase): problem`` (``orchestrator.client_error``).
+Both ends check a matrix frame's type, round, client and shape with
+:func:`expect_matrix`, the one shape check a peer's matrix meets. Checks
+here say only what went wrong; each end names a failure inside a round
+once, as ``round t client i (phase): problem`` (:func:`client_error`).
+Only this module builds a :class:`ProtocolError`, so exit code 3 always
+means a peer's fault.
 """
 
 from __future__ import annotations
@@ -57,18 +60,21 @@ import json
 import socket
 import struct
 import time
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
 
-from .config import MATRIX_FMT, MATRIX_HEADER_SIZE, MAX_FRAME, is_eval_round, parse_config_text
+from .config import MAX_FRAME, is_eval_round, parse_address, parse_config_text
 from .errors import ConfigError, ProtocolError
 
 MAGIC = b"GPSL"
 VERSION = 2
 HEADER_FMT = "<4sBBI"
 HEADER_SIZE = struct.calcsize(HEADER_FMT)
+MATRIX_FMT = "<IHII"  # a matrix body's header: round, client_id, rows, cols
+MATRIX_HEADER_SIZE = struct.calcsize(MATRIX_FMT)
 # seconds the coordinator waits for one client frame: far above a client's
 # per-seed dataset build plus one round
 PEER_TIMEOUT_S = 300.0
@@ -146,7 +152,7 @@ def encode(msg: WireMessage) -> bytes:
     elif isinstance(msg, Bye):
         tag, body = TAG_BYE, b""
     else:
-        raise ProtocolError(f"cannot encode {type(msg).__name__}")
+        raise TypeError(f"cannot encode {type(msg).__name__}")
     return b"".join((struct.pack(HEADER_FMT, MAGIC, VERSION, tag, len(body) + payload.nbytes), body, payload))
 
 
@@ -225,25 +231,24 @@ def decode(buf: bytes | bytearray) -> tuple[WireMessage, int] | None:
     return _DECODERS[tag](buf, length), HEADER_SIZE + length
 
 
-def expect_matrix(msg: WireMessage, kind: type[MatrixMessage], round_t: int, client_id: int) -> np.ndarray:
+def expect_matrix(
+    msg: WireMessage, kind: type[MatrixMessage], round_t: int, client_id: int, shape: tuple[int, int]
+) -> np.ndarray:
     """The matrix of ``msg`` if it is a ``kind`` frame for round ``round_t`` and
-    client ``client_id``, else a :class:`ProtocolError` saying what arrived."""
+    client ``client_id`` of shape ``shape``, else a :class:`ProtocolError`
+    saying what arrived: so a lying peer is a protocol error, not a model error."""
     if not isinstance(msg, kind):
         raise ProtocolError(f"expected {kind.__name__}, got {type(msg).__name__}")
     if msg.round != round_t or msg.client_id != client_id:
         raise ProtocolError(f"{kind.__name__} for round {msg.round} client {msg.client_id}")
+    if msg.matrix.shape != shape:
+        raise ProtocolError(f"{kind.__name__} of shape {msg.matrix.shape}, expected {shape}")
     return msg.matrix
 
 
-def parse_address(address: str) -> tuple[str, int]:
-    """Split a host:port string."""
-    host, sep, port = address.rpartition(":")
-    if not sep or not host:
-        raise ConfigError(f"address must be host:port, got {address!r}")
-    try:
-        return host, int(port)
-    except ValueError as e:
-        raise ConfigError(f"bad port in address {address!r}") from e
+def client_error(round_t: int, client_id: int, phase: str, problem) -> ProtocolError:
+    """A ProtocolError naming the round, the client and the phase."""
+    return ProtocolError(f"round {round_t} client {client_id} ({phase}): {problem}")
 
 
 class FrameChannel:
@@ -378,25 +383,70 @@ class Listener:
 
 
 class RemoteClientProxy:
-    """Coordinator-side view of one TCP client."""
+    """Coordinator-side view of one TCP client; each read expects ``shape``."""
 
     def __init__(self, channel: FrameChannel, client_id: int):
         self.channel = channel
         self.client_id = client_id
 
-    def forward_round(self, round_t: int) -> np.ndarray:
-        return expect_matrix(self.channel.recv(PEER_TIMEOUT_S), Activations, round_t, self.client_id)
+    def forward_round(self, round_t: int, shape: tuple[int, int]) -> np.ndarray:
+        return expect_matrix(self.channel.recv(PEER_TIMEOUT_S), Activations, round_t, self.client_id, shape)
 
     def apply_grads(self, round_t: int, act_grads: np.ndarray) -> None:
         self.channel.send(ActGrads(round_t, self.client_id, act_grads))
 
-    def eval_activations(self, round_t: int) -> np.ndarray:
-        return expect_matrix(self.channel.recv(PEER_TIMEOUT_S), EvalResult, round_t, self.client_id)
+    def eval_activations(self, round_t: int, shape: tuple[int, int]) -> np.ndarray:
+        return expect_matrix(self.channel.recv(PEER_TIMEOUT_S), EvalResult, round_t, self.client_id, shape)
 
     def finish(self, metrics: dict) -> None:
         self.channel.send(Metrics(metrics))
         self.channel.send(Bye())
         self.channel.close()
+
+
+class ProxyCohort:
+    """The ``orchestrator.ClientCohort`` over TCP, called one client at a
+    time in id order; a ProtocolError names the round, client and phase.
+    Per-client arrays live only here, on the wire: each remote client's
+    activations arrive checked against its batch's shape and are copied
+    into a zero-padded stack, and each gets its rows of the gradient stack,
+    which the server's backward built in the shape of that stack. Batches
+    are not sent: each remote client replays its own stream. A ConfigError
+    refuses a largest batch or a test set whose frame would pass the cap."""
+
+    def __init__(self, proxies: dict[int, RemoteClientProxy], fan_in: int, batch_rows: int, test_rows: int):
+        for what, rows in (("a training batch", batch_rows), ("the test set", test_rows)):
+            if MATRIX_HEADER_SIZE + 4 * rows * fan_in > MAX_FRAME:
+                raise ConfigError(f"tcp transport cannot carry {what} of {rows} rows x {fan_in} "
+                                  f"floats: its frame would pass the {MAX_FRAME} byte cap")
+        self.proxies = proxies
+        self.fan_in = fan_in
+        self.test_shape = (test_rows, fan_in)
+        self._lengths = None  # the batch lengths of the last forward
+
+    def _each(self, round_t: int, phase: str, call) -> Iterator[tuple[int, object]]:
+        for i in sorted(self.proxies):
+            try:
+                out = call(i, self.proxies[i])
+            except ProtocolError as e:
+                raise client_error(round_t, i, phase, e) from e
+            yield i, out
+
+    def forward(self, round_t: int, rows: np.ndarray, lengths: Sequence[int]) -> np.ndarray:
+        acts = np.zeros((*rows.shape, self.fan_in), dtype=np.float32)
+        for i, a in self._each(round_t, "forward", lambda i, p: p.forward_round(round_t, (lengths[i], self.fan_in))):
+            acts[i, : lengths[i]] = a
+        self._lengths = lengths
+        return acts
+
+    def apply_grads(self, round_t: int, act_grads: np.ndarray) -> None:
+        lengths = self._lengths
+        for _ in self._each(round_t, "backward", lambda i, p: p.apply_grads(round_t, act_grads[i, : lengths[i]])):
+            pass
+
+    def eval_activations(self, round_t: int) -> Iterator[np.ndarray]:
+        shape = self.test_shape
+        return (acts for _, acts in self._each(round_t, "eval", lambda i, p: p.eval_activations(round_t, shape)))
 
 
 def client_loop(channel: FrameChannel, client_id: int) -> dict:
@@ -407,8 +457,8 @@ def client_loop(channel: FrameChannel, client_id: int) -> dict:
     coordinator draws, so labels never cross the wire. Returns the final
     METRICS payload.
     """
-    from .orchestrator import (  # deps stay one-way
-        ClientBank, build_dataset, build_partition, client_error, padded_rows, shard_cursors,
+    from .orchestrator import (  # at call time: the orchestrator imports this module
+        ClientBank, build_dataset, build_partition, padded_rows, shard_cursors,
     )
 
     channel.send(Hello(client_id))
@@ -432,11 +482,8 @@ def client_loop(channel: FrameChannel, client_id: int) -> dict:
                 sent = acts[0, :n]
                 channel.send(Activations(t, client_id, sent))
                 phase = "backward"
-                got = expect_matrix(channel.recv(owed_s), ActGrads, t, client_id)
-                if got.shape != sent.shape:
-                    raise ProtocolError(f"ActGrads of shape {got.shape}, expected {sent.shape}")
                 grads = np.zeros_like(acts)
-                grads[0, :n] = got
+                grads[0, :n] = expect_matrix(channel.recv(owed_s), ActGrads, t, client_id, sent.shape)
                 bank.apply_grads(t, grads)
                 if is_eval_round(cfg, t):
                     phase = "eval"

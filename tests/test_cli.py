@@ -21,7 +21,7 @@ import gapsl
 import gapsl.cli as cli
 import gapsl.transport as tp
 from gapsl.cli import _build_parser, _collect_overrides, main
-from gapsl.config import ExperimentConfig, config_to_text, parse_config, parse_config_text, validate
+from gapsl.config import ExperimentConfig, config_to_text, parse_address, parse_config, parse_config_text, validate
 from gapsl.errors import ConfigError, DataError, ProtocolError
 from gapsl.orchestrator import TrainingEngine
 from gapsl.reporting import CSV_COLUMNS, compare_table, read_metrics_csv
@@ -105,6 +105,25 @@ class TestParseConfig:
             parse_config_text("transport = tcp\nlisten = 127.0.0.1:0\nrounds = 4294967296\n")
         assert validate(ExperimentConfig(transport="tcp", rounds=0xFFFFFFFF, listen="127.0.0.1:0")) == []
         assert TrainingEngine(parse_config_text("rounds = 4294967296\n"), 1).cfg.rounds == 1 << 32
+
+    @pytest.mark.parametrize("address, problem", [
+        ("nonsense", "address must be host:port, got 'nonsense'"),
+        (":80", "address must be host:port, got ':80'"),
+        ("127.0.0.1:", "port must be in [0, 65535], got '' in address '127.0.0.1:'"),
+        ("127.0.0.1:-1", "port must be in [0, 65535], got '-1' in address '127.0.0.1:-1'"),
+        ("127.0.0.1:65536", "port must be in [0, 65535], got '65536' in address '127.0.0.1:65536'"),
+    ])
+    def test_tcp_listen_must_be_host_and_u16_port(self, address, problem):
+        # a port past 16 bits would reach bind() as an OverflowError
+        assert validate(ExperimentConfig(transport="tcp", listen=address)) == [f"listen: {problem}"]
+        assert validate(ExperimentConfig(transport="inproc", listen=address)) == []  # nothing listens
+        with pytest.raises(ConfigError) as e:
+            parse_address(address)
+        assert str(e.value) == problem
+
+    def test_an_address_splits_at_its_last_colon(self):
+        assert parse_address("127.0.0.1:0") == ("127.0.0.1", 0)
+        assert parse_address("::1:65535") == ("::1", 65535)
 
     def test_tcp_config_text_must_fit_one_frame(self, monkeypatch):
         # CONFIG carries the canonical text in one frame
@@ -472,6 +491,25 @@ class TestTcpRunFailures:
         assert ("error: tcp transport cannot carry the test set of 4096 rows x 4096 floats"
                 in capsys.readouterr().err)
         assert len(admitted) == 1 and admitted[0].sock.fileno() == -1
+
+    @pytest.mark.parametrize("address, problem", [
+        ("127.0.0.1:70000", "port must be in [0, 65535], got '70000'"),
+        ("nonsense", "address must be host:port, got 'nonsense'"),
+    ])
+    def test_bad_listen_address_exits_2_before_writing_anything(self, address, problem, tmp_path, monkeypatch,
+                                                                capsys):
+        listeners, _ = record_tcp(monkeypatch)
+        out = tmp_path / "out"
+        assert run_cli("run", "--transport", "tcp", "--listen", address, "--out", str(out)) == 2
+        assert f"listen: {problem}" in capsys.readouterr().err
+        assert listeners == [] and not out.exists()
+
+    @pytest.mark.parametrize("address", ["127.0.0.1:99999999999999999999", "127.0.0.1:http", "nonsense"])
+    def test_bad_connect_address_exits_2_before_connecting(self, address, monkeypatch, capsys):
+        # a port past 16 bits would reach getaddrinfo as an OverflowError
+        monkeypatch.setattr(socket, "create_connection", lambda *args, **kwargs: pytest.fail("connected"))
+        assert run_cli("client", "--connect", address, "--client-id", "0") == 2
+        assert f"{address!r}" in capsys.readouterr().err
 
     def test_busy_listen_port_is_a_config_error(self, tmp_path, monkeypatch, capsys):
         listeners, _ = record_tcp(monkeypatch)

@@ -18,8 +18,6 @@ from gapsl.orchestrator import (
     STREAM_SHUFFLE,
     ClientBank,
     ClientCohort,
-    ClientProxy,
-    ProxyCohort,
     ShardCursor,
     TrainingEngine,
     build_dataset,
@@ -29,7 +27,7 @@ from gapsl.orchestrator import (
     substream,
 )
 from gapsl.reporting import metrics_rows
-from gapsl.transport import RemoteClientProxy
+from gapsl.transport import ProxyCohort, RemoteClientProxy
 
 
 def small_config(**kw):
@@ -65,22 +63,25 @@ def zero_padded(arrays, maxlen):
 
 class StubProxy:
     """A remote client that answers every round with the same ``[rows, 6]``
-    activations, keeps the gradients it is sent and records every call."""
+    activations, keeps the gradients it is sent and records every call and
+    the shape each forward expects."""
 
     def __init__(self, rows):
         self.acts = np.full((rows, 6), rows, dtype=np.float32)
         self.got = []
         self.asked = []
+        self.shapes = []
 
-    def forward_round(self, round_t):
+    def forward_round(self, round_t, shape):
         self.asked.append("forward_round")
+        self.shapes.append(shape)
         return self.acts
 
     def apply_grads(self, round_t, act_grads):
         self.asked.append("apply_grads")
         self.got.append(act_grads)
 
-    def eval_activations(self, round_t):
+    def eval_activations(self, round_t, shape):
         self.asked.append("eval_activations")
         return self.acts
 
@@ -475,20 +476,16 @@ class TestRoundShape:
             assert grams == [5]
 
     def test_client_bank_and_tcp_cohort_define_the_protocol(self):
-        # the Protocols are not checked at runtime: the bank and the TCP
+        # the Protocol is not checked at runtime: the bank and the TCP
         # cohort must answer every call the engine makes, with the same
-        # parameters, and so must the remote proxy the TCP cohort wraps;
-        # SFL's FedAvg runs in process only, so only the bank averages models
-        for protocol, classes, names in (
-            (ClientCohort, (ClientBank, ProxyCohort), ["apply_grads", "eval_activations", "forward"]),
-            (ClientProxy, (RemoteClientProxy,), ["apply_grads", "eval_activations", "forward_round"]),
-        ):
-            methods = [n for n, v in vars(protocol).items() if callable(v) and not n.startswith("_")]
-            assert sorted(methods) == names
-            for cls in classes:
-                for name in methods:
-                    want = list(inspect.signature(getattr(protocol, name)).parameters)
-                    assert list(inspect.signature(getattr(cls, name)).parameters) == want, (cls.__name__, name)
+        # parameters; SFL's FedAvg runs in process only, so only the bank
+        # averages models
+        methods = [n for n, v in vars(ClientCohort).items() if callable(v) and not n.startswith("_")]
+        assert sorted(methods) == ["apply_grads", "eval_activations", "forward"]
+        for cls in (ClientBank, ProxyCohort):
+            for name in methods:
+                want = list(inspect.signature(getattr(ClientCohort, name)).parameters)
+                assert list(inspect.signature(getattr(cls, name)).parameters) == want, (cls.__name__, name)
         assert hasattr(ClientBank, "average")
         assert not hasattr(ProxyCohort, "average") and not hasattr(RemoteClientProxy, "average")
         tcp = TrainingEngine(small_config(clients=2), 1, {i: RemoteClientProxy(None, i) for i in range(2)})
@@ -500,9 +497,10 @@ class TestRoundShape:
         # client's activations into a zero-padded stack and sends each client
         # its rows of the gradient stack
         proxies = {0: StubProxy(8), 1: StubProxy(3)}
-        cohort = ProxyCohort(proxies, 6)
+        cohort = ProxyCohort(proxies, 6, 8, 8)
         rows, lengths = padded_rows([np.arange(8), np.arange(3)])
         acts = cohort.forward(1, rows, lengths)
+        assert [p.shapes for p in proxies.values()] == [[(8, 6)], [(3, 6)]]
         assert acts.dtype == np.float32 and acts.shape == (2, 8, 6)
         assert (acts[0] == 8).all() and (acts[1, :3] == 3).all() and (acts[1, 3:] == 0).all()
         grads = np.arange(2 * 8 * 6, dtype=np.float32).reshape(2, 8, 6)
@@ -514,7 +512,7 @@ class TestRoundShape:
     def test_tcp_cohort_takes_one_gradient_stack_per_forward(self):
         # the stack is two rows deep for one-row batches
         proxies = {0: StubProxy(1), 1: StubProxy(1)}
-        cohort = ProxyCohort(proxies, 6)
+        cohort = ProxyCohort(proxies, 6, 1, 1)
         acts = cohort.forward(1, *padded_rows([np.arange(1), np.arange(1)]))
         assert acts.shape == (2, 2, 6)
         cohort.apply_grads(1, acts)

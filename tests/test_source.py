@@ -253,9 +253,12 @@ def test_the_field_rule_counts_a_shared_name_only_for_its_owner():
     assert unread_fields([("m", tree)]) == ["A.tag", "B.round"]
 
 
-# where peer bytes (transport) and peer matrices (orchestrator) enter: a
-# ProtocolError, and so exit code 3, then always means a peer's fault
-PEER_MODULES = {"transport", "orchestrator"}
+# where peer bytes and the matrices they carry enter: a ProtocolError, and
+# so exit code 3, then always means a peer's fault
+PEER_MODULES = {"transport"}
+# the modules that lay out bytes: the wire's frames and the IDX reader's
+# headers; a frame layout anywhere else would be a second copy of the wire's
+BYTE_LAYOUT_MODULES = {"transport", "data"}
 
 
 def protocol_error_sources(trees):
@@ -283,3 +286,28 @@ def test_the_protocol_error_rule_sees_every_form():
     }
     trees = [(stem, ast.parse(text)) for stem, text in sources.items()]
     assert protocol_error_sources(trees) == ["bare", "called", "qualified"]
+
+
+def struct_importers(trees):
+    """The modules of ``trees`` that import ``struct``, whole or in part."""
+    return sorted({
+        stem for stem, tree in trees for node in ast.walk(tree)
+        if (isinstance(node, ast.Import) and any(a.name == "struct" for a in node.names))
+        or (isinstance(node, ast.ImportFrom) and node.module == "struct")
+    })
+
+
+def test_only_the_byte_layout_modules_import_struct():
+    assert struct_importers(modules()) == sorted(BYTE_LAYOUT_MODULES)
+
+
+def test_the_struct_rule_sees_every_form():
+    sources = {
+        "whole": "import struct\n",
+        "aliased": "import json, struct as s\n",
+        "part": "from struct import calcsize\n",
+        "nested": "def f():\n    import struct\n",
+        "named": "from .config import struct_size\nimport structlog\n",
+    }
+    trees = [(stem, ast.parse(text)) for stem, text in sources.items()]
+    assert struct_importers(trees) == ["aliased", "nested", "part", "whole"]

@@ -12,7 +12,7 @@ import pytest
 import gapsl.transport as tp
 from gapsl.config import ExperimentConfig, config_to_text
 from gapsl.errors import ProtocolError
-from gapsl.orchestrator import ProxyCohort, TrainingEngine, padded_rows
+from gapsl.orchestrator import TrainingEngine, padded_rows
 from gapsl.reporting import metrics_rows
 from gapsl.transport import (
     ActGrads,
@@ -25,6 +25,7 @@ from gapsl.transport import (
     Listener,
     MatrixMessage,
     Metrics,
+    ProxyCohort,
     RemoteClientProxy,
     VERSION,
     client_loop,
@@ -168,7 +169,7 @@ class TestParserRobustness:
         assert all(issubclass(cls, MatrixMessage) for cls in (Activations, ActGrads, EvalResult))
         assert Activations(1, 0, m) != ActGrads(1, 0, m)
         assert [encode(cls(1, 0, m))[5] for cls in (Activations, ActGrads, EvalResult)] == [3, 4, 6]
-        with pytest.raises(ProtocolError, match="cannot encode MatrixMessage"):
+        with pytest.raises(TypeError, match="cannot encode MatrixMessage"):
             encode(MatrixMessage(1, 0, m))
 
     def test_fuzzed_garbage_never_crashes(self):
@@ -366,23 +367,33 @@ class TestTcpChannels:
             coordinator.close()
             client.close()
 
-    @pytest.mark.parametrize("frame,problem", [
-        (EvalResult(1, 0, np.zeros((3, 6), np.float32)), "expected Activations, got EvalResult"),
-        (Activations(2, 0, np.zeros((3, 6), np.float32)), "Activations for round 2 client 0"),
-        (Activations(1, 1, np.zeros((3, 6), np.float32)), "Activations for round 1 client 1"),
-        (Activations(1, 0, np.full((3, 6), -np.inf, np.float32)), "non-finite payload float (byte offset 24)"),
-    ], ids=["type", "round", "client", "non-finite"])
-    def test_coordinator_names_a_wrong_frame_once(self, frame, problem):
+    @pytest.mark.parametrize("phase,frame,problem", [
+        ("forward", EvalResult(1, 0, np.zeros((3, 6), np.float32)), "expected Activations, got EvalResult"),
+        ("forward", Activations(2, 0, np.zeros((3, 6), np.float32)), "Activations for round 2 client 0"),
+        ("forward", Activations(1, 1, np.zeros((3, 6), np.float32)), "Activations for round 1 client 1"),
+        ("forward", Activations(1, 0, np.full((3, 6), -np.inf, np.float32)),
+         "non-finite payload float (byte offset 24)"),
+        # a wider matrix would fail inside the server model
+        ("forward", Activations(1, 0, np.zeros((3, 12), np.float32)),
+         "Activations of shape (3, 12), expected (3, 6)"),
+        # one row would broadcast one prediction against every label
+        ("eval", EvalResult(1, 0, np.zeros((1, 6), np.float32)), "EvalResult of shape (1, 6), expected (5, 6)"),
+        ("eval", EvalResult(1, 0, np.zeros((5, 12), np.float32)), "EvalResult of shape (5, 12), expected (5, 6)"),
+    ], ids=["type", "round", "client", "non-finite", "double-width", "eval-one-row", "eval-double-width"])
+    def test_coordinator_names_a_wrong_frame_once(self, phase, frame, problem):
         # the frame check says what arrived; the TCP cohort adds round,
-        # client and phase, once
+        # client and phase, once. The cohort reads round 1's frame as the
+        # forward of a 3-row batch or the eval of a 5-row test set
         near, far = socket.socketpair()
         client = FrameChannel(far)
-        cohort = ProxyCohort({0: RemoteClientProxy(FrameChannel(near), 0)}, 6)
+        cohort = ProxyCohort({0: RemoteClientProxy(FrameChannel(near), 0)}, 6, 3, 5)
+        read = {"forward": lambda: cohort.forward(1, *padded_rows([np.arange(3)])),
+                "eval": lambda: list(cohort.eval_activations(1))}[phase]
         try:
             client.send(frame)
             with pytest.raises(ProtocolError) as e:
-                cohort.forward(1, *padded_rows([np.arange(3)]))
-            assert str(e.value) == f"round 1 client 0 (forward): {problem}"
+                read()
+            assert str(e.value) == f"round 1 client 0 ({phase}): {problem}"
         finally:
             cohort.proxies[0].channel.close()
             client.close()
