@@ -59,7 +59,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--eval-interval", type=int)
     run_p.add_argument("--transport", choices=TRANSPORTS)
     run_p.add_argument("--listen", help="bind address host:port for tcp transport")
-    for flag in ("--non-lgi", "--rand-lgi", "--non-gda", "--rand-gda"):
+    for flag in ("--rand-lgi", "--non-gda", "--rand-gda"):
         run_p.add_argument(flag, action="store_true", default=None)
     run_p.add_argument("--out", default="runs", help="output directory (default: runs)")
 

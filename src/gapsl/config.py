@@ -26,7 +26,6 @@ TCP_STRATEGIES = ("gapsl", "psl")  # the wire carries no client models
 MAX_TCP_CLIENTS = 0xFFFF  # HELLO and the matrix headers carry the client id as u16
 MAX_TCP_ROUNDS = 0xFFFFFFFF  # the matrix headers carry the round as u32
 MAX_FRAME = 64 * 1024 * 1024  # a frame body's cap, in bytes
-GDA_MODES = ("gradient", "loss_only")
 
 
 @dataclass
@@ -65,11 +64,9 @@ class ExperimentConfig:
     k_max: float = 80.0
     eta: float = 1.0
     lam: float = 5e-4
-    gda_mode: str = "gradient"
     theta_th_override: float | None = None
 
     # ablation flags (gapsl only)
-    non_lgi: bool = False
     rand_lgi: bool = False
     non_gda: bool = False
     rand_gda: bool = False
@@ -98,11 +95,21 @@ def is_eval_round(cfg: ExperimentConfig, t: int) -> bool:
 
 
 def parse_address(address: str) -> tuple[str, int]:
-    """Split a host:port string; a ConfigError refuses any port but a decimal
-    number in [0, 65535], the range a socket takes without an OverflowError."""
+    """Split a host:port string; a ConfigError refuses a host the socket
+    layer cannot encode, one holding a NUL or without an IDNA encoding (a
+    TypeError from ``bind``, a UnicodeError from ``getaddrinfo``), and any
+    port but a decimal number in [0, 65535], the range a socket takes
+    without an OverflowError."""
     host, sep, port = address.rpartition(":")
     if not sep or not host:
         raise ConfigError(f"address must be host:port, got {address!r}")
+    try:
+        host.encode("idna")  # as getaddrinfo encodes every str host
+        encodable = "\0" not in host  # a NUL passes IDNA, but bind refuses it
+    except UnicodeError:
+        encodable = False
+    if not encodable:
+        raise ConfigError(f"host must hold no NUL and have an IDNA encoding, got {host!r} in address {address!r}")
     if not port.isdecimal() or int(port) > 0xFFFF:
         raise ConfigError(f"port must be in [0, 65535], got {port!r} in address {address!r}")
     return host, int(port)
@@ -300,14 +307,10 @@ def validate(cfg: ExperimentConfig) -> list[str]:
         v.append(f"eta must be >= 0, got {cfg.eta}")
     if cfg.lam < 0:
         v.append(f"lambda must be >= 0, got {cfg.lam}")
-    if cfg.gda_mode not in GDA_MODES:
-        v.append(f"gda_mode must be one of {GDA_MODES}, got {cfg.gda_mode!r}")
 
-    flags = [cfg.non_lgi, cfg.rand_lgi, cfg.non_gda, cfg.rand_gda]
+    flags = [cfg.rand_lgi, cfg.non_gda, cfg.rand_gda]
     if any(flags) and cfg.strategy != "gapsl":
         v.append("ablation flags are only valid with strategy gapsl")
-    if cfg.non_lgi and cfg.rand_lgi:
-        v.append("non_lgi and rand_lgi are mutually exclusive")
     if cfg.non_gda and cfg.rand_gda:
         v.append("non_gda and rand_gda are mutually exclusive")
 

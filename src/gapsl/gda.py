@@ -14,9 +14,9 @@ which vanishes exactly at alignment. The shift is orthogonal to g, so it
 turns g toward the leader by atan(lambda_g * sin(theta) / ||g||^2); the
 cosine to the leader rises iff that turn is below 2*theta, always for
 theta >= pi/4, and a strong shift on a short g overshoots the leader and
-lowers it (see :func:`alignment_correction`). The penalty can also run as a
-loss-value-only variant (no gradient shift) for ablations; the scalar
-penalty and summed global loss are reported either way.
+lowers it (see :func:`alignment_correction`). The scalar penalty and the
+summed global loss are reported. At lambda = 0 the shift is a signed
+zero, so each corrected row equals its gradient.
 
 GDA runs over the cohort's usable rows (``sqrt(sq) > EPS_NORM``, ``Cohort``'s
 rule) and the leader that ``lgi.leader_gradient`` checked, so no norm it
@@ -40,11 +40,10 @@ HALF_PI = math.pi / 2
 @dataclass(frozen=True)
 class GdaConfig:
     """Threshold sensitivity and penalty coefficient (both >= 0, as
-    ``config.validate`` checks them), and realization switches."""
+    ``config.validate`` checks them), and an optional fixed threshold."""
 
     eta: float = 1.0
     lam: float = 5e-4
-    apply_correction: bool = True       # False = loss-value-only ablation variant
     threshold_override: float | None = None  # force a fixed threshold (reduction tests)
 
 
@@ -193,21 +192,19 @@ def run_gda(
     losses: dict[int, float] | np.ndarray,
     leader: GradientVector,
     config: GdaConfig,
-    survivor_mode: str = "threshold",
     rng: np.random.Generator | None = None,
 ) -> GdaOutcome:
     """One full alignment pass: deviations, threshold, filter, regularize.
 
     ``losses`` holds the clients' losses by cohort row, or keyed by id.
-    ``survivor_mode`` "random" replaces the threshold-filtered set with a
-    uniformly random subset of the same size, drawn from ``rng`` (ablation);
-    the threshold is still computed and reported. Any other mode keeps the
-    filtered set; the engine passes only "threshold". The adaptive
-    threshold's members are decided exactly (:func:`filter_clients`); a
-    ``threshold_override`` is compared in float. The per-client
-    correction strength is lambda_g = lambda * ||g||, so the gradient shift
-    has magnitude lambda * sin(theta) whatever ||g|| is (see
-    :func:`alignment_correction`). ``leader`` is one that
+    Given ``rng``, a uniformly random subset of the usable clients drawn
+    from it, as large as the threshold-filtered set, replaces that set (the
+    random-survivor ablation); the threshold is still computed and reported.
+    The adaptive threshold's members are decided exactly
+    (:func:`filter_clients`); a ``threshold_override`` is compared in
+    float. The per-client correction strength is lambda_g = lambda * ||g||,
+    so the gradient shift has magnitude lambda * sin(theta) whatever ||g||
+    is (see :func:`alignment_correction`). ``leader`` is one that
     ``lgi.leader_gradient`` checked, as the engine passes it.
     """
     cohort = prepared(cohort)
@@ -216,20 +213,17 @@ def run_gda(
     threshold = config.threshold_override if eta is None else adaptive_threshold(deviations, eta)
     kept = filter_clients(deviations, threshold, eta)  # positions among the usable rows
 
-    if survivor_mode == "random":
+    if rng is not None:
         kept = tuple(sorted(rng.choice(len(deviations), size=len(kept), replace=False).tolist()))
 
     rows = [cohort.usable_rows[s] for s in kept]
     survivors = tuple(cohort.ids[k] for k in rows)
     keys = survivors if isinstance(losses, dict) else rows
     penalized = [regularized_loss(losses[key], deviations[s], config.lam) for key, s in zip(keys, kept)]
-    if config.apply_correction:
-        # the survivors' float64 rows, as the cohort holds them: rounded to the gradients' dtype once
-        lambda_g = [config.lam * math.sqrt(cohort.sq[k]) for k in rows]
-        block = alignment_correction(cohort.stack[list(kept)], leader.v64, lambda_g)
-        block = block.astype(cohort.values.dtype, copy=False)
-    else:
-        block = cohort.values[rows]
+    # the survivors' float64 rows, as the cohort holds them: rounded to the gradients' dtype once
+    lambda_g = [config.lam * math.sqrt(cohort.sq[k]) for k in rows]
+    block = alignment_correction(cohort.stack[list(kept)], leader.v64, lambda_g)
+    block = block.astype(cohort.values.dtype, copy=False)
 
     return GdaOutcome(
         threshold=threshold,

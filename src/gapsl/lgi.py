@@ -205,35 +205,27 @@ def run_lgi(
     state: LgiState,
     config: LgiConfig,
     round_t: int,
-    mode: str = "consistent",
     rng: np.random.Generator | None = None,
 ) -> LgiOutcome:
     """One full identification pass: score, adapt ratio, select, average.
 
-    ``mode`` picks the cohort used for the leader: "consistent" is the
-    normal selection of :func:`select_consistent`, "all" keeps every usable
-    client (no ratio adaptation), "random" keeps the adaptive count but
-    draws the members uniformly from ``rng``, which it requires. The latter
-    two exist for ablations; the engine, the one caller, passes no other
-    mode. ``selected`` names the selected rows' clients. Raises
-    :class:`ConfigError` when the gradients disagree on length.
+    The leader is the mean of the set :func:`select_consistent` selects;
+    given ``rng``, of the adaptive count of usable clients drawn from it
+    uniformly instead (the random-selection ablation). ``selected`` names
+    the selected rows' clients. Raises :class:`ConfigError` when the
+    gradients disagree on length.
     """
     cohort = prepared(cohort)
     scores = consistency_scores(cohort)
-    usable = cohort.usable_rows
-
-    if mode == "all":
-        rows = tuple(usable)
-        k_percent = 100.0
+    state.round = round_t
+    k_percent = selection_ratio(state, config, scores)
+    if rng is None:
+        rows = select_consistent(cohort, scores, k_percent)
     else:
-        state.round = round_t
-        k_percent = selection_ratio(state, config, scores)
-        if mode == "consistent":
-            rows = select_consistent(cohort, scores, k_percent)
-        else:  # "random"
-            count = min(selection_count(k_percent, len(cohort.ids)), len(usable))
-            picked = rng.choice(len(usable), size=count, replace=False)
-            rows = tuple(sorted(usable[i] for i in picked))
+        usable = cohort.usable_rows
+        count = min(selection_count(k_percent, len(cohort.ids)), len(usable))
+        picked = rng.choice(len(usable), size=count, replace=False)
+        rows = tuple(sorted(usable[i] for i in picked))
 
     return LgiOutcome(
         scores=scores,

@@ -281,7 +281,6 @@ class TrainingEngine:
         if proxies is not None and sorted(proxies) != list(range(cfg.clients)):
             raise ConfigError(f"tcp transport needs one proxy per client 0..{cfg.clients - 1}, got {sorted(proxies)}")
         self.cfg = cfg
-        self.seed = seed
         self.train, self.test = build_dataset(cfg, seed)
         self.partition = build_partition(cfg, seed, self.train.labels)
         model = build_model(cfg, seed)
@@ -298,12 +297,7 @@ class TrainingEngine:
             self.clients = ProxyCohort(proxies, cfg.model_dims[cfg.cut], batch, len(self.test))
         self.lgi_state = lgi_mod.LgiState()
         self.lgi_cfg = lgi_mod.LgiConfig(total_rounds=cfg.rounds, k_min=cfg.k_min, k_max=cfg.k_max)
-        self.gda_cfg = gda_mod.GdaConfig(
-            eta=cfg.eta,
-            lam=cfg.lam,
-            apply_correction=(cfg.gda_mode == "gradient"),
-            threshold_override=cfg.theta_th_override,
-        )
+        self.gda_cfg = gda_mod.GdaConfig(eta=cfg.eta, lam=cfg.lam, threshold_override=cfg.theta_th_override)
         self.ablation_rng = substream(seed, STREAM_ABLATION)
         self.samples_consumed = 0
 
@@ -314,14 +308,8 @@ class TrainingEngine:
         are ``losses`` by row; returns (update_vec, the report fields it sets)."""
         cfg = self.cfg
         try:
-            mode = "all" if cfg.non_lgi else ("random" if cfg.rand_lgi else "consistent")
             lgi_out = lgi_mod.run_lgi(
-                cohort,
-                self.lgi_state,
-                self.lgi_cfg,
-                cohort.round,
-                mode=mode,
-                rng=self.ablation_rng if cfg.rand_lgi else None,
+                cohort, self.lgi_state, self.lgi_cfg, cohort.round, rng=self.ablation_rng if cfg.rand_lgi else None
             )
         except CoordinationSkipped:
             return np.add.reduce(cohort.values, axis=0) / len(cohort.ids), {"coordination_skipped": True}
@@ -331,12 +319,7 @@ class TrainingEngine:
             return lgi_out.leader.values, fields
 
         gda_out = gda_mod.run_gda(
-            cohort,
-            losses,
-            lgi_out.leader,
-            self.gda_cfg,
-            survivor_mode="random" if cfg.rand_gda else "threshold",
-            rng=self.ablation_rng if cfg.rand_gda else None,
+            cohort, losses, lgi_out.leader, self.gda_cfg, rng=self.ablation_rng if cfg.rand_gda else None
         )
         fields.update(
             theta_threshold=gda_out.threshold,

@@ -25,15 +25,17 @@ the BLAS build string ``manifest.json`` records and the OpenBLAS core
 picked at run time. The command exits
 
 - 0 when every line it printed equals this build's reference;
-- 1 when a line differs from it (the line is marked ``moved``), or when
-  both members of a twin pair ran and their lines differ;
+- 1 when a line differs from it (the line is marked ``moved``), when
+  both members of a twin pair ran and their lines differ, or when the
+  reference holds a row :data:`MATRIX` does not define (a stale row);
 - 3 with "no reference for this build" when the file holds no entry for
   this build's key, so the lines can be compared across two checkouts on
   one machine only.
 
-Whenever a line moved or no reference exists, it prints this build's
-entry with the new lines to stderr, as JSON: a change that moves bits on
-purpose puts that entry in the file and names every moved row.
+Whenever a line moved, a stale row is found or no reference exists, it
+prints this build's entry with the new lines and without stale rows to
+stderr, as JSON: a change that moves bits on purpose puts that entry in
+the file and names every moved row.
 ``tests/test_fingerprints.py`` runs the command under pytest. Pytest does
 not collect this file (its name does not start with ``test_``).
 """
@@ -71,11 +73,11 @@ MATRIX: dict[str, dict[str, str]] = {
     "clients2": {"clients": "2", "rounds": "20"},
     "clients3": {"clients": "3", "rounds": "20"},
     "clients100": {"clients": "100", "rounds": "20"},
-    "loss_only": {"gda_mode": "loss_only"},
+    "lambda0": {"lambda": "0"},
     "non_gda": {"non_gda": "true"},
     "rand_gda": {"rand_gda": "true"},
     "rand_lgi": {"rand_lgi": "true"},
-    "non_lgi": {"non_lgi": "true"},
+    "non_lgi": {"k_min": "100", "k_max": "100"},  # every usable client leads
     "iid": {"alpha": "iid"},
     "psl": {"strategy": "psl"},
     "psl2": {"strategy": "psl", "clients": "2", "rounds": "20"},
@@ -231,6 +233,7 @@ def main(names: list[str]) -> int:
         return 2
     key = build_key()
     reference = json.loads(REFERENCE.read_text(encoding="utf-8")).get(key)
+    stale = [name for name in reference or {} if name not in MATRIX]
     hashes, moved = {}, []
     for name in names or MATRIX:
         hashes[name] = fingerprint(MATRIX[name])
@@ -239,14 +242,17 @@ def main(names: list[str]) -> int:
         print(f"{name:<12} {hashes[name]}" + ("  moved" if name in moved else ""), flush=True)
     split = [f"{tcp} != {twin}" for tcp, twin in TWINS.items()
              if tcp in hashes and twin in hashes and hashes[tcp] != hashes[twin]]
-    if reference is None or moved:
-        entry = {key: {**(reference or {}), **hashes}}
+    if reference is None or moved or stale:
+        kept = {name: line for name, line in (reference or {}).items() if name in MATRIX}
+        entry = {key: {**kept, **hashes}}
         print(f"this build's entry with these lines:\n{json.dumps(entry, indent=2)}", file=sys.stderr)
     if split:
         print(f"twins differ: {', '.join(split)}", file=sys.stderr)
     if moved:
         print(f"moved from the reference: {', '.join(moved)}", file=sys.stderr)
-    if split or moved:
+    if stale:
+        print(f"not in MATRIX, so never compared: {', '.join(stale)}", file=sys.stderr)
+    if split or moved or stale:
         return 1
     if reference is None:
         print(f"no reference for this build: {key}", file=sys.stderr)

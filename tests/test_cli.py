@@ -27,6 +27,9 @@ from gapsl.orchestrator import TrainingEngine
 from gapsl.reporting import CSV_COLUMNS, compare_table, read_metrics_csv
 from gapsl.transport import Hello, connect
 
+# a host of one 70-character label: over IDNA's 63, so it has no encoding
+UNENCODABLE = "ü" * 70
+
 
 def run_cli(*args):
     return main(list(args))
@@ -86,7 +89,18 @@ class TestParseConfig:
 
     def test_ablation_flags_need_gapsl(self):
         with pytest.raises(ConfigError, match="ablation"):
-            parse_config_text("strategy = psl\nnon_lgi = true\n")
+            parse_config_text("strategy = psl\nrand_lgi = true\n")
+
+    @pytest.mark.parametrize("line", ["non_lgi = true", "gda_mode = loss_only"])
+    def test_a_removed_ablation_key_is_unknown(self, line, tmp_path, capsys):
+        # the arms they spelled are k_min = k_max = 100 and lambda = 0
+        cfg = tmp_path / "old.cfg"
+        cfg.write_text(f"{line}\n")
+        out = tmp_path / "out"
+        assert run_cli("run", "--config", str(cfg), "--out", str(out)) == 2
+        key = line.split(" = ")[0]
+        assert f"{cfg}:1: unknown key {key!r}" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_tcp_limited_to_parallel_strategies(self):
         with pytest.raises(ConfigError, match="tcp"):
@@ -112,9 +126,14 @@ class TestParseConfig:
         ("127.0.0.1:", "port must be in [0, 65535], got '' in address '127.0.0.1:'"),
         ("127.0.0.1:-1", "port must be in [0, 65535], got '-1' in address '127.0.0.1:-1'"),
         ("127.0.0.1:65536", "port must be in [0, 65535], got '65536' in address '127.0.0.1:65536'"),
+        pytest.param("a\0b:80", "host must hold no NUL and have an IDNA encoding, got 'a\\x00b' in address "
+                     "'a\\x00b:80'", id="nul-host"),
+        pytest.param(UNENCODABLE + ":80", "host must hold no NUL and have an IDNA encoding, "
+                     f"got {UNENCODABLE!r} in address '{UNENCODABLE}:80'", id="no-idna-host"),
     ])
     def test_tcp_listen_must_be_host_and_u16_port(self, address, problem):
-        # a port past 16 bits would reach bind() as an OverflowError
+        # a port past 16 bits would reach bind() as an OverflowError, a host
+        # with a NUL or without an IDNA encoding as a TypeError
         assert validate(ExperimentConfig(transport="tcp", listen=address)) == [f"listen: {problem}"]
         assert validate(ExperimentConfig(transport="inproc", listen=address)) == []  # nothing listens
         with pytest.raises(ConfigError) as e:
@@ -150,8 +169,8 @@ NON_DEFAULT = dict(
     train_images="a.idx", train_labels="b.idx", test_images="c.idx", test_labels="d.idx",
     model_dims=(4, 8, 8, 3), cut=1, activation="relu",
     lr_client=0.125, lr_server=1e-3, momentum=0.0,
-    k_min=12.5, k_max=100.0, eta=0.0, lam=2.5, gda_mode="loss_only", theta_th_override=0.75,
-    non_lgi=True, rand_lgi=True, non_gda=True, rand_gda=True,
+    k_min=12.5, k_max=100.0, eta=0.0, lam=2.5, theta_th_override=0.75,
+    rand_lgi=True, non_gda=True, rand_gda=True,
     sfl_interval=4, transport="tcp", listen="127.0.0.1:0",
 )
 IDX_PATHS = {k: NON_DEFAULT[k] for k in ("train_images", "train_labels", "test_images", "test_labels")}
@@ -174,9 +193,9 @@ class TestConfigKeys:
     def test_flags_become_overrides_and_absent_flags_none(self):
         parse = _build_parser().parse_args
         assert _collect_overrides(parse(["run"])) == {}
-        args = parse(["run", "--rounds", "0", "--lambda", "0.5", "--seed", "3", "--non-lgi", "--k-min", "0"])
+        args = parse(["run", "--rounds", "0", "--lambda", "0.5", "--seed", "3", "--rand-lgi", "--k-min", "0"])
         assert _collect_overrides(args) == {
-            "rounds": "0", "lambda": "0.5", "seeds": "3", "non_lgi": "True", "k_min": "0.0",
+            "rounds": "0", "lambda": "0.5", "seeds": "3", "rand_lgi": "True", "k_min": "0.0",
         }
 
     def test_zero_flag_reaches_validation(self, tmp_path, capsys):
@@ -495,6 +514,9 @@ class TestTcpRunFailures:
     @pytest.mark.parametrize("address, problem", [
         ("127.0.0.1:70000", "port must be in [0, 65535], got '70000'"),
         ("nonsense", "address must be host:port, got 'nonsense'"),
+        pytest.param("a\0b:0", "host must hold no NUL and have an IDNA encoding, got 'a\\x00b'", id="nul-host"),
+        pytest.param(UNENCODABLE + ":0", f"host must hold no NUL and have an IDNA encoding, got {UNENCODABLE!r}",
+                     id="no-idna-host"),
     ])
     def test_bad_listen_address_exits_2_before_writing_anything(self, address, problem, tmp_path, monkeypatch,
                                                                 capsys):
@@ -504,9 +526,13 @@ class TestTcpRunFailures:
         assert f"listen: {problem}" in capsys.readouterr().err
         assert listeners == [] and not out.exists()
 
-    @pytest.mark.parametrize("address", ["127.0.0.1:99999999999999999999", "127.0.0.1:http", "nonsense"])
+    @pytest.mark.parametrize("address", [
+        "127.0.0.1:99999999999999999999", "127.0.0.1:http", "nonsense",
+        pytest.param("a\0b:80", id="nul-host"), pytest.param(UNENCODABLE + ":80", id="no-idna-host"),
+    ])
     def test_bad_connect_address_exits_2_before_connecting(self, address, monkeypatch, capsys):
-        # a port past 16 bits would reach getaddrinfo as an OverflowError
+        # a port past 16 bits would reach getaddrinfo as an OverflowError, a
+        # host without an IDNA encoding as a UnicodeError
         monkeypatch.setattr(socket, "create_connection", lambda *args, **kwargs: pytest.fail("connected"))
         assert run_cli("client", "--connect", address, "--client-id", "0") == 2
         assert f"{address!r}" in capsys.readouterr().err

@@ -42,3 +42,15 @@ class TestOutcomes:
         assert "moved from the reference: psl2" in err
         entry = json.loads(err[err.index("{") : err.rindex("}") + 1])
         assert entry[key]["desk"] == "kept" and entry[key]["psl2"] != "0" * 64
+
+    def test_a_stale_row_fails_and_is_left_out_of_the_entry(self, reference, capsys):
+        # a row MATRIX no longer defines is never compared: it must not ride along
+        key = fingerprints.build_key()
+        line = fingerprints.fingerprint(fingerprints.MATRIX["psl2"])
+        reference.write_text(json.dumps({key: {"psl2": line, "gone": "0" * 64}}))
+        assert fingerprints.main(["psl2"]) == 1
+        out, err = capsys.readouterr()
+        assert not out.rstrip().endswith("moved")
+        assert err.splitlines()[-1] == "not in MATRIX, so never compared: gone"
+        entry = json.loads(err[err.index("{") : err.rindex("}") + 1])
+        assert entry == {key: {"psl2": line}}

@@ -446,21 +446,26 @@ class TestRunGda:
                       GdaConfig(threshold_override=math.pi / 2))
         assert out.survivors == (0, 1)
 
-    def test_loss_only_variant_keeps_gradients(self):
+    def test_lambda_zero_leaves_every_survivor_row_its_gradient(self):
+        # lambda_g = 0 makes the shift a signed zero: each float32 corrected
+        # row is its gradient, bit for bit
         rng = np.random.default_rng(8)
-        vs = [rng.normal(size=4) for _ in range(3)]
-        losses = {i: 1.0 for i in range(3)}
-        out = run_gda(cohort_of(vs), losses, leader_of(list(rng.normal(size=4))),
-                      GdaConfig(eta=0.0, apply_correction=False))
-        for i in out.survivors:
-            assert np.array_equal(out.corrected[i], np.asarray(vs[i]))
+        for size in range(2, 7):
+            values = rng.normal(size=(size, 5)).astype(np.float32)
+            leader = leader_of(values.astype(np.float64).mean(axis=0))
+            out = run_gda(Cohort(range(size), values, 1), np.ones(size), leader, GdaConfig(eta=0.0, lam=0.0))
+            assert out.survivors and out.corrected_rows.dtype == np.float32
+            assert out.corrected_rows.tobytes() == values[list(out.survivors)].tobytes()
 
-    def test_random_survivor_mode_preserves_count(self):
+    def test_random_survivors_preserve_count(self):
+        # given a generator, GDA draws as many survivors as the threshold keeps
         rng = np.random.default_rng(9)
         vs = [list(rng.normal(size=4)) for _ in range(6)]
         losses = {i: 1.0 for i in range(6)}
         lead = list(np.mean(vs, axis=0))
         base = run_gda(cohort_of(vs), losses, leader_of(lead), GdaConfig())
-        rand = run_gda(cohort_of(vs), losses, leader_of(lead), GdaConfig(),
-                       survivor_mode="random", rng=np.random.default_rng(1))
+        rand = run_gda(cohort_of(vs), losses, leader_of(lead), GdaConfig(), rng=np.random.default_rng(1))
         assert len(rand.survivors) == len(base.survivors)
+        drawn = np.random.default_rng(1).choice(6, size=len(base.survivors), replace=False)
+        assert rand.survivors == tuple(sorted(drawn.tolist()))
+        assert rand.threshold == base.threshold

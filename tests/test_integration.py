@@ -136,10 +136,9 @@ class TestCoordinationSkip:
         assert np.array_equal(after, before - cfg.lr_server * want)
 
     @pytest.mark.parametrize("leader", [
-        dict(non_lgi=True),
         dict(k_min=100.0, k_max=100.0),
-        dict(non_lgi=True, non_gda=True),
-    ], ids=["non_lgi", "k_100", "non_lgi_non_gda"])
+        dict(k_min=100.0, k_max=100.0, non_gda=True),
+    ], ids=["k_100", "k_100_non_gda"])
     def test_cancelling_cohort_skips_coordination(self, monkeypatch, leader):
         # two usable gradients that sum to zero, with every client selected:
         # the leader has no direction, so the round takes the plain-mean step

@@ -333,21 +333,25 @@ class TestRunLgi:
             abs(out_a.scores.scores[i] - out_b.scores.scores[i]) <= 1e-9 for i in range(5)
         )
 
-    def test_mode_all_equals_k_forced_100(self):
+    def test_k_forced_100_selects_every_usable_client(self):
+        # the non-LGI arm: the leader is the mean of every usable client
         rng = np.random.default_rng(8)
         vs = [rng.normal(size=4) for _ in range(5)]
+        vs[2] = np.zeros(4)
         cfg_100 = LgiConfig(total_rounds=10, k_min=100, k_max=100)
-        forced = run_lgi(cohort_of(vs, 1), LgiState(), cfg_100, round_t=1)
-        every = run_lgi(cohort_of(vs, 1), LgiState(), LgiConfig(total_rounds=10), round_t=1, mode="all")
-        assert forced.selected == every.selected == tuple(range(5))
-        assert np.array_equal(forced.leader.values, every.leader.values)
+        out = run_lgi(cohort_of(vs, 1), LgiState(), cfg_100, round_t=1)
+        assert out.selected == (0, 1, 3, 4) and out.k_percent == 100.0
+        usable = np.stack([vs[i] for i in out.selected])
+        assert np.array_equal(out.leader.values, np.add.reduce(usable, axis=0) / 4)
 
-    def test_mode_random_uses_adaptive_count(self):
+    def test_random_selection_uses_adaptive_count(self):
+        # given a generator, LGI draws the adaptive count of clients from it
         rng = np.random.default_rng(9)
         vs = [rng.normal(size=4) for _ in range(6)]
         cfg = LgiConfig(total_rounds=10, k_min=50, k_max=50)
-        out = run_lgi(cohort_of(vs, 1), LgiState(), cfg, round_t=1, mode="random", rng=np.random.default_rng(0))
+        out = run_lgi(cohort_of(vs, 1), LgiState(), cfg, round_t=1, rng=np.random.default_rng(0))
         assert len(out.selected) == 3  # ceil(50% of 6)
+        assert out.selected == tuple(sorted(np.random.default_rng(0).choice(6, size=3, replace=False).tolist()))
 
     def test_mismatched_lengths_rejected(self):
         cohort = [GradientVector(0, 1, np.ones(3)), GradientVector(1, 1, np.ones(4))]

@@ -166,7 +166,7 @@ class TestGapslBehavior:
             assert 0.0 <= r.theta_threshold <= np.pi / 2
 
     def test_non_lgi_selects_full_cohort(self):
-        cfg = small_config(strategy="gapsl", non_lgi=True, rounds=5)
+        cfg = small_config(strategy="gapsl", k_min=100.0, k_max=100.0, rounds=5)
         reports = run_experiment(cfg, seed=1)
         for r in reports:
             assert r.selected_ids == (0, 1, 2, 3)
