@@ -8,9 +8,10 @@ trains in float32, the wire's precision; :func:`split_model` also builds
 float64 models, for tight finite-difference checks.
 
 Both parts share one forward loop and one backprop loop over their hidden
-layers; the server part adds its linear output layer and the loss. Each
-forward value is computed once: backward takes the activation derivative
-from the layer outputs the forward pass stored (tanh' = 1 - a*a,
+layers; the server part adds its linear output layer, and
+:func:`softmax_loss` the loss, on one batch's logits or a stack of them.
+Each forward value is computed once: backward takes the activation
+derivative from the layer outputs the forward pass stored (tanh' = 1 - a*a,
 relu' = [a > 0]), so the cache keeps no hidden pre-activation; every
 layer adds its bias and activates in place; the softmax reduces each row
 once; and evaluation runs the forward loop without a cache.
@@ -35,14 +36,16 @@ fan_out]``, inputs ``[clients, batch, fan_in]``) and ``np.matmul``
 multiplies client by client. :func:`backward_server` takes the same
 leading client axis on the server's shared layers: the round's
 activations arrive as one ``[clients, maxlen, cut]`` stack, each client's
-rows ``[k, :batch]`` run :func:`forward_server` on their own,
-:func:`stack_caches` builds one stacked cache around that stack and its
-labels (copying in only the probs and a deeper server's hidden inputs),
-whose padding rows weigh 0 in the loss, and one backward writes every
+rows ``[k, :batch]`` run :func:`forward_server` on their own, the engine
+stacks its outputs (zero padding rows, which weigh 0 in the loss), one
+:func:`softmax_loss` runs on the logit stack, and one backward writes every
 client's gradient into its row of a ``[clients, P]`` matrix through
 batched ``np.matmul(..., out=)``, bit for bit as one backward per client
-on its batch padded to the stack's depth would. The engine pads its
-stacks so that every product in them runs gemm (``orchestrator.padded_rows``).
+on its batch padded to the stack's depth would. The engine's stacks are
+at least two rows deep (``orchestrator.padded_rows``), so the bank's
+products and the server's backward run gemm for every client; the
+server's per-client forward, on a client's rows alone, runs a one-row
+batch by gemv.
 
 Each shape is checked once, where its data enters the engine: a dataset's
 width by ``orchestrator.build_dataset``, every matrix a peer sends by
@@ -121,7 +124,7 @@ class Cache:
     activation: str
     inputs: list[np.ndarray]  # per layer, its input a_{k-1}; the server part's last is its output layer's
     output: np.ndarray | None = None  # client part only: its top layer's activations
-    probs: np.ndarray | None = None   # server part only: softmax rows, [batch, classes] or [clients, maxlen, classes]
+    probs: np.ndarray | None = None   # softmax_loss's rows: [batch, classes] or [clients, maxlen, classes]
     labels: np.ndarray | None = None  # server part only: [batch] or [clients, maxlen]
 
 
@@ -231,70 +234,50 @@ def forward_server(
     activations: np.ndarray,
     labels: np.ndarray,
     activation: str = "relu",
-) -> tuple[np.ndarray, float, Cache]:
-    """Run the server part and the loss; returns per-example losses, their mean, and the cache.
+) -> tuple[np.ndarray, np.ndarray, Cache]:
+    """Run the server part's products; returns the batch's logits, each
+    example's weight in its mean loss, and the cache, less the probs.
 
     ``activations`` is ``[batch, fan_in]``: a bank built it, or ``transport.expect_matrix`` checked a peer's.
     ``labels`` are integers in [0, classes), one per row of ``activations``:
     they index the logits unchecked, since the :class:`~gapsl.data.Dataset`
-    they come from checks its labels once, when it is built."""
-    batch = activations.shape[0]
+    they come from checks its labels once, when it is built. The weights
+    are the float64 1/batch rounded once to the logits' dtype."""
     inputs: list[np.ndarray] = []
     a = forward_hidden(layers[:-1], activations, activation, inputs)
     inputs.append(a)
     last = layers[-1]
     logits = a @ last.w
     logits += last.b
+    weights = np.full(len(logits), 1.0 / len(logits), dtype=logits.dtype)
+    return logits, weights, Cache(activation=activation, inputs=inputs, labels=labels)
 
+
+def softmax_loss(logits: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The softmax rows of ``logits`` and each row's cross-entropy at its
+    label: one batch (``[batch, classes]``, ``[batch]``) or a stack of them
+    (``[clients, maxlen, classes]``, ``[clients, maxlen]``). Each row reduces
+    on its own, so a stack's rows have the bits of each batch's."""
     # softmax in one buffer: subtract the row max, exp, divide by the row sum
-    top = np.maximum.reduce(logits, axis=1, keepdims=True)
+    top = np.maximum.reduce(logits, axis=-1, keepdims=True)
     probs = np.subtract(logits, top)
     np.exp(probs, out=probs)
-    total = np.add.reduce(probs, axis=1, keepdims=True)
+    total = np.add.reduce(probs, axis=-1, keepdims=True)
     probs /= total
-    log_z = np.log(total[:, 0]) + top[:, 0]
-    per_example = log_z - logits[np.arange(batch), labels]
-    cache = Cache(activation=activation, inputs=inputs, probs=probs, labels=labels)
-    return per_example, float(np.add.reduce(per_example) / batch), cache
-
-
-def stack_caches(caches: Sequence[Cache], activations: np.ndarray, labels: np.ndarray) -> tuple[Cache, np.ndarray]:
-    """The per-client caches of :func:`forward_server` as one stacked cache,
-    for one :func:`backward_server` over every client. Client k's cache
-    came from the rows ``[k, :batch]`` of ``activations`` and ``labels``,
-    the ``[clients, maxlen, fan_in]`` and ``[clients, maxlen]`` stacks,
-    which the stacked cache takes as they are: their padding rows must be
-    finite and in range, and weigh 0. The probs and a deeper server's
-    hidden inputs are copied into ``[clients, maxlen, ...]`` arrays, padded
-    with zero rows. Also returns the ``[clients, maxlen]`` loss weights:
-    1/batch on each client's rows, so that each gradient is that of its
-    client's mean loss, and 0 on padding. The engine builds the stacks and
-    the caches from one index matrix, one cache per row, so they fit."""
-    shape = labels.shape
-    first = caches[0]
-    dtype = first.probs.dtype
-    probs = np.zeros((*shape, first.probs.shape[1]), dtype=dtype)
-    weights = np.zeros(shape, dtype=dtype)
-    hidden = [np.zeros((*shape, a.shape[1]), dtype=dtype) for a in first.inputs[1:]]
-    for k, c in enumerate(caches):
-        n = len(c.probs)
-        probs[k, :n] = c.probs
-        weights[k, :n] = 1.0 / n  # the float64 1/batch rounded once, as dtype(1.0 / batch)
-        for h, a in zip(hidden, c.inputs[1:]):
-            h[k, :n] = a
-    return Cache(first.activation, [activations, *hidden], probs=probs, labels=labels), weights
+    log_z = np.log(total[..., 0]) + top[..., 0]
+    return probs, log_z - np.take_along_axis(logits, labels[..., None], axis=-1)[..., 0]
 
 
 def backward_server(layers: list[DenseLayer], cache: Cache, out: np.ndarray, loss_weights: np.ndarray) -> np.ndarray:
     """Backprop the weighted per-example losses through the server part.
 
-    ``cache`` holds one batch (from :func:`forward_server`) or a stack of
-    clients' batches (from :func:`stack_caches`); then every array has a
-    leading client axis and ``out`` holds one gradient row per client.
+    ``cache`` holds one batch or a stack of clients' batches, with the
+    probs :func:`softmax_loss` gave; in a stack every array has a leading
+    client axis and ``out`` holds one gradient row per client.
     ``loss_weights`` (``[batch]`` or ``[clients, maxlen]``) weigh each
-    example's loss; :func:`stack_caches` gives 1/batch, the mean loss's, and
-    0 on padding. Writes the parameter gradient into the flat buffer ``out``
-    and returns the gradient w.r.t. the incoming activations.
+    example's loss; :func:`forward_server` gives 1/batch, the mean loss's,
+    and the engine weighs padding 0. Writes the parameter gradient into the
+    flat buffer ``out`` and returns the gradient w.r.t. the incoming activations.
     """
     grads = _grad_views(layers, cache, out)
     delta = cache.probs.copy()

@@ -2,10 +2,11 @@
 
 One coordinator owns the shared server-side model and, per round, drives
 three barrier-separated steps: clients forward one batch and ship
-activations; the server runs its forward per client and one backward over
-the stacked clients, coordinates the per-client server-side gradients into
-one update, and steps the server model; every client then receives its
-activation gradients and updates its own client-side model.
+activations; the server runs its products per client, then one softmax
+and loss and one backward over the stacked clients, coordinates the
+per-client server-side gradients into one update, and steps the server
+model; every client then receives its activation gradients and updates
+its own client-side model.
 
 Strategies:
   gapsl       leader identification plus direction alignment on the server
@@ -19,8 +20,8 @@ batch and drives clients through one cohort interface: one stacked
 :class:`ClientBank` in process, a ``transport.ProxyCohort`` over TCP,
 which checks every matrix a peer sends. A training round's clients stay
 one padded ``[clients, maxlen, cut]`` stack from the bank's forward
-through the server to the bank's backward; the server forwards each
-client on its rows of the stack, and per-client arrays exist only on the
+through the server to the bank's backward (the server's products alone
+run per client, on its rows), and per-client arrays exist only on the
 wire and in evaluation. Every random choice comes from a seeded
 substream, so a (config, seed) pair replays bit-identically.
 """
@@ -40,6 +41,7 @@ from .data import Dataset, dirichlet_partition, iid_partition, load_idx_dataset,
 from .errors import ConfigError, CoordinationSkipped
 from .geometry import Cohort, pairwise_mean_deviation
 from .nn import (
+    Cache,
     DenseLayer,
     ModelSpec,
     SplitModel,
@@ -52,8 +54,8 @@ from .nn import (
     logits_from_activations,
     sgd_state,
     sgd_step,
+    softmax_loss,
     split_model,
-    stack_caches,
 )
 from .transport import ProxyCohort, RemoteClientProxy
 
@@ -144,8 +146,10 @@ def padded_rows(batches: Sequence[np.ndarray]) -> tuple[np.ndarray, list[int]]:
     """The round's batches as one ``[clients, maxlen]`` index matrix, each
     row padded by reading sample 0, and their lengths. The matrix is at
     least two rows deep, even when every batch is one row: numpy multiplies
-    a one-row matrix by gemv, which rounds differently from gemm, so every
-    client's products run gemm whatever its cohort or transport."""
+    a one-row matrix by gemv, which rounds differently from gemm, so the
+    bank's forward and backward and the server's backward run gemm for
+    every client whatever its cohort or transport. The server's forward
+    runs on each client's rows alone, so a one-row batch's runs gemv."""
     lengths = [len(b) for b in batches]
     rows = np.zeros((len(batches), max(2, *lengths)), dtype=np.intp)
     for k, b in enumerate(batches):
@@ -163,8 +167,9 @@ class ClientBank:
     returns the ``[clients, maxlen, cut]`` activation stack, and takes back
     a gradient stack of that shape whose padding rows are zero, for one
     stacked backward, into a gradient matrix the bank allocates once, and
-    one momentum-SGD step. Padding rows weigh nothing and
-    every product runs gemm, so each client's bits do not depend on its bank.
+    one momentum-SGD step. Padding rows weigh nothing, and the stack's
+    depth makes the bank's products run gemm for every client, so each
+    client's bits do not depend on its bank.
     """
 
     def __init__(
@@ -350,20 +355,27 @@ class TrainingEngine:
         acts = self.clients.forward(t, rows, lengths)  # [clients, maxlen, cut]: built by the bank, or checked per peer
         self.samples_consumed += sum(lengths)
 
-        # the server forwards client by client on views of the stack, then
-        # backprops every client in one stack, whose rows are the round's
-        # g[clients, params] matrix, its cohort: prepared once, its Gram
-        # serves the pairwise stat, LGI and GDA
+        # the server runs its products client by client on views of the
+        # stack into zero-padded stacks, then one softmax and one backward
+        # over every client, whose rows are the round's g[clients, params]
+        # matrix, its cohort: prepared once, its Gram serves the pairwise
+        # stat, LGI and GDA
         labels = self.train.labels[rows]
-        losses, caches = [], []
+        dtype = self.server_params.dtype
+        logits = np.zeros((*rows.shape, self.server[-1].w.shape[1]), dtype=dtype)
+        weights = np.zeros(rows.shape, dtype=dtype)
+        hidden = [np.zeros((*rows.shape, l.w.shape[0]), dtype=dtype) for l in self.server[1:]]
         for k, n in enumerate(lengths):
-            _, loss, cache = forward_server(self.server, acts[k, :n], labels[k, :n], self.activation)
-            losses.append(loss)
-            caches.append(cache)
-        g = np.empty((len(ids), self.server_params.size), dtype=self.server_params.dtype)
-        stack, weights = stack_caches(caches, acts, labels)
+            logits[k, :n], weights[k, :n], cache = forward_server(
+                self.server, acts[k, :n], labels[k, :n], self.activation
+            )
+            for h, a in zip(hidden, cache.inputs[1:]):
+                h[k, :n] = a
+        probs, per_example = softmax_loss(logits, labels)
+        client_losses = np.array([np.add.reduce(per_example[k, :n]) / n for k, n in enumerate(lengths)], np.float64)
+        g = np.empty((len(ids), self.server_params.size), dtype=dtype)
+        stack = Cache(self.activation, [acts, *hidden], probs=probs, labels=labels)
         act_grads = backward_server(self.server, stack, g, weights)
-        client_losses = np.array(losses)
         cohort = Cohort(ids, g, t)
 
         pairwise = pairwise_mean_deviation(cohort)

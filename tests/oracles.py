@@ -334,9 +334,10 @@ def mean_std(values):
 
 
 def server_pass(layers, activations, labels, activation, loss_weights=None, padded=False):
-    """forward_server then backward_server in a reference form: the softmax
-    reduces each row twice, the residual subtracts a one-hot matrix and the
-    activation derivative is recomputed from each pre-activation. Returns
+    """forward_server, softmax_loss and backward_server in a reference
+    form: the softmax reduces each row twice, the residual subtracts a
+    one-hot matrix and the activation derivative is recomputed from each
+    pre-activation. Returns
     the per-example losses, their mean, the softmax rows, each layer's
     (dW, db) and the gradient at the incoming activations. ``padded``
     applies to the backward's products only: the engine forwards each

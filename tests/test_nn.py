@@ -9,6 +9,7 @@ import pytest
 import oracles
 from gapsl.errors import ConfigError, DataError, NumericError
 from gapsl.nn import (
+    Cache,
     DenseLayer,
     ModelSpec,
     backward_client,
@@ -20,8 +21,8 @@ from gapsl.nn import (
     logits_from_activations,
     sgd_state,
     sgd_step,
+    softmax_loss,
     split_model,
-    stack_caches,
 )
 from oracles import params_arrays
 
@@ -30,9 +31,18 @@ def make_model(dims, cut, seed=0, dtype=np.float64):
     return split_model(ModelSpec(tuple(dims)), cut, seed, dtype=dtype)
 
 
+def server_forward(layers, acts, labels, activation="relu"):
+    """One batch's server forward as the engine runs a client's rows: the
+    products, then the softmax and loss. Returns the per-example losses,
+    their mean, the mean loss's weights and the cache, probs in it."""
+    logits, weights, cache = forward_server(layers, acts, labels, activation)
+    cache.probs, per_example = softmax_loss(logits, labels)
+    return per_example, float(np.add.reduce(per_example) / len(labels)), weights, cache
+
+
 def full_forward_loss(model, inputs, labels, activation="relu"):
     acts, _ = forward_client(model.client, inputs, activation)
-    _, mean_loss, _ = forward_server(model.server, acts, labels, activation)
+    _, mean_loss, _, _ = server_forward(model.server, acts, labels, activation)
     return mean_loss
 
 
@@ -54,19 +64,13 @@ def evaluate(model, inputs, labels, activation="relu"):
     return float((pred == labels).sum()) / len(labels)
 
 
-def mean_weights(cache):
-    """The loss weights of the batch's mean loss: 1/batch on every row, in the probs' dtype."""
-    n = len(cache.probs)
-    return np.full(n, 1.0 / n, dtype=cache.probs.dtype)
-
-
 def analytic_flat_grads(model, inputs, labels, activation="relu"):
     """The whole model's gradient in the layout of ``model.params``."""
     acts, ccache = forward_client(model.client, inputs, activation)
-    _, _, scache = forward_server(model.server, acts, labels, activation)
+    _, _, weights, scache = server_forward(model.server, acts, labels, activation)
     grads = np.empty_like(model.params)
     cut = model.client_params.size
-    agrads = backward_server(model.server, scache, grads[cut:], mean_weights(scache))
+    agrads = backward_server(model.server, scache, grads[cut:], weights)
     backward_client(model.client, ccache, agrads, grads[:cut])
     return grads
 
@@ -97,14 +101,14 @@ class TestForwardClient:
 class TestForwardServer:
     def test_uniform_logits_loss_is_log_c(self):
         layers = [DenseLayer(np.zeros((4, 5)), np.zeros(5))]
-        per_ex, mean_loss, _ = forward_server(layers, np.ones((3, 4)), np.array([0, 2, 4]))
+        per_ex, mean_loss, _, _ = server_forward(layers, np.ones((3, 4)), np.array([0, 2, 4]))
         assert np.allclose(per_ex, np.log(5))
         assert abs(mean_loss - np.log(5)) < 1e-12
 
     def test_saturated_correct_logits_loss_vanishes(self):
         # logit margin of 50 in favor of the true class
         layers = [DenseLayer(np.zeros((2, 3)), np.array([50.0, 0.0, 0.0]))]
-        per_ex, mean_loss, _ = forward_server(layers, np.zeros((4, 2)), np.zeros(4, dtype=int))
+        per_ex, mean_loss, _, _ = server_forward(layers, np.zeros((4, 2)), np.zeros(4, dtype=int))
         assert mean_loss < 1e-6
 
     def test_matches_independent_softmax_ce_oracle(self):
@@ -113,7 +117,7 @@ class TestForwardServer:
                   DenseLayer(rng.normal(size=(6, 3)), rng.normal(size=3))]
         acts = rng.normal(size=(5, 4))
         labels = rng.integers(0, 3, size=5)
-        per_ex, mean_loss, cache = forward_server(layers, acts, labels)
+        per_ex, mean_loss, _, _ = server_forward(layers, acts, labels)
         h = np.maximum(acts @ layers[0].w + layers[0].b, 0)
         logits = h @ layers[1].w + layers[1].b
         expected = [oracles.softmax_ce(list(logits[r]), int(labels[r])) for r in range(5)]
@@ -124,7 +128,7 @@ class TestForwardServer:
         rng = np.random.default_rng(11)
         for _ in range(25):
             layers = [DenseLayer(rng.normal(size=(3, 4)), rng.normal(size=4))]
-            per_ex, _, cache = forward_server(layers, rng.normal(size=(6, 3)), rng.integers(0, 4, 6))
+            per_ex, _, _, cache = server_forward(layers, rng.normal(size=(6, 3)), rng.integers(0, 4, 6))
             assert np.allclose(cache.probs.sum(axis=1), 1.0, atol=1e-6)
             assert np.all(per_ex >= 0)
 
@@ -132,9 +136,9 @@ class TestForwardServer:
 class TestBackwardServer:
     def test_saturated_predictions_give_near_zero_grads(self):
         layers = [DenseLayer(np.zeros((2, 3)), np.array([50.0, 0.0, 0.0]))]
-        _, _, cache = forward_server(layers, np.zeros((4, 2)), np.zeros(4, dtype=int))
+        _, _, weights, cache = server_forward(layers, np.zeros((4, 2)), np.zeros(4, dtype=int))
         grads = np.empty(9)
-        agrads = backward_server(layers, cache, grads, mean_weights(cache))
+        agrads = backward_server(layers, cache, grads, weights)
         (grad,) = layer_views(grads, (2, 3))
         assert np.linalg.norm(grad.w) <= 1e-6
         assert np.linalg.norm(grad.b) <= 1e-6
@@ -144,9 +148,9 @@ class TestBackwardServer:
         model = make_model([5, 7, 6, 3], 1, seed=5)
         rng = np.random.default_rng(0)
         acts, _ = forward_client(model.client, rng.normal(size=(4, 5)), "relu")
-        _, _, cache = forward_server(model.server, acts, rng.integers(0, 3, 4))
+        _, _, weights, cache = server_forward(model.server, acts, rng.integers(0, 3, 4))
         grads = np.empty_like(model.server_params)
-        agrads = backward_server(model.server, cache, grads, mean_weights(cache))
+        agrads = backward_server(model.server, cache, grads, weights)
         for layer, grad in zip(model.server, layer_views(grads, (7, 6, 3)), strict=True):
             assert grad.w.shape == layer.w.shape and grad.b.shape == layer.b.shape
         assert agrads.shape == acts.shape
@@ -154,10 +158,10 @@ class TestBackwardServer:
     def test_gradient_buffer_must_fit_the_layers(self):
         model = make_model([5, 7, 6, 3], 1, seed=5)
         acts, _ = forward_client(model.client, np.zeros((4, 5)), "relu")
-        _, _, cache = forward_server(model.server, acts, np.zeros(4, dtype=int))
+        _, _, weights, cache = server_forward(model.server, acts, np.zeros(4, dtype=int))
         for bad in (np.empty(model.server_params.size - 1), np.empty((2, model.server_params.size))):
             with pytest.raises(ConfigError):
-                backward_server(model.server, cache, bad, mean_weights(cache))
+                backward_server(model.server, cache, bad, weights)
 
     def test_loss_weight_scaling_scales_grads_linearly(self):
         rng = np.random.default_rng(9)
@@ -165,7 +169,7 @@ class TestBackwardServer:
                   DenseLayer(rng.normal(size=(5, 4)), rng.normal(size=4))]
         acts = rng.normal(size=(6, 3))
         labels = rng.integers(0, 4, 6)
-        _, _, cache = forward_server(layers, acts, labels)
+        _, _, _, cache = server_forward(layers, acts, labels)
         w = rng.uniform(0.1, 1.0, size=6)
         g1, g2 = np.empty((2, 3 * 5 + 5 + 5 * 4 + 4))
         a1 = backward_server(layers, cache, g1, loss_weights=w)
@@ -241,9 +245,10 @@ class TestEachForwardValueOnce:
         acts = rng.normal(size=(batch, dims[cut])).astype(dtype)
         labels = rng.integers(0, 5, batch)
         weights = rng.uniform(0.1, 1.0, batch).astype(dtype) if weighted else None
-        per_example, mean_loss, cache = forward_server(model.server, acts, labels, activation)
+        per_example, mean_loss, mean_w, cache = server_forward(model.server, acts, labels, activation)
+        assert mean_w.dtype == dtype and (mean_w == dtype(1.0 / batch)).all()
         grads = np.empty_like(model.server_params)
-        act_grads = backward_server(model.server, cache, grads, mean_weights(cache) if weights is None else weights)
+        act_grads = backward_server(model.server, cache, grads, mean_w if weights is None else weights)
         want = oracles.server_pass(model.server, acts, labels, activation, weights)
         assert per_example.dtype == dtype and (per_example == want[0]).all()
         assert mean_loss == want[1]
@@ -268,6 +273,35 @@ class TestEachForwardValueOnce:
         assert all((a == b).all() for a, b in zip(after, before + [kept]))
 
 
+class TestStackedSoftmaxLoss:
+    """One softmax over a round's ``[clients, maxlen, classes]`` logit stack:
+    every client's probs and per-example losses are bit-identical to its
+    own server pass, whatever the classes' width against the sums' 8-wide
+    pairwise unroll, the dtype, the cohort or the batch lengths."""
+
+    @pytest.mark.parametrize("clients", [1, 3, 100])
+    @pytest.mark.parametrize("first", [1, 16], ids=["one-row-first", "maxlen-first"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("classes", [2, 5, 8, 9, 16])
+    def test_stack_equals_per_client_server_pass(self, classes, dtype, first, clients):
+        rng = np.random.default_rng(classes * 1000 + clients)
+        model = make_model([6, 7, classes], 1, seed=9, dtype=dtype)
+        maxlen = 16
+        # lengths mix 1 and maxlen (the first two clients), the rest drawn between
+        lengths = [first, 17 - first, *rng.integers(1, maxlen + 1, max(0, clients - 2))][:clients]
+        shape = (clients, max(2, *lengths))
+        acts = rng.normal(scale=3.0, size=(*shape, 7)).astype(dtype)
+        labels = rng.integers(0, classes, shape)
+        logits = np.zeros((*shape, classes), dtype=dtype)
+        for k, n in enumerate(lengths):
+            logits[k, :n] = forward_server(model.server, acts[k, :n], labels[k, :n])[0]
+        probs, per_example = softmax_loss(logits, labels)
+        assert probs.dtype == dtype and per_example.dtype == dtype and per_example.shape == shape
+        for k, n in enumerate(lengths):
+            want_loss, _, want_probs, *_ = oracles.server_pass(model.server, acts[k, :n], labels[k, :n], "relu")
+            assert (probs[k, :n] == want_probs).all() and (per_example[k, :n] == want_loss).all(), k
+
+
 class TestStackedServerBackward:
     """One backward over a stack of clients' batches, at least two rows deep
     as the engine builds it: every gradient row and every activation-gradient
@@ -276,19 +310,27 @@ class TestStackedServerBackward:
 
     @staticmethod
     def stacked_round(model, acts, labels, lengths, activation, weights=None):
-        """The engine's server step: one forward per client on its rows of
-        the stacks, then one stacked backward."""
-        caches = [forward_server(model.server, acts[k, :n], labels[k, :n], activation)[2]
-                  for k, n in enumerate(lengths)]
-        stack, stack_weights = stack_caches(caches, acts, labels)
-        assert stack.inputs[0] is acts and stack.labels is labels  # taken as they are
-        assert stack_weights.dtype == acts.dtype and stack_weights.shape == labels.shape
+        """The engine's server step: each client's products on its rows of
+        the stacks into zero-padded stacks, one softmax over the logit
+        stack, then one stacked backward over a cache that takes the
+        activation and label stacks as they are."""
+        dtype, server = acts.dtype, model.server
+        logits = np.zeros((*labels.shape, server[-1].w.shape[1]), dtype=dtype)
+        stack_weights = np.zeros(labels.shape, dtype=dtype)
+        hidden = [np.zeros((*labels.shape, l.w.shape[0]), dtype=dtype) for l in server[1:]]
         for k, n in enumerate(lengths):
-            assert (stack_weights[k, :n] == acts.dtype.type(1.0 / n)).all() and (stack_weights[k, n:] == 0).all()
+            logits[k, :n], stack_weights[k, :n], cache = forward_server(server, acts[k, :n], labels[k, :n], activation)
+            assert cache.probs is None and cache.labels is not None  # the products only
+            for h, a in zip(hidden, cache.inputs[1:]):
+                h[k, :n] = a
+        probs, _ = softmax_loss(logits, labels)
+        for k, n in enumerate(lengths):
+            assert (stack_weights[k, :n] == dtype.type(1.0 / n)).all() and (stack_weights[k, n:] == 0).all()
             if weights is not None:
                 stack_weights[k, :n] = weights[k]
-        g = np.empty((len(lengths), model.server_params.size), dtype=acts.dtype)
-        return g, backward_server(model.server, stack, g, stack_weights)
+        stack = Cache(activation, [acts, *hidden], probs=probs, labels=labels)
+        g = np.empty((len(lengths), model.server_params.size), dtype=dtype)
+        return g, backward_server(server, stack, g, stack_weights)
 
     @pytest.mark.parametrize("weighted", [False, True])
     @pytest.mark.parametrize("lengths", [(7, 1, 16, 3, 1, 16), (1, 1, 1)], ids=["mixed", "one-row"])
@@ -508,8 +550,8 @@ class TestDeterminism:
             sg, cg = np.empty_like(model.server_params), np.empty_like(model.client_params)
             for _ in range(10):
                 acts, cc = forward_client(model.client, inputs, "relu")
-                _, _, sc = forward_server(model.server, acts, labels)
-                ag = backward_server(model.server, sc, sg, mean_weights(sc))
+                _, _, sw, sc = server_forward(model.server, acts, labels)
+                ag = backward_server(model.server, sc, sg, sw)
                 backward_client(model.client, cc, ag, cg)
                 sgd_step(model.server_params, sg, opt_s)
                 sgd_step(model.client_params, cg, opt_c)

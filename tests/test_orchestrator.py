@@ -212,6 +212,7 @@ class TestPsl:
             forward_server,
             sgd_state,
             sgd_step,
+            softmax_loss,
         )
         from gapsl.orchestrator import build_model
 
@@ -223,8 +224,10 @@ class TestPsl:
         for _ in range(15):
             idx = cursor.next()
             acts, cc = forward_client(model.client, train.inputs[idx], cfg.activation)
-            _, _, sc = forward_server(model.server, acts, train.labels[idx], cfg.activation)
-            ag = backward_server(model.server, sc, sg, np.full(len(idx), 1.0 / len(idx), dtype=sc.probs.dtype))
+            logits, weights, sc = forward_server(model.server, acts, train.labels[idx], cfg.activation)
+            sc.probs, _ = softmax_loss(logits, sc.labels)
+            assert (weights == np.full(len(idx), 1.0 / len(idx), dtype=logits.dtype)).all()
+            ag = backward_server(model.server, sc, sg, weights)
             backward_client(model.client, cc, ag, cg)
             sgd_step(model.server_params, sg, opt_s)
             sgd_step(model.client_params, cg, opt_c)
@@ -427,20 +430,28 @@ class TestRoundShape:
 
     def test_round_runs_one_server_forward_per_client_and_one_stacked_backward(self, monkeypatch):
         # the in-process mirror of the benchmark's pin of one server pass
-        # per client: every client's forward, then one backward over the
-        # stack, whatever the batch lengths
+        # per client: every client's forward, then one softmax over the
+        # logit stack and one backward over the stack, whatever the batch lengths
         calls = []
         forward, backward = orchestrator.forward_server, orchestrator.backward_server
+        softmax = orchestrator.softmax_loss
 
         def counting_forward(layers, acts, labels, activation):
             calls.append(("forward", len(labels)))
             return forward(layers, acts, labels, activation)
 
+        def counting_softmax(logits, labels):
+            assert logits.shape[:-1] == labels.shape
+            calls.append(("softmax", logits.shape))
+            return softmax(logits, labels)
+
         def counting_backward(layers, cache, out, loss_weights=None):
+            assert cache.inputs[0].shape[:-1] == cache.labels.shape == loss_weights.shape
             calls.append(("backward", cache.probs.shape[:-1]))
             return backward(layers, cache, out, loss_weights)
 
         monkeypatch.setattr(orchestrator, "forward_server", counting_forward)
+        monkeypatch.setattr(orchestrator, "softmax_loss", counting_softmax)
         monkeypatch.setattr(orchestrator, "backward_server", counting_backward)
         # 48 training samples over 5 clients: shards of 10 and 9 rows, so
         # batches of 4 end each epoch with 2- and 1-row batches
@@ -452,7 +463,8 @@ class TestRoundShape:
             engine.run_round(t)
             lengths = [n for kind, n in calls[:5] if kind == "forward"]
             assert len(lengths) == 5
-            assert calls[5:] == [("backward", (5, max(2, *lengths)))]
+            depth = max(2, *lengths)
+            assert calls[5:] == [("softmax", (5, depth, cfg.num_classes)), ("backward", (5, depth))]
             shapes.add((max(lengths), lengths.count(1)))
         assert shapes == {(4, 0), (2, 2)}  # full batches, and two one-row clients in a padded stack
 
